@@ -3,8 +3,9 @@
 from .convexsolve import (ConsensusOptions, SolveOptions, Solution,
                           solve_consensus, solve_convex)
 from .errors import (AllInfeasible, CapExceeded, CertificationBug,
-                     ConfigError, MissingBounds, NonConvergence, OgpfError,
-                     OutOfRange, ParseError, ValidationError)
+                     ConfigError, MissingBounds, ModelError, NonConvergence,
+                     OgpfError, OutOfRange, ParseError, SolverFailure,
+                     ValidationError)
 from .mipbuild import (StandardModel, VarIndex, area_views, build_model,
                        check_point, dump_model, fit_all_curves, fix_columns,
                        relax)

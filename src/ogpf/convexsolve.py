@@ -16,8 +16,8 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import NonConvergence
-from .ipm import EngineResult, solve_ipm
+from .errors import ConfigError, ModelError, NonConvergence
+from .ipm import EngineResult, solve_ipm, vanished_rows
 from .mipbuild import AreaView, QuadRow, StandardModel, check_point
 
 OPTIMAL = "Optimal"
@@ -134,39 +134,21 @@ def feasibility_probe(model: StandardModel, opts: SolveOptions) -> float:
     return float(probe.objective(res.x))
 
 
-def _presolve_infeasible(model: StandardModel) -> bool:
-    """Catch rows whose support vanished (e.g. after fixing columns)."""
-    if model.num_eq:
-        nnz = np.diff(model.a_eq.indptr)
-        bad = (nnz == 0) & (np.abs(model.b_eq) > 1e-9)
-        if bad.any():
-            return True
-    if model.num_in:
-        nnz = np.diff(model.g_in.indptr)
-        bad = (nnz == 0) & (model.h_in < -1e-9)
-        if bad.any():
-            return True
-    for row in model.quad_ineq:
-        if not row.quad_idx and not row.lin_idx and row.const > 1e-9:
-            return True
-    return False
-
-
 def solve_convex(model: StandardModel, opts: SolveOptions | None = None) -> Solution:
     """Solve a relaxed standard-form model to the requested tolerances.
 
     Returns a Solution with status Optimal, MaxIter (best iterate, residuals
-    reported) or Infeasible (empty box, vanished row, or a feasibility probe
-    that certifies positive minimum violation). Deterministic for identical
-    inputs.
+    reported) or Infeasible (empty box, inconsistent vanished row, or a
+    feasibility probe that certifies positive minimum violation).
+    Deterministic for identical inputs. Raises ConfigError on a model with
+    integral columns.
     """
     opts = opts or SolveOptions()
-    assert not model.integrality.any(), "solve_convex needs a relaxed model"
+    if model.integrality.any():
+        raise ConfigError("solve_convex needs a relaxed model")
 
-    if _empty_box(model):
-        return Solution(np.zeros(model.num_vars), np.nan, INFEASIBLE,
-                        Residuals(np.inf, np.inf, np.inf), 0)
-    if _presolve_infeasible(model):
+    _, _, _, inconsistent = vanished_rows(model)
+    if _empty_box(model) or inconsistent:
         return Solution(np.zeros(model.num_vars), np.nan, INFEASIBLE,
                         Residuals(np.inf, np.inf, np.inf), 0)
 
@@ -234,10 +216,12 @@ class _AreaProblem:
         g_in = model.g_in[rows_in][:, self.global_cols].tocsr() if rows_in.size \
             else sp.csr_matrix((0, nloc))
         # owned rows must not reference columns outside the local set
-        if rows_eq.size:
-            assert model.a_eq[rows_eq].getnnz() == a_eq.getnnz()
-        if rows_in.size:
-            assert model.g_in[rows_in].getnnz() == g_in.getnnz()
+        if (rows_eq.size and model.a_eq[rows_eq].getnnz() != a_eq.getnnz()) \
+                or (rows_in.size
+                    and model.g_in[rows_in].getnnz() != g_in.getnnz()):
+            raise ModelError(
+                f"area {view.area}: owned rows reference columns outside "
+                "the area and its shared copies")
 
         quad_rows = []
         for k in view.owned_quad_rows:

@@ -17,6 +17,15 @@ class ConfigError(OgpfError):
     """Invalid configuration value (e.g. odd region count)."""
 
 
+class ModelError(OgpfError):
+    """A model, its area views or a requested column substitution is
+    structurally inconsistent."""
+
+
+class SolverFailure(OgpfError):
+    """A subproblem solver returned an unexpected status."""
+
+
 class MissingBounds(OgpfError):
     """A pressure or flow bound needed as a big-M constant is not finite."""
 

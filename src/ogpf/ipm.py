@@ -11,23 +11,28 @@ Solves the standard form used by the model builder::
 
 The implementation is an infeasible-start Mehrotra predictor-corrector:
 bounds are folded into the inequality block, variables and rows are
-equilibrated, and each iteration solves one condensed KKT system (dense LU
-with static regularization and one refinement pass) for the affine and
-corrector directions. Quadratic rows enter through their gradients plus a
-second-order correction in the corrector, which is exact for quadratics.
-Determinism: pure numpy, fixed iteration order, no randomness.
+equilibrated, and each iteration solves one condensed KKT system for the
+affine and corrector directions. The KKT matrix is sparse with a pattern
+fixed for the whole solve: the pattern and the maps from every product term
+to its slot are built once, each iteration only refills the values and
+factors them with SuperLU (minimum-degree ordering of ``K + K^T``, which
+suits the symmetric quasi-definite K; static regularization; one refinement
+pass). Quadratic rows are held as one coordinate block and enter
+through their gradients plus a second-order correction in the corrector,
+which is exact for quadratics.
+Determinism: fixed ordering and iteration order, no randomness.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
-from .mipbuild import StandardModel, fix_columns
+from .errors import ConfigError
+from .mipbuild import QuadRow, StandardModel, fix_columns
 
 _REG_PRIMAL = 1e-10
 _REG_DUAL = 1e-10
@@ -49,6 +54,164 @@ class EngineResult:
     pres: float
     dres: float
     relgap: float
+
+
+@dataclass(frozen=True)
+class QuadBlock:
+    """Quadratic rows ``sum_j P[k, j] x_j^2 + L[k] . x + d[k] <= 0`` as
+    coordinate arrays.
+
+    ``P`` is ``(q_row, q_col, q_coef)``, ``L`` is ``(l_row, l_col, l_coef)``.
+    The gradient ``J`` has a fixed pattern ``(j_row, j_col)``, sorted by row
+    then column, covering the union of each row's ``P`` and ``L`` columns;
+    ``q_slot`` and ``l_slot`` map every ``P`` and ``L`` term to its slot.
+    """
+
+    m: int
+    n: int
+    q_row: np.ndarray
+    q_col: np.ndarray
+    q_coef: np.ndarray
+    l_row: np.ndarray
+    l_col: np.ndarray
+    l_coef: np.ndarray
+    d: np.ndarray
+    j_row: np.ndarray
+    j_col: np.ndarray
+    q_slot: np.ndarray
+    l_slot: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows: list[QuadRow], n: int) -> "QuadBlock":
+        def coo(idx, coef):
+            r = np.repeat(np.arange(len(rows)),
+                          [len(getattr(row, idx)) for row in rows])
+            c = np.fromiter((j for row in rows for j in getattr(row, idx)),
+                            dtype=np.int64, count=r.size)
+            v = np.fromiter((v for row in rows for v in getattr(row, coef)),
+                            dtype=float, count=r.size)
+            return r.astype(np.int64), c, v
+
+        q_row, q_col, q_coef = coo("quad_idx", "quad_coef")
+        l_row, l_col, l_coef = coo("lin_idx", "lin_coef")
+        d = np.array([row.const for row in rows], dtype=float)
+        keys = np.concatenate([q_row * n + q_col, l_row * n + l_col])
+        uniq, slot = np.unique(keys, return_inverse=True)
+        return cls(len(rows), n, q_row, q_col, q_coef, l_row, l_col, l_coef,
+                   d, uniq // n, uniq % n, slot[:q_row.size],
+                   slot[q_row.size:])
+
+    def scaled(self, col_scale: np.ndarray) -> tuple["QuadBlock", np.ndarray]:
+        """Block in the variables ``x / col_scale``, each row divided by its
+        largest coefficient magnitude (at least 1); returns the row scales."""
+        qc = self.q_coef * col_scale[self.q_col] ** 2
+        lc = self.l_coef * col_scale[self.l_col]
+        mags = np.maximum(1.0, np.abs(self.d))
+        np.maximum.at(mags, self.q_row, np.abs(qc))
+        np.maximum.at(mags, self.l_row, np.abs(lc))
+        out = QuadBlock(self.m, self.n, self.q_row, self.q_col,
+                        qc / mags[self.q_row], self.l_row, self.l_col,
+                        lc / mags[self.l_row], self.d / mags, self.j_row,
+                        self.j_col, self.q_slot, self.l_slot)
+        return out, 1.0 / mags
+
+    def value(self, x: np.ndarray) -> np.ndarray:
+        return (np.bincount(self.q_row, self.q_coef * x[self.q_col] ** 2,
+                            minlength=self.m)
+                + np.bincount(self.l_row, self.l_coef * x[self.l_col],
+                              minlength=self.m)
+                + self.d)
+
+    def jac(self, x: np.ndarray) -> np.ndarray:
+        """Gradient values on the ``(j_row, j_col)`` pattern."""
+        nj = self.j_row.size
+        return (np.bincount(self.q_slot, 2.0 * self.q_coef * x[self.q_col],
+                            minlength=nj)
+                + np.bincount(self.l_slot, self.l_coef, minlength=nj))
+
+    def jac_t(self, jv: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``J^T y``."""
+        return np.bincount(self.j_col, jv * y[self.j_row], minlength=self.n)
+
+    def jac_mul(self, jv: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``J v``."""
+        return np.bincount(self.j_row, jv * v[self.j_col], minlength=self.m)
+
+    def hess_diag(self, mu: np.ndarray) -> np.ndarray:
+        """Diagonal of ``sum_k mu_k * Hessian(qc_k)``."""
+        return np.bincount(self.q_col, 2.0 * mu[self.q_row] * self.q_coef,
+                           minlength=self.n)
+
+    def curvature(self, dx: np.ndarray) -> np.ndarray:
+        """Second-order change ``sum_j P[k, j] dx_j^2`` of each row."""
+        return np.bincount(self.q_row, self.q_coef * dx[self.q_col] ** 2,
+                           minlength=self.m)
+
+
+def _row_pairs(indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every ordered pair of entries within each row of a CSR-style layout:
+    ``(row, first entry, second entry)``."""
+    counts = np.diff(indptr)
+    npairs = counts * counts
+    row = np.repeat(np.arange(counts.size), npairs)
+    local = np.arange(row.size) - np.repeat(np.cumsum(npairs) - npairs, npairs)
+    k = counts[row]
+    start = indptr[:-1][row]
+    return row, start + local // k, start + local % k
+
+
+class Kkt:
+    """Condensed KKT matrix
+    ``K = [[G^T W G + diag(H) + J^T V J, A^T], [A, -reg I]]`` in CSC form.
+
+    The pattern and the slot of every term of ``G^T W G`` (pairs of
+    nonzeros within each row of ``G``), the diagonal, ``J^T V J`` (pairs
+    within each row of the gradient pattern) and the constant ``A`` blocks
+    are built once; ``fill`` only recomputes ``K.data``.
+    """
+
+    def __init__(self, G: sp.csr_matrix, A: sp.csr_matrix, quad: QuadBlock):
+        n = G.shape[1]
+        me = A.shape[0]
+        size = n + me
+        g_row, g_a, g_b = _row_pairs(G.indptr)
+        self._g_row = g_row
+        self._g_prod = G.data[g_a] * G.data[g_b]
+        j_ptr = np.concatenate([[0], np.cumsum(
+            np.bincount(quad.j_row, minlength=quad.m))])
+        self._j_row, self._j_a, self._j_b = _row_pairs(j_ptr)
+        diag = np.arange(n)
+        A = A.tocoo()
+        dual = n + np.arange(me)
+        rows = np.concatenate([G.indices[g_a], diag, quad.j_col[self._j_a],
+                               n + A.row, A.col, dual])
+        cols = np.concatenate([G.indices[g_b], diag, quad.j_col[self._j_b],
+                               A.col, n + A.row, dual])
+        # column-major keys sort straight into canonical CSC order
+        keys = cols.astype(np.int64) * size + rows
+        uniq, slot = np.unique(keys, return_inverse=True)
+        nnz = uniq.size
+        n_var = g_row.size + n + self._j_row.size
+        self._slot_var = slot[:n_var]
+        self._base = np.bincount(
+            slot[n_var:], np.concatenate([A.data, A.data,
+                                          np.full(me, -_REG_DUAL)]),
+            minlength=nnz)
+        indptr = np.concatenate([[0], np.cumsum(
+            np.bincount(uniq // size, minlength=size))])
+        self.K = sp.csc_matrix(
+            (self._base.copy(), (uniq % size).astype(np.int32),
+             indptr.astype(np.int32)), shape=(size, size))
+
+    def fill(self, W: np.ndarray, H: np.ndarray, V: np.ndarray,
+             jv: np.ndarray) -> sp.csc_matrix:
+        """Refill ``K.data`` for row weights ``W``, diagonal ``H``, quadratic
+        row weights ``V`` and gradient values ``jv``; returns ``K``."""
+        w = np.concatenate([W[self._g_row] * self._g_prod, H,
+                            V[self._j_row] * jv[self._j_a] * jv[self._j_b]])
+        self.K.data[:] = self._base + np.bincount(
+            self._slot_var, w, minlength=self._base.size)
+        return self.K
 
 
 def _initial_x(lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
@@ -81,8 +244,10 @@ def solve_ipm(model: StandardModel, feas_tol: float, opt_tol: float,
     barrier needs (paired zero slacks), so they are removed up front. An
     inconsistent vanished row returns status ``stalled``; the caller's
     feasibility probe turns that into an infeasibility certificate.
+    Raises ConfigError on a model with integral columns.
     """
-    assert not model.integrality.any(), "relax the model before solving"
+    if model.integrality.any():
+        raise ConfigError("relax the model before solving")
     n = model.num_vars
 
     pinned = np.isfinite(model.lb) & (model.lb == model.ub)
@@ -112,30 +277,37 @@ def _row_mags(mat) -> np.ndarray:
     return out
 
 
+def vanished_rows(model: StandardModel) -> tuple[np.ndarray, np.ndarray,
+                                                 np.ndarray, bool]:
+    """Rows whose support vanished (e.g. after fixing columns).
+
+    Returns the live-row masks of the equality, inequality and quadratic
+    rows, and whether some vanished row is inconsistent (a nonzero equality
+    right-hand side, a negative inequality right-hand side or a positive
+    quadratic-row constant).
+    """
+    eq_live = _row_mags(model.a_eq) > 1e-12
+    in_live = _row_mags(model.g_in) > 1e-12
+    quad_live = np.array([bool(row.quad_idx or row.lin_idx)
+                          for row in model.quad_ineq], dtype=bool)
+    quad_const = np.array([row.const for row in model.quad_ineq], dtype=float)
+    inconsistent = bool(
+        np.any(~eq_live & (np.abs(model.b_eq) > 1e-9))
+        or np.any(~in_live & (model.h_in < -1e-9))
+        or np.any(~quad_live & (quad_const > 1e-9)))
+    return eq_live, in_live, quad_live, inconsistent
+
+
 def _presolve_rows_and_solve(model: StandardModel, feas_tol: float,
                              opt_tol: float, max_iter: int) -> EngineResult:
     n = model.num_vars
-    eq_mags = _row_mags(model.a_eq)
-    in_mags = _row_mags(model.g_in)
-    eq_live = eq_mags > 1e-12
-    in_live = in_mags > 1e-12
-    quad_live = np.array([bool(row.quad_idx or row.lin_idx)
-                          for row in model.quad_ineq], dtype=bool)
-
-    def _stalled():
+    eq_live, in_live, quad_live, inconsistent = vanished_rows(model)
+    if inconsistent:
         return EngineResult(_initial_x(model.lb, model.ub),
                             np.zeros(model.num_eq), np.zeros(model.num_in),
                             np.zeros(n), np.zeros(n),
                             np.zeros(len(model.quad_ineq)), "stalled", 0,
                             np.inf, np.inf, np.inf)
-
-    if np.any(~eq_live & (np.abs(model.b_eq) > 1e-9)):
-        return _stalled()
-    if np.any(~in_live & (model.h_in < -1e-9)):
-        return _stalled()
-    for row, live in zip(model.quad_ineq, quad_live):
-        if not live and row.const > 1e-9:
-            return _stalled()
 
     if eq_live.all() and in_live.all() and quad_live.all():
         return _iterate(model, feas_tol, opt_tol, max_iter)
@@ -201,18 +373,7 @@ def _iterate(model: StandardModel, feas_tol: float, opt_tol: float,
         Gm = sp.diags(rs_g) @ Gm
         hm = hm * rs_g
 
-    quads = []
-    rs_q = []
-    for row in model.quad_ineq:
-        qi = np.asarray(row.quad_idx, dtype=int)
-        qc = np.asarray(row.quad_coef) * d[qi] * d[qi]
-        li = np.asarray(row.lin_idx, dtype=int)
-        lc = np.asarray(row.lin_coef) * d[li]
-        mags = max(1.0, np.abs(qc).max(initial=0.0),
-                   np.abs(lc).max(initial=0.0), abs(row.const))
-        rs_q.append(1.0 / mags)
-        quads.append((qi, qc / mags, li, lc / mags, row.const / mags))
-    rs_q = np.asarray(rs_q)
+    quad, rs_q = QuadBlock.from_rows(model.quad_ineq, n).scaled(d)
 
     # --- fold finite bounds into the inequality block
     fu = np.flatnonzero(np.isfinite(ub))
@@ -224,25 +385,14 @@ def _iterate(model: StandardModel, feas_tol: float, opt_tol: float,
     if fl.size:
         rows.append(sp.csr_matrix((-np.ones(fl.size),
                                    (np.arange(fl.size), fl)), shape=(fl.size, n)))
-    G = sp.vstack(rows, format="csr") if rows else sp.csr_matrix((0, n))
+    G = sp.vstack(rows, format="csr")
     h = np.concatenate([hm, ub[fu], -lb[fl]])
     mi = G.shape[0]
     me = A.shape[0]
-    mq = len(quads)
+    mq = quad.m
     GT = G.T.tocsr()
-
-    def qc_val(x):
-        if not mq:
-            return np.zeros(0)
-        return np.array([float(qc @ (x[qi] ** 2) + lc @ x[li] + pd)
-                         for qi, qc, li, lc, pd in quads])
-
-    def qc_jac(x):
-        J = np.zeros((mq, n))
-        for k, (qi, qc, li, lc, _) in enumerate(quads):
-            J[k, qi] += 2.0 * qc * x[qi]
-            J[k, li] += lc
-        return J
+    AT = A.T.tocsr()
+    kkt = Kkt(G, A, quad)
 
     x = _initial_x(lb, ub)
     nu = np.zeros(me)
@@ -253,7 +403,7 @@ def _iterate(model: StandardModel, feas_tol: float, opt_tol: float,
         s = np.zeros(0)
         lam = np.zeros(0)
     if mq:
-        t = np.maximum(-qc_val(x), 1.0)
+        t = np.maximum(-quad.value(x), 1.0)
         mu = np.ones(mq)
     else:
         t = np.zeros(0)
@@ -263,21 +413,24 @@ def _iterate(model: StandardModel, feas_tol: float, opt_tol: float,
     scale_d = 1.0 + np.abs(c).max(initial=0.0)
     m_total = mi + mq
 
-    def grad_f(x):
-        return 2.0 * q * x + c
-
-    def residuals(x, nu, lam, mu, J, qv):
-        rd = grad_f(x)
+    def residuals(x, nu, lam, mu, jv, qv):
+        rd = 2.0 * q * x + c
         if me:
-            rd = rd + A.T @ nu
+            rd = rd + AT @ nu
         if mi:
             rd = rd + GT @ lam
         if mq:
-            rd = rd + J.T @ mu
+            rd = rd + quad.jac_t(jv, mu)
         rp = (A @ x - b) if me else np.zeros(0)
         rg = (G @ x + s - h) if mi else np.zeros(0)
         rq = (qv + t) if mq else np.zeros(0)
         return rd, rp, rg, rq
+
+    def factor(W, H, V, jv):
+        """Refill and factor K; a singular factor raises RuntimeError here,
+        a non-finite one shows as a non-finite solution in ``solve_kkt``."""
+        K = kkt.fill(W, H, V, jv)
+        return K, splu(K, permc_spec="MMD_AT_PLUS_A")
 
     best = None
     best_merit = np.inf
@@ -289,17 +442,11 @@ def _iterate(model: StandardModel, feas_tol: float, opt_tol: float,
 
     # pure equality-constrained QP: single KKT solve
     if m_total == 0:
-        K = np.zeros((n + me, n + me))
-        K[:n, :n] = np.diag(2.0 * q + _REG_PRIMAL)
-        if me:
-            Ad = A.toarray()
-            K[:n, n:] = Ad.T
-            K[n:, :n] = Ad
-            K[n:, n:] = -_REG_DUAL * np.eye(me)
-        rhs = np.concatenate([-c, b])
-        sol = sla.lu_solve(sla.lu_factor(K), rhs)
+        _, lu = factor(np.zeros(0), 2.0 * q + _REG_PRIMAL, np.zeros(0),
+                       np.zeros(0))
+        sol = lu.solve(np.concatenate([-c, b]))
         x, nu = sol[:n], sol[n:]
-        rd, rp, _, _ = residuals(x, nu, lam, mu, np.zeros((0, n)), np.zeros(0))
+        rd, rp, _, _ = residuals(x, nu, lam, mu, np.zeros(0), np.zeros(0))
         return EngineResult(
             x * d, _unscale_nu(nu, rs_a), np.zeros(0), np.zeros(n),
             np.zeros(n), np.zeros(0), "optimal", 1,
@@ -308,9 +455,9 @@ def _iterate(model: StandardModel, feas_tol: float, opt_tol: float,
 
     for it in range(max_iter):
         iters_done = it + 1
-        qv = qc_val(x)
-        J = qc_jac(x) if mq else np.zeros((0, n))
-        rd, rp, rg, rq = residuals(x, nu, lam, mu, J, qv)
+        qv = quad.value(x)
+        jv = quad.jac(x)
+        rd, rp, rg, rq = residuals(x, nu, lam, mu, jv, qv)
 
         gap_total = float(s @ lam + t @ mu)
         gap = gap_total / m_total
@@ -349,37 +496,20 @@ def _iterate(model: StandardModel, feas_tol: float, opt_tol: float,
         # condensed KKT matrix, shared by predictor and corrector
         W = np.minimum(lam / s, _W_CAP)
         V = np.minimum(mu / t, _W_CAP) if mq else np.zeros(0)
-        Hd = 2.0 * q + _REG_PRIMAL
-        for k, (qi, qc, _, _, _) in enumerate(quads):
-            Hd[qi] += 2.0 * mu[k] * qc
-        M = (GT @ sp.diags(W) @ G).toarray()
-        M[np.diag_indices(n)] += Hd
-        for k in range(mq):
-            M += V[k] * np.outer(J[k], J[k])
-        K = np.zeros((n + me, n + me))
-        K[:n, :n] = M
-        if me:
-            Ad = A.toarray()
-            K[:n, n:] = Ad.T
-            K[n:, :n] = Ad
-            K[n:, n:] = -_REG_DUAL * np.eye(me)
+        Hd = 2.0 * q + _REG_PRIMAL + quad.hess_diag(mu)
         try:
-            with np.errstate(all="ignore"), warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                lu = sla.lu_factor(K, check_finite=False)
-            if not np.isfinite(lu[0]).all():
-                raise FloatingPointError("singular KKT factorization")
-        except Exception:
+            K, lu = factor(W, Hd, V, jv)
+        except RuntimeError:  # SuperLU: "Factor is exactly singular"
             status = "stalled"
             break
 
         def solve_kkt(rhs):
             with np.errstate(all="ignore"):
-                sol = sla.lu_solve(lu, rhs, check_finite=False)
+                sol = lu.solve(rhs)
                 if not np.isfinite(sol).all():
                     raise FloatingPointError("non-finite KKT solution")
                 # one refinement pass
-                sol = sol + sla.lu_solve(lu, rhs - K @ sol, check_finite=False)
+                sol = sol + lu.solve(rhs - K @ sol)
             if not np.isfinite(sol).all():
                 raise FloatingPointError("non-finite KKT solution")
             return sol[:n], sol[n:]
@@ -389,13 +519,13 @@ def _iterate(model: StandardModel, feas_tol: float, opt_tol: float,
             rct = (sigma_gap - t * mu - corr_t) if mq else np.zeros(0)
             rhs_x = -rd - GT @ ((rcs + lam * rg) / s)
             if mq:
-                rhs_x = rhs_x - J.T @ ((rct + mu * rq_eff) / t)
+                rhs_x = rhs_x - quad.jac_t(jv, (rct + mu * rq_eff) / t)
             rhs = np.concatenate([rhs_x, -rp])
             dx, dnu = solve_kkt(rhs)
             ds = -rg - G @ dx
             dlam = (rcs - lam * ds) / s
             if mq:
-                dt = -rq_eff - J @ dx
+                dt = -rq_eff - quad.jac_mul(jv, dx)
                 dmu = (rct - mu * dt) / t
             else:
                 dt = np.zeros(0)
@@ -421,12 +551,7 @@ def _iterate(model: StandardModel, feas_tol: float, opt_tol: float,
             sigma = min(max((gap_aff / gap) ** 3, 1e-8), 1.0 - 1e-8)
 
             # corrector with second-order terms (exact for quadratic rows)
-            if mq:
-                soc = np.array([float(qc @ (dxa[qi] ** 2))
-                                for qi, qc, _, _, _ in quads])
-                rq_eff = rq + soc
-            else:
-                rq_eff = rq
+            rq_eff = rq + quad.curvature(dxa) if mq else rq
             dx, dnu, ds, dlam, dt, dmu = direction(
                 sigma * gap, dsa * dlama,
                 dta * dmua if mq else np.zeros(0), rq_eff)

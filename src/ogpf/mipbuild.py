@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .errors import ModelError
 from .netmodel import NetworkInstance, classify_edges
 from .pwa import PwaConfig, PwaCurve, Row, emit_mld, fit_pwa
 
@@ -176,14 +177,16 @@ class _RowStore:
         rhs = np.zeros(len(self.rows))
         labels = []
         for k, row in enumerate(self.rows):
-            assert len(row.cols) == len(row.coefs)
-            for j, c in zip(row.cols, row.coefs):
-                assert 0 <= j < n
-                ri.append(k)
-                ci.append(j)
-                data.append(c)
+            if len(row.cols) != len(row.coefs):
+                raise ModelError(f"row {row.label}: {len(row.cols)} columns "
+                                 f"but {len(row.coefs)} coefficients")
+            ri.extend([k] * len(row.cols))
+            ci.extend(row.cols)
+            data.extend(row.coefs)
             rhs[k] = row.rhs
             labels.append(row.label)
+        if ci and not 0 <= min(ci) <= max(ci) < n:
+            raise ModelError(f"a row references a column outside 0..{n - 1}")
         mat = sp.csr_matrix((data, (ri, ci)), shape=(len(self.rows), n))
         mat.sum_duplicates()
         return mat, rhs, labels
@@ -475,8 +478,11 @@ def substitute_columns(model: StandardModel, fixed: dict[int, float],
     for j, v in fixed.items():
         offset[j] = float(v)
     for j, (target, coef) in aliases.items():
-        assert target in pos, "alias target must be a kept column"
-        assert not model.integrality[j], "cannot alias an integral column"
+        if target not in pos:
+            raise ModelError(f"alias target {target} of column {j} is not "
+                             "a kept column")
+        if model.integrality[j]:
+            raise ModelError(f"cannot alias integral column {j}")
         rows.append(int(j))
         cols.append(pos[target])
         vals.append(float(coef))
@@ -707,7 +713,9 @@ def area_views(model: StandardModel, inst: NetworkInstance,
     for k in range(model.num_in):
         cols = g_csr.indices[g_csr.indptr[k]:g_csr.indptr[k + 1]]
         in_owner[k] = col_area[cols[0]]
-        assert len(set(col_area[cols])) == 1, "inequality row crosses areas"
+        if len(set(col_area[cols])) != 1:
+            raise ModelError(
+                f"inequality row {model.in_labels[k]} crosses areas")
 
     quad_owner = np.array([gen_area[row.label[len("gas_conversion["):-1]]
                            for row in model.quad_ineq], dtype=int)

@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .convexsolve import INFEASIBLE, OPTIMAL, SolveOptions, solve_convex
-from .errors import AllInfeasible, CapExceeded
+from .errors import AllInfeasible, CapExceeded, ModelError
 from .mipbuild import (ALPHA, BETA, DM, DPSI, PHI, PSI, StandardModel,
                        VarIndex, YM, YPSI, relax, substitute_columns)
 from .pwa import PwaCurve
@@ -70,8 +70,9 @@ def enumerate_solve(model: StandardModel, index: VarIndex,
     ``curves`` provides both orientations per pipe; the first-listed
     orientation of each pair is enumerated and the mirror is forced
     consistently (sign-inconsistent combinations are never generated). Raises
-    CapExceeded when ``r ** num_pipes`` exceeds ``cap`` and AllInfeasible when
-    no configuration admits a feasible point.
+    CapExceeded when ``r ** num_pipes`` exceeds ``cap``, AllInfeasible when
+    no configuration admits a feasible point and ModelError when a curve
+    lacks its mirror orientation.
     """
     opts = opts or SolveOptions(feas_tol=1e-10, opt_tol=1e-10)
     pairs: list[tuple[tuple[str, str], tuple[str, str]]] = []
@@ -81,7 +82,8 @@ def enumerate_solve(model: StandardModel, index: VarIndex,
         if key in seen:
             continue
         mirror = (key[1], key[0])
-        assert mirror in curves, f"missing mirror orientation for {key}"
+        if mirror not in curves:
+            raise ModelError(f"missing mirror orientation for {key}")
         pairs.append((key, mirror))
         seen.update((key, mirror))
         r = curves[key].r

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import CertificationBug, OutOfRange
+from .errors import CertificationBug, OutOfRange, SolverFailure
 from .mipbuild import ALPHA, BETA, DM, DPSI, PSI, StandardModel, VarIndex, YM, YPSI, check_point
 from .pwa import PwaCurve
 
@@ -196,7 +196,8 @@ def solve_pressure_lp(lp: PressureLp, opts=None) -> tuple[dict[str, float], floa
     c[-1] = 1.0
     bnds = [(lp.lo[i], lp.hi[i]) for i in range(n)] + [(0.0, None)]
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bnds, method="highs")
-    assert res.status == 0, f"pressure LP unexpectedly failed: {res.message}"
+    if res.status != 0:
+        raise SolverFailure(f"pressure LP unexpectedly failed: {res.message}")
     psi_vec = res.x[:n]
     j_psi = float(np.abs(lp.e_rows @ psi_vec - lp.theta).max())
     psi = {nd: float(psi_vec[i]) for i, nd in enumerate(lp.nodes)}
@@ -320,13 +321,20 @@ def weymouth_deviation(phi_star: dict[tuple[str, str], float],
     return out
 
 
+def _relative_values(deviations: dict) -> list[float]:
+    return [abs(e["value"]) for e in deviations.values()
+            if e["kind"] == "relative"]
+
+
 def mean_abs_deviation(deviations: dict) -> float:
-    if not deviations:
-        return 0.0
-    return float(np.mean([abs(e["value"]) for e in deviations.values()]))
+    """Mean absolute relative deviation; ``absolute`` entries (flows across
+    a vanishing pressure drop) are in flow units and are left out."""
+    values = _relative_values(deviations)
+    return float(np.mean(values)) if values else 0.0
 
 
 def max_abs_deviation(deviations: dict) -> float:
-    if not deviations:
-        return 0.0
-    return float(np.max([abs(e["value"]) for e in deviations.values()]))
+    """Largest absolute relative deviation; ``absolute`` entries are left
+    out."""
+    values = _relative_values(deviations)
+    return float(np.max(values)) if values else 0.0

@@ -108,7 +108,7 @@ def test_engine_adapter_seam(small2area_model):
 
 def test_rejects_integral_model(small2area_model):
     model, _ = small2area_model
-    with pytest.raises(AssertionError):
+    with pytest.raises(ogpf.ConfigError):
         solve_convex(model)
 
 

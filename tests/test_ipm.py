@@ -1,0 +1,134 @@
+import tracemalloc
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+import ogpf
+from ogpf.convexsolve import SolveOptions, solve_convex
+from ogpf.ipm import Kkt, QuadBlock, solve_ipm
+from ogpf.mipbuild import QuadRow, StandardModel, build_model, relax
+from ogpf.pwa import PwaConfig
+
+
+@pytest.mark.parametrize("name", ["small2area", "loop1area"])
+def test_kkt_refill_matches_explicit_assembly(instances, name):
+    model, _ = build_model(instances[name], PwaConfig(r=4))
+    model = relax(model)
+    n, me = model.num_vars, model.num_eq
+    G, A = model.g_in, model.a_eq
+    quad = QuadBlock.from_rows(model.quad_ineq, n)
+    kkt = Kkt(G, A, quad)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        x = rng.uniform(-2.0, 2.0, n)
+        W = rng.uniform(0.1, 10.0, model.num_in)
+        V = rng.uniform(0.1, 10.0, quad.m)
+        H = rng.uniform(0.1, 10.0, n)
+        K = kkt.fill(W, H, V, quad.jac(x)).toarray()
+
+        J = sp.csr_matrix(np.array([row.grad(x, n) for row in model.quad_ineq]))
+        M = G.T @ sp.diags(W) @ G + sp.diags(H) + J.T @ sp.diags(V) @ J
+        ref = sp.bmat([[M, A.T], [A, -1e-10 * sp.identity(me)]]).toarray()
+        assert np.abs(K - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_quad_block_matches_rows():
+    rows = [QuadRow((0, 2), (1.5, 0.5), (0, 1), (-1.0, 2.0), 3.0, "a"),
+            QuadRow((), (), (2,), (4.0,), -1.0, "b"),
+            QuadRow((1,), (2.0,), (), (), 0.5, "c")]
+    block = QuadBlock.from_rows(rows, 3)
+    x = np.array([0.3, -1.2, 2.5])
+    mu = np.array([0.7, 1.1, 0.4])
+    jac = np.zeros((3, 3))
+    jac[block.j_row, block.j_col] = block.jac(x)
+    assert np.allclose(block.value(x), [row.value(x) for row in rows])
+    assert np.allclose(jac, [row.grad(x, 3) for row in rows])
+    assert np.allclose(block.jac_t(block.jac(x), mu), jac.T @ mu)
+    assert np.allclose(block.jac_mul(block.jac(x), x), jac @ x)
+    assert np.allclose(block.hess_diag(mu), [2 * (0.7 * 1.5), 2 * (0.4 * 2.0),
+                                             2 * (0.7 * 0.5)])
+    assert np.allclose(block.curvature(x), [row.value(x) - row.value(0 * x)
+                                            - row.grad(0 * x, 3) @ x
+                                            for row in rows])
+
+
+# certificate, IPM iterations and objective of the two-stage solve, recorded
+# from the dense-LU engine this sparse core replaced
+RECORDED = {
+    ("small2area", 4): ("Optimal", 18, 1.9700000000000903),
+    ("small2area", 8): ("Optimal", 19, 1.9700000000000704),
+    ("small2area", 16): ("Optimal", 20, 1.970000000000143),
+    ("small2area", 32): ("Optimal", 20, 1.9700000000001747),
+    ("single1area", 4): ("Optimal", 12, 0.511200000000145),
+    ("single1area", 8): ("Optimal", 12, 0.5112000000001733),
+    ("single1area", 16): ("Optimal", 13, 0.5112000000000009),
+    ("single1area", 32): ("Optimal", 13, 0.5112000000001139),
+    ("chain2area", 4): ("Optimal", 14, 1.1328750000000412),
+    ("chain2area", 8): ("Optimal", 15, 1.1328750000002406),
+    ("chain2area", 16): ("Optimal", 15, 1.1328750000087964),
+    ("chain2area", 32): ("Optimal", 16, 1.1328750000001955),
+    ("medium3area", 4): ("Optimal", 17, 3.471550000000089),
+    ("medium3area", 8): ("Optimal", 17, 3.471550000002843),
+    ("medium3area", 16): ("Optimal", 20, 3.4715500000001467),
+    ("medium3area", 32): ("Optimal", 21, 3.471550000000472),
+    ("loop1area", 4): ("Approximate", 11, 0.5090000000007093),
+    ("loop1area", 8): ("Approximate", 12, 0.5090000000000121),
+    ("loop1area", 16): ("Approximate", 12, 0.5090000000001855),
+    ("loop1area", 32): ("Approximate", 12, 0.509000000000349),
+}
+
+
+@pytest.mark.parametrize("name,r", sorted(RECORDED))
+def test_bundled_results_match_recorded(instances, name, r):
+    kind, iterations, objective = RECORDED[(name, r)]
+    res = ogpf.solve_two_stage(instances[name], r)
+    assert res.certificate.kind == kind
+    assert res.solution.iterations == iterations
+    assert res.objective == pytest.approx(objective, rel=1e-9)
+
+
+def test_kkt_memory_stays_sparse(instances):
+    """A dense KKT of order n + me (~2140 at r=64) alone takes ~37 MB."""
+    inst = instances["medium3area"]
+    tracemalloc.start()
+    try:
+        res = ogpf.solve_two_stage(inst, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.certificate.is_optimal
+    assert peak < 20 * 2 ** 20
+
+
+def test_equality_qp_uses_single_solve():
+    # minimize x0^2 + x1^2 subject to x0 + x1 = 2, no bounds
+    model = StandardModel(
+        2, np.ones(2), np.zeros(2), 0.0, sp.csr_matrix([[1.0, 1.0]]),
+        np.array([2.0]), sp.csr_matrix((0, 2)), np.zeros(0), [],
+        np.full(2, -np.inf), np.full(2, np.inf), np.zeros(2, dtype=bool),
+        ["sum"], [])
+    res = solve_ipm(model, 1e-9, 1e-9, 50)
+    assert res.status == "optimal" and res.iterations == 1
+    assert np.allclose(res.x, [1.0, 1.0])
+
+
+def test_inconsistent_vanished_row_skips_engine_and_probe(monkeypatch):
+    # 0 * x = 1 after presolve: Infeasible without any IPM run
+    model = StandardModel(
+        1, np.ones(1), np.zeros(1), 0.0, sp.csr_matrix((1, 1)),
+        np.array([1.0]), sp.csr_matrix((0, 1)), np.zeros(0), [],
+        np.zeros(1), np.ones(1), np.zeros(1, dtype=bool), ["empty"], [])
+    calls = []
+    monkeypatch.setattr("ogpf.convexsolve.feasibility_probe",
+                        lambda *a: calls.append("probe"))
+    sol = solve_convex(model, SolveOptions(
+        engine=lambda m, o: calls.append("engine")))
+    assert sol.status == "Infeasible"
+    assert calls == []
+
+
+def test_solve_ipm_rejects_integral_model(small2area_model):
+    model, _ = small2area_model
+    with pytest.raises(ogpf.ConfigError):
+        solve_ipm(model, 1e-8, 1e-8, 10)

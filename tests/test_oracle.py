@@ -80,3 +80,14 @@ def test_best_configuration_matches_recovered_regions(small2area):
         phi = ts.solution.x[index.col("phi", key)]
         region = curves[key].segment_for(phi).m
         assert res.best_configuration[key] == region
+
+
+def test_small2area_r4_configuration_statuses(small2area):
+    """Nine of the 64 configurations are feasible and solve to optimality.
+    Configuration (3, 2, 3) ends near a singular KKT matrix, so its status
+    is sensitive to the pivot order of the factorization."""
+    res = enumerate_solve(*_build(small2area, 4))
+    optimal = [k for k, e in enumerate(res.log) if e["status"] == "Optimal"]
+    assert optimal == [22, 38, 39, 42, 43, 58, 59, 62, 63]
+    assert all(e["status"] in ("Optimal", "Infeasible") for e in res.log)
+    assert res.log[38]["config"] == dict(zip(res.log[38]["config"], (3, 2, 3)))

@@ -5,7 +5,8 @@ import ogpf
 from ogpf.errors import OutOfRange
 from ogpf.mipbuild import check_point
 from ogpf.pwa import PwaConfig, fit_pwa, max_region_error
-from ogpf.recovery import (build_pressure_lp, recover_binaries,
+from ogpf.recovery import (build_pressure_lp, max_abs_deviation,
+                           mean_abs_deviation, recover_binaries,
                            solve_pressure_lp, update_aux,
                            weymouth_deviation)
 from ogpf.twostage import solve_two_stage
@@ -215,6 +216,17 @@ def test_weymouth_deviation_examples():
     dev = weymouth_deviation({("i", "j"): 0.05}, {"i": 1.0, "j": 1.0},
                              {("i", "j"): 1.0})
     assert dev[("i", "j")] == {"value": 0.05, "kind": "absolute"}
+
+
+def test_deviation_aggregates_skip_absolute_entries():
+    dev = {("a", "b"): {"value": -0.2, "kind": "relative"},
+           ("b", "c"): {"value": 0.1, "kind": "relative"},
+           ("c", "d"): {"value": 40.0, "kind": "absolute"}}
+    assert mean_abs_deviation(dev) == pytest.approx(0.15)
+    assert max_abs_deviation(dev) == pytest.approx(0.2)
+    only_absolute = {("c", "d"): {"value": 40.0, "kind": "absolute"}}
+    assert mean_abs_deviation(only_absolute) == 0.0
+    assert max_abs_deviation(only_absolute) == 0.0
 
 
 def test_deviation_consistency_with_certificate(instances):
