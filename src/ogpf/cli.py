@@ -144,18 +144,13 @@ def cmd_solve(args) -> int:
     inst = load_instance(cfg.instance)
     result = solve_two_stage(inst, cfg.r, **_solve_kwargs(args))
     if args.dump_model:
-        model, index = build_model(inst, _pwa_cfg(args))
         with open(args.dump_model, "w") as fh:
-            fh.write(dump_model(model, index))
+            fh.write(dump_model(result.model, result.index))
     runs = [_run_entry(0, result)]
     report = {"config": _config_echo(cfg, "solve"), "runs": runs,
               "aggregate": aggregate_runs(runs)}
     _emit(report, cfg.out)
     return _exit_code(runs)
-
-
-def _pwa_cfg(args):
-    return PwaConfig(r=args.r, epsilon=args.epsilon)
 
 
 def cmd_sweep_r(args) -> int:
@@ -166,8 +161,7 @@ def cmd_sweep_r(args) -> int:
     csv_lines = ["r,mean_abs_dev,max_abs_dev,j_psi,objective,time_s"]
     prev_time = None
     for r in r_values:
-        result = solve_two_stage(inst, r, epsilon=args.epsilon,
-                                 cert_tol=args.cert_tol, mode=args.mode)
+        result = solve_two_stage(inst, r, **_solve_kwargs(args))
         entry = _run_entry(r, result)
         entry["r"] = r
         runs.append(entry)

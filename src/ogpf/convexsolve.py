@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from .errors import ConfigError, ModelError, NonConvergence
 from .ipm import EngineResult, solve_ipm, vanished_rows
@@ -134,6 +135,29 @@ def feasibility_probe(model: StandardModel, opts: SolveOptions) -> float:
     return float(probe.objective(res.x))
 
 
+def probe_threshold(model: StandardModel, opts: SolveOptions) -> float:
+    """Least total violation above which a model counts as infeasible."""
+    return max(1e-6, 100.0 * opts.feas_tol) * (
+        1.0 + np.abs(model.b_eq).max(initial=0.0))
+
+
+def linear_infeasible(model: StandardModel, opts: SolveOptions) -> bool:
+    """True when the linear rows and boxes alone admit no point.
+
+    Drops the quadratic rows, so the zero-objective LP solved by HiGHS is a
+    relaxation of the model: an infeasible LP proves the model infeasible.
+    HiGHS works to the probe's own threshold as its primal feasibility
+    tolerance, so whatever it rejects the feasibility probe would reject too.
+    False means undecided, not feasible.
+    """
+    res = linprog(np.zeros(model.num_vars), A_ub=model.g_in, b_ub=model.h_in,
+                  A_eq=model.a_eq, b_eq=model.b_eq,
+                  bounds=np.column_stack([model.lb, model.ub]), method="highs",
+                  options={"primal_feasibility_tolerance":
+                           probe_threshold(model, opts)})
+    return res.status == 2
+
+
 def solve_convex(model: StandardModel, opts: SolveOptions | None = None) -> Solution:
     """Solve a relaxed standard-form model to the requested tolerances.
 
@@ -159,9 +183,7 @@ def solve_convex(model: StandardModel, opts: SolveOptions | None = None) -> Solu
         return _solution_from_engine(model, res, opts, OPTIMAL)
 
     # engine did not converge: decide feasible-but-slow vs infeasible
-    violation = feasibility_probe(model, opts)
-    if violation > max(1e-6, 100.0 * opts.feas_tol) * (
-            1.0 + np.abs(model.b_eq).max(initial=0.0)):
+    if feasibility_probe(model, opts) > probe_threshold(model, opts):
         return Solution(res.x, np.nan, INFEASIBLE,
                         Residuals(np.inf, np.inf, np.inf), res.iterations)
     return _solution_from_engine(model, res, opts, MAX_ITER)

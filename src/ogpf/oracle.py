@@ -5,7 +5,9 @@ in the model: the region's sign pins the flow-direction binary, the mirrored
 orientation's region and sign follow from reciprocity, and the threshold
 indicators are implied by the region index. Enumerating regions per pipe and
 solving the continuous subproblem of each configuration therefore covers all
-feasible binary assignments with ``r ** num_pipes`` convex solves.
+feasible binary assignments with ``r ** num_pipes`` convex solves. Most
+configurations are infeasible; a HiGHS LP over the linear rows and boxes
+rejects those before the interior point runs.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from itertools import product
 
 import numpy as np
 
-from .convexsolve import INFEASIBLE, OPTIMAL, SolveOptions, solve_convex
+from .convexsolve import (INFEASIBLE, OPTIMAL, SolveOptions,
+                          linear_infeasible, solve_convex)
 from .errors import AllInfeasible, CapExceeded, ModelError
 from .mipbuild import (ALPHA, BETA, DM, DPSI, PHI, PSI, StandardModel,
                        VarIndex, YM, YPSI, relax, substitute_columns)
@@ -118,7 +121,7 @@ def enumerate_solve(model: StandardModel, index: VarIndex,
             fixed.update(f)
             aliases.update(a)
         red = substitute_columns(relaxed, fixed, aliases)
-        if not red.feasible:
+        if not red.feasible or linear_infeasible(red.model, opts):
             log.append({"config": cfg, "status": INFEASIBLE, "objective": None})
             continue
         sol = solve_convex(red.model, opts)

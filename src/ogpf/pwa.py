@@ -37,17 +37,12 @@ class PwaConfig:
 
     r: int
     epsilon: float = 1e-6
-    breakpoint_scheme: str = "uniform"
 
     def __post_init__(self):
         if self.r < 2 or self.r % 2 != 0:
             raise ConfigError(f"r must be even and >= 2, got {self.r}")
         if not self.epsilon > 0:
             raise ConfigError("epsilon must be > 0")
-        if self.breakpoint_scheme != "uniform":
-            raise ConfigError(
-                f"unsupported breakpoint scheme {self.breakpoint_scheme!r}"
-            )
 
 
 @dataclass(frozen=True)

@@ -198,3 +198,13 @@ def test_dump_model_flag(tmp_path):
     text = dump.read_text()
     assert text.startswith("vars ")
     assert "eq power_balance[b1]:" in text
+
+
+def test_dump_model_matches_fresh_build(tmp_path):
+    dump = tmp_path / "model.txt"
+    assert _run(["solve", "--instance", LOOP, "--r", "4",
+                 "--epsilon", "1e-5", "--out", str(tmp_path / "r.json"),
+                 "--dump-model", str(dump)]) == 2
+    model, index = ogpf.build_model(ogpf.load_instance(LOOP),
+                                    ogpf.PwaConfig(r=4, epsilon=1e-5))
+    assert dump.read_text() == ogpf.dump_model(model, index)

@@ -3,10 +3,11 @@ import pytest
 import scipy.sparse as sp
 
 import ogpf
-from ogpf.convexsolve import (ConsensusOptions, SolveOptions, solve_consensus,
-                              solve_convex)
+from ogpf.convexsolve import (ConsensusOptions, SolveOptions,
+                              linear_infeasible, solve_consensus, solve_convex)
 from ogpf.ipm import solve_ipm
-from ogpf.mipbuild import AreaView, StandardModel, area_views, build_model, relax
+from ogpf.mipbuild import (AreaView, QuadRow, StandardModel, area_views,
+                           build_model, relax)
 from ogpf.pwa import PwaConfig
 
 from conftest import make_instance, small_witness_point
@@ -46,11 +47,36 @@ def test_infeasible_balance_detected_by_probe():
     model, _ = build_model(inst, PwaConfig(r=2))
     sol = solve_convex(relax(model))
     assert sol.status == "Infeasible"
+    assert linear_infeasible(relax(model), SolveOptions())
+
+
+def test_linear_screen_rejects_contradictory_balance():
+    # x + y = 3 with both columns boxed to [0, 1]
+    model = StandardModel(
+        2, np.zeros(2), np.zeros(2), 0.0, sp.csr_matrix([[1.0, 1.0]]),
+        np.array([3.0]), sp.csr_matrix((0, 2)), np.zeros(0), [],
+        np.zeros(2), np.ones(2), np.zeros(2, dtype=bool), ["sum"], [])
+    assert linear_infeasible(model, SolveOptions())
+    assert solve_convex(model).status == "Infeasible"
+
+
+def test_quadratic_only_infeasibility_passes_screen_and_hits_probe():
+    # x in [1, 2], y in [0, 0.5], x^2 - y <= 0: the linear part is feasible
+    model = StandardModel(
+        2, np.zeros(2), np.array([1.0, 0.0]), 0.0, sp.csr_matrix((0, 2)),
+        np.zeros(0), sp.csr_matrix((0, 2)), np.zeros(0),
+        [QuadRow((0,), (1.0,), (1,), (-1.0,), 0.0, "x2_le_y")],
+        np.array([1.0, 0.0]), np.array([2.0, 0.5]), np.zeros(2, dtype=bool),
+        [], [])
+    assert not linear_infeasible(model, SolveOptions())
+    assert solve_convex(model).status == "Infeasible"
 
 
 def test_relaxed_small2area_solves_tight(instances, small2area_model):
     model, index = small2area_model
-    sol = solve_convex(relax(model), SolveOptions(feas_tol=1e-10, opt_tol=1e-10))
+    opts = SolveOptions(feas_tol=1e-10, opt_tol=1e-10)
+    assert not linear_infeasible(relax(model), opts)
+    sol = solve_convex(relax(model), opts)
     assert sol.status == "Optimal"
     assert sol.residuals.max_eq <= 1e-8
     assert sol.residuals.max_ineq <= 1e-8

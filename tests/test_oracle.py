@@ -3,6 +3,7 @@ import json
 import pytest
 
 import ogpf
+import ogpf.convexsolve
 from ogpf.convexsolve import SolveOptions, solve_convex
 from ogpf.errors import AllInfeasible, CapExceeded
 from ogpf.mipbuild import build_model, fit_all_curves, relax
@@ -91,3 +92,41 @@ def test_small2area_r4_configuration_statuses(small2area):
     assert optimal == [22, 38, 39, 42, 43, 58, 59, 62, 63]
     assert all(e["status"] in ("Optimal", "Infeasible") for e in res.log)
     assert res.log[38]["config"] == dict(zip(res.log[38]["config"], (3, 2, 3)))
+
+
+@pytest.mark.parametrize("name, not_infeasible", [
+    ("single1area", {10: "Optimal", 14: "Optimal", 15: "Optimal"}),
+    ("loop1area", {38: "MaxIter", 42: "Optimal", 43: "Optimal"}),
+])
+def test_r4_configuration_statuses(instances, name, not_infeasible):
+    """Per-configuration statuses at r=4; every other entry is Infeasible
+    with no objective."""
+    res = enumerate_solve(*_build(instances[name], 4))
+    assert len(res.log) == 4 ** (2 if name == "single1area" else 3)
+    for k, e in enumerate(res.log):
+        assert e["status"] == not_infeasible.get(k, "Infeasible")
+        assert (e["objective"] is None) == (e["status"] != "Optimal")
+
+
+def test_linear_screen_keeps_infeasible_configurations_off_the_ipm(
+        monkeypatch, small2area):
+    """The LP screen rejects all 55 infeasible configurations of small2area
+    at r=4, so only the nine feasible ones reach the interior point and the
+    feasibility probe never runs."""
+    calls = {"ipm": 0, "probe": 0}
+    solve_ipm = ogpf.convexsolve.solve_ipm
+    probe = ogpf.convexsolve.feasibility_probe
+
+    def counting_ipm(*args, **kw):
+        calls["ipm"] += 1
+        return solve_ipm(*args, **kw)
+
+    def counting_probe(*args, **kw):
+        calls["probe"] += 1
+        return probe(*args, **kw)
+
+    monkeypatch.setattr(ogpf.convexsolve, "solve_ipm", counting_ipm)
+    monkeypatch.setattr(ogpf.convexsolve, "feasibility_probe", counting_probe)
+    res = enumerate_solve(*_build(small2area, 4))
+    assert sum(e["status"] == "Optimal" for e in res.log) == 9
+    assert calls == {"ipm": 9, "probe": 0}
