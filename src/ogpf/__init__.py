@@ -6,9 +6,9 @@ from .errors import (AllInfeasible, CapExceeded, CertificationBug,
                      ConfigError, MissingBounds, ModelError, NonConvergence,
                      OgpfError, OutOfRange, ParseError, SolverFailure,
                      ValidationError)
-from .mipbuild import (StandardModel, VarIndex, area_views, build_model,
-                       check_point, dump_model, fit_all_curves, fix_columns,
-                       relax)
+from .mipbuild import (QuadBlock, StandardModel, VarIndex, area_views,
+                       build_model, check_point, dump_model, fit_all_curves,
+                       relax, substitute_columns)
 from .netmodel import (Bus, GasNode, GasSource, Generator, NetworkInstance,
                        Pipeline, PowerLine, classify_edges, load_instance,
                        save_instance, scale_demands)

@@ -9,9 +9,14 @@ Subcommands:
 Reports are JSON (written to --out or stdout); sweep-r additionally writes a
 CSV with header ``r,mean_abs_dev,max_abs_dev,j_psi,objective,time_s``.
 
-Exit codes: 0 when every solved run certifies Optimal, 2 when the method
-returns Approximate certificates, 1 on any error (bad configuration,
-unreadable instance, infeasibility, exceeded enumeration cap).
+Exit codes: 0 when every solved run certifies Optimal and its stage-1 solve
+converged (``solver_status`` Optimal); 2 when some run returns an
+Approximate certificate or its stage 1 stopped at the iteration cap
+(``solver_status`` MaxIter, centralized or consensus), whatever its
+certificate; 1 on any error (bad configuration, unreadable instance,
+infeasibility, exceeded enumeration cap) or when no run succeeded.
+The oracle report counts configurations that ended MaxIter as
+``num_unresolved``: they are neither feasible nor proven infeasible.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .convexsolve import ConsensusOptions
+from .convexsolve import MAX_ITER, OPTIMAL, ConsensusOptions
 from .errors import ConfigError, OgpfError
 from .mipbuild import build_model, dump_model, fit_all_curves
 from .netmodel import NetworkInstance, load_instance, scale_demands
@@ -127,7 +132,8 @@ def _exit_code(runs: list[dict]) -> int:
     ok = [r for r in runs if r.get("error") is None]
     if not ok:
         return EXIT_ERROR
-    if all(r["certificate"] == CERT_OPTIMAL for r in ok):
+    if all(r["certificate"] == CERT_OPTIMAL and r["solver_status"] == OPTIMAL
+           for r in ok):
         return EXIT_OPTIMAL
     return EXIT_APPROXIMATE
 
@@ -255,6 +261,8 @@ def cmd_oracle(args) -> int:
             "num_configurations": oracle.num_configurations,
             "num_feasible": sum(1 for e in oracle.log
                                 if e["objective"] is not None),
+            "num_unresolved": sum(1 for e in oracle.log
+                                  if e["status"] == MAX_ITER),
             "time_s": t_oracle,
         },
         "two_stage": {

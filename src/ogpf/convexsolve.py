@@ -1,25 +1,25 @@
 """Convex solves for the relaxed dispatch model.
 
-``solve_convex`` runs the bundled interior-point engine (an adapter seam lets
-callers delegate to an external solver with the same standard-form contract:
-model in, primal/dual vectors out). ``solve_consensus`` runs an area-
-decomposed scaled consensus ADMM over the boundary variables referenced by
-the coupling rows; within one outer iteration the area subproblems are
-independent and synchronize at the iteration barrier.
+``solve_convex`` runs the bundled interior-point engine. Its presolve
+reports an empty box or an inconsistent vanished row as infeasible; when
+the iterations do not converge, an elastic feasibility probe tells an
+infeasible model from a slow one. ``solve_consensus`` runs an
+area-decomposed scaled consensus ADMM over the boundary variables
+referenced by the coupling rows; within one outer iteration the area
+subproblems are independent and synchronize at the iteration barrier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from .errors import ConfigError, ModelError, NonConvergence
-from .ipm import EngineResult, solve_ipm, vanished_rows
-from .mipbuild import AreaView, QuadRow, StandardModel, check_point
+from .errors import ModelError, NonConvergence
+from .ipm import EngineResult, solve_ipm
+from .mipbuild import AreaView, QuadBlock, StandardModel, check_point
 
 OPTIMAL = "Optimal"
 MAX_ITER = "MaxIter"
@@ -33,7 +33,6 @@ class SolveOptions:
     feas_tol: float = 1e-8
     opt_tol: float = 1e-8
     max_iter: int = 200
-    engine: Callable | None = None  # adapter seam; defaults to solve_ipm
 
     def __post_init__(self):
         if self.feas_tol <= 0 or self.opt_tol <= 0 or self.max_iter <= 0:
@@ -67,10 +66,6 @@ class Solution:
     history: list = field(default_factory=list)
 
 
-def _empty_box(model: StandardModel) -> bool:
-    return bool(np.any(model.lb > model.ub))
-
-
 def _solution_from_engine(model: StandardModel, res: EngineResult,
                           opts: SolveOptions, status: str) -> Solution:
     rep = check_point(model, res.x, tol=np.inf)
@@ -91,7 +86,8 @@ def _solution_from_engine(model: StandardModel, res: EngineResult,
 def _elastic_model(model: StandardModel) -> StandardModel:
     """Feasibility-probe model: every row is relaxed by a penalized slack.
 
-    Variable boxes stay hard (callers pre-check them), so the probe is always
+    Variable boxes stay hard (``solve_convex`` probes only models whose boxes
+    passed the interior point's presolve), so the probe is always
     feasible and its optimum measures the least total constraint violation.
     """
     n = model.num_vars
@@ -107,16 +103,17 @@ def _elastic_model(model: StandardModel) -> StandardModel:
     g_in = sp.hstack([model.g_in, sp.csr_matrix((mi, 2 * me)),
                       -sp.identity(mi), sp.csr_matrix((mi, mq))],
                      format="csr") if mi else sp.csr_matrix((0, n_new))
-    quad_rows = []
-    for k, row in enumerate(model.quad_ineq):
-        quad_rows.append(QuadRow(
-            row.quad_idx, row.quad_coef,
-            row.lin_idx + (n + 2 * me + mi + k,), row.lin_coef + (-1.0,),
-            row.const, row.label))
+    qb = model.quad_ineq
+    rows = np.arange(mq)
+    quad = QuadBlock(n_new, qb.q_row, qb.q_col, qb.q_coef,
+                     np.concatenate([qb.l_row, rows]),
+                     np.concatenate([qb.l_col, n + 2 * me + mi + rows]),
+                     np.concatenate([qb.l_coef, -np.ones(mq)]), qb.d,
+                     qb.labels)
 
     return StandardModel(
         n_new, np.zeros(n_new), obj_lin, 0.0, a_eq, model.b_eq.copy(),
-        g_in, model.h_in.copy(), quad_rows, lb, ub,
+        g_in, model.h_in.copy(), quad, lb, ub,
         np.zeros(n_new, dtype=bool), list(model.eq_labels),
         list(model.in_labels))
 
@@ -162,23 +159,18 @@ def solve_convex(model: StandardModel, opts: SolveOptions | None = None) -> Solu
     """Solve a relaxed standard-form model to the requested tolerances.
 
     Returns a Solution with status Optimal, MaxIter (best iterate, residuals
-    reported) or Infeasible (empty box, inconsistent vanished row, or a
+    reported) or Infeasible (an empty box or an inconsistent vanished row
+    found by the interior point's presolve, without the probe; or a
     feasibility probe that certifies positive minimum violation).
     Deterministic for identical inputs. Raises ConfigError on a model with
     integral columns.
     """
     opts = opts or SolveOptions()
-    if model.integrality.any():
-        raise ConfigError("solve_convex needs a relaxed model")
-
-    _, _, _, inconsistent = vanished_rows(model)
-    if _empty_box(model) or inconsistent:
+    res = solve_ipm(model, feas_tol=opts.feas_tol, opt_tol=opts.opt_tol,
+                    max_iter=opts.max_iter)
+    if res.status == "infeasible":
         return Solution(np.zeros(model.num_vars), np.nan, INFEASIBLE,
                         Residuals(np.inf, np.inf, np.inf), 0)
-
-    engine = opts.engine or (lambda m, o: solve_ipm(
-        m, feas_tol=o.feas_tol, opt_tol=o.opt_tol, max_iter=o.max_iter))
-    res = engine(model, opts)
     if res.status == "optimal":
         return _solution_from_engine(model, res, opts, OPTIMAL)
 
@@ -218,54 +210,51 @@ class _AreaProblem:
     """
 
     def __init__(self, model: StandardModel, view: AreaView, shared: list[int]):
-        local = list(view.owned_cols) + [j for j in shared
-                                         if j not in set(view.owned_cols)]
-        self.global_cols = np.array(local, dtype=int)
-        self.pos = {int(j): k for k, j in enumerate(self.global_cols)}
-        self.shared_local = np.array([self.pos[j] for j in shared], dtype=int)
+        n = model.num_vars
+        owned = np.asarray(view.owned_cols, dtype=int)
+        is_owned = np.zeros(n, dtype=bool)
+        is_owned[owned] = True
         self.shared_global = np.array(shared, dtype=int)
-        scale = np.array([max(1.0,
-                              abs(model.lb[j]) if np.isfinite(model.lb[j]) else 0.0,
-                              abs(model.ub[j]) if np.isfinite(model.ub[j]) else 0.0)
-                          for j in shared])
+        self.global_cols = np.concatenate(
+            [owned, self.shared_global[~is_owned[self.shared_global]]])
+        nloc = self.global_cols.size
+        local_of = np.full(n, -1, dtype=np.intp)
+        local_of[self.global_cols] = np.arange(nloc)
+        self.shared_local = local_of[self.shared_global]
+        lo = model.lb[self.shared_global]
+        hi = model.ub[self.shared_global]
+        scale = np.maximum(1.0, np.maximum(
+            np.where(np.isfinite(lo), np.abs(lo), 0.0),
+            np.where(np.isfinite(hi), np.abs(hi), 0.0)))
         self.weights = 1.0 / (scale * scale)
 
-        nloc = self.global_cols.size
         rows_eq = np.asarray(view.owned_eq_rows, dtype=int)
         rows_in = np.asarray(view.owned_in_rows, dtype=int)
         a_eq = model.a_eq[rows_eq][:, self.global_cols].tocsr() if rows_eq.size \
             else sp.csr_matrix((0, nloc))
         g_in = model.g_in[rows_in][:, self.global_cols].tocsr() if rows_in.size \
             else sp.csr_matrix((0, nloc))
+        quad = model.quad_ineq.take(view.owned_quad_rows)
         # owned rows must not reference columns outside the local set
         if (rows_eq.size and model.a_eq[rows_eq].getnnz() != a_eq.getnnz()) \
                 or (rows_in.size
-                    and model.g_in[rows_in].getnnz() != g_in.getnnz()):
+                    and model.g_in[rows_in].getnnz() != g_in.getnnz()) \
+                or (local_of[quad.q_col] < 0).any() \
+                or (local_of[quad.l_col] < 0).any():
             raise ModelError(
                 f"area {view.area}: owned rows reference columns outside "
                 "the area and its shared copies")
+        quad = quad.substitute(local_of, np.ones(n), np.zeros(n), nloc)
 
-        quad_rows = []
-        for k in view.owned_quad_rows:
-            row = model.quad_ineq[int(k)]
-            quad_rows.append(QuadRow(
-                tuple(self.pos[j] for j in row.quad_idx), row.quad_coef,
-                tuple(self.pos[j] for j in row.lin_idx), row.lin_coef,
-                row.const, row.label))
-
-        owned_set = set(int(j) for j in view.owned_cols)
-        obj_quad = np.zeros(nloc)
-        obj_lin = np.zeros(nloc)
-        for k, j in enumerate(self.global_cols):
-            if int(j) in owned_set:
-                obj_quad[k] = model.obj_quad[j]
-                obj_lin[k] = model.obj_lin[j]
+        local_owned = is_owned[self.global_cols]
+        obj_quad = np.where(local_owned, model.obj_quad[self.global_cols], 0.0)
+        obj_lin = np.where(local_owned, model.obj_lin[self.global_cols], 0.0)
 
         self.base = StandardModel(
             nloc, obj_quad, obj_lin, 0.0, a_eq,
             model.b_eq[rows_eq].copy() if rows_eq.size else np.zeros(0),
             g_in, model.h_in[rows_in].copy() if rows_in.size else np.zeros(0),
-            quad_rows, model.lb[self.global_cols].copy(),
+            quad, model.lb[self.global_cols].copy(),
             model.ub[self.global_cols].copy(),
             np.zeros(nloc, dtype=bool),
             [model.eq_labels[int(k)] for k in rows_eq],

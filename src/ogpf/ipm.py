@@ -9,6 +9,12 @@ Solves the standard form used by the model builder::
                 qc_k(x) <= 0        (convex, diagonal quadratic part)
                 lb <= x <= ub
 
+The presolve is the model builder's one column-elimination routine,
+``mipbuild.substitute_columns``: it fixes the pinned (``lb == ub``) columns,
+drops the rows whose support vanished and reports an inconsistent vanished
+row or an empty box as status ``infeasible``; its index maps carry the
+solution and every dual back to the full model.
+
 The implementation is an infeasible-start Mehrotra predictor-corrector:
 bounds are folded into the inequality block, variables and rows are
 equilibrated, and each iteration solves one condensed KKT system for the
@@ -17,9 +23,9 @@ fixed for the whole solve: the pattern and the maps from every product term
 to its slot are built once, each iteration only refills the values and
 factors them with SuperLU (minimum-degree ordering of ``K + K^T``, which
 suits the symmetric quasi-definite K; static regularization; one refinement
-pass). Quadratic rows are held as one coordinate block and enter
-through their gradients plus a second-order correction in the corrector,
-which is exact for quadratics.
+pass). Quadratic rows arrive as the model's coordinate block
+(``mipbuild.QuadBlock``) and enter through their gradients plus a
+second-order correction in the corrector, which is exact for quadratics.
 Determinism: fixed ordering and iteration order, no randomness.
 """
 
@@ -32,7 +38,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigError
-from .mipbuild import QuadRow, StandardModel, fix_columns
+from .mipbuild import QuadBlock, StandardModel, substitute_columns
 
 _REG_PRIMAL = 1e-10
 _REG_DUAL = 1e-10
@@ -50,102 +56,11 @@ class EngineResult:
     lam_ub: np.ndarray        # duals of active upper bounds (per column)
     mu_quad: np.ndarray       # duals of quadratic rows
     status: str               # "optimal" | "max_iter" | "stalled"
+    #                           | "infeasible" (proven by the presolve)
     iterations: int
     pres: float
     dres: float
     relgap: float
-
-
-@dataclass(frozen=True)
-class QuadBlock:
-    """Quadratic rows ``sum_j P[k, j] x_j^2 + L[k] . x + d[k] <= 0`` as
-    coordinate arrays.
-
-    ``P`` is ``(q_row, q_col, q_coef)``, ``L`` is ``(l_row, l_col, l_coef)``.
-    The gradient ``J`` has a fixed pattern ``(j_row, j_col)``, sorted by row
-    then column, covering the union of each row's ``P`` and ``L`` columns;
-    ``q_slot`` and ``l_slot`` map every ``P`` and ``L`` term to its slot.
-    """
-
-    m: int
-    n: int
-    q_row: np.ndarray
-    q_col: np.ndarray
-    q_coef: np.ndarray
-    l_row: np.ndarray
-    l_col: np.ndarray
-    l_coef: np.ndarray
-    d: np.ndarray
-    j_row: np.ndarray
-    j_col: np.ndarray
-    q_slot: np.ndarray
-    l_slot: np.ndarray
-
-    @classmethod
-    def from_rows(cls, rows: list[QuadRow], n: int) -> "QuadBlock":
-        def coo(idx, coef):
-            r = np.repeat(np.arange(len(rows)),
-                          [len(getattr(row, idx)) for row in rows])
-            c = np.fromiter((j for row in rows for j in getattr(row, idx)),
-                            dtype=np.int64, count=r.size)
-            v = np.fromiter((v for row in rows for v in getattr(row, coef)),
-                            dtype=float, count=r.size)
-            return r.astype(np.int64), c, v
-
-        q_row, q_col, q_coef = coo("quad_idx", "quad_coef")
-        l_row, l_col, l_coef = coo("lin_idx", "lin_coef")
-        d = np.array([row.const for row in rows], dtype=float)
-        keys = np.concatenate([q_row * n + q_col, l_row * n + l_col])
-        uniq, slot = np.unique(keys, return_inverse=True)
-        return cls(len(rows), n, q_row, q_col, q_coef, l_row, l_col, l_coef,
-                   d, uniq // n, uniq % n, slot[:q_row.size],
-                   slot[q_row.size:])
-
-    def scaled(self, col_scale: np.ndarray) -> tuple["QuadBlock", np.ndarray]:
-        """Block in the variables ``x / col_scale``, each row divided by its
-        largest coefficient magnitude (at least 1); returns the row scales."""
-        qc = self.q_coef * col_scale[self.q_col] ** 2
-        lc = self.l_coef * col_scale[self.l_col]
-        mags = np.maximum(1.0, np.abs(self.d))
-        np.maximum.at(mags, self.q_row, np.abs(qc))
-        np.maximum.at(mags, self.l_row, np.abs(lc))
-        out = QuadBlock(self.m, self.n, self.q_row, self.q_col,
-                        qc / mags[self.q_row], self.l_row, self.l_col,
-                        lc / mags[self.l_row], self.d / mags, self.j_row,
-                        self.j_col, self.q_slot, self.l_slot)
-        return out, 1.0 / mags
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        return (np.bincount(self.q_row, self.q_coef * x[self.q_col] ** 2,
-                            minlength=self.m)
-                + np.bincount(self.l_row, self.l_coef * x[self.l_col],
-                              minlength=self.m)
-                + self.d)
-
-    def jac(self, x: np.ndarray) -> np.ndarray:
-        """Gradient values on the ``(j_row, j_col)`` pattern."""
-        nj = self.j_row.size
-        return (np.bincount(self.q_slot, 2.0 * self.q_coef * x[self.q_col],
-                            minlength=nj)
-                + np.bincount(self.l_slot, self.l_coef, minlength=nj))
-
-    def jac_t(self, jv: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """``J^T y``."""
-        return np.bincount(self.j_col, jv * y[self.j_row], minlength=self.n)
-
-    def jac_mul(self, jv: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """``J v``."""
-        return np.bincount(self.j_row, jv * v[self.j_col], minlength=self.m)
-
-    def hess_diag(self, mu: np.ndarray) -> np.ndarray:
-        """Diagonal of ``sum_k mu_k * Hessian(qc_k)``."""
-        return np.bincount(self.q_col, 2.0 * mu[self.q_row] * self.q_coef,
-                           minlength=self.n)
-
-    def curvature(self, dx: np.ndarray) -> np.ndarray:
-        """Second-order change ``sum_j P[k, j] dx_j^2`` of each row."""
-        return np.bincount(self.q_row, self.q_coef * dx[self.q_col] ** 2,
-                           minlength=self.m)
 
 
 def _row_pairs(indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -178,7 +93,7 @@ class Kkt:
         self._g_row = g_row
         self._g_prod = G.data[g_a] * G.data[g_b]
         j_ptr = np.concatenate([[0], np.cumsum(
-            np.bincount(quad.j_row, minlength=quad.m))])
+            np.bincount(quad.j_row, minlength=len(quad)))])
         self._j_row, self._j_a, self._j_b = _row_pairs(j_ptr)
         diag = np.arange(n)
         A = A.tocoo()
@@ -238,101 +153,44 @@ def _col_scale(lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
 
 def solve_ipm(model: StandardModel, feas_tol: float, opt_tol: float,
               max_iter: int) -> EngineResult:
-    """Presolve (pin equal-bound columns, drop vanished rows), then iterate.
+    """Presolve, then iterate on the reduced model.
 
-    Pinned columns and empty rows both destroy the strict interior the
-    barrier needs (paired zero slacks), so they are removed up front. An
-    inconsistent vanished row returns status ``stalled``; the caller's
-    feasibility probe turns that into an infeasibility certificate.
+    The presolve is ``substitute_columns`` with the pinned (``lb == ub``)
+    columns fixed: pinned columns and vanished rows both destroy the strict
+    interior the barrier needs (paired zero slacks). When the presolve
+    proves the model infeasible (an inconsistent vanished row or an empty
+    box), returns status ``infeasible`` without iterating.
     Raises ConfigError on a model with integral columns.
     """
     if model.integrality.any():
         raise ConfigError("relax the model before solving")
     n = model.num_vars
-
-    pinned = np.isfinite(model.lb) & (model.lb == model.ub)
-    if pinned.any():
-        sub, keep = fix_columns(
-            model, {int(j): float(model.lb[j]) for j in np.flatnonzero(pinned)})
-        res = _presolve_rows_and_solve(sub, feas_tol, opt_tol, max_iter)
-        x = np.zeros(n)
-        x[keep] = res.x
-        x[pinned] = model.lb[pinned]
-        lam_lb = np.zeros(n)
-        lam_ub = np.zeros(n)
-        lam_lb[keep] = res.lam_lb
-        lam_ub[keep] = res.lam_ub
-        return EngineResult(x, res.nu, res.lam_in, lam_lb, lam_ub,
-                            res.mu_quad, res.status, res.iterations,
-                            res.pres, res.dres, res.relgap)
-    return _presolve_rows_and_solve(model, feas_tol, opt_tol, max_iter)
-
-
-def _row_mags(mat) -> np.ndarray:
-    if mat.shape[0] == 0:
-        return np.zeros(0)
-    out = np.zeros(mat.shape[0])
-    if mat.nnz:
-        out = np.abs(mat).max(axis=1).toarray().ravel()
-    return out
-
-
-def vanished_rows(model: StandardModel) -> tuple[np.ndarray, np.ndarray,
-                                                 np.ndarray, bool]:
-    """Rows whose support vanished (e.g. after fixing columns).
-
-    Returns the live-row masks of the equality, inequality and quadratic
-    rows, and whether some vanished row is inconsistent (a nonzero equality
-    right-hand side, a negative inequality right-hand side or a positive
-    quadratic-row constant).
-    """
-    eq_live = _row_mags(model.a_eq) > 1e-12
-    in_live = _row_mags(model.g_in) > 1e-12
-    quad_live = np.array([bool(row.quad_idx or row.lin_idx)
-                          for row in model.quad_ineq], dtype=bool)
-    quad_const = np.array([row.const for row in model.quad_ineq], dtype=float)
-    inconsistent = bool(
-        np.any(~eq_live & (np.abs(model.b_eq) > 1e-9))
-        or np.any(~in_live & (model.h_in < -1e-9))
-        or np.any(~quad_live & (quad_const > 1e-9)))
-    return eq_live, in_live, quad_live, inconsistent
-
-
-def _presolve_rows_and_solve(model: StandardModel, feas_tol: float,
-                             opt_tol: float, max_iter: int) -> EngineResult:
-    n = model.num_vars
-    eq_live, in_live, quad_live, inconsistent = vanished_rows(model)
-    if inconsistent:
+    pinned = np.flatnonzero(np.isfinite(model.lb) & (model.lb == model.ub))
+    red = substitute_columns(
+        model, dict(zip(pinned.tolist(), model.lb[pinned].tolist())), {})
+    if not red.feasible:
         return EngineResult(_initial_x(model.lb, model.ub),
                             np.zeros(model.num_eq), np.zeros(model.num_in),
                             np.zeros(n), np.zeros(n),
-                            np.zeros(len(model.quad_ineq)), "stalled", 0,
+                            np.zeros(len(model.quad_ineq)), "infeasible", 0,
                             np.inf, np.inf, np.inf)
 
-    if eq_live.all() and in_live.all() and quad_live.all():
-        return _iterate(model, feas_tol, opt_tol, max_iter)
-
-    sliced = model.copy()
-    keep_eq = np.flatnonzero(eq_live)
-    keep_in = np.flatnonzero(in_live)
-    sliced.a_eq = model.a_eq[keep_eq]
-    sliced.b_eq = model.b_eq[keep_eq]
-    sliced.eq_labels = [model.eq_labels[int(k)] for k in keep_eq]
-    sliced.g_in = model.g_in[keep_in]
-    sliced.h_in = model.h_in[keep_in]
-    sliced.in_labels = [model.in_labels[int(k)] for k in keep_in]
-    sliced.quad_ineq = [row for row, live in zip(model.quad_ineq, quad_live)
-                        if live]
-    res = _iterate(sliced, feas_tol, opt_tol, max_iter)
+    res = _iterate(red.model, feas_tol, opt_tol, max_iter)
+    x = np.zeros(n)
+    x[red.keep] = res.x
+    x[pinned] = model.lb[pinned]
     nu = np.zeros(model.num_eq)
-    nu[keep_eq] = res.nu
+    nu[red.eq_rows] = res.nu
     lam = np.zeros(model.num_in)
-    lam[keep_in] = res.lam_in
+    lam[red.in_rows] = res.lam_in
     mu = np.zeros(len(model.quad_ineq))
-    mu[np.flatnonzero(quad_live)] = res.mu_quad
-    return EngineResult(res.x, nu, lam, res.lam_lb, res.lam_ub, mu,
-                        res.status, res.iterations, res.pres, res.dres,
-                        res.relgap)
+    mu[red.quad_rows] = res.mu_quad
+    lam_lb = np.zeros(n)
+    lam_ub = np.zeros(n)
+    lam_lb[red.keep] = res.lam_lb
+    lam_ub[red.keep] = res.lam_ub
+    return EngineResult(x, nu, lam, lam_lb, lam_ub, mu, res.status,
+                        res.iterations, res.pres, res.dres, res.relgap)
 
 
 def _iterate(model: StandardModel, feas_tol: float, opt_tol: float,
@@ -373,7 +231,7 @@ def _iterate(model: StandardModel, feas_tol: float, opt_tol: float,
         Gm = sp.diags(rs_g) @ Gm
         hm = hm * rs_g
 
-    quad, rs_q = QuadBlock.from_rows(model.quad_ineq, n).scaled(d)
+    quad, rs_q = model.quad_ineq.scaled(d)
 
     # --- fold finite bounds into the inequality block
     fu = np.flatnonzero(np.isfinite(ub))
@@ -389,7 +247,7 @@ def _iterate(model: StandardModel, feas_tol: float, opt_tol: float,
     h = np.concatenate([hm, ub[fu], -lb[fl]])
     mi = G.shape[0]
     me = A.shape[0]
-    mq = quad.m
+    mq = len(quad)
     GT = G.T.tocsr()
     AT = A.T.tocsr()
     kkt = Kkt(G, A, quad)

@@ -15,11 +15,19 @@ reciprocity row and no pressure coupling. The orientation-coupled flow
 equality is emitted once per undirected internal pipe (the mirrored copy is
 implied by reciprocity and the sign link once binaries are integral, and
 emitting both would make the equality block rank-deficient).
+
+The quadratic rows are one coordinate block (``QuadBlock``), evaluated and
+transformed as arrays. ``substitute_columns`` is the one column-elimination
+routine and presolve: it fixes or aliases columns, drops the rows whose
+support vanished, detects contradictions, and returns the index maps that
+carry a reduced solution and its duals back. The enumeration oracle and the
+interior point both use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -95,32 +103,129 @@ class VarIndex:
         return ((key, j) for j, key in enumerate(self._rev))
 
 
-@dataclass(frozen=True)
-class QuadRow:
-    """Convex quadratic inequality ``sum coef*x[idx]^2 + lin . x + const <= 0``."""
+@dataclass(frozen=True, eq=False)
+class QuadBlock:
+    """Convex quadratic rows ``sum_j P[k, j] x_j^2 + L[k] . x + d[k] <= 0``
+    over ``n`` columns, as coordinate arrays.
 
-    quad_idx: tuple[int, ...]
-    quad_coef: tuple[float, ...]
-    lin_idx: tuple[int, ...]
-    lin_coef: tuple[float, ...]
-    const: float
-    label: str
+    ``P`` is ``(q_row, q_col, q_coef)`` and ``L`` is ``(l_row, l_col,
+    l_coef)``; duplicate coordinates add up. The gradient ``J`` has a fixed
+    pattern ``(j_row, j_col)``, sorted by row then column, covering the union
+    of each row's ``P`` and ``L`` columns; ``q_slot`` and ``l_slot`` map
+    every ``P`` and ``L`` term to its slot. ``len()`` is the row count.
+    """
 
-    def value(self, x: np.ndarray) -> float:
-        v = self.const
-        for j, c in zip(self.quad_idx, self.quad_coef):
-            v += c * x[j] * x[j]
-        for j, c in zip(self.lin_idx, self.lin_coef):
-            v += c * x[j]
-        return v
+    n: int
+    q_row: np.ndarray
+    q_col: np.ndarray
+    q_coef: np.ndarray
+    l_row: np.ndarray
+    l_col: np.ndarray
+    l_coef: np.ndarray
+    d: np.ndarray
+    labels: list[str]
 
-    def grad(self, x: np.ndarray, n: int) -> np.ndarray:
-        g = np.zeros(n)
-        for j, c in zip(self.quad_idx, self.quad_coef):
-            g[j] += 2.0 * c * x[j]
-        for j, c in zip(self.lin_idx, self.lin_coef):
-            g[j] += c
-        return g
+    def __post_init__(self):
+        for name in ("q_row", "q_col", "l_row", "l_col"):
+            object.__setattr__(self, name,
+                               np.asarray(getattr(self, name), dtype=np.intp))
+        for name in ("q_coef", "l_coef", "d"):
+            object.__setattr__(self, name,
+                               np.asarray(getattr(self, name), dtype=float))
+        object.__setattr__(self, "labels", list(self.labels))
+
+    def __len__(self) -> int:
+        return self.d.size
+
+    @cached_property
+    def _pattern(self) -> tuple[np.ndarray, ...]:
+        n = max(self.n, 1)
+        keys = np.concatenate([self.q_row * n + self.q_col,
+                               self.l_row * n + self.l_col])
+        uniq, slot = np.unique(keys, return_inverse=True)
+        return (uniq // n, uniq % n, slot[:self.q_row.size],
+                slot[self.q_row.size:])
+
+    j_row = property(lambda self: self._pattern[0])
+    j_col = property(lambda self: self._pattern[1])
+    q_slot = property(lambda self: self._pattern[2])
+    l_slot = property(lambda self: self._pattern[3])
+
+    def take(self, rows: np.ndarray) -> "QuadBlock":
+        """The rows ``rows`` (ascending) in their original order."""
+        new = np.full(len(self), -1, dtype=np.intp)
+        new[rows] = np.arange(len(rows))
+        qk = new[self.q_row] >= 0
+        lk = new[self.l_row] >= 0
+        return QuadBlock(self.n, new[self.q_row[qk]], self.q_col[qk],
+                         self.q_coef[qk], new[self.l_row[lk]],
+                         self.l_col[lk], self.l_coef[lk], self.d[rows],
+                         [self.labels[int(k)] for k in rows])
+
+    def substitute(self, col_map: np.ndarray, col_coef: np.ndarray,
+                   value: np.ndarray, n: int) -> "QuadBlock":
+        """The same rows over ``n`` columns: column ``j`` becomes
+        ``col_map[j]`` with its coefficient scaled by ``col_coef[j]``, or,
+        where ``col_map[j] < 0``, the constant ``value[j]``."""
+        qk = col_map[self.q_col] >= 0
+        lk = col_map[self.l_col] >= 0
+        qf, lf = ~qk, ~lk
+        d = (self.d
+             + np.bincount(self.q_row[qf], self.q_coef[qf]
+                           * value[self.q_col[qf]] ** 2, minlength=len(self))
+             + np.bincount(self.l_row[lf], self.l_coef[lf]
+                           * value[self.l_col[lf]], minlength=len(self)))
+        qs = col_coef[self.q_col[qk]]
+        return QuadBlock(n, self.q_row[qk], col_map[self.q_col[qk]],
+                         self.q_coef[qk] * qs * qs, self.l_row[lk],
+                         col_map[self.l_col[lk]],
+                         self.l_coef[lk] * col_coef[self.l_col[lk]], d,
+                         self.labels)
+
+    def scaled(self, col_scale: np.ndarray) -> tuple["QuadBlock", np.ndarray]:
+        """Block in the variables ``x / col_scale``, each row divided by its
+        largest coefficient magnitude (at least 1); returns the row scales."""
+        qc = self.q_coef * col_scale[self.q_col] ** 2
+        lc = self.l_coef * col_scale[self.l_col]
+        mags = np.maximum(1.0, np.abs(self.d))
+        np.maximum.at(mags, self.q_row, np.abs(qc))
+        np.maximum.at(mags, self.l_row, np.abs(lc))
+        out = QuadBlock(self.n, self.q_row, self.q_col, qc / mags[self.q_row],
+                        self.l_row, self.l_col, lc / mags[self.l_row],
+                        self.d / mags, self.labels)
+        return out, 1.0 / mags
+
+    def value(self, x: np.ndarray) -> np.ndarray:
+        return (np.bincount(self.q_row, self.q_coef * x[self.q_col] ** 2,
+                            minlength=len(self))
+                + np.bincount(self.l_row, self.l_coef * x[self.l_col],
+                              minlength=len(self))
+                + self.d)
+
+    def jac(self, x: np.ndarray) -> np.ndarray:
+        """Gradient values on the ``(j_row, j_col)`` pattern."""
+        nj = self.j_row.size
+        return (np.bincount(self.q_slot, 2.0 * self.q_coef * x[self.q_col],
+                            minlength=nj)
+                + np.bincount(self.l_slot, self.l_coef, minlength=nj))
+
+    def jac_t(self, jv: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``J^T y``."""
+        return np.bincount(self.j_col, jv * y[self.j_row], minlength=self.n)
+
+    def jac_mul(self, jv: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``J v``."""
+        return np.bincount(self.j_row, jv * v[self.j_col], minlength=len(self))
+
+    def hess_diag(self, mu: np.ndarray) -> np.ndarray:
+        """Diagonal of ``sum_k mu_k * Hessian(qc_k)``."""
+        return np.bincount(self.q_col, 2.0 * mu[self.q_row] * self.q_coef,
+                           minlength=self.n)
+
+    def curvature(self, dx: np.ndarray) -> np.ndarray:
+        """Second-order change ``sum_j P[k, j] dx_j^2`` of each row."""
+        return np.bincount(self.q_row, self.q_coef * dx[self.q_col] ** 2,
+                           minlength=len(self))
 
 
 @dataclass
@@ -135,7 +240,7 @@ class StandardModel:
     b_eq: np.ndarray
     g_in: sp.csr_matrix
     h_in: np.ndarray
-    quad_ineq: list[QuadRow]
+    quad_ineq: QuadBlock
     lb: np.ndarray
     ub: np.ndarray
     integrality: np.ndarray
@@ -157,7 +262,7 @@ class StandardModel:
         return StandardModel(
             self.num_vars, self.obj_quad.copy(), self.obj_lin.copy(),
             self.obj_const, self.a_eq.copy(), self.b_eq.copy(),
-            self.g_in.copy(), self.h_in.copy(), list(self.quad_ineq),
+            self.g_in.copy(), self.h_in.copy(), self.quad_ineq,
             self.lb.copy(), self.ub.copy(), self.integrality.copy(),
             list(self.eq_labels), list(self.in_labels))
 
@@ -356,19 +461,20 @@ def build_model(inst: NetworkInstance, cfg: PwaConfig) -> tuple[StandardModel, V
         ineq.extend(block.ineq_rows)
 
     # gas conversion: eta2 p^2 + eta1 p + eta0 - dgu <= 0
-    quad_rows = []
-    for g in inst.generators:
-        if g.is_gas:
-            jp = index.col(P, g.id)
-            jd = index.col(DGU, g.id)
-            quad_rows.append(QuadRow((jp,), (g.eta2,), (jp, jd),
-                                     (g.eta1, -1.0), g.eta0,
-                                     f"gas_conversion[{g.id}]"))
+    gas = [g for g in inst.generators if g.is_gas]
+    rows = np.arange(len(gas))
+    jp = np.array([index.col(P, g.id) for g in gas], dtype=np.intp)
+    jd = np.array([index.col(DGU, g.id) for g in gas], dtype=np.intp)
+    quad = QuadBlock(
+        n, rows, jp, [g.eta2 for g in gas], np.repeat(rows, 2),
+        np.column_stack([jp, jd]).ravel(),
+        np.column_stack([[g.eta1 for g in gas], -np.ones(len(gas))]).ravel(),
+        [g.eta0 for g in gas], [f"gas_conversion[{g.id}]" for g in gas])
 
     a_eq, b_eq, eq_labels = eq.to_csr(n)
     g_in, h_in, in_labels = ineq.to_csr(n)
     model = StandardModel(n, obj_quad, obj_lin, obj_const, a_eq, b_eq,
-                          g_in, h_in, quad_rows, lb, ub, integrality,
+                          g_in, h_in, quad, lb, ub, integrality,
                           eq_labels, in_labels)
     return model, index
 
@@ -384,202 +490,131 @@ def relax(model: StandardModel) -> StandardModel:
     return out
 
 
-def fix_columns(model: StandardModel, fixed: dict[int, float]) -> tuple[StandardModel, np.ndarray]:
-    """Substitute fixed values for a set of columns.
-
-    Returns the reduced model over the remaining columns and the array of
-    kept original column indices (for mapping solutions back).
-    """
-    n = model.num_vars
-    mask = np.zeros(n, dtype=bool)
-    vals = np.zeros(n)
-    for j, v in fixed.items():
-        mask[j] = True
-        vals[j] = v
-    keep = np.flatnonzero(~mask)
-
-    b_eq = model.b_eq - model.a_eq[:, mask] @ vals[mask]
-    h_in = model.h_in - model.g_in[:, mask] @ vals[mask]
-    a_eq = model.a_eq[:, keep].tocsr()
-    g_in = model.g_in[:, keep].tocsr()
-
-    remap = -np.ones(n, dtype=int)
-    remap[keep] = np.arange(keep.size)
-    quad_rows = []
-    for row in model.quad_ineq:
-        qi, qc, li, lc = [], [], [], []
-        const = row.const
-        for j, c in zip(row.quad_idx, row.quad_coef):
-            if mask[j]:
-                const += c * vals[j] * vals[j]
-            else:
-                qi.append(remap[j])
-                qc.append(c)
-        for j, c in zip(row.lin_idx, row.lin_coef):
-            if mask[j]:
-                const += c * vals[j]
-            else:
-                li.append(remap[j])
-                lc.append(c)
-        quad_rows.append(QuadRow(tuple(qi), tuple(qc), tuple(li), tuple(lc),
-                                 const, row.label))
-
-    obj_const = model.obj_const + float(
-        model.obj_quad[mask] @ (vals[mask] ** 2) + model.obj_lin[mask] @ vals[mask])
-    out = StandardModel(
-        keep.size, model.obj_quad[keep].copy(), model.obj_lin[keep].copy(),
-        obj_const, a_eq, b_eq, g_in, h_in, quad_rows,
-        model.lb[keep].copy(), model.ub[keep].copy(),
-        model.integrality[keep].copy(), list(model.eq_labels),
-        list(model.in_labels))
-    return out, keep
-
-
 @dataclass
 class Reduction:
-    """Outcome of ``substitute_columns``: reduced model plus the affine map
-    ``x_full = s_matrix @ x_reduced + offset``. ``feasible`` is False when the
+    """Outcome of ``substitute_columns``: the reduced model and, for each of
+    its columns, equality, inequality and quadratic rows, the index it had in
+    the original model. ``feasible`` is False (and the rest None) when the
     substitution alone already contradicts a row or a box."""
 
-    model: StandardModel | None
-    s_matrix: sp.csr_matrix | None
-    offset: np.ndarray | None
-    keep: np.ndarray | None
     feasible: bool
+    model: StandardModel | None = None
+    keep: np.ndarray | None = None
+    eq_rows: np.ndarray | None = None
+    in_rows: np.ndarray | None = None
+    quad_rows: np.ndarray | None = None
 
-    def expand(self, x_reduced: np.ndarray) -> np.ndarray:
-        return self.s_matrix @ x_reduced + self.offset
+
+def _live(mat: sp.csr_matrix) -> np.ndarray:
+    """Mask of the rows of ``mat`` with a coefficient above 1e-12."""
+    big = np.concatenate([[0], np.cumsum(np.abs(mat.data) > 1e-12)])
+    return big[mat.indptr[1:]] > big[mat.indptr[:-1]]
 
 
 def substitute_columns(model: StandardModel, fixed: dict[int, float],
                        aliases: dict[int, tuple[int, float]]) -> Reduction:
-    """Eliminate columns by fixing values or aliasing onto other columns.
+    """Eliminate columns by fixing values or aliasing onto other columns,
+    then drop the rows whose support vanished.
 
     ``aliases[j] = (k, c)`` substitutes ``x_j = c * x_k`` (the target column
-    must survive the reduction and ``x_j``'s box tightens ``x_k``'s). Rows
-    whose support vanishes are dropped when consistent; an inconsistent
-    vanished row or an emptied box reports ``feasible=False``. Used by the
-    enumeration oracle, where fixing the binaries determines every product
-    auxiliary.
+    must survive the reduction and ``x_j``'s box tightens ``x_k``'s). A
+    vanished row is dropped when consistent; an inconsistent one (a nonzero
+    equality right-hand side, a negative inequality right-hand side or a
+    positive quadratic-row constant), a fixed value outside its box or an
+    emptied box reports ``feasible=False``. Kept columns and rows keep their
+    order. The enumeration oracle fixes binaries and aliases products with
+    it; the interior point presolves with it, fixing the pinned columns.
     """
     n = model.num_vars
-    infeasible = Reduction(None, None, None, None, False)
-    removed = set(fixed) | set(aliases)
-    keep = np.array([j for j in range(n) if j not in removed], dtype=int)
-    pos = {int(j): k for k, j in enumerate(keep)}
+    fix_j = np.fromiter(fixed, dtype=np.intp, count=len(fixed))
+    fix_v = np.fromiter(fixed.values(), dtype=float, count=len(fixed))
+    ali_j = np.fromiter(aliases, dtype=np.intp, count=len(aliases))
+    ali_t = np.fromiter((t for t, _ in aliases.values()), dtype=np.intp,
+                        count=len(aliases))
+    ali_c = np.fromiter((c for _, c in aliases.values()), dtype=float,
+                        count=len(aliases))
+
+    removed = np.zeros(n, dtype=bool)
+    removed[fix_j] = True
+    removed[ali_j] = True
+    keep = np.flatnonzero(~removed)
     nk = keep.size
-
+    col_map = np.full(n, -1, dtype=np.intp)
+    col_map[keep] = np.arange(nk)
+    bad = np.flatnonzero(col_map[ali_t] < 0)
+    if bad.size:
+        raise ModelError(f"alias target {ali_t[bad[0]]} of column "
+                         f"{ali_j[bad[0]]} is not a kept column")
+    bad = np.flatnonzero(model.integrality[ali_j])
+    if bad.size:
+        raise ModelError(f"cannot alias integral column {ali_j[bad[0]]}")
+    col_map[ali_j] = col_map[ali_t]
+    col_coef = np.ones(n)
+    col_coef[ali_j] = ali_c
     offset = np.zeros(n)
-    rows, cols, vals = [], [], []
-    for k, j in enumerate(keep):
-        rows.append(int(j))
-        cols.append(k)
-        vals.append(1.0)
-    for j, v in fixed.items():
-        offset[j] = float(v)
-    for j, (target, coef) in aliases.items():
-        if target not in pos:
-            raise ModelError(f"alias target {target} of column {j} is not "
-                             "a kept column")
-        if model.integrality[j]:
-            raise ModelError(f"cannot alias integral column {j}")
-        rows.append(int(j))
-        cols.append(pos[target])
-        vals.append(float(coef))
-    S = sp.csr_matrix((vals, (rows, cols)), shape=(n, nk))
+    offset[fix_j] = fix_v
 
-    def _reduce_rows(mat, rhs, labels, is_eq):
-        new = (mat @ S).tocsr()
-        new.eliminate_zeros()
-        new_rhs = rhs - mat @ offset
-        mags = np.zeros(new.shape[0])
-        if new.nnz:
-            mags = np.abs(new).max(axis=1).toarray().ravel()
-        live = mags > 1e-12
-        dead = ~live
-        if is_eq:
-            if np.any(np.abs(new_rhs[dead]) > 1e-9):
-                return None
-        else:
-            if np.any(new_rhs[dead] < -1e-9):
-                return None
-        kept = np.flatnonzero(live)
-        return (new[kept], new_rhs[kept], [labels[int(i)] for i in kept])
-
-    eq = _reduce_rows(model.a_eq, model.b_eq, model.eq_labels, True) \
-        if model.num_eq else (sp.csr_matrix((0, nk)), np.zeros(0), [])
-    if eq is None:
-        return infeasible
-    ineq = _reduce_rows(model.g_in, model.h_in, model.in_labels, False) \
-        if model.num_in else (sp.csr_matrix((0, nk)), np.zeros(0), [])
-    if ineq is None:
-        return infeasible
-
-    lb = model.lb[keep].copy()
-    ub = model.ub[keep].copy()
-    for j, v in fixed.items():
-        if v < model.lb[j] - 1e-9 or v > model.ub[j] + 1e-9:
-            return infeasible
-    for j, (target, coef) in aliases.items():
-        k = pos[target]
-        blo, bhi = model.lb[j], model.ub[j]
-        if coef > 0:
-            lb[k] = max(lb[k], blo / coef)
-            ub[k] = min(ub[k], bhi / coef)
-        else:
-            lb[k] = max(lb[k], bhi / coef)
-            ub[k] = min(ub[k], blo / coef)
+    if np.any((fix_v < model.lb[fix_j] - 1e-9)
+              | (fix_v > model.ub[fix_j] + 1e-9)):
+        return Reduction(False)
+    lb = model.lb[keep]
+    ub = model.ub[keep]
+    blo, bhi = model.lb[ali_j], model.ub[ali_j]
+    pos = col_map[ali_t]
+    np.maximum.at(lb, pos, np.where(ali_c > 0, blo, bhi) / ali_c)
+    np.minimum.at(ub, pos, np.where(ali_c > 0, bhi, blo) / ali_c)
     if np.any(lb > ub + 1e-12):
-        return infeasible
+        return Reduction(False)
 
-    obj_quad = np.zeros(nk)
-    obj_lin = np.zeros(nk)
-    obj_const = model.obj_const
-    for j in range(n):
-        qj, cj = model.obj_quad[j], model.obj_lin[j]
-        if j in fixed:
-            obj_const += qj * fixed[j] ** 2 + cj * fixed[j]
-        elif j in aliases:
-            target, coef = aliases[j]
-            obj_quad[pos[target]] += qj * coef * coef
-            obj_lin[pos[target]] += cj * coef
-        else:
-            obj_quad[pos[j]] += qj
-            obj_lin[pos[j]] += cj
+    mapped = np.flatnonzero(col_map >= 0)
+    scale = col_coef[mapped]
+    if aliases:
+        S = sp.csr_matrix((scale, (mapped, col_map[mapped])), shape=(n, nk))
 
-    quad_rows = []
-    for row in model.quad_ineq:
-        acc_q: dict[int, float] = {}
-        acc_l: dict[int, float] = {}
-        const = row.const
-        for j, c in zip(row.quad_idx, row.quad_coef):
-            if j in fixed:
-                const += c * fixed[j] ** 2
-            elif j in aliases:
-                target, coef = aliases[j]
-                acc_q[pos[target]] = acc_q.get(pos[target], 0.0) + c * coef * coef
-            else:
-                acc_q[pos[j]] = acc_q.get(pos[j], 0.0) + c
-        for j, c in zip(row.lin_idx, row.lin_coef):
-            if j in fixed:
-                const += c * fixed[j]
-            elif j in aliases:
-                target, coef = aliases[j]
-                acc_l[pos[target]] = acc_l.get(pos[target], 0.0) + c * coef
-            else:
-                acc_l[pos[j]] = acc_l.get(pos[j], 0.0) + c
-        if not acc_q and not acc_l:
-            if const > 1e-9:
-                return infeasible
-            continue
-        quad_rows.append(QuadRow(tuple(acc_q), tuple(acc_q.values()),
-                                 tuple(acc_l), tuple(acc_l.values()),
-                                 const, row.label))
+        def reduce(mat):
+            return mat @ S
+    else:
+        # a column slice: cheaper than the product, and it keeps each row's
+        # entry order
+        def reduce(mat):
+            return mat[:, keep]
 
+    a_eq = reduce(model.a_eq)
+    b_eq = model.b_eq - model.a_eq @ offset
+    g_in = reduce(model.g_in)
+    h_in = model.h_in - model.g_in @ offset
+    quad = model.quad_ineq.substitute(col_map, col_coef, offset, nk)
+    eq_live, in_live = _live(a_eq), _live(g_in)
+    quad_live = (np.bincount(quad.q_row, minlength=len(quad))
+                 + np.bincount(quad.l_row, minlength=len(quad))) > 0
+    if (np.any(np.abs(b_eq[~eq_live]) > 1e-9)
+            or np.any(h_in[~in_live] < -1e-9)
+            or np.any(quad.d[~quad_live] > 1e-9)):
+        return Reduction(False)
+    eq_rows = np.flatnonzero(eq_live)
+    in_rows = np.flatnonzero(in_live)
+    quad_rows = np.flatnonzero(quad_live)
+
+    eq_labels, in_labels = list(model.eq_labels), list(model.in_labels)
+    if eq_rows.size < model.num_eq:
+        a_eq, b_eq = a_eq[eq_rows], b_eq[eq_rows]
+        eq_labels = [eq_labels[k] for k in eq_rows]
+    if in_rows.size < model.num_in:
+        g_in, h_in = g_in[in_rows], h_in[in_rows]
+        in_labels = [in_labels[k] for k in in_rows]
+    if quad_rows.size < len(quad):
+        quad = quad.take(quad_rows)
+
+    target = col_map[mapped]
+    obj_quad = np.bincount(target, model.obj_quad[mapped] * scale * scale,
+                           minlength=nk)
+    obj_lin = np.bincount(target, model.obj_lin[mapped] * scale, minlength=nk)
+    obj_const = model.obj_const + float(model.obj_quad[fix_j] @ fix_v ** 2
+                                        + model.obj_lin[fix_j] @ fix_v)
     reduced = StandardModel(
-        nk, obj_quad, obj_lin, obj_const, eq[0], eq[1], ineq[0], ineq[1],
-        quad_rows, lb, ub, model.integrality[keep].copy(), eq[2], ineq[2])
-    return Reduction(reduced, S, offset, keep, True)
+        nk, obj_quad, obj_lin, obj_const, a_eq, b_eq, g_in, h_in, quad,
+        lb, ub, model.integrality[keep], eq_labels, in_labels)
+    return Reduction(True, reduced, keep, eq_rows, in_rows, quad_rows)
 
 
 @dataclass
@@ -618,10 +653,9 @@ def check_point(model: StandardModel, x: np.ndarray, tol: float,
     in_res = (model.g_in @ x - model.h_in) if model.num_in else np.zeros(0)
     for k in np.flatnonzero(in_res > tol):
         note(model.in_labels[k], in_res[k])
-    quad_res = np.array([row.value(x) for row in model.quad_ineq]) \
-        if model.quad_ineq else np.zeros(0)
+    quad_res = model.quad_ineq.value(x)
     for k in np.flatnonzero(quad_res > tol):
-        note(model.quad_ineq[k].label, quad_res[k])
+        note(model.quad_ineq.labels[k], quad_res[k])
     bound_res = np.maximum(model.lb - x, x - model.ub)
     bound_res[~np.isfinite(bound_res)] = 0.0
     for k in np.flatnonzero(bound_res > tol):
@@ -717,8 +751,8 @@ def area_views(model: StandardModel, inst: NetworkInstance,
             raise ModelError(
                 f"inequality row {model.in_labels[k]} crosses areas")
 
-    quad_owner = np.array([gen_area[row.label[len("gas_conversion["):-1]]
-                           for row in model.quad_ineq], dtype=int)
+    quad_owner = np.array([gen_area[label[len("gas_conversion["):-1]]
+                           for label in model.quad_ineq.labels], dtype=int)
 
     views = []
     for a in range(1, inst.num_areas + 1):
@@ -756,20 +790,29 @@ def dump_model(model: StandardModel, index: VarIndex | None = None) -> str:
                    f"{tag} quad {model.obj_quad[j]:.17g} lin {model.obj_lin[j]:.17g}")
     out.append(f"objective_const {model.obj_const:.17g}")
 
-    def terms(csr_row):
-        return " + ".join(f"{c:.17g}*{name(j)}"
-                          for j, c in zip(csr_row.indices, csr_row.data))
+    def by_row(rows, texts, m):
+        """``texts`` joined with `` + `` per row, rows in order."""
+        order = np.argsort(rows, kind="stable")
+        parts = np.split(np.array(texts, dtype=object)[order],
+                         np.cumsum(np.bincount(rows, minlength=m))[:-1])
+        return [" + ".join(part) for part in parts]
 
-    for k in range(model.num_eq):
-        out.append(f"eq {model.eq_labels[k]}: {terms(model.a_eq.getrow(k))} "
-                   f"= {model.b_eq[k]:.17g}")
-    for k in range(model.num_in):
-        out.append(f"le {model.in_labels[k]}: {terms(model.g_in.getrow(k))} "
-                   f"<= {model.h_in[k]:.17g}")
-    for row in model.quad_ineq:
-        quad = " + ".join(f"{c:.17g}*{name(j)}^2"
-                          for j, c in zip(row.quad_idx, row.quad_coef))
-        lin = " + ".join(f"{c:.17g}*{name(j)}"
-                         for j, c in zip(row.lin_idx, row.lin_coef))
-        out.append(f"qle {row.label}: {quad} + {lin} + {row.const:.17g} <= 0")
+    def csr_terms(mat):
+        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+        return by_row(rows, [f"{c:.17g}*{name(j)}" for j, c
+                             in zip(mat.indices, mat.data)], mat.shape[0])
+
+    for label, terms, rhs in zip(model.eq_labels, csr_terms(model.a_eq),
+                                 model.b_eq):
+        out.append(f"eq {label}: {terms} = {rhs:.17g}")
+    for label, terms, rhs in zip(model.in_labels, csr_terms(model.g_in),
+                                 model.h_in):
+        out.append(f"le {label}: {terms} <= {rhs:.17g}")
+    qb = model.quad_ineq
+    quad = by_row(qb.q_row, [f"{c:.17g}*{name(j)}^2"
+                             for j, c in zip(qb.q_col, qb.q_coef)], len(qb))
+    lin = by_row(qb.l_row, [f"{c:.17g}*{name(j)}"
+                            for j, c in zip(qb.l_col, qb.l_coef)], len(qb))
+    for label, q, l, d in zip(qb.labels, quad, lin, qb.d):
+        out.append(f"qle {label}: {q} + {l} + {d:.17g} <= 0")
     return "\n".join(out) + "\n"

@@ -72,7 +72,9 @@ def enumerate_solve(model: StandardModel, index: VarIndex,
 
     ``curves`` provides both orientations per pipe; the first-listed
     orientation of each pair is enumerated and the mirror is forced
-    consistently (sign-inconsistent combinations are never generated). Raises
+    consistently (sign-inconsistent combinations are never generated).
+    Configurations whose solve ends MaxIter are logged (status MaxIter,
+    objective None) but never chosen as best, even when feasible. Raises
     CapExceeded when ``r ** num_pipes`` exceeds ``cap``, AllInfeasible when
     no configuration admits a feasible point and ModelError when a curve
     lacks its mirror orientation.

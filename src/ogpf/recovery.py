@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import CertificationBug, OutOfRange, SolverFailure
+from .errors import CertificationBug, ModelError, OutOfRange, SolverFailure
 from .mipbuild import ALPHA, BETA, DM, DPSI, PSI, StandardModel, VarIndex, YM, YPSI, check_point
 from .pwa import PwaCurve
 
@@ -41,9 +41,10 @@ class PipeBinaries:
 class BinaryAssignment:
     """Recovered binaries per directed internal pipe.
 
-    Invariants (checked in ``validate``): one active region per orientation;
-    alpha >= delta, beta >= delta and alpha + beta - delta <= 1 per region;
-    the two orientations of a pipe carry complementary sign binaries.
+    Invariants (checked in ``validate``, which raises ModelError): one active
+    region per orientation; alpha >= delta, beta >= delta and
+    alpha + beta - delta <= 1 per region; the two orientations of a pipe
+    carry complementary sign binaries.
     """
 
     entries: dict[tuple[str, str], PipeBinaries]
@@ -51,15 +52,15 @@ class BinaryAssignment:
     def validate(self):
         for key, e in self.entries.items():
             if e.deltas.sum() != 1:
-                raise AssertionError(f"{key}: region simplex violated")
+                raise ModelError(f"{key}: region simplex violated")
             bad = (e.alphas < e.deltas) | (e.betas < e.deltas) \
                 | (e.alphas + e.betas - e.deltas > 1)
             if bad.any():
-                raise AssertionError(f"{key}: region logic violated")
+                raise ModelError(f"{key}: region logic violated")
             mirror = (key[1], key[0])
             if mirror in self.entries:
                 if e.delta_psi + self.entries[mirror].delta_psi != 1:
-                    raise AssertionError(f"{key}: sign link violated")
+                    raise ModelError(f"{key}: sign link violated")
 
     def column_values(self, index: VarIndex) -> dict[int, float]:
         vals: dict[int, float] = {}

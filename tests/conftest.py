@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ogpf
-from ogpf.mipbuild import build_model
+from ogpf.mipbuild import QuadBlock, build_model
 from ogpf.pwa import PwaConfig
 
 BUNDLED = ["small2area", "single1area", "chain2area", "medium3area",
@@ -26,6 +26,11 @@ def small2area(instances):
 def small2area_model(small2area):
     model, index = build_model(small2area, PwaConfig(r=2))
     return model, index
+
+
+def no_quad(n):
+    """A block of zero quadratic rows over ``n`` columns."""
+    return QuadBlock(n, [], [], [], [], [], [], [], [])
 
 
 def make_instance(*, num_areas=1, buses=None, lines=None, generators=None,

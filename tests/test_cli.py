@@ -2,7 +2,7 @@ import copy
 import json
 
 import ogpf
-from ogpf.cli import aggregate_runs, main
+from ogpf.cli import _exit_code, aggregate_runs, main
 
 SMALL = ogpf.instance_path("small2area")
 LOOP = ogpf.instance_path("loop1area")
@@ -183,6 +183,26 @@ def test_oracle_subcommand_gap(tmp_path):
     assert abs(rep["gap"]) <= 1e-6
     assert rep["gap"] >= -1e-6
     assert rep["oracle"]["num_configurations"] == 8
+
+
+def test_oracle_reports_unresolved_configurations(tmp_path):
+    # loop1area r=4 configuration 38 is feasible but its solve ends MaxIter
+    out = tmp_path / "oracle.json"
+    assert _run(["oracle", "--instance", LOOP, "--r", "4",
+                 "--out", str(out)]) == 0
+    assert _report(out)["oracle"]["num_unresolved"] == 1
+
+
+def test_exit_code_flags_unconverged_stage_one():
+    def row(certificate, status):
+        return {"certificate": certificate, "solver_status": status,
+                "error": None}
+
+    assert _exit_code([row("Optimal", "Optimal")]) == 0
+    assert _exit_code([row("Optimal", "Optimal"),
+                       row("Optimal", "MaxIter")]) == 2
+    assert _exit_code([row("Approximate", "Optimal")]) == 2
+    assert _exit_code([{"run": 0, "error": "infeasible"}]) == 1
 
 
 def test_oracle_cap_exceeded_is_error(tmp_path):

@@ -3,14 +3,14 @@ import pytest
 import scipy.sparse as sp
 
 import ogpf
+import ogpf.convexsolve
 from ogpf.convexsolve import (ConsensusOptions, SolveOptions,
                               linear_infeasible, solve_consensus, solve_convex)
-from ogpf.ipm import solve_ipm
-from ogpf.mipbuild import (AreaView, QuadRow, StandardModel, area_views,
+from ogpf.mipbuild import (AreaView, QuadBlock, StandardModel, area_views,
                            build_model, relax)
 from ogpf.pwa import PwaConfig
 
-from conftest import make_instance, small_witness_point
+from conftest import make_instance, no_quad, small_witness_point
 
 
 def _box_qp(q, c, lb, ub, const=0.0):
@@ -18,7 +18,7 @@ def _box_qp(q, c, lb, ub, const=0.0):
     return StandardModel(
         n, np.asarray(q, float), np.asarray(c, float), const,
         sp.csr_matrix((0, n)), np.zeros(0), sp.csr_matrix((0, n)),
-        np.zeros(0), [], np.asarray(lb, float), np.asarray(ub, float),
+        np.zeros(0), no_quad(n), np.asarray(lb, float), np.asarray(ub, float),
         np.zeros(n, dtype=bool), [], [])
 
 
@@ -54,7 +54,7 @@ def test_linear_screen_rejects_contradictory_balance():
     # x + y = 3 with both columns boxed to [0, 1]
     model = StandardModel(
         2, np.zeros(2), np.zeros(2), 0.0, sp.csr_matrix([[1.0, 1.0]]),
-        np.array([3.0]), sp.csr_matrix((0, 2)), np.zeros(0), [],
+        np.array([3.0]), sp.csr_matrix((0, 2)), np.zeros(0), no_quad(2),
         np.zeros(2), np.ones(2), np.zeros(2, dtype=bool), ["sum"], [])
     assert linear_infeasible(model, SolveOptions())
     assert solve_convex(model).status == "Infeasible"
@@ -65,7 +65,7 @@ def test_quadratic_only_infeasibility_passes_screen_and_hits_probe():
     model = StandardModel(
         2, np.zeros(2), np.array([1.0, 0.0]), 0.0, sp.csr_matrix((0, 2)),
         np.zeros(0), sp.csr_matrix((0, 2)), np.zeros(0),
-        [QuadRow((0,), (1.0,), (1,), (-1.0,), 0.0, "x2_le_y")],
+        QuadBlock(2, [0], [0], [1.0], [0], [1], [-1.0], [0.0], ["x2_le_y"]),
         np.array([1.0, 0.0]), np.array([2.0, 0.5]), np.zeros(2, dtype=bool),
         [], [])
     assert not linear_infeasible(model, SolveOptions())
@@ -113,21 +113,27 @@ def test_kkt_stationarity_via_finite_differences(small2area_model):
     res = (grad_f + relaxed.a_eq.T @ duals["eq"]
            + relaxed.g_in.T @ duals["ineq"]
            + duals["ub"] - duals["lb"])
-    for row, mu in zip(relaxed.quad_ineq, duals["quad"]):
-        res += mu * row.grad(x, n)
+    quad = relaxed.quad_ineq
+    for k, j, c in zip(quad.q_row, quad.q_col, quad.q_coef):
+        res[j] += duals["quad"][k] * 2.0 * c * x[j]
+    for k, j, c in zip(quad.l_row, quad.l_col, quad.l_coef):
+        res[j] += duals["quad"][k] * c
     free = ~(np.isfinite(relaxed.lb) & (relaxed.lb == relaxed.ub))
     assert np.abs(res[free]).max() <= 1e-5
 
 
-def test_engine_adapter_seam(small2area_model):
+def test_engine_adapter_seam(monkeypatch, small2area_model):
+    """solve_convex hands the full-size model to the interior point once."""
     model, _ = small2area_model
     calls = []
+    ipm = ogpf.convexsolve.solve_ipm
 
-    def engine(m, opts):
+    def recording_ipm(m, *args, **kw):
         calls.append(m.num_vars)
-        return solve_ipm(m, opts.feas_tol, opts.opt_tol, opts.max_iter)
+        return ipm(m, *args, **kw)
 
-    sol = solve_convex(relax(model), SolveOptions(engine=engine))
+    monkeypatch.setattr(ogpf.convexsolve, "solve_ipm", recording_ipm)
+    sol = solve_convex(relax(model))
     assert sol.status == "Optimal"
     assert calls == [model.num_vars]
 
@@ -167,7 +173,7 @@ def test_consensus_two_area_toy_averages_minimizers():
     model = StandardModel(
         2, np.array([1.0, 1.0]), np.array([-2.0, -6.0]), 10.0,
         sp.csr_matrix(np.array([[1.0, -1.0]])), np.zeros(1),
-        sp.csr_matrix((0, 2)), np.zeros(0), [],
+        sp.csr_matrix((0, 2)), np.zeros(0), no_quad(2),
         np.array([-10.0, -10.0]), np.array([10.0, 10.0]),
         np.zeros(2, dtype=bool), ["consensus"], [])
     views = [

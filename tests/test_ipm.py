@@ -5,10 +5,27 @@ import pytest
 import scipy.sparse as sp
 
 import ogpf
-from ogpf.convexsolve import SolveOptions, solve_convex
-from ogpf.ipm import Kkt, QuadBlock, solve_ipm
-from ogpf.mipbuild import QuadRow, StandardModel, build_model, relax
+import ogpf.convexsolve
+import ogpf.ipm
+from ogpf.convexsolve import solve_convex
+from ogpf.ipm import Kkt, solve_ipm
+from ogpf.mipbuild import QuadBlock, StandardModel, build_model, relax
 from ogpf.pwa import PwaConfig
+
+from conftest import no_quad
+
+
+def _reference_rows(block, x):
+    """Values and dense gradients of the quadratic rows, term by term."""
+    value = block.d.copy()
+    grad = np.zeros((len(block), block.n))
+    for k, j, c in zip(block.q_row, block.q_col, block.q_coef):
+        value[k] += c * x[j] * x[j]
+        grad[k, j] += 2.0 * c * x[j]
+    for k, j, c in zip(block.l_row, block.l_col, block.l_coef):
+        value[k] += c * x[j]
+        grad[k, j] += c
+    return value, grad
 
 
 @pytest.mark.parametrize("name", ["small2area", "loop1area"])
@@ -17,40 +34,43 @@ def test_kkt_refill_matches_explicit_assembly(instances, name):
     model = relax(model)
     n, me = model.num_vars, model.num_eq
     G, A = model.g_in, model.a_eq
-    quad = QuadBlock.from_rows(model.quad_ineq, n)
+    quad = model.quad_ineq
     kkt = Kkt(G, A, quad)
     rng = np.random.default_rng(7)
     for _ in range(3):
         x = rng.uniform(-2.0, 2.0, n)
         W = rng.uniform(0.1, 10.0, model.num_in)
-        V = rng.uniform(0.1, 10.0, quad.m)
+        V = rng.uniform(0.1, 10.0, len(quad))
         H = rng.uniform(0.1, 10.0, n)
         K = kkt.fill(W, H, V, quad.jac(x)).toarray()
 
-        J = sp.csr_matrix(np.array([row.grad(x, n) for row in model.quad_ineq]))
+        J = sp.csr_matrix(_reference_rows(quad, x)[1])
         M = G.T @ sp.diags(W) @ G + sp.diags(H) + J.T @ sp.diags(V) @ J
         ref = sp.bmat([[M, A.T], [A, -1e-10 * sp.identity(me)]]).toarray()
         assert np.abs(K - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_quad_block_matches_rows():
-    rows = [QuadRow((0, 2), (1.5, 0.5), (0, 1), (-1.0, 2.0), 3.0, "a"),
-            QuadRow((), (), (2,), (4.0,), -1.0, "b"),
-            QuadRow((1,), (2.0,), (), (), 0.5, "c")]
-    block = QuadBlock.from_rows(rows, 3)
+    # rows: 1.5 x0^2 + 0.5 x2^2 - x0 + 2 x1 + 3,  4 x2 - 1,  2 x1^2 + 0.5
+    block = QuadBlock(3, [0, 0, 2], [0, 2, 1], [1.5, 0.5, 2.0],
+                      [0, 0, 1], [0, 1, 2], [-1.0, 2.0, 4.0],
+                      [3.0, -1.0, 0.5], ["a", "b", "c"])
     x = np.array([0.3, -1.2, 2.5])
     mu = np.array([0.7, 1.1, 0.4])
+    value, grad = _reference_rows(block, x)
     jac = np.zeros((3, 3))
     jac[block.j_row, block.j_col] = block.jac(x)
-    assert np.allclose(block.value(x), [row.value(x) for row in rows])
-    assert np.allclose(jac, [row.grad(x, 3) for row in rows])
-    assert np.allclose(block.jac_t(block.jac(x), mu), jac.T @ mu)
-    assert np.allclose(block.jac_mul(block.jac(x), x), jac @ x)
+    assert len(block) == 3 and block.labels == ["a", "b", "c"]
+    assert np.allclose(block.value(x), value)
+    assert np.allclose(jac, grad)
+    assert np.allclose(block.jac_t(block.jac(x), mu), grad.T @ mu)
+    assert np.allclose(block.jac_mul(block.jac(x), x), grad @ x)
     assert np.allclose(block.hess_diag(mu), [2 * (0.7 * 1.5), 2 * (0.4 * 2.0),
                                              2 * (0.7 * 0.5)])
-    assert np.allclose(block.curvature(x), [row.value(x) - row.value(0 * x)
-                                            - row.grad(0 * x, 3) @ x
-                                            for row in rows])
+    zero = np.zeros(3)
+    assert np.allclose(block.curvature(x),
+                       value - _reference_rows(block, zero)[0]
+                       - _reference_rows(block, zero)[1] @ x)
 
 
 # certificate, IPM iterations and objective of the two-stage solve, recorded
@@ -105,7 +125,7 @@ def test_equality_qp_uses_single_solve():
     # minimize x0^2 + x1^2 subject to x0 + x1 = 2, no bounds
     model = StandardModel(
         2, np.ones(2), np.zeros(2), 0.0, sp.csr_matrix([[1.0, 1.0]]),
-        np.array([2.0]), sp.csr_matrix((0, 2)), np.zeros(0), [],
+        np.array([2.0]), sp.csr_matrix((0, 2)), np.zeros(0), no_quad(2),
         np.full(2, -np.inf), np.full(2, np.inf), np.zeros(2, dtype=bool),
         ["sum"], [])
     res = solve_ipm(model, 1e-9, 1e-9, 50)
@@ -114,18 +134,27 @@ def test_equality_qp_uses_single_solve():
 
 
 def test_inconsistent_vanished_row_skips_engine_and_probe(monkeypatch):
-    # 0 * x = 1 after presolve: Infeasible without any IPM run
+    # 0 * x = 1: the presolve proves it infeasible before any iteration
     model = StandardModel(
         1, np.ones(1), np.zeros(1), 0.0, sp.csr_matrix((1, 1)),
-        np.array([1.0]), sp.csr_matrix((0, 1)), np.zeros(0), [],
+        np.array([1.0]), sp.csr_matrix((0, 1)), np.zeros(0), no_quad(1),
         np.zeros(1), np.ones(1), np.zeros(1, dtype=bool), ["empty"], [])
     calls = []
-    monkeypatch.setattr("ogpf.convexsolve.feasibility_probe",
+    ipm = ogpf.convexsolve.solve_ipm
+
+    def recording_ipm(*args, **kw):
+        res = ipm(*args, **kw)
+        calls.append((res.status, res.iterations))
+        return res
+
+    monkeypatch.setattr(ogpf.convexsolve, "solve_ipm", recording_ipm)
+    monkeypatch.setattr(ogpf.ipm, "_iterate",
+                        lambda *a: calls.append("iterate"))
+    monkeypatch.setattr(ogpf.convexsolve, "feasibility_probe",
                         lambda *a: calls.append("probe"))
-    sol = solve_convex(model, SolveOptions(
-        engine=lambda m, o: calls.append("engine")))
+    sol = solve_convex(model)
     assert sol.status == "Infeasible"
-    assert calls == []
+    assert calls == [("infeasible", 0)]
 
 
 def test_solve_ipm_rejects_integral_model(small2area_model):

@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import ogpf
-from ogpf.mipbuild import (area_views, build_model, check_point, dump_model,
-                           fix_columns, relax, substitute_columns)
+from ogpf.mipbuild import (QuadBlock, StandardModel, area_views, build_model,
+                           check_point, dump_model, relax, substitute_columns)
 from ogpf.pwa import PwaConfig
 
 from conftest import make_instance, small_witness_point
@@ -58,13 +61,14 @@ def test_gas_conversion_row_floor():
                                    gas_node="n2")],
     )
     model, index = build_model(inst, PwaConfig(r=2))
-    (row,) = model.quad_ineq
+    quad = model.quad_ineq
+    assert quad.labels == ["gas_conversion[g2]"]
     x = np.zeros(model.num_vars)
     x[index.col("p", "g2")] = 2.0
     x[index.col("dgu", "g2")] = 3.9
-    assert row.value(x) > 0  # d below the quadratic floor of 4
+    assert quad.value(x)[0] > 0  # d below the quadratic floor of 4
     x[index.col("dgu", "g2")] = 4.0
-    assert row.value(x) <= 1e-12
+    assert quad.value(x)[0] <= 1e-12
 
 
 def test_non_gas_unit_gas_use_pinned(small2area_model):
@@ -129,12 +133,13 @@ def test_area_views_partition_and_coupling(instances, small2area_model):
     assert view.owned_cols.size == single.num_vars
 
 
-def test_fix_columns_reduces_and_offsets(small2area_model):
+def test_substitute_columns_fixes_and_offsets(small2area_model):
     model, index = small2area_model
     j = index.col("p", "g1")
-    sub, keep = fix_columns(model, {j: 60.0})
+    red = substitute_columns(model, {j: 60.0}, {})
+    sub = red.model
     assert sub.num_vars == model.num_vars - 1
-    assert j not in keep
+    assert j not in red.keep
     # objective constant absorbs the fixed cost contribution
     assert sub.obj_const == pytest.approx(
         model.obj_const + 1e-5 * 60.0 ** 2 + 0.02 * 60.0)
@@ -143,16 +148,44 @@ def test_fix_columns_reduces_and_offsets(small2area_model):
 def test_substitute_columns_aliases_products(small2area_model):
     model, index = small2area_model
     key = ("n1", "n2")
-    red = substitute_columns(
-        relax(model),
-        fixed={index.col("dm", key, 1): 0.0},
-        aliases={index.col("ym", key, 2): (index.col("phi", key), 1.0)},
-    )
+    dm, ym, phi = (index.col("dm", key, 1), index.col("ym", key, 2),
+                   index.col("phi", key))
+    red = substitute_columns(relax(model), fixed={dm: 0.0},
+                             aliases={ym: (phi, 1.0)})
     assert red.feasible
     assert red.model.num_vars == model.num_vars - 2
-    x_red = np.zeros(red.model.num_vars)
-    full = red.expand(x_red)
-    assert full.size == model.num_vars
+    assert dm not in red.keep and ym not in red.keep
+    # every kept row of the reduced model is the original row at the
+    # expanded point
+    x_red = np.random.default_rng(3).uniform(-1.0, 1.0, red.model.num_vars)
+    x = np.zeros(model.num_vars)
+    x[red.keep] = x_red
+    x[ym] = x[phi]
+    assert np.allclose(red.model.a_eq @ x_red - red.model.b_eq,
+                       (model.a_eq @ x - model.b_eq)[red.eq_rows])
+    assert np.allclose(red.model.g_in @ x_red - red.model.h_in,
+                       (model.g_in @ x - model.h_in)[red.in_rows])
+    assert np.allclose(red.model.quad_ineq.value(x_red),
+                       model.quad_ineq.value(x)[red.quad_rows])
+    assert red.model.objective(x_red) == pytest.approx(model.objective(x))
+
+
+def test_substitute_columns_drops_vanished_rows():
+    # x0 + x1 = 2 with x0 = 1 and x1 = 1 fixed vanishes consistently, and
+    # x0^2 - x2 <= 0 keeps its x2 term
+    model = StandardModel(
+        3, np.zeros(3), np.zeros(3), 0.0, sp.csr_matrix([[1.0, 1.0, 0.0]]),
+        np.array([2.0]), sp.csr_matrix((0, 3)), np.zeros(0),
+        QuadBlock(3, [0], [0], [1.0], [0], [2], [-1.0], [0.0], ["q"]),
+        np.zeros(3), np.full(3, 5.0), np.zeros(3, dtype=bool), ["sum"], [])
+    red = substitute_columns(model, {0: 1.0, 1: 1.0}, {})
+    assert red.feasible
+    assert red.eq_rows.size == 0 and red.model.num_eq == 0
+    assert list(red.quad_rows) == [0]
+    assert red.model.quad_ineq.d[0] == 1.0
+    assert not substitute_columns(model, {0: 1.0, 1: 2.0}, {}).feasible
+    # fixing x2 as well leaves 1 - x2 <= 0, which x2 = 0.5 contradicts
+    assert not substitute_columns(model, {0: 1.0, 1: 1.0, 2: 0.5}, {}).feasible
 
 
 def test_substitute_columns_detects_empty_box(small2area_model):
@@ -172,3 +205,21 @@ def test_dump_model_mentions_rows_and_vars(small2area_model):
     assert "eq power_balance[b1]:" in text
     assert "qle gas_conversion[g2]:" in text
     assert f"vars {model.num_vars}" in text
+
+
+# sha256 of dump_model at r=4, recorded before the quadratic rows became one
+# coordinate block
+DUMP_SHA256 = {
+    "small2area": "d7dea30d6f3a4f8822bfa2c7a3e5e210de64458b2ce97d9f44172312f377149f",
+    "single1area": "883b809e7e9da79bad944f98ddaa2590c3726501038c90fd4e90700974c316f3",
+    "chain2area": "54de840dec712eee9c8d2b4da4e735522cd8f79e89d6e32982a3218f60f984a7",
+    "medium3area": "28b7234dab12cd2f08c21425fde69bf92c3fe681992403d1da91f8c8895e4468",
+    "loop1area": "253485b5244146cb3b608438435be7ca700d85fa0a9b5195351bd13f48144664",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUMP_SHA256))
+def test_dump_model_is_unchanged(instances, name):
+    model, index = build_model(instances[name], PwaConfig(r=4))
+    text = dump_model(model, index)
+    assert hashlib.sha256(text.encode()).hexdigest() == DUMP_SHA256[name]

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import ogpf
-from ogpf.errors import OutOfRange
+from ogpf.errors import ModelError, OutOfRange
 from ogpf.mipbuild import check_point
 from ogpf.pwa import PwaConfig, fit_pwa, max_region_error
-from ogpf.recovery import (build_pressure_lp, max_abs_deviation,
+from ogpf.recovery import (BinaryAssignment, PipeBinaries,
+                           build_pressure_lp, max_abs_deviation,
                            mean_abs_deviation, recover_binaries,
                            solve_pressure_lp, update_aux,
                            weymouth_deviation)
@@ -54,6 +55,26 @@ def test_recover_rejects_out_of_range_flow():
     curves = _pair_curves()
     with pytest.raises(OutOfRange):
         recover_binaries({("i", "j"): 1.5, ("j", "i"): -1.5}, curves)
+
+
+@pytest.mark.parametrize("broken, message", [
+    ({"deltas": [1, 1]}, "region simplex"),
+    ({"alphas": [0, 0]}, "region logic"),
+    ({"delta_psi": 1}, "sign link"),
+])
+def test_validate_raises_model_error(broken, message):
+    good = {("i", "j"): dict(delta_psi=1, region=2, deltas=[0, 1],
+                             alphas=[0, 1], betas=[1, 1]),
+            ("j", "i"): dict(delta_psi=0, region=1, deltas=[1, 0],
+                             alphas=[1, 1], betas=[1, 0])}
+    good[("j", "i")].update(broken)
+    entries = {key: PipeBinaries(e["delta_psi"], e["region"],
+                                 *(np.array(e[k]) for k in
+                                   ("deltas", "alphas", "betas")))
+               for key, e in good.items()}
+    BinaryAssignment({("i", "j"): entries[("i", "j")]}).validate()
+    with pytest.raises(ModelError, match=message):
+        BinaryAssignment(entries).validate()
 
 
 def test_recovered_binaries_satisfy_logic_everywhere():
