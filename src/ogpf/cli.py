@@ -31,7 +31,7 @@ import numpy as np
 
 from .convexsolve import MAX_ITER, OPTIMAL, ConsensusOptions
 from .errors import ConfigError, OgpfError
-from .mipbuild import build_model, dump_model, fit_all_curves
+from .mipbuild import build_model, dump_model
 from .netmodel import NetworkInstance, load_instance, scale_demands
 from .oracle import enumerate_solve
 from .pwa import PwaConfig
@@ -242,10 +242,9 @@ def cmd_oracle(args) -> int:
     inst = load_instance(run_cfg.instance)
     cfg = PwaConfig(r=args.r, epsilon=args.epsilon)
     model, index = build_model(inst, cfg)
-    curves = fit_all_curves(inst, cfg)
 
     t0 = time.perf_counter()
-    oracle = enumerate_solve(model, index, curves, cap=args.cap)
+    oracle = enumerate_solve(model, index, index.curves, cap=args.cap)
     t_oracle = time.perf_counter() - t0
     result = solve_two_stage(inst, args.r, epsilon=args.epsilon,
                              cert_tol=args.cert_tol)

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from .errors import ModelError, NonConvergence
+from .errors import ConfigError, ModelError, NonConvergence
 from .ipm import EngineResult, solve_ipm
 from .mipbuild import AreaView, QuadBlock, StandardModel, check_point
 
@@ -36,7 +36,7 @@ class SolveOptions:
 
     def __post_init__(self):
         if self.feas_tol <= 0 or self.opt_tol <= 0 or self.max_iter <= 0:
-            raise ValueError("solve options must be positive")
+            raise ConfigError("solve options must be positive")
 
 
 @dataclass
@@ -108,14 +108,11 @@ def _elastic_model(model: StandardModel) -> StandardModel:
     quad = QuadBlock(n_new, qb.q_row, qb.q_col, qb.q_coef,
                      np.concatenate([qb.l_row, rows]),
                      np.concatenate([qb.l_col, n + 2 * me + mi + rows]),
-                     np.concatenate([qb.l_coef, -np.ones(mq)]), qb.d,
-                     qb.labels)
+                     np.concatenate([qb.l_coef, -np.ones(mq)]), qb.d)
 
     return StandardModel(
         n_new, np.zeros(n_new), obj_lin, 0.0, a_eq, model.b_eq.copy(),
-        g_in, model.h_in.copy(), quad, lb, ub,
-        np.zeros(n_new, dtype=bool), list(model.eq_labels),
-        list(model.in_labels))
+        g_in, model.h_in.copy(), quad, lb, ub, np.zeros(n_new, dtype=bool))
 
 
 def feasibility_probe(model: StandardModel, opts: SolveOptions) -> float:
@@ -198,7 +195,7 @@ class ConsensusOptions:
 
     def __post_init__(self):
         if self.rho <= 0:
-            raise ValueError("rho must be > 0")
+            raise ConfigError("rho must be > 0")
 
 
 class _AreaProblem:
@@ -255,10 +252,7 @@ class _AreaProblem:
             model.b_eq[rows_eq].copy() if rows_eq.size else np.zeros(0),
             g_in, model.h_in[rows_in].copy() if rows_in.size else np.zeros(0),
             quad, model.lb[self.global_cols].copy(),
-            model.ub[self.global_cols].copy(),
-            np.zeros(nloc, dtype=bool),
-            [model.eq_labels[int(k)] for k in rows_eq],
-            [model.in_labels[int(k)] for k in rows_in])
+            model.ub[self.global_cols].copy(), np.zeros(nloc, dtype=bool))
         self.u = np.zeros(self.shared_local.size)  # scaled duals
         self.x = np.zeros(nloc)
 

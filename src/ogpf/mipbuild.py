@@ -8,13 +8,19 @@ The model is kept in a plain standard form:
                 quadratic rows:  sum_k p_k x_k^2 + l^T x + d <= 0  (convex)
                 lb <= x <= ub, integrality mask over columns
 
-with a stable, deterministic variable index. Per orientation of each internal
-pipe the model carries the flow, one pressure product, ``r`` flow products and
-``1 + 3r`` binaries; tie pipes carry two directed flow variables linked by a
-reciprocity row and no pressure coupling. The orientation-coupled flow
-equality is emitted once per undirected internal pipe (the mirrored copy is
-implied by reciprocity and the sign link once binaries are integral, and
-emitting both would make the equality block rank-deficient).
+The model holds numbers only. The ``VarIndex`` that ``build_model`` returns
+with it names every column and row by one key form, e.g. ``("psi", "n1")``,
+``("power_balance", "b2")`` or ``("reg_hi_up", ("n1", "n2"), 3)``, knows the
+entity owning each key, and keeps the fitted chord curves. Rows are looked up
+by key kind and areas assigned from the owners; no label string is parsed.
+
+Per orientation of each internal pipe the model carries the flow, one
+pressure product, ``r`` flow products and ``1 + 3r`` binaries; tie pipes
+carry two directed flow variables linked by a reciprocity row and no pressure
+coupling. The orientation-coupled flow equality is emitted once per
+undirected internal pipe (the mirrored copy is implied by reciprocity and the
+sign link once binaries are integral, and emitting both would make the
+equality block rank-deficient).
 
 The quadratic rows are one coordinate block (``QuadBlock``), evaluated and
 transformed as arrays. ``substitute_columns`` is the one column-elimination
@@ -34,7 +40,7 @@ import scipy.sparse as sp
 
 from .errors import ModelError
 from .netmodel import NetworkInstance, classify_edges
-from .pwa import PwaConfig, PwaCurve, Row, emit_mld, fit_pwa
+from .pwa import PwaConfig, PwaCurve, Row, emit_mld, fit_pwa, key_label
 
 # variable kinds
 P = "p"          # generator output
@@ -53,54 +59,89 @@ DM = "dm"        # region indicator binary
 _BINARY_KINDS = (DPSI, ALPHA, BETA, DM)
 
 
-class VarIndex:
-    """Bijective map between semantic variables and dense column indices.
+# row blocks of the model, and the column block
+EQ, IN, QUAD, COL = "eq", "in", "quad", "col"
 
-    Keys are ``(kind, owner)`` or ``(kind, owner, region)``; owners are entity
-    ids, or ``(from, to)`` tuples for directed pipe variables. Ordering is the
-    insertion order of the build and therefore deterministic for a given
-    instance and configuration.
+# entity type owning a column or row of each kind
+_ENTITY = {P: "gen", DGU: "gen", "gas_conversion": "gen", THETA: "bus",
+           "power_balance": "bus", GS: "source", PSI: "node",
+           "gas_balance": "node"}
+
+
+def _entity(key: tuple) -> tuple:
+    """Entity owning a key; a directed pipe (i, j) counts as gas node i."""
+    owner = key[1]
+    if type(owner) is tuple:
+        return ("node", owner[0])
+    return (_ENTITY[key[0]], owner)
+
+
+class VarIndex:
+    """Names and owners of the columns and rows of one built model.
+
+    Column and row keys share one form, ``(kind, owner)`` or ``(kind, owner,
+    region)``; owners are entity ids, or ``(from, to)`` tuples for directed
+    pipes, and ``key_label`` writes a key as ``kind[owner]``. Columns are
+    numbered in insertion order; rows in the order of their block (``EQ``,
+    ``IN`` or ``QUAD``). Both orders are deterministic for a given instance
+    and configuration. ``owners`` numbers the entity owning each key (a
+    generator, bus, gas source or gas node). ``curves`` holds the chord
+    curves the build fitted, per directed internal pipe.
     """
 
     def __init__(self):
         self._fwd: dict[tuple, int] = {}
-        self._rev: list[tuple] = []
+        self._keys: dict[str, list[tuple]] = {COL: [], EQ: [], IN: [], QUAD: []}
+        self._entities: dict[tuple, int] = {}
+        self.curves: dict[tuple, PwaCurve] = {}
 
     def add(self, kind: str, owner, m: int | None = None) -> int:
         key = (kind, owner) if m is None else (kind, owner, m)
         if key in self._fwd:
-            raise ValueError(f"duplicate variable {key}")
-        j = len(self._rev)
-        self._fwd[key] = j
-        self._rev.append(key)
+            raise ModelError(f"duplicate variable {key}")
+        j = self._fwd[key] = len(self._fwd)
+        self._keys[COL].append(key)
         return j
+
+    def add_rows(self, block: str, keys):
+        self._keys[block].extend(keys)
 
     def col(self, kind: str, owner, m: int | None = None) -> int:
         key = (kind, owner) if m is None else (kind, owner, m)
         return self._fwd[key]
 
-    def key(self, j: int) -> tuple:
-        return self._rev[j]
-
     def name(self, j: int) -> str:
-        key = self._rev[j]
-        owner = key[1]
-        owner = f"{owner[0]}->{owner[1]}" if isinstance(owner, tuple) else owner
-        if len(key) == 3:
-            return f"{key[0]}[{owner},{key[2]}]"
-        return f"{key[0]}[{owner}]"
+        return key_label(self._keys[COL][j])
+
+    def names(self, block: str) -> list[str]:
+        """Labels of every column (``COL``) or every row of ``block``."""
+        return [key_label(key) for key in self._keys[block]]
+
+    def row_name(self, block: str, k: int) -> str:
+        return key_label(self._keys[block][k])
 
     def columns(self, kind: str) -> list[int]:
-        return [j for j, key in enumerate(self._rev) if key[0] == kind]
+        return [j for j, key in enumerate(self._keys[COL]) if key[0] == kind]
+
+    def rows(self, block: str, kind: str) -> np.ndarray:
+        """Positions of the rows of ``block`` whose key has ``kind``."""
+        return np.array([k for k, key in enumerate(self._keys[block])
+                         if key[0] == kind], dtype=np.intp)
+
+    def owners(self, block: str) -> np.ndarray:
+        """Number of the entity owning every column (``COL``) or row of
+        ``block``; ``entities`` lists the entities numbered so far."""
+        codes = self._entities
+        return np.array([codes.setdefault(_entity(key), len(codes))
+                         for key in self._keys[block]], dtype=np.intp)
+
+    @property
+    def entities(self) -> list[tuple]:
+        """``("gen" | "bus" | "source" | "node", id)``, in number order."""
+        return list(self._entities)
 
     def __len__(self) -> int:
-        return len(self._rev)
-
-    def __contains__(self, key) -> bool:
-        return key in self._fwd
-
-    def items(self):
-        return ((key, j) for j, key in enumerate(self._rev))
+        return len(self._fwd)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +164,6 @@ class QuadBlock:
     l_col: np.ndarray
     l_coef: np.ndarray
     d: np.ndarray
-    labels: list[str]
 
     def __post_init__(self):
         for name in ("q_row", "q_col", "l_row", "l_col"):
@@ -132,7 +172,6 @@ class QuadBlock:
         for name in ("q_coef", "l_coef", "d"):
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=float))
-        object.__setattr__(self, "labels", list(self.labels))
 
     def __len__(self) -> int:
         return self.d.size
@@ -159,8 +198,7 @@ class QuadBlock:
         lk = new[self.l_row] >= 0
         return QuadBlock(self.n, new[self.q_row[qk]], self.q_col[qk],
                          self.q_coef[qk], new[self.l_row[lk]],
-                         self.l_col[lk], self.l_coef[lk], self.d[rows],
-                         [self.labels[int(k)] for k in rows])
+                         self.l_col[lk], self.l_coef[lk], self.d[rows])
 
     def substitute(self, col_map: np.ndarray, col_coef: np.ndarray,
                    value: np.ndarray, n: int) -> "QuadBlock":
@@ -179,8 +217,7 @@ class QuadBlock:
         return QuadBlock(n, self.q_row[qk], col_map[self.q_col[qk]],
                          self.q_coef[qk] * qs * qs, self.l_row[lk],
                          col_map[self.l_col[lk]],
-                         self.l_coef[lk] * col_coef[self.l_col[lk]], d,
-                         self.labels)
+                         self.l_coef[lk] * col_coef[self.l_col[lk]], d)
 
     def scaled(self, col_scale: np.ndarray) -> tuple["QuadBlock", np.ndarray]:
         """Block in the variables ``x / col_scale``, each row divided by its
@@ -192,7 +229,7 @@ class QuadBlock:
         np.maximum.at(mags, self.l_row, np.abs(lc))
         out = QuadBlock(self.n, self.q_row, self.q_col, qc / mags[self.q_row],
                         self.l_row, self.l_col, lc / mags[self.l_row],
-                        self.d / mags, self.labels)
+                        self.d / mags)
         return out, 1.0 / mags
 
     def value(self, x: np.ndarray) -> np.ndarray:
@@ -230,7 +267,9 @@ class QuadBlock:
 
 @dataclass
 class StandardModel:
-    """Standard-form optimization model with sparse row storage."""
+    """Standard-form optimization model with sparse row storage. It holds
+    numbers only; the ``VarIndex`` built with it names its columns and
+    rows."""
 
     num_vars: int
     obj_quad: np.ndarray
@@ -244,8 +283,6 @@ class StandardModel:
     lb: np.ndarray
     ub: np.ndarray
     integrality: np.ndarray
-    eq_labels: list[str]
-    in_labels: list[str]
 
     @property
     def num_eq(self) -> int:
@@ -263,38 +300,25 @@ class StandardModel:
             self.num_vars, self.obj_quad.copy(), self.obj_lin.copy(),
             self.obj_const, self.a_eq.copy(), self.b_eq.copy(),
             self.g_in.copy(), self.h_in.copy(), self.quad_ineq,
-            self.lb.copy(), self.ub.copy(), self.integrality.copy(),
-            list(self.eq_labels), list(self.in_labels))
+            self.lb.copy(), self.ub.copy(), self.integrality.copy())
 
 
-class _RowStore:
-    def __init__(self):
-        self.rows: list[Row] = []
-
-    def add(self, cols, coefs, rhs, label):
-        self.rows.append(Row(tuple(cols), tuple(coefs), float(rhs), label))
-
-    def extend(self, rows):
-        self.rows.extend(rows)
-
-    def to_csr(self, n: int) -> tuple[sp.csr_matrix, np.ndarray, list[str]]:
-        data, ri, ci = [], [], []
-        rhs = np.zeros(len(self.rows))
-        labels = []
-        for k, row in enumerate(self.rows):
-            if len(row.cols) != len(row.coefs):
-                raise ModelError(f"row {row.label}: {len(row.cols)} columns "
-                                 f"but {len(row.coefs)} coefficients")
-            ri.extend([k] * len(row.cols))
-            ci.extend(row.cols)
-            data.extend(row.coefs)
-            rhs[k] = row.rhs
-            labels.append(row.label)
-        if ci and not 0 <= min(ci) <= max(ci) < n:
-            raise ModelError(f"a row references a column outside 0..{n - 1}")
-        mat = sp.csr_matrix((data, (ri, ci)), shape=(len(self.rows), n))
-        mat.sum_duplicates()
-        return mat, rhs, labels
+def _to_csr(rows: list[Row], n: int) -> tuple[sp.csr_matrix, np.ndarray]:
+    data, ri, ci = [], [], []
+    rhs = np.zeros(len(rows))
+    for k, row in enumerate(rows):
+        if len(row.cols) != len(row.coefs):
+            raise ModelError(f"row {row.label}: {len(row.cols)} columns "
+                             f"but {len(row.coefs)} coefficients")
+        ri.extend([k] * len(row.cols))
+        ci.extend(row.cols)
+        data.extend(row.coefs)
+        rhs[k] = row.rhs
+    if ci and not 0 <= min(ci) <= max(ci) < n:
+        raise ModelError(f"a row references a column outside 0..{n - 1}")
+    mat = sp.csr_matrix((data, (ri, ci)), shape=(len(rows), n))
+    mat.sum_duplicates()
+    return mat, rhs
 
 
 def fit_all_curves(inst: NetworkInstance, cfg: PwaConfig) -> dict[tuple, PwaCurve]:
@@ -314,11 +338,13 @@ def build_model(inst: NetworkInstance, cfg: PwaConfig) -> tuple[StandardModel, V
     coupled flow equality / sign link plus both orientations' simplex rows;
     all big-M logic blocks as inequalities; one convex quadratic conversion
     row per gas-fueled generator. Non-gas units have their gas consumption
-    pinned to zero through the variable box.
+    pinned to zero through the variable box. The index names every column
+    and row and keeps the fitted curves.
     """
     edges = classify_edges(inst)
     curves = fit_all_curves(inst, cfg)
     index = VarIndex()
+    index.curves = curves
 
     for g in inst.generators:
         index.add(P, g.id)
@@ -396,8 +422,8 @@ def build_model(inst: NetworkInstance, cfg: PwaConfig) -> tuple[StandardModel, V
                 lb[jz], ub[jz] = 0.0, 1.0
                 integrality[jz] = True
 
-    eq = _RowStore()
-    ineq = _RowStore()
+    eq: list[Row] = []
+    ineq: list[Row] = []
 
     # power balance per bus: sum(p at bus) - sum((theta_i - theta_j)/X) = demand
     gens_at_bus: dict[str, list] = {b.id: [] for b in inst.buses}
@@ -418,8 +444,8 @@ def build_model(inst: NetworkInstance, cfg: PwaConfig) -> tuple[StandardModel, V
             jo = index.col(THETA, other)
             cols[ji] = cols.get(ji, 0.0) - w
             cols[jo] = cols.get(jo, 0.0) + w
-        eq.add(list(cols), list(cols.values()), b.demand_e,
-               f"power_balance[{b.id}]")
+        eq.append(Row(tuple(cols), tuple(cols.values()), b.demand_e,
+                      ("power_balance", b.id)))
 
     # gas balance per node: sum(g) - sum(dgu) - sum(phi out) = demand
     sources_at: dict[str, list] = {nd.id: [] for nd in inst.gas_nodes}
@@ -444,13 +470,15 @@ def build_model(inst: NetworkInstance, cfg: PwaConfig) -> tuple[StandardModel, V
         for key in out_flows[nd.id]:
             cols.append(index.col(PHI, key))
             coefs.append(-1.0)
-        eq.add(cols, coefs, nd.demand_g, f"gas_balance[{nd.id}]")
+        eq.append(Row(tuple(cols), tuple(coefs), nd.demand_g,
+                      ("gas_balance", nd.id)))
 
     # tie reciprocity
     for p in edges.tie_pipes:
-        eq.add((index.col(PHI, (p.from_node, p.to_node)),
-                index.col(PHI, (p.to_node, p.from_node))),
-               (1.0, 1.0), 0.0, f"tie_reciprocity[{p.from_node}->{p.to_node}]")
+        eq.append(Row((index.col(PHI, (p.from_node, p.to_node)),
+                       index.col(PHI, (p.to_node, p.from_node))),
+                      (1.0, 1.0), 0.0,
+                      ("tie_reciprocity", (p.from_node, p.to_node))))
 
     # internal pipe blocks; stored orientation carries the pair-level rows
     psi_bounds = {nd.id: (nd.psi_min, nd.psi_max) for nd in inst.gas_nodes}
@@ -469,13 +497,15 @@ def build_model(inst: NetworkInstance, cfg: PwaConfig) -> tuple[StandardModel, V
         n, rows, jp, [g.eta2 for g in gas], np.repeat(rows, 2),
         np.column_stack([jp, jd]).ravel(),
         np.column_stack([[g.eta1 for g in gas], -np.ones(len(gas))]).ravel(),
-        [g.eta0 for g in gas], [f"gas_conversion[{g.id}]" for g in gas])
+        [g.eta0 for g in gas])
 
-    a_eq, b_eq, eq_labels = eq.to_csr(n)
-    g_in, h_in, in_labels = ineq.to_csr(n)
+    a_eq, b_eq = _to_csr(eq, n)
+    g_in, h_in = _to_csr(ineq, n)
+    index.add_rows(EQ, (row.key for row in eq))
+    index.add_rows(IN, (row.key for row in ineq))
+    index.add_rows(QUAD, (("gas_conversion", g.id) for g in gas))
     model = StandardModel(n, obj_quad, obj_lin, obj_const, a_eq, b_eq,
-                          g_in, h_in, quad, lb, ub, integrality,
-                          eq_labels, in_labels)
+                          g_in, h_in, quad, lb, ub, integrality)
     return model, index
 
 
@@ -595,13 +625,10 @@ def substitute_columns(model: StandardModel, fixed: dict[int, float],
     in_rows = np.flatnonzero(in_live)
     quad_rows = np.flatnonzero(quad_live)
 
-    eq_labels, in_labels = list(model.eq_labels), list(model.in_labels)
     if eq_rows.size < model.num_eq:
         a_eq, b_eq = a_eq[eq_rows], b_eq[eq_rows]
-        eq_labels = [eq_labels[k] for k in eq_rows]
     if in_rows.size < model.num_in:
         g_in, h_in = g_in[in_rows], h_in[in_rows]
-        in_labels = [in_labels[k] for k in in_rows]
     if quad_rows.size < len(quad):
         quad = quad.take(quad_rows)
 
@@ -613,13 +640,19 @@ def substitute_columns(model: StandardModel, fixed: dict[int, float],
                                         + model.obj_lin[fix_j] @ fix_v)
     reduced = StandardModel(
         nk, obj_quad, obj_lin, obj_const, a_eq, b_eq, g_in, h_in, quad,
-        lb, ub, model.integrality[keep], eq_labels, in_labels)
+        lb, ub, model.integrality[keep])
     return Reduction(True, reduced, keep, eq_rows, in_rows, quad_rows)
 
 
 @dataclass
 class FeasReport:
-    """Outcome of a direct point-against-model feasibility check."""
+    """Outcome of a direct point-against-model feasibility check.
+
+    ``worst`` lists up to 20 violations, largest first, as ``(block, k,
+    value)``: row ``k`` of block ``EQ``, ``IN`` or ``QUAD``, or column ``k``
+    under ``"bounds"`` or ``"integrality"``. The model's ``VarIndex`` names
+    them.
+    """
 
     ok: bool
     max_eq: float
@@ -627,7 +660,7 @@ class FeasReport:
     max_quad: float
     max_bound: float
     max_integrality: float
-    worst: list[tuple[str, float]] = field(default_factory=list)
+    worst: list[tuple[str, int, float]] = field(default_factory=list)
 
     @property
     def max_violation(self) -> float:
@@ -641,36 +674,25 @@ def check_point(model: StandardModel, x: np.ndarray, tol: float,
 
     Violations are absolute; a point passes when every violation is <= tol.
     """
-    worst: list[tuple[str, float]] = []
-
-    def note(label, v):
-        if v > tol:
-            worst.append((label, float(v)))
-
     eq_res = np.abs(model.a_eq @ x - model.b_eq) if model.num_eq else np.zeros(0)
-    for k in np.flatnonzero(eq_res > tol):
-        note(model.eq_labels[k], eq_res[k])
     in_res = (model.g_in @ x - model.h_in) if model.num_in else np.zeros(0)
-    for k in np.flatnonzero(in_res > tol):
-        note(model.in_labels[k], in_res[k])
     quad_res = model.quad_ineq.value(x)
-    for k in np.flatnonzero(quad_res > tol):
-        note(model.quad_ineq.labels[k], quad_res[k])
     bound_res = np.maximum(model.lb - x, x - model.ub)
     bound_res[~np.isfinite(bound_res)] = 0.0
-    for k in np.flatnonzero(bound_res > tol):
-        note(f"bounds[col {k}]", bound_res[k])
-    int_res = np.zeros(0)
-    if check_integrality and model.integrality.any():
+    int_res = np.zeros(model.num_vars)
+    if check_integrality:
         xi = x[model.integrality]
-        int_res = np.abs(xi - np.round(xi))
-        for k in np.flatnonzero(int_res > tol):
-            note("integrality", int_res[k])
+        int_res[model.integrality] = np.abs(xi - np.round(xi))
+
+    parts = ((EQ, eq_res), (IN, in_res), (QUAD, quad_res),
+             ("bounds", bound_res), ("integrality", int_res))
+    worst = [(block, int(k), float(res[k])) for block, res in parts
+             for k in np.flatnonzero(res > tol)]
+    worst.sort(key=lambda t: -t[2])
 
     def mx(a):
         return float(a.max()) if a.size else 0.0
 
-    worst.sort(key=lambda t: -t[1])
     return FeasReport(not worst, mx(eq_res), mx(in_res), mx(quad_res),
                       mx(bound_res), mx(int_res), worst[:20])
 
@@ -701,92 +723,66 @@ def area_views(model: StandardModel, inst: NetworkInstance,
                index: VarIndex) -> list[AreaView]:
     """Partition columns and rows by owning area.
 
-    Internal-pipe variables belong to the pipe's area; each tie-pipe flow
-    orientation belongs to its observing (from) node's area. Coupling rows are
-    the tie-bus power balances and tie reciprocity rows.
+    Each column and row belongs to the area of the entity that owns its key:
+    a generator takes its bus's area and a gas source its node's; a pipe's
+    columns and rows take the area of the pipe's from-node, so each tie-pipe
+    flow orientation belongs to its observing node's area. Coupling rows are
+    the equality rows that reference another area's columns: the tie-bus
+    power balances and the tie reciprocity rows. Raises ModelError when an
+    inequality row references another area's columns.
     """
-    bus_area = {b.id: b.area for b in inst.buses}
-    node_area = {n.id: n.area for n in inst.gas_nodes}
-    gen_area = {g.id: bus_area[g.bus] for g in inst.generators}
-    src_area = {s.id: node_area[s.node] for s in inst.gas_sources}
+    area = {("bus", b.id): b.area for b in inst.buses}
+    area.update((("node", nd.id), nd.area) for nd in inst.gas_nodes)
+    area.update((("gen", g.id), area["bus", g.bus]) for g in inst.generators)
+    area.update((("source", s.id), area["node", s.node])
+                for s in inst.gas_sources)
+    owners = [index.owners(block) for block in (COL, EQ, IN, QUAD)]
+    entity_area = np.array([area[e] for e in index.entities], dtype=int)
+    col_area, eq_area, in_area, quad_area = (entity_area[o] for o in owners)
 
-    col_area = np.zeros(model.num_vars, dtype=int)
-    for key, j in index.items():
-        kind, owner = key[0], key[1]
-        if kind in (P, DGU):
-            col_area[j] = gen_area[owner]
-        elif kind == THETA:
-            col_area[j] = bus_area[owner]
-        elif kind == GS:
-            col_area[j] = src_area[owner]
-        elif kind == PSI:
-            col_area[j] = node_area[owner]
-        else:
-            col_area[j] = node_area[owner[0]]
+    def crossing(mat, row_area):
+        """Row and column of every entry outside its row's area."""
+        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+        out = col_area[mat.indices] != row_area[rows]
+        return rows[out], mat.indices[out].astype(int)
 
-    # row owner: area of the first column, except balance rows which belong
-    # to their entity's area (power balance rows can reference foreign theta)
-    a_csr = model.a_eq
-    eq_owner = np.zeros(model.num_eq, dtype=int)
-    eq_coupling = np.zeros(model.num_eq, dtype=bool)
-    for k in range(model.num_eq):
-        cols = a_csr.indices[a_csr.indptr[k]:a_csr.indptr[k + 1]]
-        areas = set(col_area[cols])
-        label = model.eq_labels[k]
-        if label.startswith("power_balance["):
-            eq_owner[k] = bus_area[label[len("power_balance["):-1]]
-        elif label.startswith("gas_balance["):
-            eq_owner[k] = node_area[label[len("gas_balance["):-1]]
-        else:
-            eq_owner[k] = col_area[cols[0]]
-        if len(areas) > 1:
-            eq_coupling[k] = True
-
-    g_csr = model.g_in
-    in_owner = np.zeros(model.num_in, dtype=int)
-    for k in range(model.num_in):
-        cols = g_csr.indices[g_csr.indptr[k]:g_csr.indptr[k + 1]]
-        in_owner[k] = col_area[cols[0]]
-        if len(set(col_area[cols])) != 1:
-            raise ModelError(
-                f"inequality row {model.in_labels[k]} crosses areas")
-
-    quad_owner = np.array([gen_area[label[len("gas_conversion["):-1]]
-                           for label in model.quad_ineq.labels], dtype=int)
-
+    in_rows, _ = crossing(model.g_in, in_area)
+    if in_rows.size:
+        raise ModelError(f"inequality row {index.row_name(IN, in_rows[0])} "
+                         "crosses areas")
+    eq_rows, eq_cols = crossing(model.a_eq, eq_area)
     views = []
     for a in range(1, inst.num_areas + 1):
-        owned_eq = np.flatnonzero(eq_owner == a)
-        coupling = np.flatnonzero((eq_owner == a) & eq_coupling)
-        foreign = set()
-        for k in coupling:
-            cols = a_csr.indices[a_csr.indptr[k]:a_csr.indptr[k + 1]]
-            foreign.update(int(j) for j in cols if col_area[j] != a)
+        mine = eq_area[eq_rows] == a
         views.append(AreaView(
             area=a,
             owned_cols=np.flatnonzero(col_area == a),
-            owned_eq_rows=owned_eq,
-            owned_in_rows=np.flatnonzero(in_owner == a),
-            owned_quad_rows=np.flatnonzero(quad_owner == a)
-            if quad_owner.size else np.zeros(0, dtype=int),
-            coupling_eq_rows=coupling,
-            foreign_cols=np.array(sorted(foreign), dtype=int),
+            owned_eq_rows=np.flatnonzero(eq_area == a),
+            owned_in_rows=np.flatnonzero(in_area == a),
+            owned_quad_rows=np.flatnonzero(quad_area == a),
+            coupling_eq_rows=np.unique(eq_rows[mine]),
+            foreign_cols=np.unique(eq_cols[mine]),
         ))
     return views
 
 
-def dump_model(model: StandardModel, index: VarIndex | None = None) -> str:
+def dump_model(model: StandardModel, index: VarIndex) -> str:
     """Plain-text standard-form export for external cross-checks.
 
     Format: a ``var`` line per column (name, bounds, integrality, objective
     coefficients), the objective constant, then one line per equality,
-    inequality and quadratic row listing ``coef*name`` terms.
+    inequality and quadratic row listing ``coef*name`` terms. ``index`` must
+    be the one built with ``model`` (or the model it was relaxed from).
     """
-    name = index.name if index is not None else (lambda j: f"x{j}")
+    names = {block: index.names(block) for block in (COL, EQ, IN, QUAD)}
+    if [len(v) for v in names.values()] != [model.num_vars, model.num_eq,
+                                            model.num_in, len(model.quad_ineq)]:
+        raise ModelError("the index does not name this model's columns and rows")
+    name = names[COL]
     out = [f"vars {model.num_vars}"]
     for j in range(model.num_vars):
         tag = " int" if model.integrality[j] else ""
-        out.append(f"var {name(j)} in [{model.lb[j]:.17g}, {model.ub[j]:.17g}]"
+        out.append(f"var {name[j]} in [{model.lb[j]:.17g}, {model.ub[j]:.17g}]"
                    f"{tag} quad {model.obj_quad[j]:.17g} lin {model.obj_lin[j]:.17g}")
     out.append(f"objective_const {model.obj_const:.17g}")
 
@@ -799,20 +795,18 @@ def dump_model(model: StandardModel, index: VarIndex | None = None) -> str:
 
     def csr_terms(mat):
         rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-        return by_row(rows, [f"{c:.17g}*{name(j)}" for j, c
+        return by_row(rows, [f"{c:.17g}*{name[j]}" for j, c
                              in zip(mat.indices, mat.data)], mat.shape[0])
 
-    for label, terms, rhs in zip(model.eq_labels, csr_terms(model.a_eq),
-                                 model.b_eq):
+    for label, terms, rhs in zip(names[EQ], csr_terms(model.a_eq), model.b_eq):
         out.append(f"eq {label}: {terms} = {rhs:.17g}")
-    for label, terms, rhs in zip(model.in_labels, csr_terms(model.g_in),
-                                 model.h_in):
+    for label, terms, rhs in zip(names[IN], csr_terms(model.g_in), model.h_in):
         out.append(f"le {label}: {terms} <= {rhs:.17g}")
     qb = model.quad_ineq
-    quad = by_row(qb.q_row, [f"{c:.17g}*{name(j)}^2"
+    quad = by_row(qb.q_row, [f"{c:.17g}*{name[j]}^2"
                              for j, c in zip(qb.q_col, qb.q_coef)], len(qb))
-    lin = by_row(qb.l_row, [f"{c:.17g}*{name(j)}"
+    lin = by_row(qb.l_row, [f"{c:.17g}*{name[j]}"
                             for j, c in zip(qb.l_col, qb.l_coef)], len(qb))
-    for label, q, l, d in zip(qb.labels, quad, lin, qb.d):
+    for label, q, l, d in zip(names[QUAD], quad, lin, qb.d):
         out.append(f"qle {label}: {q} + {l} + {d:.17g} <= 0")
     return "\n".join(out) + "\n"

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, MissingBounds
+from .errors import ConfigError, MissingBounds, OutOfRange
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ class PwaCurve:
         for s in self.segments:
             if s.contains(phi):
                 return s
-        raise ValueError(f"flow {phi} outside [{-self.phi_cap}, {self.phi_cap}]")
+        raise OutOfRange(f"flow {phi} outside [{-self.phi_cap}, {self.phi_cap}]")
 
     def value(self, phi: float) -> float:
         return self.segment_for(phi).value(phi)
@@ -135,14 +135,29 @@ def max_region_error(seg: PwaSegment, c_f: float) -> float:
 # mixed-logical block emission
 # ---------------------------------------------------------------------------
 
+def key_label(key: tuple) -> str:
+    """Label of a model column or row key ``(kind, owner)`` or ``(kind,
+    owner, m)``: ``kind[owner]`` or ``kind[owner,m]``, where a directed pipe
+    owner ``(i, j)`` reads ``i->j``."""
+    owner = key[1]
+    owner = f"{owner[0]}->{owner[1]}" if isinstance(owner, tuple) else owner
+    if len(key) == 3:
+        return f"{key[0]}[{owner},{key[2]}]"
+    return f"{key[0]}[{owner}]"
+
+
 @dataclass(frozen=True)
 class Row:
-    """Sparse linear row ``sum(coef * col) (<=|=) rhs``."""
+    """Sparse linear row ``sum(coef * col) (<=|=) rhs`` with its key."""
 
     cols: tuple[int, ...]
     coefs: tuple[float, ...]
     rhs: float
-    label: str
+    key: tuple
+
+    @property
+    def label(self) -> str:
+        return key_label(self.key)
 
 
 @dataclass
@@ -211,18 +226,18 @@ def emit_mld(pipe, curve: PwaCurve, cfg: PwaConfig, col, psi_bounds,
                      num_extra_continuous=1 + r)
     ineq = block.ineq_rows
 
-    def le(cols, coefs, rhs, label):
-        ineq.append(Row(tuple(cols), tuple(coefs), rhs, label))
+    def le(cols, coefs, rhs, kind, *m):
+        ineq.append(Row(tuple(cols), tuple(coefs), rhs, (kind, key, *m)))
 
     # 1. pressure-order logic: [dpsi = 1] <-> [psi_i >= psi_j]
     le((c_psi_i, c_psi_j, c_dpsi), (-1.0, 1.0, -(psi_lo_i - psi_hi_j)),
-       -(psi_lo_i - psi_hi_j), f"psi_order_up[{name}]")
+       -(psi_lo_i - psi_hi_j), "psi_order_up")
     le((c_psi_i, c_psi_j, c_dpsi), (1.0, -1.0, -(psi_hi_i - psi_lo_j) - eps),
-       -eps, f"psi_order_dn[{name}]")
+       -eps, "psi_order_dn")
 
     # 2. flow-sign logic: [dpsi = 1] <-> [phi >= 0]
-    le((c_phi, c_dpsi), (-1.0, phi_cap), phi_cap, f"flow_sign_up[{name}]")
-    le((c_phi, c_dpsi), (1.0, -phi_cap - eps), -eps, f"flow_sign_dn[{name}]")
+    le((c_phi, c_dpsi), (-1.0, phi_cap), phi_cap, "flow_sign_up")
+    le((c_phi, c_dpsi), (1.0, -phi_cap - eps), -eps, "flow_sign_dn")
 
     # 3. region logic per segment: [delta_m = 1] <-> [lo_m <= phi <= hi_m],
     #    via alpha_m = [phi <= hi_m], beta_m = [phi >= lo_m], delta = alpha AND beta
@@ -231,49 +246,46 @@ def emit_mld(pipe, curve: PwaCurve, cfg: PwaConfig, col, psi_bounds,
         c_al = col("alpha", key, m)
         c_be = col("beta", key, m)
         c_dm = col("dm", key, m)
-        le((c_phi, c_al), (1.0, phi_cap - seg.hi), phi_cap,
-           f"reg_hi_up[{name},{m}]")
+        le((c_phi, c_al), (1.0, phi_cap - seg.hi), phi_cap, "reg_hi_up", m)
         le((c_phi, c_al), (-1.0, -phi_cap - seg.hi - eps), -seg.hi - eps,
-           f"reg_hi_dn[{name},{m}]")
-        le((c_phi, c_be), (-1.0, phi_cap + seg.lo), phi_cap,
-           f"reg_lo_up[{name},{m}]")
+           "reg_hi_dn", m)
+        le((c_phi, c_be), (-1.0, phi_cap + seg.lo), phi_cap, "reg_lo_up", m)
         le((c_phi, c_be), (1.0, -phi_cap + seg.lo - eps), seg.lo - eps,
-           f"reg_lo_dn[{name},{m}]")
-        le((c_al, c_dm), (-1.0, 1.0), 0.0, f"reg_and_a[{name},{m}]")
-        le((c_be, c_dm), (-1.0, 1.0), 0.0, f"reg_and_b[{name},{m}]")
-        le((c_al, c_be, c_dm), (1.0, 1.0, -1.0), 1.0, f"reg_and_c[{name},{m}]")
+           "reg_lo_dn", m)
+        le((c_al, c_dm), (-1.0, 1.0), 0.0, "reg_and_a", m)
+        le((c_be, c_dm), (-1.0, 1.0), 0.0, "reg_and_b", m)
+        le((c_al, c_be, c_dm), (1.0, 1.0, -1.0), 1.0, "reg_and_c", m)
 
     # 4. product linearization y_m = delta_m * phi (bounds +-phi_cap)
     for seg in curve.segments:
         m = seg.m
         c_ym = col("ym", key, m)
         c_dm = col("dm", key, m)
-        le((c_ym, c_dm), (-1.0, -phi_cap), 0.0, f"prod_f_lb[{name},{m}]")
-        le((c_ym, c_phi, c_dm), (1.0, -1.0, phi_cap), phi_cap,
-           f"prod_f_ub[{name},{m}]")
-        le((c_ym, c_dm), (1.0, -phi_cap), 0.0, f"prod_f_cap[{name},{m}]")
+        le((c_ym, c_dm), (-1.0, -phi_cap), 0.0, "prod_f_lb", m)
+        le((c_ym, c_phi, c_dm), (1.0, -1.0, phi_cap), phi_cap, "prod_f_ub", m)
+        le((c_ym, c_dm), (1.0, -phi_cap), 0.0, "prod_f_cap", m)
         le((c_ym, c_phi, c_dm), (-1.0, 1.0, phi_cap), phi_cap,
-           f"prod_f_floor[{name},{m}]")
+           "prod_f_floor", m)
 
     # 5. product linearization ypsi = dpsi * psi_i (bounds [psi_lo_i, psi_hi_i])
-    le((c_ypsi, c_dpsi), (-1.0, psi_lo_i), 0.0, f"prod_p_lb[{name}]")
+    le((c_ypsi, c_dpsi), (-1.0, psi_lo_i), 0.0, "prod_p_lb")
     le((c_ypsi, c_psi_i, c_dpsi), (1.0, -1.0, -psi_lo_i), -psi_lo_i,
-       f"prod_p_ub[{name}]")
-    le((c_ypsi, c_dpsi), (1.0, -psi_hi_i), 0.0, f"prod_p_cap[{name}]")
+       "prod_p_ub")
+    le((c_ypsi, c_dpsi), (1.0, -psi_hi_i), 0.0, "prod_p_cap")
     le((c_ypsi, c_psi_i, c_dpsi), (-1.0, 1.0, psi_hi_i), psi_hi_i,
-       f"prod_p_floor[{name}]")
+       "prod_p_floor")
+
+    def eq(cols, coefs, rhs, kind):
+        block.eq_rows.append(Row(tuple(cols), tuple(coefs), rhs, (kind, key)))
 
     # region simplex: exactly one active segment
-    block.eq_rows.append(Row(
-        tuple(col("dm", key, m) for m in range(1, r + 1)),
-        tuple(1.0 for _ in range(r)), 1.0, f"simplex[{name}]"))
+    eq([col("dm", key, m) for m in range(1, r + 1)], [1.0] * r, 1.0, "simplex")
 
     if pair_rows:
         # linearized flow equality coupling the two orientations:
         # sum_m (a_m y_m + b_m d_m) - 2 ypsi_ij - 2 ypsi_ji + psi_i + psi_j = 0
         cols = []
         coefs = []
-        rhs = 0.0
         for seg in curve.segments:
             cols.append(col("ym", key, seg.m))
             coefs.append(seg.a)
@@ -281,13 +293,8 @@ def emit_mld(pipe, curve: PwaCurve, cfg: PwaConfig, col, psi_bounds,
             coefs.append(seg.b)
         cols += [c_ypsi, col("ypsi", mirror), c_psi_i, c_psi_j]
         coefs += [-2.0, -2.0, 1.0, 1.0]
-        block.eq_rows.append(Row(tuple(cols), tuple(coefs), rhs,
-                                 f"pwa_flow[{name}]"))
-        block.eq_rows.append(Row(
-            (c_phi, col("phi", mirror)), (1.0, 1.0), 0.0,
-            f"reciprocity[{name}]"))
-        block.eq_rows.append(Row(
-            (c_dpsi, col("dpsi", mirror)), (1.0, 1.0), 1.0,
-            f"dpsi_link[{name}]"))
+        eq(cols, coefs, 0.0, "pwa_flow")
+        eq((c_phi, col("phi", mirror)), (1.0, 1.0), 0.0, "reciprocity")
+        eq((c_dpsi, col("dpsi", mirror)), (1.0, 1.0), 1.0, "dpsi_link")
 
     return block

@@ -19,7 +19,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import CertificationBug, ModelError, OutOfRange, SolverFailure
-from .mipbuild import ALPHA, BETA, DM, DPSI, PSI, StandardModel, VarIndex, YM, YPSI, check_point
+from .mipbuild import (ALPHA, BETA, DM, DPSI, EQ, IN, PSI, QUAD, StandardModel,
+                       VarIndex, YM, YPSI, check_point)
 from .pwa import PwaCurve
 
 CERT_OPTIMAL = "Optimal"
@@ -275,7 +276,9 @@ def assemble_and_certify(u0: np.ndarray, assignment: BinaryAssignment,
 
     # certify from the assembled point itself: worst residual of the coupled
     # flow equalities equals the pressure objective at the recovered point
-    j_direct = _flow_equality_mismatch(u_star, model)
+    rows = index.rows(EQ, "pwa_flow")
+    j_direct = float(np.abs(model.a_eq[rows] @ u_star - model.b_eq[rows])
+                     .max(initial=0.0))
     kind = CERT_OPTIMAL if j_direct <= cert_tol else CERT_APPROXIMATE
     cert = Certificate(kind, j_direct)
     result = RecoveryResult(psi_tilde=dict(psi_tilde), j_psi=j_direct,
@@ -284,18 +287,11 @@ def assemble_and_certify(u0: np.ndarray, assignment: BinaryAssignment,
         rep = check_point(model, u_star, feas_tol * (1.0 + 1e-9),
                           check_integrality=True)
         if not rep.ok:
-            raise CertificationBug(
-                f"certified point violates {rep.worst[:3]}")
+            where = [(index.row_name(block, k) if block in (EQ, IN, QUAD)
+                      else f"{block}[{index.name(k)}]", v)
+                     for block, k, v in rep.worst[:3]]
+            raise CertificationBug(f"certified point violates {where}")
     return result
-
-
-def _flow_equality_mismatch(u: np.ndarray, model: StandardModel) -> float:
-    worst = 0.0
-    for k, label in enumerate(model.eq_labels):
-        if label.startswith("pwa_flow["):
-            value = model.a_eq.getrow(k).dot(u)[0]
-            worst = max(worst, abs(value - model.b_eq[k]))
-    return worst
 
 
 def weymouth_deviation(phi_star: dict[tuple[str, str], float],

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from .convexsolve import (ConsensusOptions, INFEASIBLE, SolveOptions,
                           Solution, solve_consensus, solve_convex)
 from .errors import OgpfError
-from .mipbuild import PHI, StandardModel, VarIndex, area_views, build_model, fit_all_curves, relax
-from .netmodel import NetworkInstance, classify_edges
+from .mipbuild import PHI, StandardModel, VarIndex, area_views, build_model, relax
+from .netmodel import NetworkInstance
 from .pwa import PwaConfig
 from .recovery import (RecoveryResult, assemble_and_certify,
                        build_pressure_lp, recover_binaries, solve_pressure_lp,
@@ -70,7 +70,7 @@ def solve_two_stage(inst: NetworkInstance, r: int, *, epsilon: float = 1e-6,
     cfg = PwaConfig(r=r, epsilon=epsilon)
     model, index = build_model(inst, cfg)
     relaxed = relax(model)
-    curves = fit_all_curves(inst, cfg)
+    curves = index.curves
 
     t0 = time.perf_counter()
     if mode == CONSENSUS:
@@ -85,19 +85,18 @@ def solve_two_stage(inst: NetworkInstance, r: int, *, epsilon: float = 1e-6,
     if sol.status == INFEASIBLE:
         raise OgpfError("stage 1: relaxed problem is infeasible")
 
-    edges = classify_edges(inst)
     # stage-2 quantities use reciprocity-symmetrized flows so that solver
     # noise between the two orientations (relevant for consensus mode) does
-    # not leak into the pressure targets; exact solves are unaffected
+    # not leak into the pressure targets; exact solves are unaffected. The
+    # curves list each pipe's orientations adjacently, stored one first.
     phi_star = {}
-    for k in range(0, len(edges.internal_pipes_directed), 2):
-        dp = edges.internal_pipes_directed[k]
-        mirror = edges.internal_pipes_directed[k + 1]
-        phi = 0.5 * (float(sol.x[index.col(PHI, dp.key)])
-                     - float(sol.x[index.col(PHI, mirror.key)]))
-        phi_star[dp.key] = phi
-        phi_star[mirror.key] = -phi
-    c_f = {dp.key: dp.weymouth_c for dp in edges.internal_pipes_directed}
+    keys = list(curves)
+    for key, mirror in zip(keys[::2], keys[1::2]):
+        phi = 0.5 * (float(sol.x[index.col(PHI, key)])
+                     - float(sol.x[index.col(PHI, mirror)]))
+        phi_star[key] = phi
+        phi_star[mirror] = -phi
+    c_f = {key: curve.c_f for key, curve in curves.items()}
     psi_bounds = {nd.id: (nd.psi_min, nd.psi_max) for nd in inst.gas_nodes}
 
     # certification re-checks the point against every row; that can only be

@@ -30,7 +30,7 @@ def small2area_model(small2area):
 
 def no_quad(n):
     """A block of zero quadratic rows over ``n`` columns."""
-    return QuadBlock(n, [], [], [], [], [], [], [], [])
+    return QuadBlock(n, [], [], [], [], [], [], [])
 
 
 def make_instance(*, num_areas=1, buses=None, lines=None, generators=None,

@@ -19,7 +19,7 @@ def _box_qp(q, c, lb, ub, const=0.0):
         n, np.asarray(q, float), np.asarray(c, float), const,
         sp.csr_matrix((0, n)), np.zeros(0), sp.csr_matrix((0, n)),
         np.zeros(0), no_quad(n), np.asarray(lb, float), np.asarray(ub, float),
-        np.zeros(n, dtype=bool), [], [])
+        np.zeros(n, dtype=bool))
 
 
 def test_clipped_unconstrained_minimizer():
@@ -55,7 +55,7 @@ def test_linear_screen_rejects_contradictory_balance():
     model = StandardModel(
         2, np.zeros(2), np.zeros(2), 0.0, sp.csr_matrix([[1.0, 1.0]]),
         np.array([3.0]), sp.csr_matrix((0, 2)), np.zeros(0), no_quad(2),
-        np.zeros(2), np.ones(2), np.zeros(2, dtype=bool), ["sum"], [])
+        np.zeros(2), np.ones(2), np.zeros(2, dtype=bool))
     assert linear_infeasible(model, SolveOptions())
     assert solve_convex(model).status == "Infeasible"
 
@@ -65,9 +65,8 @@ def test_quadratic_only_infeasibility_passes_screen_and_hits_probe():
     model = StandardModel(
         2, np.zeros(2), np.array([1.0, 0.0]), 0.0, sp.csr_matrix((0, 2)),
         np.zeros(0), sp.csr_matrix((0, 2)), np.zeros(0),
-        QuadBlock(2, [0], [0], [1.0], [0], [1], [-1.0], [0.0], ["x2_le_y"]),
-        np.array([1.0, 0.0]), np.array([2.0, 0.5]), np.zeros(2, dtype=bool),
-        [], [])
+        QuadBlock(2, [0], [0], [1.0], [0], [1], [-1.0], [0.0]),
+        np.array([1.0, 0.0]), np.array([2.0, 0.5]), np.zeros(2, dtype=bool))
     assert not linear_infeasible(model, SolveOptions())
     assert solve_convex(model).status == "Infeasible"
 
@@ -175,7 +174,7 @@ def test_consensus_two_area_toy_averages_minimizers():
         sp.csr_matrix(np.array([[1.0, -1.0]])), np.zeros(1),
         sp.csr_matrix((0, 2)), np.zeros(0), no_quad(2),
         np.array([-10.0, -10.0]), np.array([10.0, 10.0]),
-        np.zeros(2, dtype=bool), ["consensus"], [])
+        np.zeros(2, dtype=bool))
     views = [
         AreaView(1, np.array([0]), np.array([0]), np.zeros(0, int),
                  np.zeros(0, int), np.array([0]), np.array([1])),
@@ -222,3 +221,13 @@ def test_consensus_records_residual_history(instances):
     assert len(dis.history) == dis.iterations
     final_primal, _ = dis.history[-1]
     assert final_primal <= opts.primal_tol
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SolveOptions(feas_tol=0.0),
+    lambda: SolveOptions(max_iter=0),
+    lambda: ConsensusOptions(rho=0.0),
+])
+def test_bad_options_raise_config_error(make):
+    with pytest.raises(ogpf.ConfigError):
+        make()

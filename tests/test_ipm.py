@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -54,13 +55,16 @@ def test_quad_block_matches_rows():
     # rows: 1.5 x0^2 + 0.5 x2^2 - x0 + 2 x1 + 3,  4 x2 - 1,  2 x1^2 + 0.5
     block = QuadBlock(3, [0, 0, 2], [0, 2, 1], [1.5, 0.5, 2.0],
                       [0, 0, 1], [0, 1, 2], [-1.0, 2.0, 4.0],
-                      [3.0, -1.0, 0.5], ["a", "b", "c"])
+                      [3.0, -1.0, 0.5])
     x = np.array([0.3, -1.2, 2.5])
     mu = np.array([0.7, 1.1, 0.4])
     value, grad = _reference_rows(block, x)
     jac = np.zeros((3, 3))
     jac[block.j_row, block.j_col] = block.jac(x)
-    assert len(block) == 3 and block.labels == ["a", "b", "c"]
+    # the block holds numbers only; the model's VarIndex names its rows
+    assert len(block) == 3 and all(
+        isinstance(getattr(block, f.name), (int, np.ndarray))
+        for f in dataclasses.fields(block))
     assert np.allclose(block.value(x), value)
     assert np.allclose(jac, grad)
     assert np.allclose(block.jac_t(block.jac(x), mu), grad.T @ mu)
@@ -126,8 +130,7 @@ def test_equality_qp_uses_single_solve():
     model = StandardModel(
         2, np.ones(2), np.zeros(2), 0.0, sp.csr_matrix([[1.0, 1.0]]),
         np.array([2.0]), sp.csr_matrix((0, 2)), np.zeros(0), no_quad(2),
-        np.full(2, -np.inf), np.full(2, np.inf), np.zeros(2, dtype=bool),
-        ["sum"], [])
+        np.full(2, -np.inf), np.full(2, np.inf), np.zeros(2, dtype=bool))
     res = solve_ipm(model, 1e-9, 1e-9, 50)
     assert res.status == "optimal" and res.iterations == 1
     assert np.allclose(res.x, [1.0, 1.0])
@@ -138,7 +141,7 @@ def test_inconsistent_vanished_row_skips_engine_and_probe(monkeypatch):
     model = StandardModel(
         1, np.ones(1), np.zeros(1), 0.0, sp.csr_matrix((1, 1)),
         np.array([1.0]), sp.csr_matrix((0, 1)), np.zeros(0), no_quad(1),
-        np.zeros(1), np.ones(1), np.zeros(1, dtype=bool), ["empty"], [])
+        np.zeros(1), np.ones(1), np.zeros(1, dtype=bool))
     calls = []
     ipm = ogpf.convexsolve.solve_ipm
 

@@ -1,12 +1,16 @@
+import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import ogpf
-from ogpf.mipbuild import (QuadBlock, StandardModel, area_views, build_model,
-                           check_point, dump_model, relax, substitute_columns)
+import ogpf.mipbuild
+from ogpf.mipbuild import (QuadBlock, StandardModel, VarIndex, area_views,
+                           build_model, check_point, dump_model, relax,
+                           substitute_columns)
 from ogpf.pwa import PwaConfig
 
 from conftest import make_instance, small_witness_point
@@ -17,19 +21,25 @@ def test_small2area_row_and_column_counts(small2area_model):
     # 4 power + 5 gas + 1 tie reciprocity + 3 internal reciprocity
     # + 3 coupled flow equalities + 6 simplex + 3 sign links
     assert model.num_eq == 25
-    labels = model.eq_labels
-    assert sum(l.startswith("power_balance") for l in labels) == 4
-    assert sum(l.startswith("gas_balance") for l in labels) == 5
-    assert sum(l.startswith("tie_reciprocity") for l in labels) == 1
-    assert sum(l.startswith("reciprocity") for l in labels) == 3
-    assert sum(l.startswith("pwa_flow") for l in labels) == 3
-    assert sum(l.startswith("simplex") for l in labels) == 6
-    assert sum(l.startswith("dpsi_link") for l in labels) == 3
+
+    def count(kind):
+        return index.rows("eq", kind).size
+
+    assert count("power_balance") == 4
+    assert count("gas_balance") == 5
+    assert count("tie_reciprocity") == 1
+    assert count("reciprocity") == 3
+    assert count("pwa_flow") == 3
+    assert count("simplex") == 6
+    assert count("dpsi_link") == 3
     # (8 + 11r) big-M rows per orientation at r=2
     assert model.num_in == 6 * 30
     assert len(model.quad_ineq) == 1
     assert int(model.integrality.sum()) == 6 * 7
     assert model.num_vars == 83
+    # the model holds numbers only; the index names its rows
+    assert not any(isinstance(getattr(model, f.name), (str, list))
+                   for f in dataclasses.fields(model))
 
 
 def test_bus_without_generator_balances_line_flows():
@@ -43,7 +53,7 @@ def test_bus_without_generator_balances_line_flows():
                                    cost_c2=1e-5, cost_c1=0.02, cost_c0=0.0)],
     )
     model, index = build_model(inst, PwaConfig(r=2))
-    k = model.eq_labels.index("power_balance[b2]")
+    k = index.names("eq").index("power_balance[b2]")
     row = model.a_eq.getrow(k)
     assert model.b_eq[k] == 0.0
     cols = dict(zip(row.indices, row.data))
@@ -62,7 +72,7 @@ def test_gas_conversion_row_floor():
     )
     model, index = build_model(inst, PwaConfig(r=2))
     quad = model.quad_ineq
-    assert quad.labels == ["gas_conversion[g2]"]
+    assert index.names("quad") == ["gas_conversion[g2]"]
     x = np.zeros(model.num_vars)
     x[index.col("p", "g2")] = 2.0
     x[index.col("dgu", "g2")] = 3.9
@@ -106,8 +116,8 @@ def test_build_is_deterministic(small2area):
     cfg = PwaConfig(r=4)
     m1, i1 = build_model(small2area, cfg)
     m2, i2 = build_model(small2area, cfg)
-    assert m1.eq_labels == m2.eq_labels
-    assert m1.in_labels == m2.in_labels
+    assert i1.names("eq") == i2.names("eq")
+    assert i1.names("in") == i2.names("in")
     assert (m1.a_eq != m2.a_eq).nnz == 0
     assert (m1.g_in != m2.g_in).nnz == 0
     assert np.array_equal(m1.b_eq, m2.b_eq)
@@ -122,7 +132,7 @@ def test_area_views_partition_and_coupling(instances, small2area_model):
     assert len(views) == 2
     cols = np.concatenate([v.owned_cols for v in views])
     assert sorted(cols) == list(range(model.num_vars))
-    coupling = [model.eq_labels[int(k)] for v in views
+    coupling = [index.row_name("eq", int(k)) for v in views
                 for k in v.coupling_eq_rows]
     assert sorted(coupling) == ["power_balance[b2]", "power_balance[b3]",
                                 "tie_reciprocity[n3->n4]"]
@@ -131,6 +141,19 @@ def test_area_views_partition_and_coupling(instances, small2area_model):
     (view,) = area_views(single, instances["single1area"], sindex)
     assert view.coupling_eq_rows.size == 0
     assert view.owned_cols.size == single.num_vars
+
+
+def test_area_views_rejects_an_inequality_across_areas(instances,
+                                                      small2area_model):
+    model, index = small2area_model
+    g_in = model.g_in.tolil()
+    # row 0 belongs to a pipe of area 1; node n5 lies in area 2
+    g_in[0, index.col("psi", "n5")] = 1.0
+    bad = model.copy()
+    bad.g_in = g_in.tocsr()
+    with pytest.raises(ogpf.ModelError,
+                       match=re.escape(index.row_name("in", 0))):
+        area_views(bad, instances["small2area"], index)
 
 
 def test_substitute_columns_fixes_and_offsets(small2area_model):
@@ -176,8 +199,8 @@ def test_substitute_columns_drops_vanished_rows():
     model = StandardModel(
         3, np.zeros(3), np.zeros(3), 0.0, sp.csr_matrix([[1.0, 1.0, 0.0]]),
         np.array([2.0]), sp.csr_matrix((0, 3)), np.zeros(0),
-        QuadBlock(3, [0], [0], [1.0], [0], [2], [-1.0], [0.0], ["q"]),
-        np.zeros(3), np.full(3, 5.0), np.zeros(3, dtype=bool), ["sum"], [])
+        QuadBlock(3, [0], [0], [1.0], [0], [2], [-1.0], [0.0]),
+        np.zeros(3), np.full(3, 5.0), np.zeros(3, dtype=bool))
     red = substitute_columns(model, {0: 1.0, 1: 1.0}, {})
     assert red.feasible
     assert red.eq_rows.size == 0 and red.model.num_eq == 0
@@ -223,3 +246,60 @@ def test_dump_model_is_unchanged(instances, name):
     model, index = build_model(instances[name], PwaConfig(r=4))
     text = dump_model(model, index)
     assert hashlib.sha256(text.encode()).hexdigest() == DUMP_SHA256[name]
+
+
+def test_dump_model_rejects_an_index_of_another_model(small2area_model):
+    model, index = small2area_model
+    reduced = substitute_columns(model, {index.col("p", "g1"): 60.0}, {}).model
+    with pytest.raises(ogpf.ModelError):
+        dump_model(reduced, index)
+
+
+def test_duplicate_column_key_is_a_model_error():
+    index = VarIndex()
+    index.add("psi", "n1")
+    with pytest.raises(ogpf.ModelError):
+        index.add("psi", "n1")
+
+
+def test_solve_two_stage_fits_each_curve_once(monkeypatch, small2area):
+    calls = []
+    fit = ogpf.mipbuild.fit_pwa
+
+    def counting_fit(*args, **kw):
+        calls.append(kw["pipe"])
+        return fit(*args, **kw)
+
+    monkeypatch.setattr(ogpf.mipbuild, "fit_pwa", counting_fit)
+    result = ogpf.solve_two_stage(small2area, 4)
+    directed = ogpf.classify_edges(small2area).internal_pipes_directed
+    assert sorted(calls) == sorted(dp.key for dp in directed)
+    assert list(result.index.curves) == [dp.key for dp in directed]
+
+
+def _views_digest(views):
+    h = hashlib.sha256()
+    for v in views:
+        for a in (v.area, v.owned_cols, v.owned_eq_rows, v.owned_in_rows,
+                  v.owned_quad_rows, v.coupling_eq_rows, v.foreign_cols):
+            a = np.asarray(a, dtype=np.int64)
+            h.update(np.int64(a.size).tobytes() + a.tobytes())
+    return h.hexdigest()
+
+
+# sha256 over every array of every AreaView at r=4, recorded while area_views
+# still parsed row labels
+VIEWS_SHA256 = {
+    "small2area": "47746748b72df654a6d2ccef3c2d22fcecbe4054554e6e687d6e5a9e611cb902",
+    "single1area": "7cd18d6c4ae4fd483a664a8fe8eaa1e90633ec52e1650d7dda67cecf62d99aba",
+    "chain2area": "3749bcf5063da93cfeecc60a83e68e046bac58ec52c2cbbd47bfbf54ddd5c0ef",
+    "medium3area": "38357476cc6cc0a90faa7998dce60902085b55b2065d9e40772604be188e9af0",
+    "loop1area": "16de1f55fb01101ddf84f96b92c6ff07837f678aa8134e628b7dc026d7f38066",
+}
+
+
+@pytest.mark.parametrize("name", sorted(VIEWS_SHA256))
+def test_area_views_are_unchanged(instances, name):
+    model, index = build_model(instances[name], PwaConfig(r=4))
+    views = area_views(model, instances[name], index)
+    assert _views_digest(views) == VIEWS_SHA256[name]

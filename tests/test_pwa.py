@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ogpf.errors import ConfigError, MissingBounds
+from ogpf.errors import ConfigError, MissingBounds, OutOfRange
 from ogpf.mipbuild import VarIndex
 from ogpf.netmodel import DirectedPipe
 from ogpf.pwa import PwaConfig, emit_mld, fit_pwa, max_region_error
@@ -208,3 +208,10 @@ def test_missing_bounds_rejected():
     with pytest.raises(MissingBounds):
         emit_mld(DirectedPipe("i", "j", 1.0, 1.0, 1), curve, cfg, index.col,
                  bounds, pair_rows=True)
+
+
+def test_segment_for_rejects_flow_outside_the_grid():
+    curve = fit_pwa(8.0, 150.0, PwaConfig(r=4))
+    assert curve.segment_for(150.0).m == 4
+    with pytest.raises(OutOfRange):
+        curve.segment_for(150.5)
