@@ -14,10 +14,10 @@ from .netmodel import (Bus, GasNode, GasSource, Generator, NetworkInstance,
                        save_instance, scale_demands)
 from .oracle import OracleResult, enumerate_solve
 from .pwa import MldBlock, PwaConfig, PwaCurve, PwaSegment, emit_mld, fit_pwa, max_region_error
-from .recovery import (BinaryAssignment, Certificate, PressureLp,
-                       RecoveryResult, assemble_and_certify,
-                       build_pressure_lp, recover_binaries, solve_pressure_lp,
-                       update_aux, weymouth_deviation)
+from .recovery import (Certificate, PressureLp, RecoveryResult,
+                       assemble_and_certify, build_pressure_lp,
+                       recover_binaries, solve_pressure_lp,
+                       weymouth_deviation)
 from .twostage import TwoStageResult, solve_two_stage
 
 __version__ = "0.1.0"

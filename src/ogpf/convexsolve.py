@@ -11,14 +11,14 @@ subproblems are independent and synchronize at the iteration barrier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .errors import ConfigError, ModelError, NonConvergence
-from .ipm import EngineResult, solve_ipm
+from .ipm import EngineResult, col_scale, solve_ipm
 from .mipbuild import AreaView, QuadBlock, StandardModel, check_point
 
 OPTIMAL = "Optimal"
@@ -67,7 +67,7 @@ class Solution:
 
 
 def _solution_from_engine(model: StandardModel, res: EngineResult,
-                          opts: SolveOptions, status: str) -> Solution:
+                          status: str) -> Solution:
     rep = check_point(model, res.x, tol=np.inf)
     return Solution(
         x=res.x,
@@ -169,13 +169,13 @@ def solve_convex(model: StandardModel, opts: SolveOptions | None = None) -> Solu
         return Solution(np.zeros(model.num_vars), np.nan, INFEASIBLE,
                         Residuals(np.inf, np.inf, np.inf), 0)
     if res.status == "optimal":
-        return _solution_from_engine(model, res, opts, OPTIMAL)
+        return _solution_from_engine(model, res, OPTIMAL)
 
     # engine did not converge: decide feasible-but-slow vs infeasible
     if feasibility_probe(model, opts) > probe_threshold(model, opts):
         return Solution(res.x, np.nan, INFEASIBLE,
                         Residuals(np.inf, np.inf, np.inf), res.iterations)
-    return _solution_from_engine(model, res, opts, MAX_ITER)
+    return _solution_from_engine(model, res, MAX_ITER)
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +218,8 @@ class _AreaProblem:
         local_of = np.full(n, -1, dtype=np.intp)
         local_of[self.global_cols] = np.arange(nloc)
         self.shared_local = local_of[self.shared_global]
-        lo = model.lb[self.shared_global]
-        hi = model.ub[self.shared_global]
-        scale = np.maximum(1.0, np.maximum(
-            np.where(np.isfinite(lo), np.abs(lo), 0.0),
-            np.where(np.isfinite(hi), np.abs(hi), 0.0)))
+        scale = col_scale(model.lb[self.shared_global],
+                          model.ub[self.shared_global])
         self.weights = 1.0 / (scale * scale)
 
         rows_eq = np.asarray(view.owned_eq_rows, dtype=int)
@@ -257,12 +254,14 @@ class _AreaProblem:
         self.x = np.zeros(nloc)
 
     def solve(self, z_vals: np.ndarray, rho: float, opts: SolveOptions) -> None:
-        sub = self.base.copy()
         sl = self.shared_local
         w = rho * self.weights
-        sub.obj_quad[sl] += 0.5 * w
-        sub.obj_lin[sl] += -w * (z_vals - self.u)
-        sol = solve_convex(sub, opts)
+        obj_quad = self.base.obj_quad.copy()
+        obj_lin = self.base.obj_lin.copy()
+        obj_quad[sl] += 0.5 * w
+        obj_lin[sl] += -w * (z_vals - self.u)
+        sol = solve_convex(replace(self.base, obj_quad=obj_quad,
+                                   obj_lin=obj_lin), opts)
         if sol.status == INFEASIBLE:
             raise NonConvergence(
                 "area subproblem infeasible during consensus iteration")
@@ -320,9 +319,7 @@ def solve_consensus(model: StandardModel, views: list[AreaView],
         else:
             z[j] = 0.0
     rho = opts.rho
-    scale_v = {j: max(1.0, abs(model.lb[j]) if np.isfinite(model.lb[j]) else 0.0,
-                      abs(model.ub[j]) if np.isfinite(model.ub[j]) else 0.0)
-               for j in shared_cols}
+    scale_v = col_scale(model.lb, model.ub)
 
     status = MAX_ITER
     it = 0
@@ -349,8 +346,7 @@ def solve_consensus(model: StandardModel, views: list[AreaView],
             zv = np.array([z[int(j)] for j in local_shared[a]])
             diff = p.shared_values() - zv
             p.u = p.u + diff
-            sc = np.array([scale_v[int(j)] for j in local_shared[a]])
-            r_parts.append(np.abs(diff) / sc)
+            r_parts.append(np.abs(diff) / scale_v[local_shared[a]])
         for j in shared_cols:
             d_parts.append(abs(z[j] - z_old[j]) / scale_v[j])
         r_norm = float(np.concatenate(r_parts).max(initial=0.0))

@@ -142,7 +142,9 @@ def _initial_x(lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
     return x
 
 
-def _col_scale(lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
+def col_scale(lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """Box magnitude ``max(1, |lb|, |ub|)`` per column; infinite bounds
+    count as 0."""
     d = np.ones(lb.size)
     fl = np.isfinite(lb)
     fu = np.isfinite(ub)
@@ -204,7 +206,7 @@ def _iterate(model: StandardModel, feas_tol: float, opt_tol: float,
                             0.0, 0.0, 0.0)
 
     # --- scale columns by box magnitude, then rows to unit max coefficient
-    d = _col_scale(model.lb, model.ub)
+    d = col_scale(model.lb, model.ub)
     q = model.obj_quad * d * d
     c = model.obj_lin * d
     lb = model.lb / d

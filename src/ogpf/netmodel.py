@@ -223,20 +223,6 @@ class NetworkInstance:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         _validate_instance(self)
 
-    def bus(self, bus_id: str) -> Bus:
-        return self._bus_map[bus_id]
-
-    def gas_node(self, node_id: str) -> GasNode:
-        return self._node_map[node_id]
-
-    @property
-    def _bus_map(self) -> dict[str, Bus]:
-        return {b.id: b for b in self.buses}
-
-    @property
-    def _node_map(self) -> dict[str, GasNode]:
-        return {n.id: n for n in self.gas_nodes}
-
 
 def _check_unique(ids, what: str):
     seen = set()

@@ -20,6 +20,12 @@ Note the usual strict-inequality artifact of big-M logic encodings: with
 integral binaries the feasible flow set excludes open bands of width
 ``2 * epsilon`` around the interior breakpoints (including 0). Keep nominal
 flows clear of breakpoints by more than ``epsilon``.
+
+This module alone gives the region binaries their meaning. A region
+configuration ``{stored orientation: region}`` names one active region per
+undirected pipe; ``config_columns`` turns it into the binaries and product
+auxiliaries of both orientations. The oracle enumerates configurations and
+stage 2 recovers one, and both pass it through that one function.
 """
 
 from __future__ import annotations
@@ -298,3 +304,56 @@ def emit_mld(pipe, curve: PwaCurve, cfg: PwaConfig, col, psi_bounds,
         eq((c_dpsi, col("dpsi", mirror)), (1.0, 1.0), 1.0, "dpsi_link")
 
     return block
+
+
+# ---------------------------------------------------------------------------
+# region configurations
+# ---------------------------------------------------------------------------
+
+def orientation_regions(config: dict[tuple, int],
+                        curves: dict[tuple, PwaCurve]):
+    """Yield ``(orientation, region, sign binary)`` for both orientations of
+    every pipe of a configuration ``{stored orientation: region}``, the
+    stored orientation first. The reversed orientation carries ``-phi`` and
+    so the mirror region; the sign binary is 1 on the regions ``m > r/2``,
+    the nonnegative flows."""
+    for key, region in config.items():
+        curve = curves[key]
+        for k, m in ((key, region), ((key[1], key[0]),
+                                     curve.mirror_region(region))):
+            yield k, m, int(m > curve.r // 2)
+
+
+def config_columns(config: dict[tuple, int], curves: dict[tuple, PwaCurve],
+                   col) -> tuple[dict[int, float], dict[int, tuple[int, float]]]:
+    """Column fixes and aliases that a region configuration implies for the
+    blocks ``emit_mld`` emits.
+
+    Every binary is fixed: the sign binary, ``dm`` on the active region only,
+    ``alpha`` on the regions at or above it and ``beta`` on those at or
+    below. The product auxiliaries collapse onto the flow and pressure
+    columns: ``ym = phi`` on the active region and 0 off it, ``ypsi = psi_i``
+    when the sign binary is 1 and 0 otherwise; aliasing them rather than
+    fixing them keeps a reduced subproblem strictly interior-feasible. An
+    alias maps a column to ``(source column, coefficient)``. ``col`` is the
+    column lookup of ``emit_mld``.
+    """
+    fixed: dict[int, float] = {}
+    aliases: dict[int, tuple[int, float]] = {}
+    for key, region, delta_psi in orientation_regions(config, curves):
+        fixed[col("dpsi", key)] = float(delta_psi)
+        for m in range(1, curves[key].r + 1):
+            fixed[col("dm", key, m)] = 1.0 if m == region else 0.0
+            fixed[col("alpha", key, m)] = 1.0 if m >= region else 0.0
+            fixed[col("beta", key, m)] = 1.0 if m <= region else 0.0
+            jm = col("ym", key, m)
+            if m == region:
+                aliases[jm] = (col("phi", key), 1.0)
+            else:
+                fixed[jm] = 0.0
+        jpsi = col("ypsi", key)
+        if delta_psi:
+            aliases[jpsi] = (col("psi", key[0]), 1.0)
+        else:
+            fixed[jpsi] = 0.0
+    return fixed, aliases

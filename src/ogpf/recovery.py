@@ -1,13 +1,15 @@
-"""Solution recovery: binaries from first-stage flows, pressure recomputation
-via an infinity-norm linear program, auxiliary updates, certification and
+"""Solution recovery: a region configuration from first-stage flows,
+pressure recomputation via an infinity-norm linear program, certification and
 flow-deviation metrics.
 
-Sign convention: the pressure-order binary is 1 exactly when the oriented
-flow is nonnegative, matching the logic blocks of the constraint model (the
-flow equality is only consistent under this orientation). At a flow exactly
-on a shared region breakpoint the active region follows the sign binary's
-side, and the per-region alpha/beta indicators follow the chosen region so
-that the recovered assignment always satisfies the region-logic inequalities.
+Stage 2 recovers the binaries in the form the oracle enumerates: one active
+region per undirected pipe, a configuration ``{stored orientation:
+region}``. ``pwa.config_columns`` turns it into the binaries and product
+auxiliaries of both orientations. The sign binary is 1 exactly when the
+oriented flow is nonnegative, matching the logic blocks of the constraint
+model (the flow equality is only consistent under this orientation); at a
+flow exactly on a shared breakpoint the active region follows the sign
+binary's side.
 """
 
 from __future__ import annotations
@@ -18,99 +20,31 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import CertificationBug, ModelError, OutOfRange, SolverFailure
-from .mipbuild import (ALPHA, BETA, DM, DPSI, EQ, IN, PSI, QUAD, StandardModel,
-                       VarIndex, YM, YPSI, check_point)
-from .pwa import PwaCurve
+from .errors import CertificationBug, OutOfRange, SolverFailure
+from .mipbuild import (EQ, IN, PHI, PSI, QUAD, StandardModel, VarIndex,
+                       check_point)
+from .pwa import PwaCurve, config_columns, orientation_regions
 
 CERT_OPTIMAL = "Optimal"
 CERT_APPROXIMATE = "Approximate"
 
 
-@dataclass
-class PipeBinaries:
-    """Recovered 0/1 decisions for one directed orientation."""
-
-    delta_psi: int
-    region: int
-    deltas: np.ndarray
-    alphas: np.ndarray
-    betas: np.ndarray
-
-
-@dataclass
-class BinaryAssignment:
-    """Recovered binaries per directed internal pipe.
-
-    Invariants (checked in ``validate``, which raises ModelError): one active
-    region per orientation; alpha >= delta, beta >= delta and
-    alpha + beta - delta <= 1 per region; the two orientations of a pipe
-    carry complementary sign binaries.
-    """
-
-    entries: dict[tuple[str, str], PipeBinaries]
-
-    def validate(self):
-        for key, e in self.entries.items():
-            if e.deltas.sum() != 1:
-                raise ModelError(f"{key}: region simplex violated")
-            bad = (e.alphas < e.deltas) | (e.betas < e.deltas) \
-                | (e.alphas + e.betas - e.deltas > 1)
-            if bad.any():
-                raise ModelError(f"{key}: region logic violated")
-            mirror = (key[1], key[0])
-            if mirror in self.entries:
-                if e.delta_psi + self.entries[mirror].delta_psi != 1:
-                    raise ModelError(f"{key}: sign link violated")
-
-    def column_values(self, index: VarIndex) -> dict[int, float]:
-        vals: dict[int, float] = {}
-        for key, e in self.entries.items():
-            vals[index.col(DPSI, key)] = float(e.delta_psi)
-            for m in range(1, e.deltas.size + 1):
-                vals[index.col(DM, key, m)] = float(e.deltas[m - 1])
-                vals[index.col(ALPHA, key, m)] = float(e.alphas[m - 1])
-                vals[index.col(BETA, key, m)] = float(e.betas[m - 1])
-        return vals
-
-
-def _recover_one(phi: float, curve: PwaCurve, delta_psi: int) -> PipeBinaries:
-    breaks = curve.breakpoints
-    r = curve.r
-    if delta_psi == 1:
-        m = bisect_right(breaks, phi)
-    else:
-        m = bisect_left(breaks, phi)
-    m = min(max(m, 1), r)
-    deltas = np.zeros(r, dtype=int)
-    deltas[m - 1] = 1
-    ks = np.arange(1, r + 1)
-    alphas = (ks >= m).astype(int)
-    betas = (ks <= m).astype(int)
-    return PipeBinaries(delta_psi, m, deltas, alphas, betas)
-
-
 def recover_binaries(phi_star: dict[tuple[str, str], float],
                      curves: dict[tuple[str, str], PwaCurve],
-                     feas_tol: float = 1e-6) -> BinaryAssignment:
-    """Read the binary decisions off the first-stage flows.
+                     feas_tol: float = 1e-6) -> dict[tuple[str, str], int]:
+    """Read the region configuration off the first-stage flows.
 
-    Per orientation: the sign binary is 1 iff the flow is >= 0; the active
-    region is the one containing the flow (breakpoint ties resolved toward
-    the sign binary's side); alpha_k indicates regions at or above the active
-    one, beta_k regions at or below, which reproduces the threshold logic
-    [alpha_k = 1 iff phi <= hi_k], [beta_k = 1 iff phi >= lo_k] away from
-    ties while keeping the assignment logic-consistent at them.
-
-    Orientation pairs are processed jointly off the first-listed orientation,
-    so the complementary sign link holds even for flows of magnitude below
-    solver noise. Raises OutOfRange when a flow exceeds the approximated
-    range beyond ``feas_tol``.
+    One region per undirected pipe, read off the flow of its first-listed
+    (stored) orientation: the region containing the flow, with a flow on a
+    breakpoint taking the region on the sign binary's side (above it for
+    ``phi >= 0``, below it otherwise). Reading each pair off one orientation
+    keeps the sign link exact even for flows of magnitude below solver noise.
+    Raises OutOfRange when a flow exceeds the approximated range beyond
+    ``feas_tol``.
     """
-    entries: dict[tuple[str, str], PipeBinaries] = {}
-    done = set()
+    config: dict[tuple[str, str], int] = {}
     for key, curve in curves.items():
-        if key in done:
+        if (key[1], key[0]) in config:
             continue
         phi = float(phi_star[key])
         cap = curve.phi_cap
@@ -118,16 +52,9 @@ def recover_binaries(phi_star: dict[tuple[str, str], float],
             raise OutOfRange(
                 f"flow {phi} on {key} outside [-{cap}, {cap}]")
         phi = min(max(phi, -cap), cap)
-        delta_psi = 1 if phi >= 0.0 else 0
-        entries[key] = _recover_one(phi, curve, delta_psi)
-        done.add(key)
-        mirror = (key[1], key[0])
-        if mirror in curves:
-            entries[mirror] = _recover_one(-phi, curve, 1 - delta_psi)
-            done.add(mirror)
-    out = BinaryAssignment(entries)
-    out.validate()
-    return out
+        side = bisect_right if phi >= 0.0 else bisect_left
+        config[key] = min(max(side(curve.breakpoints, phi), 1), curve.r)
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -152,29 +79,30 @@ class PressureLp:
     hi: np.ndarray
 
 
-def build_pressure_lp(assignment: BinaryAssignment,
+def build_pressure_lp(configuration: dict[tuple[str, str], int],
                       phi_star: dict[tuple[str, str], float],
                       curves: dict[tuple[str, str], PwaCurve],
                       bounds: dict[str, tuple[float, float]]) -> PressureLp:
-    """Assemble the incidence rows and active-segment targets."""
+    """Assemble the incidence rows and active-segment targets, one row per
+    orientation of every pipe in the configuration."""
     nodes = list(bounds)
     pos = {node: k for k, node in enumerate(nodes)}
-    pipes = list(assignment.entries)
+    orientations = list(orientation_regions(configuration, curves))
+    pipes = [key for key, _, _ in orientations]
     e_rows = np.zeros((len(pipes), len(nodes)))
     theta = np.zeros(len(pipes))
-    for k, key in enumerate(pipes):
-        e = assignment.entries[key]
-        sign = 2.0 * e.delta_psi - 1.0
+    for k, (key, region, delta_psi) in enumerate(orientations):
+        sign = 2.0 * delta_psi - 1.0
         e_rows[k, pos[key[0]]] = sign
         e_rows[k, pos[key[1]]] = -sign
-        seg = curves[key].segments[e.region - 1]
+        seg = curves[key].segments[region - 1]
         theta[k] = seg.a * float(phi_star[key]) + seg.b
     lo = np.array([bounds[nd][0] for nd in nodes])
     hi = np.array([bounds[nd][1] for nd in nodes])
     return PressureLp(nodes, pipes, e_rows, theta, lo, hi)
 
 
-def solve_pressure_lp(lp: PressureLp, opts=None) -> tuple[dict[str, float], float]:
+def solve_pressure_lp(lp: PressureLp) -> tuple[dict[str, float], float]:
     """Minimize the worst row mismatch over the pressure boxes.
 
     Returns the recomputed squared pressures and the achieved infinity norm,
@@ -206,19 +134,6 @@ def solve_pressure_lp(lp: PressureLp, opts=None) -> tuple[dict[str, float], floa
     return psi, j_psi
 
 
-def update_aux(assignment: BinaryAssignment, psi_tilde: dict[str, float],
-               phi_star: dict[tuple[str, str], float]) -> dict:
-    """Recompute the product auxiliaries from their definitions:
-    ``ypsi = delta_psi * psi_i`` and ``y_m = delta_m * phi``."""
-    ypsi = {}
-    ym = {}
-    for key, e in assignment.entries.items():
-        ypsi[key] = float(e.delta_psi) * psi_tilde[key[0]]
-        phi = float(phi_star[key])
-        ym[key] = e.deltas.astype(float) * phi
-    return {"ypsi": ypsi, "ym": ym}
-
-
 # ---------------------------------------------------------------------------
 # assembly and certification
 # ---------------------------------------------------------------------------
@@ -237,12 +152,15 @@ class Certificate:
 class RecoveryResult:
     """Outcome of the second stage.
 
-    ``u_star`` keeps every first-stage component bit-for-bit and replaces only
-    the pressures, product auxiliaries and binaries. The certificate is
-    Optimal exactly when the pressure problem closed to within ``cert_tol``;
-    in that case the point has passed an independent full-constraint check.
+    ``configuration`` is the recovered region per undirected pipe, keyed by
+    its stored orientation. ``u_star`` keeps every first-stage component
+    bit-for-bit and replaces only the pressures, product auxiliaries and
+    binaries. The certificate is Optimal exactly when the pressure problem
+    closed to within ``cert_tol``; in that case the point has passed an
+    independent full-constraint check.
     """
 
+    configuration: dict[tuple[str, str], int]
     psi_tilde: dict[str, float]
     j_psi: float
     certificate: Certificate
@@ -250,11 +168,18 @@ class RecoveryResult:
     deviations: dict = field(default_factory=dict)
 
 
-def assemble_and_certify(u0: np.ndarray, assignment: BinaryAssignment,
-                         psi_tilde: dict[str, float], aux: dict,
+def assemble_and_certify(u0: np.ndarray,
+                         configuration: dict[tuple[str, str], int],
+                         psi_tilde: dict[str, float],
+                         phi_star: dict[tuple[str, str], float],
                          cert_tol: float, *, model: StandardModel,
                          index: VarIndex, feas_tol: float = 1e-6) -> RecoveryResult:
     """Assemble the final point and certify it.
+
+    Writes the recovered pressures, then the binaries and product
+    auxiliaries that ``pwa.config_columns`` derives from the configuration;
+    the auxiliaries are evaluated at the stage-1 point with the recovered
+    pressures and the symmetrized flows ``phi_star``.
 
     The certificate is Optimal iff the pressure objective is at most
     ``cert_tol``; a certified point is re-checked against every model row at
@@ -266,13 +191,14 @@ def assemble_and_certify(u0: np.ndarray, assignment: BinaryAssignment,
     u_star = np.asarray(u0, dtype=float).copy()
     for node, val in psi_tilde.items():
         u_star[index.col(PSI, node)] = val
-    for key, val in aux["ypsi"].items():
-        u_star[index.col(YPSI, key)] = val
-    for key, vals in aux["ym"].items():
-        for m in range(1, vals.size + 1):
-            u_star[index.col(YM, key, m)] = vals[m - 1]
-    for j, val in assignment.column_values(index).items():
+    point = u_star.copy()
+    for key, phi in phi_star.items():
+        point[index.col(PHI, key)] = phi
+    fixed, aliases = config_columns(configuration, index.curves, index.col)
+    for j, val in fixed.items():
         u_star[j] = val
+    for j, (src, coef) in aliases.items():
+        u_star[j] = coef * point[src]
 
     # certify from the assembled point itself: worst residual of the coupled
     # flow equalities equals the pressure objective at the recovered point
@@ -281,7 +207,8 @@ def assemble_and_certify(u0: np.ndarray, assignment: BinaryAssignment,
                      .max(initial=0.0))
     kind = CERT_OPTIMAL if j_direct <= cert_tol else CERT_APPROXIMATE
     cert = Certificate(kind, j_direct)
-    result = RecoveryResult(psi_tilde=dict(psi_tilde), j_psi=j_direct,
+    result = RecoveryResult(configuration=dict(configuration),
+                            psi_tilde=dict(psi_tilde), j_psi=j_direct,
                             certificate=cert, u_star=u_star)
     if cert.is_optimal:
         rep = check_point(model, u_star, feas_tol * (1.0 + 1e-9),

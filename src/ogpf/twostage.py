@@ -1,9 +1,10 @@
 """End-to-end two-stage solve: convex relaxation, then recovery.
 
 Stage 1 solves the relaxed model (centralized interior point or area
-consensus). Stage 2 reads binaries off the stage-1 flows, recomputes
-pressures through the infinity-norm problem, updates the product auxiliaries,
-assembles the final point (stage-1 components untouched) and certifies it.
+consensus). Stage 2 reads a region configuration off the stage-1 flows,
+recomputes pressures through the infinity-norm problem, sets the binaries
+and product auxiliaries the configuration implies, assembles the final point
+(stage-1 components untouched) and certifies it.
 
 A positive pressure residual is reported as an Approximate certificate with
 the flows kept as decided; no repair pass re-solves stage 1 under the
@@ -23,7 +24,7 @@ from .netmodel import NetworkInstance
 from .pwa import PwaConfig
 from .recovery import (RecoveryResult, assemble_and_certify,
                        build_pressure_lp, recover_binaries, solve_pressure_lp,
-                       update_aux, weymouth_deviation)
+                       weymouth_deviation)
 
 CENTRALIZED = "centralized"
 CONSENSUS = "consensus"
@@ -105,11 +106,10 @@ def solve_two_stage(inst: NetworkInstance, r: int, *, epsilon: float = 1e-6,
     stage1_res = max(sol.residuals.max_eq, sol.residuals.max_ineq)
     check_tol = max(feas_tol, 2.0 * stage1_res)
 
-    assignment = recover_binaries(phi_star, curves, feas_tol=feas_tol)
-    lp = build_pressure_lp(assignment, phi_star, curves, psi_bounds)
+    configuration = recover_binaries(phi_star, curves, feas_tol=feas_tol)
+    lp = build_pressure_lp(configuration, phi_star, curves, psi_bounds)
     psi_tilde, _ = solve_pressure_lp(lp)
-    aux = update_aux(assignment, psi_tilde, phi_star)
-    recovery = assemble_and_certify(sol.x, assignment, psi_tilde, aux,
+    recovery = assemble_and_certify(sol.x, configuration, psi_tilde, phi_star,
                                     cert_tol, model=model, index=index,
                                     feas_tol=check_tol)
     recovery.deviations = weymouth_deviation(phi_star, psi_tilde, c_f,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ogpf
-from ogpf.mipbuild import QuadBlock, build_model
+from ogpf.mipbuild import QuadBlock, VarIndex, build_model
 from ogpf.pwa import PwaConfig
 
 BUNDLED = ["small2area", "single1area", "chain2area", "medium3area",
@@ -31,6 +31,24 @@ def small2area_model(small2area):
 def no_quad(n):
     """A block of zero quadratic rows over ``n`` columns."""
     return QuadBlock(n, [], [], [], [], [], [], [])
+
+
+def pair_index(r):
+    """Column index of one internal pipe i-j, both orientations, at ``r``
+    regions, in the column order of ``build_model``."""
+    index = VarIndex()
+    for key in (("i", "j"), ("j", "i")):
+        index.add("phi", key)
+        index.add("ypsi", key)
+        for m in range(1, r + 1):
+            index.add("ym", key, m)
+        index.add("dpsi", key)
+        for kind in ("alpha", "beta", "dm"):
+            for m in range(1, r + 1):
+                index.add(kind, key, m)
+    index.add("psi", "i")
+    index.add("psi", "j")
+    return index
 
 
 def make_instance(*, num_areas=1, buses=None, lines=None, generators=None,

@@ -66,21 +66,18 @@ def test_pipe_order_does_not_change_optimum(tmp_path, small2area):
     assert perm.best_objective == pytest.approx(base.best_objective, abs=1e-9)
 
 
-def test_best_configuration_matches_recovered_regions(small2area):
-    """The enumeration winner picks the same regions the two-stage method
-    recovers when the certificate is exact."""
+def test_best_configuration_matches_recovered_regions(instances):
+    """On trees the enumeration winner is the region configuration the
+    two-stage method recovers."""
     from ogpf.twostage import solve_two_stage
 
-    model, index, curves = _build(small2area, 2)
-    res = enumerate_solve(model, index, curves)
-    ts = solve_two_stage(small2area, 2)
-    assert ts.certificate.is_optimal
-    edges = ogpf.classify_edges(small2area)
-    for k in range(0, len(edges.internal_pipes_directed), 2):
-        key = edges.internal_pipes_directed[k].key
-        phi = ts.solution.x[index.col("phi", key)]
-        region = curves[key].segment_for(phi).m
-        assert res.best_configuration[key] == region
+    for name in ("small2area", "single1area", "chain2area"):
+        for r in (2, 4):
+            ts = solve_two_stage(instances[name], r)
+            assert ts.certificate.is_optimal, (name, r)
+            res = enumerate_solve(*_build(instances[name], r))
+            assert ts.recovery.configuration == res.best_configuration, \
+                (name, r)
 
 
 def test_small2area_r4_configuration_statuses(small2area):

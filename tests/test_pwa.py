@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from ogpf.errors import ConfigError, MissingBounds, OutOfRange
-from ogpf.mipbuild import VarIndex
 from ogpf.netmodel import DirectedPipe
 from ogpf.pwa import PwaConfig, emit_mld, fit_pwa, max_region_error
+
+from conftest import pair_index
 
 
 def test_chord_fit_r2_unit():
@@ -106,25 +107,9 @@ def test_mirror_region():
 # mixed-logical block emission
 # ---------------------------------------------------------------------------
 
-def _pair_index(r):
-    index = VarIndex()
-    for key in (("i", "j"), ("j", "i")):
-        index.add("phi", key)
-        index.add("ypsi", key)
-        for m in range(1, r + 1):
-            index.add("ym", key, m)
-        index.add("dpsi", key)
-        for kind in ("alpha", "beta", "dm"):
-            for m in range(1, r + 1):
-                index.add(kind, key, m)
-    index.add("psi", "i")
-    index.add("psi", "j")
-    return index
-
-
 def _emit_pair(r=2, c=1.0, cap=1.0, psi_box=(0.0, 1.0)):
     cfg = PwaConfig(r=r)
-    index = _pair_index(r)
+    index = pair_index(r)
     bounds = {"i": psi_box, "j": psi_box}
     curve = fit_pwa(c, cap, cfg, pipe=("i", "j"))
     fwd = emit_mld(DirectedPipe("i", "j", c, cap, 1), curve, cfg, index.col,
@@ -202,7 +187,7 @@ def test_truth_table_point_satisfies_every_row():
 
 def test_missing_bounds_rejected():
     cfg = PwaConfig(r=2)
-    index = _pair_index(2)
+    index = pair_index(2)
     curve = fit_pwa(1.0, 1.0, cfg)
     bounds = {"i": (0.0, np.inf), "j": (0.0, 1.0)}
     with pytest.raises(MissingBounds):

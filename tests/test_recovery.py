@@ -2,53 +2,64 @@ import numpy as np
 import pytest
 
 import ogpf
-from ogpf.errors import ModelError, OutOfRange
+from ogpf.errors import OutOfRange
 from ogpf.mipbuild import check_point
-from ogpf.pwa import PwaConfig, fit_pwa, max_region_error
-from ogpf.recovery import (BinaryAssignment, PipeBinaries,
-                           build_pressure_lp, max_abs_deviation,
+from ogpf.netmodel import DirectedPipe
+from ogpf.pwa import (PwaConfig, config_columns, emit_mld, fit_pwa,
+                      max_region_error)
+from ogpf.recovery import (build_pressure_lp, max_abs_deviation,
                            mean_abs_deviation, recover_binaries,
-                           solve_pressure_lp, update_aux,
-                           weymouth_deviation)
+                           solve_pressure_lp, weymouth_deviation)
 from ogpf.twostage import solve_two_stage
 
+from conftest import pair_index
 
-def _pair_curves(r=2, c=1.0, cap=1.0):
-    cfg = PwaConfig(r=r)
+
+def _pair_curves(r=2, c=1.0, cap=1.0, eps=1e-6):
+    cfg = PwaConfig(r=r, epsilon=eps)
     return {
         ("i", "j"): fit_pwa(c, cap, cfg, pipe=("i", "j")),
         ("j", "i"): fit_pwa(c, cap, cfg, pipe=("j", "i")),
     }
 
 
+def _binaries(config, curves):
+    """The column values a configuration implies, keyed ``(kind, owner,
+    m)``."""
+    fixed, _ = config_columns(config, curves,
+                              lambda kind, owner, m=None: (kind, owner, m))
+    return fixed
+
+
 def test_recover_positive_interior_flow():
     curves = _pair_curves()
-    asg = recover_binaries({("i", "j"): 0.4, ("j", "i"): -0.4}, curves)
-    e = asg.entries[("i", "j")]
-    assert e.delta_psi == 1
-    assert e.deltas.tolist() == [0, 1]
-    assert e.alphas.tolist() == [0, 1]
-    assert e.betas.tolist() == [1, 1]
+    config = recover_binaries({("i", "j"): 0.4, ("j", "i"): -0.4}, curves)
+    assert config == {("i", "j"): 2}
+    v = _binaries(config, curves)
+    key = ("i", "j")
+    assert v[("dpsi", key, None)] == 1
+    assert [v[("dm", key, m)] for m in (1, 2)] == [0, 1]
+    assert [v[("alpha", key, m)] for m in (1, 2)] == [0, 1]
+    assert [v[("beta", key, m)] for m in (1, 2)] == [1, 1]
 
 
 def test_recover_zero_flow_takes_sign_side():
     curves = _pair_curves()
-    asg = recover_binaries({("i", "j"): 0.0, ("j", "i"): 0.0}, curves)
-    e = asg.entries[("i", "j")]
-    assert e.delta_psi == 1
-    assert e.region == 2
+    config = recover_binaries({("i", "j"): 0.0, ("j", "i"): 0.0}, curves)
+    assert config == {("i", "j"): 2}
+    v = _binaries(config, curves)
+    assert v[("dpsi", ("i", "j"), None)] == 1
     # mirror takes the complementary side
-    m = asg.entries[("j", "i")]
-    assert m.delta_psi == 0
-    assert m.region == 1
+    assert v[("dpsi", ("j", "i"), None)] == 0
+    assert [v[("dm", ("j", "i"), m)] for m in (1, 2)] == [1, 0]
 
 
 def test_recover_mirror_pair_links():
     curves = _pair_curves()
-    asg = recover_binaries({("i", "j"): -0.4, ("j", "i"): 0.4}, curves)
-    assert asg.entries[("i", "j")].delta_psi == 0
-    assert asg.entries[("j", "i")].delta_psi == 1
-    asg.validate()
+    config = recover_binaries({("i", "j"): -0.4, ("j", "i"): 0.4}, curves)
+    v = _binaries(config, curves)
+    assert v[("dpsi", ("i", "j"), None)] == 0
+    assert v[("dpsi", ("j", "i"), None)] == 1
 
 
 def test_recover_rejects_out_of_range_flow():
@@ -57,24 +68,80 @@ def test_recover_rejects_out_of_range_flow():
         recover_binaries({("i", "j"): 1.5, ("j", "i"): -1.5}, curves)
 
 
+def _row_value(row, x):
+    return sum(c * x[j] for j, c in zip(row.cols, row.coefs))
+
+
+def _pair_rows(curves, cfg, index, bounds, c=1.0, cap=1.0):
+    """The rows ``emit_mld`` emits for both orientations of pipe i-j, each
+    paired with whether it is an equality."""
+    rows = []
+    for (a, b), pair_rows in ((("i", "j"), True), (("j", "i"), False)):
+        block = emit_mld(DirectedPipe(a, b, c, cap, 1), curves[(a, b)],
+                         cfg, index.col, bounds, pair_rows=pair_rows)
+        rows += [(row, False) for row in block.ineq_rows]
+        rows += [(row, True) for row in block.eq_rows]
+    return rows
+
+
+def _point(config, curves, index, phi, psi):
+    """The point a configuration implies at flow ``phi`` on i-j and
+    pressures ``psi``: binaries fixed, product auxiliaries evaluated."""
+    fixed, aliases = config_columns(config, curves, index.col)
+    x = np.zeros(len(index))
+    x[index.col("phi", ("i", "j"))] = phi
+    x[index.col("phi", ("j", "i"))] = -phi
+    for node, val in psi.items():
+        x[index.col("psi", node)] = val
+    for j, val in fixed.items():
+        x[j] = val
+    for j, (src, coef) in aliases.items():
+        x[j] = coef * x[src]
+    return x
+
+
+def _violated(rows, x, kinds):
+    """Kinds among ``kinds`` with an emitted row that ``x`` violates."""
+    bad = set()
+    for row, is_eq in rows:
+        kind = row.key[0]
+        if kind in kinds:
+            value = _row_value(row, x)
+            if not (value == row.rhs if is_eq else value <= row.rhs):
+                bad.add(kind)
+    return bad
+
+
+_BINARY_ONLY = {"reg_and_a", "reg_and_b", "reg_and_c", "simplex", "dpsi_link"}
+
+
 @pytest.mark.parametrize("broken, message", [
     ({"deltas": [1, 1]}, "region simplex"),
     ({"alphas": [0, 0]}, "region logic"),
     ({"delta_psi": 1}, "sign link"),
 ])
 def test_validate_raises_model_error(broken, message):
-    good = {("i", "j"): dict(delta_psi=1, region=2, deltas=[0, 1],
-                             alphas=[0, 1], betas=[1, 1]),
-            ("j", "i"): dict(delta_psi=0, region=1, deltas=[1, 0],
-                             alphas=[1, 1], betas=[1, 0])}
-    good[("j", "i")].update(broken)
-    entries = {key: PipeBinaries(e["delta_psi"], e["region"],
-                                 *(np.array(e[k]) for k in
-                                   ("deltas", "alphas", "betas")))
-               for key, e in good.items()}
-    BinaryAssignment({("i", "j"): entries[("i", "j")]}).validate()
-    with pytest.raises(ModelError, match=message):
-        BinaryAssignment(entries).validate()
+    """The binary-only rows ``emit_mld`` emits accept the binaries of a
+    recovered configuration and reject each broken invariant of the mirror
+    orientation: two active regions, an ``alpha`` below the active region,
+    and both orientations claiming the sign."""
+    kinds = {"region simplex": {"simplex"},
+             "region logic": {"reg_and_a", "reg_and_b", "reg_and_c"},
+             "sign link": {"dpsi_link"}}[message]
+    curves = _pair_curves()
+    index = pair_index(2)
+    bounds = {"i": (0.0, 2.0), "j": (0.0, 2.0)}
+    rows = _pair_rows(curves, PwaConfig(r=2, epsilon=1e-6), index, bounds)
+    config = recover_binaries({("i", "j"): 0.4, ("j", "i"): -0.4}, curves)
+    x = _point(config, curves, index, 0.4, {"i": 0.7, "j": 0.2})
+    assert _violated(rows, x, _BINARY_ONLY) == set()
+    mirror = ("j", "i")
+    columns = {"deltas": [index.col("dm", mirror, m) for m in (1, 2)],
+               "alphas": [index.col("alpha", mirror, m) for m in (1, 2)],
+               "delta_psi": [index.col("dpsi", mirror)]}
+    for name, values in broken.items():
+        x[columns[name]] = values
+    assert _violated(rows, x, _BINARY_ONLY) & kinds
 
 
 def test_recovered_binaries_satisfy_logic_everywhere():
@@ -88,21 +155,87 @@ def test_recovered_binaries_satisfy_logic_everywhere():
         if rng.random() < 0.15:  # hit breakpoints on purpose
             bp = curves[("i", "j")].breakpoints
             phi = float(bp[rng.integers(0, len(bp))])
-        asg = recover_binaries({("i", "j"): phi, ("j", "i"): -phi}, curves)
-        asg.validate()
-        for key in asg.entries:
-            e = asg.entries[key]
-            assert e.deltas.sum() == 1
-            assert ((e.alphas - e.deltas) >= 0).all()
-            assert ((e.betas - e.deltas) >= 0).all()
-            assert ((e.alphas + e.betas - e.deltas) <= 1).all()
+        config = recover_binaries({("i", "j"): phi, ("j", "i"): -phi}, curves)
+        v = _binaries(config, curves)
+        signs = 0
+        for key in (("i", "j"), ("j", "i")):
+            deltas, alphas, betas = (
+                np.array([v[(kind, key, m)] for m in range(1, r + 1)])
+                for kind in ("dm", "alpha", "beta"))
+            assert deltas.sum() == 1
+            assert ((alphas - deltas) >= 0).all()
+            assert ((betas - deltas) >= 0).all()
+            assert ((alphas + betas - deltas) <= 1).all()
+            signs += v[("dpsi", key, None)]
+        assert signs == 1
+
+
+def test_update_aux_products():
+    """The product auxiliaries of a configuration evaluate to the pressure
+    at the from node under the sign binary and to the flow on the active
+    region."""
+    curves = _pair_curves()
+    index = pair_index(2)
+    config = recover_binaries({("i", "j"): 0.4, ("j", "i"): -0.4}, curves)
+    x = _point(config, curves, index, 0.4, {"i": 0.7, "j": 0.2})
+    assert x[index.col("ypsi", ("i", "j"))] == 0.7   # delta_psi = 1
+    assert x[index.col("ypsi", ("j", "i"))] == 0.0   # delta_psi = 0
+    assert [x[index.col("ym", ("i", "j"), m)] for m in (1, 2)] == [0.0, 0.4]
+    assert [x[index.col("ym", ("j", "i"), m)] for m in (1, 2)] == [-0.4, 0.0]
+
+
+def test_recovered_configuration_satisfies_emitted_rows():
+    """For any in-range flow, breakpoints included, the binaries and
+    auxiliaries the recovered configuration implies satisfy the binary-only
+    rows ``emit_mld`` emits for the pipe pair exactly: region logic, simplex
+    and sign link. Away from the breakpoints' epsilon bands they satisfy the
+    flow-sign, region and product rows too."""
+    away_only = {"flow_sign_up", "flow_sign_dn", "reg_hi_up", "reg_hi_dn",
+                 "reg_lo_up", "reg_lo_dn", "prod_f_lb", "prod_f_ub",
+                 "prod_f_cap", "prod_f_floor", "prod_p_lb", "prod_p_ub",
+                 "prod_p_cap", "prod_p_floor"}
+    key, mirror = ("i", "j"), ("j", "i")
+    rng = np.random.default_rng(21)
+    checked = {"breakpoint": 0, "away": 0}
+    for _ in range(40):
+        r = int(2 * rng.integers(1, 9))
+        c = float(rng.uniform(0.5, 3.0))
+        cap = float(rng.uniform(0.5, 5.0))
+        eps = 10.0 ** rng.uniform(-7, -4)
+        curves = _pair_curves(r=r, c=c, cap=cap, eps=eps)
+        index = pair_index(r)
+        lo_i, lo_j = rng.uniform(0.0, 2.0, size=2)
+        bounds = {"i": (lo_i, lo_i + rng.uniform(1.0, 5.0)),
+                  "j": (lo_j, lo_j + rng.uniform(1.0, 5.0))}
+        rows = _pair_rows(curves, PwaConfig(r=r, epsilon=eps), index,
+                          bounds, c=c, cap=cap)
+        assert {row.key[0] for row, _ in rows} >= _BINARY_ONLY | away_only
+
+        breaks = np.array(curves[key].breakpoints)
+        near = np.concatenate([breaks - 0.5 * eps, breaks + 0.5 * eps])
+        flows = np.concatenate([breaks, np.clip(near, -cap, cap),
+                                rng.uniform(-cap, cap, size=20)])
+        for phi in flows:
+            config = recover_binaries({key: phi, mirror: -phi}, curves)
+            x = _point(config, curves, index, phi,
+                       {"i": rng.uniform(*bounds["i"]),
+                        "j": rng.uniform(*bounds["j"])})
+            assert _violated(rows, x, _BINARY_ONLY) == set(), (phi, config)
+            away = np.abs(breaks - phi).min() > eps
+            checked["away" if away else "breakpoint"] += 1
+            if away:
+                for row, _ in rows:
+                    if row.key[0] in away_only:
+                        assert _row_value(row, x) <= row.rhs + 1e-9, \
+                            (row.label, phi, config)
+    assert checked["breakpoint"] > 0 and checked["away"] > 0
 
 
 # ---------------------------------------------------------------------------
 # pressure problem
 # ---------------------------------------------------------------------------
 
-def _assignment(curves, flows):
+def _configuration(curves, flows):
     return recover_binaries(flows, curves)
 
 
@@ -110,19 +243,19 @@ def test_pressure_lp_rows_follow_sign_binary():
     curves = _pair_curves()
     bounds = {"i": (0.0, 2.0), "j": (0.0, 2.0)}
     # positive oriented flow: +1 at the from node, -1 at the to node
-    asg = _assignment(curves, {("i", "j"): 0.4, ("j", "i"): -0.4})
-    lp = build_pressure_lp(asg, {("i", "j"): 0.4, ("j", "i"): -0.4},
+    config = _configuration(curves, {("i", "j"): 0.4, ("j", "i"): -0.4})
+    lp = build_pressure_lp(config, {("i", "j"): 0.4, ("j", "i"): -0.4},
                            curves, bounds)
     k = lp.pipes.index(("i", "j"))
     assert lp.e_rows[k].tolist() == [1.0, -1.0]
     # active segment is the unit chord: theta = a*phi + b = 0.4
     assert lp.theta[k] == pytest.approx(0.4)
     # a nonpositive flow flips the sign binary and hence the row
-    asg = _assignment(curves, {("i", "j"): -0.4, ("j", "i"): 0.4})
-    lp = build_pressure_lp(asg, {("i", "j"): -0.4, ("j", "i"): 0.4},
+    config = _configuration(curves, {("i", "j"): -0.4, ("j", "i"): 0.4})
+    lp = build_pressure_lp(config, {("i", "j"): -0.4, ("j", "i"): 0.4},
                            curves, bounds)
     k = lp.pipes.index(("i", "j"))
-    assert asg.entries[("i", "j")].delta_psi == 0
+    assert _binaries(config, curves)[("dpsi", ("i", "j"), None)] == 0
     assert lp.e_rows[k].tolist() == [-1.0, 1.0]
     # the mirror orientation duplicates the same row and target
     km = lp.pipes.index(("j", "i"))
@@ -135,8 +268,8 @@ def test_pressure_lp_feasible_target_reaches_zero():
     bounds = {"i": (0.0, 2.0), "j": (0.0, 2.0)}
     flows = {("i", "j"): np.sqrt(0.5) * np.sqrt(0.5), ("j", "i"): -0.5}
     flows = {("i", "j"): 0.5, ("j", "i"): -0.5}
-    asg = _assignment(curves, flows)
-    lp = build_pressure_lp(asg, flows, curves, bounds)
+    config = _configuration(curves, flows)
+    lp = build_pressure_lp(config, flows, curves, bounds)
     psi, j = solve_pressure_lp(lp)
     assert j <= 1e-10
     assert psi["i"] - psi["j"] == pytest.approx(lp.theta[0], abs=1e-9)
@@ -182,17 +315,6 @@ def test_pressure_lp_matches_direct_norm_evaluation():
         vec = np.array([psi[f"n{t}"] for t in range(n)])
         assert j == pytest.approx(float(np.abs(rows @ vec - lp.theta).max()),
                                   abs=1e-9)
-
-
-def test_update_aux_products():
-    curves = _pair_curves()
-    flows = {("i", "j"): 0.4, ("j", "i"): -0.4}
-    asg = _assignment(curves, flows)
-    aux = update_aux(asg, {"i": 0.7, "j": 0.2}, flows)
-    assert aux["ypsi"][("i", "j")] == 0.7   # delta_psi = 1
-    assert aux["ypsi"][("j", "i")] == 0.0   # delta_psi = 0
-    assert aux["ym"][("i", "j")].tolist() == [0.0, 0.4]
-    assert aux["ym"][("j", "i")].tolist() == [-0.4, 0.0]
 
 
 # ---------------------------------------------------------------------------

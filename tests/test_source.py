@@ -15,3 +15,21 @@ def test_library_has_no_assert_statements():
              if isinstance(node, ast.Assert)]
     assert len(list(SRC.glob("*.py"))) > 5
     assert found == []
+
+
+def test_only_pwa_and_mipbuild_name_the_region_binaries():
+    # the region binaries mean what pwa.emit_mld and pwa.config_columns say;
+    # every other module goes through a region configuration
+    names = {"ALPHA", "BETA", "DM"}
+    kinds = {"alpha", "beta", "dm"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("mipbuild.py", "pwa.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Name) and node.id in names
+                    or isinstance(node, ast.Attribute) and node.attr in names
+                    or isinstance(node, ast.alias) and node.name in names
+                    or isinstance(node, ast.Constant) and node.value in kinds):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
