@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .convexsolve import MAX_ITER, OPTIMAL, ConsensusOptions
+from .convexsolve import MAX_ITER, OPTIMAL
 from .errors import ConfigError, OgpfError
 from .mipbuild import build_model, dump_model
 from .netmodel import NetworkInstance, load_instance, scale_demands
@@ -84,8 +84,10 @@ def _config_echo(cfg: RunConfig, command: str) -> dict:
 
 
 def _run_entry(run_id: int, result) -> dict:
+    """One report row; consensus runs add their ``[r_norm, d_norm]``
+    residual history."""
     dev = result.recovery.deviations
-    return {
+    entry = {
         "run": run_id,
         "objective": float(result.objective),
         "j_psi": float(result.j_psi),
@@ -99,6 +101,9 @@ def _run_entry(run_id: int, result) -> dict:
         "solver_status": result.solution.status,
         "error": None,
     }
+    if result.mode == CONSENSUS:
+        entry["consensus_history"] = [list(h) for h in result.solution.history]
+    return entry
 
 
 def aggregate_runs(runs: list[dict]) -> dict:
@@ -139,10 +144,7 @@ def _exit_code(runs: list[dict]) -> int:
 
 
 def _solve_kwargs(args) -> dict:
-    kw = dict(epsilon=args.epsilon, cert_tol=args.cert_tol, mode=args.mode)
-    if args.mode == CONSENSUS:
-        kw["consensus_opts"] = ConsensusOptions()
-    return kw
+    return dict(epsilon=args.epsilon, cert_tol=args.cert_tol, mode=args.mode)
 
 
 def cmd_solve(args) -> int:

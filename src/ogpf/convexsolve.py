@@ -6,19 +6,21 @@ the iterations do not converge, an elastic feasibility probe tells an
 infeasible model from a slow one. ``solve_consensus`` runs an
 area-decomposed scaled consensus ADMM over the boundary variables
 referenced by the coupling rows; within one outer iteration the area
-subproblems are independent and synchronize at the iteration barrier.
+subproblems are independent and synchronize at the iteration barrier. Each
+area keeps one prepared interior point (``ipm.prepare``) for the whole run
+and warm-starts every solve from the iterate its previous solve recorded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .errors import ConfigError, ModelError, NonConvergence
-from .ipm import EngineResult, col_scale, solve_ipm
+from .ipm import EngineResult, col_scale, prepare, solve_ipm
 from .mipbuild import AreaView, QuadBlock, StandardModel, check_point
 
 OPTIMAL = "Optimal"
@@ -203,7 +205,10 @@ class _AreaProblem:
 
     The consensus penalty is weighted per variable by the inverse squared box
     magnitude, so angle copies (order 0.1) and flow copies (order 100) feel
-    comparable stiffness in their own units.
+    comparable stiffness in their own units. Only the objective of the
+    shared columns changes between outer iterations, so the interior point
+    is prepared once and each solve warm-starts from the iterate the last
+    one recorded.
     """
 
     def __init__(self, model: StandardModel, view: AreaView, shared: list[int]):
@@ -240,9 +245,11 @@ class _AreaProblem:
                 "the area and its shared copies")
         quad = quad.substitute(local_of, np.ones(n), np.zeros(n), nloc)
 
-        local_owned = is_owned[self.global_cols]
-        obj_quad = np.where(local_owned, model.obj_quad[self.global_cols], 0.0)
-        obj_lin = np.where(local_owned, model.obj_lin[self.global_cols], 0.0)
+        self.owned_local = is_owned[self.global_cols]
+        obj_quad = np.where(self.owned_local,
+                            model.obj_quad[self.global_cols], 0.0)
+        obj_lin = np.where(self.owned_local,
+                           model.obj_lin[self.global_cols], 0.0)
 
         self.base = StandardModel(
             nloc, obj_quad, obj_lin, 0.0, a_eq,
@@ -250,6 +257,9 @@ class _AreaProblem:
             g_in, model.h_in[rows_in].copy() if rows_in.size else np.zeros(0),
             quad, model.lb[self.global_cols].copy(),
             model.ub[self.global_cols].copy(), np.zeros(nloc, dtype=bool))
+        self.prepared = prepare(self.base)
+        self.start = None      # warm-start iterate of the last solve
+        self.feasible = None   # feasibility-probe verdict, once decided
         self.u = np.zeros(self.shared_local.size)  # scaled duals
         self.x = np.zeros(nloc)
 
@@ -260,12 +270,21 @@ class _AreaProblem:
         obj_lin = self.base.obj_lin.copy()
         obj_quad[sl] += 0.5 * w
         obj_lin[sl] += -w * (z_vals - self.u)
-        sol = solve_convex(replace(self.base, obj_quad=obj_quad,
-                                   obj_lin=obj_lin), opts)
-        if sol.status == INFEASIBLE:
-            raise NonConvergence(
-                "area subproblem infeasible during consensus iteration")
-        self.x = sol.x
+        res = self.prepared.solve(obj_quad, obj_lin, opts.feas_tol,
+                                  opts.opt_tol, opts.max_iter, self.start)
+        if res.status != "optimal":
+            # the presolve and the probe read only the constraints, so one
+            # verdict serves every outer iteration
+            if self.feasible is None:
+                self.feasible = res.status != "infeasible" and (
+                    feasibility_probe(self.base, opts)
+                    <= probe_threshold(self.base, opts))
+            if not self.feasible:
+                raise NonConvergence(
+                    "area subproblem infeasible during consensus iteration")
+        self.x = res.x
+        if res.warm is not None:
+            self.start = res.warm
 
     def shared_values(self) -> np.ndarray:
         return self.x[self.shared_local]
@@ -302,55 +321,44 @@ def solve_consensus(model: StandardModel, views: list[AreaView],
         for j in v.foreign_cols:
             shared_map.setdefault(int(j), {col_owner[int(j)]}).add(v.area)
     shared_cols = sorted(shared_map)
-    areas_of = {j: sorted(shared_map[j]) for j in shared_cols}
 
-    probs: dict[int, _AreaProblem] = {}
-    for v in views:
-        mine = [j for j in shared_cols if v.area in areas_of[j]]
-        probs[v.area] = _AreaProblem(model, v, mine)
-    local_shared = {a: p.shared_global for a, p in probs.items()}
+    probs = [_AreaProblem(model, v,
+                          [j for j in shared_cols if v.area in shared_map[j]])
+             for v in views]
+    shared = np.array(shared_cols, dtype=int)
+    # position of each area's shared columns in the consensus vector
+    pos = [np.searchsorted(shared, p.shared_global) for p in probs]
+    copies = np.array([len(shared_map[j]) for j in shared_cols], dtype=float)
 
     # consensus state, initialized at box centers
-    z = {}
-    for j in shared_cols:
-        lo, hi = model.lb[j], model.ub[j]
-        if np.isfinite(lo) and np.isfinite(hi):
-            z[j] = 0.5 * (lo + hi)
-        else:
-            z[j] = 0.0
+    lo, hi = model.lb[shared], model.ub[shared]
+    boxed = np.isfinite(lo) & np.isfinite(hi)
+    z = np.zeros(shared.size)
+    z[boxed] = 0.5 * (lo[boxed] + hi[boxed])
     rho = opts.rho
-    scale_v = col_scale(model.lb, model.ub)
+    scale_z = col_scale(lo, hi)
 
     status = MAX_ITER
     it = 0
     r_norm = d_norm = np.inf
     history = []
     for it in range(1, opts.max_outer + 1):
-        for a in sorted(probs):
-            p = probs[a]
-            zv = np.array([z[int(j)] for j in local_shared[a]])
-            p.solve(zv, rho, opts.inner)
+        for p, k in zip(probs, pos):
+            p.solve(z[k], rho, opts.inner)
 
-        z_old = dict(z)
-        sums = {j: 0.0 for j in shared_cols}
-        for a, p in probs.items():
-            vals = p.shared_values() + p.u
-            for j, v in zip(local_shared[a], vals):
-                sums[int(j)] += float(v)
-        for j in shared_cols:
-            z[j] = sums[j] / len(areas_of[j])
+        z_old = z
+        sums = np.zeros(shared.size)
+        for p, k in zip(probs, pos):
+            np.add.at(sums, k, p.shared_values() + p.u)
+        z = sums / copies
 
-        r_parts = []
-        d_parts = []
-        for a, p in probs.items():
-            zv = np.array([z[int(j)] for j in local_shared[a]])
-            diff = p.shared_values() - zv
+        r_norm = 0.0
+        for p, k in zip(probs, pos):
+            diff = p.shared_values() - z[k]
             p.u = p.u + diff
-            r_parts.append(np.abs(diff) / scale_v[local_shared[a]])
-        for j in shared_cols:
-            d_parts.append(abs(z[j] - z_old[j]) / scale_v[j])
-        r_norm = float(np.concatenate(r_parts).max(initial=0.0))
-        d_norm = rho * float(np.max(d_parts, initial=0.0))
+            r_norm = max(r_norm, float(
+                (np.abs(diff) / scale_z[k]).max(initial=0.0)))
+        d_norm = rho * float((np.abs(z - z_old) / scale_z).max(initial=0.0))
         history.append((r_norm, d_norm))
 
         if r_norm <= opts.primal_tol and d_norm <= opts.dual_tol:
@@ -360,11 +368,11 @@ def solve_consensus(model: StandardModel, views: list[AreaView],
         if it % 10 == 0:
             if r_norm > 10.0 * d_norm and rho < 1e6:
                 rho *= 2.0
-                for p in probs.values():
+                for p in probs:
                     p.u = p.u / 2.0
             elif d_norm > 10.0 * r_norm and rho > 1e-4:
                 rho /= 2.0
-                for p in probs.values():
+                for p in probs:
                     p.u = p.u * 2.0
 
     if status == MAX_ITER and r_norm > 1e3 * opts.primal_tol:
@@ -373,12 +381,9 @@ def solve_consensus(model: StandardModel, views: list[AreaView],
             "consider increasing rho")
 
     x = np.zeros(model.num_vars)
-    for a, p in probs.items():
-        owned = [k for k, j in enumerate(p.global_cols)
-                 if col_owner[int(j)] == a]
-        x[p.global_cols[owned]] = p.x[owned]
-    for j in shared_cols:
-        x[j] = z[j]
+    for p in probs:
+        x[p.global_cols[p.owned_local]] = p.x[p.owned_local]
+    x[shared] = z
 
     rep = check_point(model, x, tol=np.inf)
     return Solution(

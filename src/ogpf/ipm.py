@@ -18,14 +18,28 @@ solution and every dual back to the full model.
 The implementation is an infeasible-start Mehrotra predictor-corrector:
 bounds are folded into the inequality block, variables and rows are
 equilibrated, and each iteration solves one condensed KKT system for the
-affine and corrector directions. The KKT matrix is sparse with a pattern
-fixed for the whole solve: the pattern and the maps from every product term
-to its slot are built once, each iteration only refills the values and
-factors them with SuperLU (minimum-degree ordering of ``K + K^T``, which
-suits the symmetric quasi-definite K; static regularization; one refinement
-pass). Quadratic rows arrive as the model's coordinate block
-(``mipbuild.QuadBlock``) and enter through their gradients plus a
-second-order correction in the corrector, which is exact for quadratics.
+affine and corrector directions. The KKT matrix is sparse with a fixed
+pattern: the pattern and the maps from every product term to its slot are
+built once, each iteration only refills the values and factors them with
+SuperLU (minimum-degree ordering of ``K + K^T``, which suits the symmetric
+quasi-definite K; static regularization; one refinement pass). Quadratic
+rows arrive as the model's coordinate block (``mipbuild.QuadBlock``) and
+enter through their gradients plus a second-order correction in the
+corrector, which is exact for quadratics.
+
+Nothing of that set-up reads the objective. ``prepare(model)`` does it once
+(presolve and its infeasibility verdict, scaling, bound folding, KKT
+pattern) and ``Prepared.solve`` iterates for any diagonal objective over the
+same constraints, so a caller that re-solves with a changing objective (the
+consensus area subproblems) pays for it once. ``solve_ipm`` is the one-shot
+``prepare(model).solve(...)`` with the model's own objective.
+
+Warm start: each solve records its first iterate whose relative gap is at
+most ``_WARM_GAP`` (well centred, not yet pinned to the boundary). Passed as
+``start`` to a later solve of the same structure, its slacks and multipliers
+are raised to at least ``_WARM_SHIFT`` in the scaled space and the
+iterations resume from there; a warm-started solve that does not end
+``optimal`` is rerun cold. Cold solves start from the box midpoints.
 Determinism: fixed ordering and iteration order, no randomness.
 """
 
@@ -38,11 +52,27 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigError
-from .mipbuild import QuadBlock, StandardModel, substitute_columns
+from .mipbuild import QuadBlock, Reduction, StandardModel, substitute_columns
 
 _REG_PRIMAL = 1e-10
 _REG_DUAL = 1e-10
 _W_CAP = 1e14
+# warm start: a solve records its first iterate within this relative gap;
+# a start iterate's slacks and multipliers are raised to at least this
+_WARM_GAP = 1e-3
+_WARM_SHIFT = 1e-3
+
+
+@dataclass
+class Iterate:
+    """Primal-dual point of one prepared model, in its scaled space."""
+
+    x: np.ndarray
+    nu: np.ndarray
+    s: np.ndarray             # slacks of the folded inequality block
+    lam: np.ndarray
+    t: np.ndarray             # slacks of the quadratic rows
+    mu: np.ndarray
 
 
 @dataclass
@@ -61,6 +91,7 @@ class EngineResult:
     pres: float
     dres: float
     relgap: float
+    warm: Iterate | None = None  # first iterate with relgap <= _WARM_GAP
 
 
 def _row_pairs(indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -153,121 +184,202 @@ def col_scale(lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
     return d
 
 
-def solve_ipm(model: StandardModel, feas_tol: float, opt_tol: float,
-              max_iter: int) -> EngineResult:
-    """Presolve, then iterate on the reduced model.
+@dataclass
+class Prepared:
+    """Everything of an interior-point solve of one model that does not
+    depend on its objective, built once by ``prepare``: the presolve, the
+    scaled reduced model with its bounds folded in and its KKT pattern.
+    ``solve`` runs the iterations for one objective."""
+
+    model: StandardModel
+    pinned: np.ndarray        # columns fixed by the presolve
+    red: Reduction            # presolve index maps
+    core: _Scaled | None      # None when the presolve proved infeasibility
+
+    def solve(self, obj_quad: np.ndarray, obj_lin: np.ndarray,
+              feas_tol: float, opt_tol: float, max_iter: int,
+              start: Iterate | None = None) -> EngineResult:
+        """Iterate for the diagonal objective ``obj_quad``, ``obj_lin``
+        (full-model columns) and map the result back to the full model.
+
+        ``start`` is an iterate an earlier solve of this structure recorded
+        (``EngineResult.warm``); a warm-started solve that does not end
+        ``optimal`` is rerun from the cold start, and the result counts the
+        iterations of both runs. Status ``infeasible`` means the presolve
+        proved the constraints infeasible; nothing iterates then.
+        """
+        model = self.model
+        n = model.num_vars
+        if self.core is None:
+            return EngineResult(_initial_x(model.lb, model.ub),
+                                np.zeros(model.num_eq), np.zeros(model.num_in),
+                                np.zeros(n), np.zeros(n),
+                                np.zeros(len(model.quad_ineq)), "infeasible",
+                                0, np.inf, np.inf, np.inf)
+
+        red = self.red
+        # the objective is diagonal, so the presolve only restricts it
+        q, c = obj_quad[red.keep], obj_lin[red.keep]
+        res = _iterate(self.core, q, c, feas_tol, opt_tol, max_iter, start)
+        if start is not None and res.status != "optimal":
+            warm_iters = res.iterations
+            res = _iterate(self.core, q, c, feas_tol, opt_tol, max_iter, None)
+            res.iterations += warm_iters
+        pinned = self.pinned
+        x = np.zeros(n)
+        x[red.keep] = res.x
+        x[pinned] = model.lb[pinned]
+        nu = np.zeros(model.num_eq)
+        nu[red.eq_rows] = res.nu
+        lam = np.zeros(model.num_in)
+        lam[red.in_rows] = res.lam_in
+        mu = np.zeros(len(model.quad_ineq))
+        mu[red.quad_rows] = res.mu_quad
+        lam_lb = np.zeros(n)
+        lam_ub = np.zeros(n)
+        lam_lb[red.keep] = res.lam_lb
+        lam_ub[red.keep] = res.lam_ub
+        return EngineResult(x, nu, lam, lam_lb, lam_ub, mu, res.status,
+                            res.iterations, res.pres, res.dres, res.relgap,
+                            res.warm)
+
+
+def prepare(model: StandardModel) -> Prepared:
+    """Presolve, scale and lay out the KKT pattern of ``model`` once.
 
     The presolve is ``substitute_columns`` with the pinned (``lb == ub``)
     columns fixed: pinned columns and vanished rows both destroy the strict
-    interior the barrier needs (paired zero slacks). When the presolve
-    proves the model infeasible (an inconsistent vanished row or an empty
-    box), returns status ``infeasible`` without iterating.
+    interior the barrier needs (paired zero slacks). Only the constraints
+    and boxes are read, never the objective.
     Raises ConfigError on a model with integral columns.
     """
     if model.integrality.any():
         raise ConfigError("relax the model before solving")
-    n = model.num_vars
     pinned = np.flatnonzero(np.isfinite(model.lb) & (model.lb == model.ub))
     red = substitute_columns(
         model, dict(zip(pinned.tolist(), model.lb[pinned].tolist())), {})
-    if not red.feasible:
-        return EngineResult(_initial_x(model.lb, model.ub),
-                            np.zeros(model.num_eq), np.zeros(model.num_in),
-                            np.zeros(n), np.zeros(n),
-                            np.zeros(len(model.quad_ineq)), "infeasible", 0,
-                            np.inf, np.inf, np.inf)
-
-    res = _iterate(red.model, feas_tol, opt_tol, max_iter)
-    x = np.zeros(n)
-    x[red.keep] = res.x
-    x[pinned] = model.lb[pinned]
-    nu = np.zeros(model.num_eq)
-    nu[red.eq_rows] = res.nu
-    lam = np.zeros(model.num_in)
-    lam[red.in_rows] = res.lam_in
-    mu = np.zeros(len(model.quad_ineq))
-    mu[red.quad_rows] = res.mu_quad
-    lam_lb = np.zeros(n)
-    lam_ub = np.zeros(n)
-    lam_lb[red.keep] = res.lam_lb
-    lam_ub[red.keep] = res.lam_ub
-    return EngineResult(x, nu, lam, lam_lb, lam_ub, mu, res.status,
-                        res.iterations, res.pres, res.dres, res.relgap)
+    return Prepared(model, pinned, red,
+                    _Scaled(red.model) if red.feasible else None)
 
 
-def _iterate(model: StandardModel, feas_tol: float, opt_tol: float,
-             max_iter: int) -> EngineResult:
-    """Mehrotra predictor-corrector on a presolved model."""
-    n = model.num_vars
+def solve_ipm(model: StandardModel, feas_tol: float, opt_tol: float,
+              max_iter: int) -> EngineResult:
+    """Cold solve of ``model`` with its own objective:
+    ``prepare(model).solve(model.obj_quad, model.obj_lin, ...)``.
+
+    When the presolve proves the model infeasible (an inconsistent vanished
+    row or an empty box), returns status ``infeasible`` without iterating.
+    Raises ConfigError on a model with integral columns.
+    """
+    return prepare(model).solve(model.obj_quad, model.obj_lin, feas_tol,
+                                opt_tol, max_iter)
+
+
+class _Scaled:
+    """A presolved model with its columns scaled by box magnitude, its rows
+    to unit max coefficient and its finite bounds folded into the
+    inequality block, plus the fixed pattern of its KKT matrix."""
+
+    def __init__(self, model: StandardModel):
+        n = model.num_vars
+        self.n = n
+        self.num_in = model.num_in
+        d = col_scale(model.lb, model.ub)
+        lb = model.lb / d
+        ub = model.ub / d
+        A = (model.a_eq @ sp.diags(d)).tocsr() if model.num_eq else \
+            sp.csr_matrix((0, n))
+        b = model.b_eq.copy()
+        Gm = (model.g_in @ sp.diags(d)).tocsr() if model.num_in else \
+            sp.csr_matrix((0, n))
+        hm = model.h_in.copy()
+
+        def _row_scales(mat):
+            if mat.shape[0] == 0:
+                return np.ones(0)
+            mags = np.maximum(np.abs(mat).max(axis=1).toarray().ravel(), 1.0)
+            return 1.0 / mags
+
+        rs_a = _row_scales(A)
+        if rs_a.size:
+            A = sp.diags(rs_a) @ A
+            b = b * rs_a
+        rs_g = _row_scales(Gm)
+        if rs_g.size:
+            Gm = sp.diags(rs_g) @ Gm
+            hm = hm * rs_g
+
+        quad, rs_q = model.quad_ineq.scaled(d)
+
+        # fold finite bounds into the inequality block
+        fu = np.flatnonzero(np.isfinite(ub))
+        fl = np.flatnonzero(np.isfinite(lb))
+        rows = [Gm]
+        if fu.size:
+            rows.append(sp.csr_matrix((np.ones(fu.size),
+                                       (np.arange(fu.size), fu)),
+                                      shape=(fu.size, n)))
+        if fl.size:
+            rows.append(sp.csr_matrix((-np.ones(fl.size),
+                                       (np.arange(fl.size), fl)),
+                                      shape=(fl.size, n)))
+        G = sp.vstack(rows, format="csr")
+        h = np.concatenate([hm, ub[fu], -lb[fl]])
+        self.d, self.lb, self.ub = d, lb, ub
+        self.A, self.b, self.G, self.h, self.quad = A, b, G, h, quad
+        self.rs_a, self.rs_g, self.rs_q = rs_a, rs_g, rs_q
+        self.fu, self.fl = fu, fl
+        self.GT = G.T.tocsr()
+        self.AT = A.T.tocsr()
+        self.kkt = Kkt(G, A, quad)
+
+
+def _iterate(core: _Scaled, obj_quad: np.ndarray, obj_lin: np.ndarray,
+             feas_tol: float, opt_tol: float, max_iter: int,
+             start: Iterate | None) -> EngineResult:
+    """Mehrotra predictor-corrector on a prepared model, for the reduced
+    objective ``obj_quad``, ``obj_lin``; cold from the box midpoints, or
+    warm from ``start``."""
+    n = core.n
     if n == 0:
-        return EngineResult(np.zeros(0), np.zeros(model.num_eq),
-                            np.zeros(model.num_in), np.zeros(0), np.zeros(0),
-                            np.zeros(len(model.quad_ineq)), "optimal", 0,
-                            0.0, 0.0, 0.0)
+        return EngineResult(np.zeros(0), np.zeros(0), np.zeros(0),
+                            np.zeros(0), np.zeros(0), np.zeros(0), "optimal",
+                            0, 0.0, 0.0, 0.0)
 
-    # --- scale columns by box magnitude, then rows to unit max coefficient
-    d = col_scale(model.lb, model.ub)
-    q = model.obj_quad * d * d
-    c = model.obj_lin * d
-    lb = model.lb / d
-    ub = model.ub / d
-    A = (model.a_eq @ sp.diags(d)).tocsr() if model.num_eq else \
-        sp.csr_matrix((0, n))
-    b = model.b_eq.copy()
-    Gm = (model.g_in @ sp.diags(d)).tocsr() if model.num_in else \
-        sp.csr_matrix((0, n))
-    hm = model.h_in.copy()
-
-    def _row_scales(mat):
-        if mat.shape[0] == 0:
-            return np.ones(0)
-        mags = np.maximum(np.abs(mat).max(axis=1).toarray().ravel(), 1.0)
-        return 1.0 / mags
-
-    rs_a = _row_scales(A)
-    if rs_a.size:
-        A = sp.diags(rs_a) @ A
-        b = b * rs_a
-    rs_g = _row_scales(Gm)
-    if rs_g.size:
-        Gm = sp.diags(rs_g) @ Gm
-        hm = hm * rs_g
-
-    quad, rs_q = model.quad_ineq.scaled(d)
-
-    # --- fold finite bounds into the inequality block
-    fu = np.flatnonzero(np.isfinite(ub))
-    fl = np.flatnonzero(np.isfinite(lb))
-    rows = [Gm]
-    if fu.size:
-        rows.append(sp.csr_matrix((np.ones(fu.size),
-                                   (np.arange(fu.size), fu)), shape=(fu.size, n)))
-    if fl.size:
-        rows.append(sp.csr_matrix((-np.ones(fl.size),
-                                   (np.arange(fl.size), fl)), shape=(fl.size, n)))
-    G = sp.vstack(rows, format="csr")
-    h = np.concatenate([hm, ub[fu], -lb[fl]])
+    d = core.d
+    q = obj_quad * d * d
+    c = obj_lin * d
+    lb, ub = core.lb, core.ub
+    A, b, G, h, quad = core.A, core.b, core.G, core.h, core.quad
+    GT, AT, kkt = core.GT, core.AT, core.kkt
+    rs_a, rs_g, rs_q = core.rs_a, core.rs_g, core.rs_q
+    fu, fl = core.fu, core.fl
     mi = G.shape[0]
     me = A.shape[0]
     mq = len(quad)
-    GT = G.T.tocsr()
-    AT = A.T.tocsr()
-    kkt = Kkt(G, A, quad)
 
-    x = _initial_x(lb, ub)
-    nu = np.zeros(me)
-    if mi:
-        s = np.maximum(h - G @ x, 1.0)
-        lam = np.ones(mi)
+    if start is not None:
+        # shift slacks and multipliers back into the interior
+        x, nu = start.x, start.nu
+        s = np.maximum(start.s, _WARM_SHIFT)
+        lam = np.maximum(start.lam, _WARM_SHIFT)
+        t = np.maximum(start.t, _WARM_SHIFT)
+        mu = np.maximum(start.mu, _WARM_SHIFT)
     else:
-        s = np.zeros(0)
-        lam = np.zeros(0)
-    if mq:
-        t = np.maximum(-quad.value(x), 1.0)
-        mu = np.ones(mq)
-    else:
-        t = np.zeros(0)
-        mu = np.zeros(0)
+        x = _initial_x(lb, ub)
+        nu = np.zeros(me)
+        if mi:
+            s = np.maximum(h - G @ x, 1.0)
+            lam = np.ones(mi)
+        else:
+            s = np.zeros(0)
+            lam = np.zeros(0)
+        if mq:
+            t = np.maximum(-quad.value(x), 1.0)
+            mu = np.ones(mq)
+        else:
+            t = np.zeros(0)
+            mu = np.zeros(0)
 
     scale_p = 1.0 + max(np.abs(b).max(initial=0.0), np.abs(h).max(initial=0.0))
     scale_d = 1.0 + np.abs(c).max(initial=0.0)
@@ -294,6 +406,7 @@ def _iterate(model: StandardModel, feas_tol: float, opt_tol: float,
 
     best = None
     best_merit = np.inf
+    warm = None
     status = "max_iter"
     stall = 0
     iters_done = 0
@@ -326,6 +439,9 @@ def _iterate(model: StandardModel, feas_tol: float, opt_tol: float,
                    np.abs(rq).max(initial=0.0))
         dres = float(np.abs(rd).max(initial=0.0))
         relgap = gap_total / (1.0 + abs(fx))
+        # iterates are rebound, never updated in place, so no copy
+        if warm is None and relgap <= _WARM_GAP:
+            warm = Iterate(x, nu, s, lam, t, mu)
 
         merit = pres / scale_p + dres / scale_d + relgap
         if merit < best_merit:
@@ -444,10 +560,11 @@ def _iterate(model: StandardModel, feas_tol: float, opt_tol: float,
         x, nu, lam, mu, pres, dres, relgap = best
 
     # split folded duals back out and undo scaling
-    lam_model = lam[:model.num_in] if model.num_in else np.zeros(0)
+    num_in = core.num_in
+    lam_model = lam[:num_in] if num_in else np.zeros(0)
     lam_ub = np.zeros(n)
     lam_lb = np.zeros(n)
-    off = model.num_in
+    off = num_in
     if fu.size:
         lam_ub[fu] = lam[off:off + fu.size]
         off += fu.size
@@ -457,10 +574,10 @@ def _iterate(model: StandardModel, feas_tol: float, opt_tol: float,
     return EngineResult(
         x * d,
         _unscale_nu(nu, rs_a),
-        lam_model * rs_g if model.num_in else lam_model,
+        lam_model * rs_g if num_in else lam_model,
         lam_lb / d, lam_ub / d,
         mu * rs_q if mq else mu,
-        status, iters_done, float(pres), float(dres), float(relgap))
+        status, iters_done, float(pres), float(dres), float(relgap), warm)
 
 
 def _unscale_nu(nu: np.ndarray, rs_a: np.ndarray) -> np.ndarray:

@@ -43,6 +43,7 @@ class TwoStageResult:
     index: VarIndex
     stage1_time_s: float
     stage2_time_s: float
+    mode: str                 # CENTRALIZED or CONSENSUS
 
     @property
     def objective(self) -> float:
@@ -118,4 +119,4 @@ def solve_two_stage(inst: NetworkInstance, r: int, *, epsilon: float = 1e-6,
 
     return TwoStageResult(solution=sol, recovery=recovery, model=model,
                           index=index, stage1_time_s=t1 - t0,
-                          stage2_time_s=t2 - t1)
+                          stage2_time_s=t2 - t1, mode=mode)

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 import ogpf
 import ogpf.convexsolve
+import ogpf.ipm
 from ogpf.convexsolve import (ConsensusOptions, SolveOptions,
                               linear_infeasible, solve_consensus, solve_convex)
 from ogpf.mipbuild import (AreaView, QuadBlock, StandardModel, area_views,
@@ -221,6 +222,84 @@ def test_consensus_records_residual_history(instances):
     assert len(dis.history) == dis.iterations
     final_primal, _ = dis.history[-1]
     assert final_primal <= opts.primal_tol
+
+
+def _consensus_inputs(instances, name, r):
+    inst = instances[name]
+    model, index = build_model(inst, PwaConfig(r=r))
+    relaxed = relax(model)
+    return relaxed, area_views(relaxed, inst, index)
+
+
+def test_consensus_repeats_bitwise(instances):
+    """Warm-start state lives on one call's area problems only."""
+    relaxed, views = _consensus_inputs(instances, "small2area", 4)
+    a = solve_consensus(relaxed, views)
+    b = solve_consensus(relaxed, views)
+    assert a.x.tobytes() == b.x.tobytes()
+    assert a.history == b.history and a.iterations == b.iterations
+
+
+def _area_iterations(monkeypatch, relaxed, views):
+    """Consensus solution and the total IPM iterations of its area solves."""
+    total = [0]
+    iterate = ogpf.ipm._iterate
+
+    def counting(*args):
+        res = iterate(*args)
+        total[0] += res.iterations
+        return res
+
+    monkeypatch.setattr(ogpf.ipm, "_iterate", counting)
+    sol = solve_consensus(relaxed, views)
+    monkeypatch.setattr(ogpf.ipm, "_iterate", iterate)
+    return sol, total[0]
+
+
+# outer iterations and objective of consensus with cold area restarts,
+# recorded from the dict-based synchronisation the array version replaced
+COLD_CONSENSUS = {
+    ("small2area", 2): (47, 1.969998899128422),
+    ("small2area", 4): (47, 1.9699988998558702),
+    ("chain2area", 2): (41, 1.1328766572881033),
+    ("chain2area", 4): (41, 1.132876657290272),
+}
+
+
+@pytest.mark.parametrize("name,r", sorted(COLD_CONSENSUS))
+def test_warm_start_cuts_area_iterations(monkeypatch, instances, name, r):
+    relaxed, views = _consensus_inputs(instances, name, r)
+    warm, warm_iters = _area_iterations(monkeypatch, relaxed, views)
+    # a recording threshold no gap meets: every area solve starts cold
+    monkeypatch.setattr(ogpf.ipm, "_WARM_GAP", -1.0)
+    cold, cold_iters = _area_iterations(monkeypatch, relaxed, views)
+    assert (cold.iterations, cold.objective) == COLD_CONSENSUS[(name, r)]
+    assert warm.iterations == cold.iterations
+    assert warm_iters <= 0.6 * cold_iters
+    cen = solve_convex(relaxed, SolveOptions(feas_tol=1e-10, opt_tol=1e-10))
+    for sol in (warm, cold):
+        assert abs(sol.objective - cen.objective) <= 1e-4 * max(
+            1.0, abs(cen.objective))
+
+
+def test_area_probe_runs_once_per_area(monkeypatch, instances):
+    """Capped area solves end MaxIter on every outer iteration; the probe
+    verdict, which reads only the constraints, is reused after the first."""
+    from ogpf.errors import NonConvergence
+
+    relaxed, views = _consensus_inputs(instances, "small2area", 2)
+    calls = []
+    probe = ogpf.convexsolve.feasibility_probe
+
+    def counting(model, opts):
+        calls.append(model.num_vars)
+        return probe(model, opts)
+
+    monkeypatch.setattr(ogpf.convexsolve, "feasibility_probe", counting)
+    opts = ConsensusOptions(max_outer=4, inner=SolveOptions(max_iter=3))
+    with pytest.raises(NonConvergence, match="rho"):
+        solve_consensus(relaxed, views, opts)
+    assert len(calls) == len(views)
 
 
 @pytest.mark.parametrize("make", [

@@ -9,11 +9,11 @@ import ogpf
 import ogpf.convexsolve
 import ogpf.ipm
 from ogpf.convexsolve import solve_convex
-from ogpf.ipm import Kkt, solve_ipm
+from ogpf.ipm import Iterate, Kkt, prepare, solve_ipm
 from ogpf.mipbuild import QuadBlock, StandardModel, build_model, relax
 from ogpf.pwa import PwaConfig
 
-from conftest import no_quad
+from conftest import BUNDLED, no_quad
 
 
 def _reference_rows(block, x):
@@ -164,3 +164,67 @@ def test_solve_ipm_rejects_integral_model(small2area_model):
     model, _ = small2area_model
     with pytest.raises(ogpf.ConfigError):
         solve_ipm(model, 1e-8, 1e-8, 10)
+
+
+_FIELDS = ("x", "nu", "lam_in", "lam_lb", "lam_ub", "mu_quad")
+
+
+def _same(a, b):
+    return (a.status == b.status and a.iterations == b.iterations
+            and all(getattr(a, f).tobytes() == getattr(b, f).tobytes()
+                    for f in _FIELDS))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_prepared_solve_matches_solve_ipm(instances, name):
+    """One prepared structure serves any objective: solving another one
+    first leaves the cold solve of the model's own bitwise unchanged."""
+    model, _ = build_model(instances[name], PwaConfig(r=4))
+    model = relax(model)
+    prepared = prepare(model)
+    f = np.random.default_rng(3).uniform(0.9, 1.1, (2, model.num_vars))
+    other = prepared.solve(model.obj_quad * f[0], model.obj_lin * f[1],
+                           1e-10, 1e-10, 200)
+    assert other.status == "optimal"
+    res = prepared.solve(model.obj_quad, model.obj_lin, 1e-10, 1e-10, 200)
+    assert _same(res, solve_ipm(model, 1e-10, 1e-10, 200))
+
+
+def test_warm_start_from_recorded_iterate(small2area_model):
+    model = relax(small2area_model[0])
+    prepared = prepare(model)
+    cold = prepared.solve(model.obj_quad, model.obj_lin, 1e-10, 1e-10, 200)
+    assert cold.status == "optimal" and cold.warm is not None
+    warm = prepared.solve(model.obj_quad, model.obj_lin, 1e-10, 1e-10, 200,
+                          cold.warm)
+    assert warm.status == "optimal"
+    assert warm.iterations < cold.iterations
+    # the relaxed optimum is not unique, so only the objectives agree
+    assert model.objective(warm.x) == pytest.approx(
+        model.objective(cold.x), rel=1e-9)
+
+
+def test_adversarial_start_falls_back_to_cold(monkeypatch, small2area_model):
+    model = relax(small2area_model[0])
+    prepared = prepare(model)
+    cold = prepared.solve(model.obj_quad, model.obj_lin, 1e-10, 1e-10, 200)
+    w = cold.warm
+    # far outside the boxes with exploding multipliers: the warm run stalls
+    bad = Iterate(w.x + 1e3, w.nu - 1e3, w.s, np.full(w.lam.size, 1e12),
+                  w.t, np.full(w.mu.size, 1e12))
+    runs = []
+    iterate = ogpf.ipm._iterate
+
+    def recording(core, q, c, feas_tol, opt_tol, max_iter, start):
+        res = iterate(core, q, c, feas_tol, opt_tol, max_iter, start)
+        runs.append((start is None, res.status))
+        return res
+
+    monkeypatch.setattr(ogpf.ipm, "_iterate", recording)
+    res = prepared.solve(model.obj_quad, model.obj_lin, 1e-10, 1e-10, 200,
+                         bad)
+    assert runs[0][0] is False and runs[0][1] != "optimal"
+    assert runs[1] == (True, "optimal") and len(runs) == 2
+    assert res.status == "optimal"
+    assert res.iterations > cold.iterations
+    assert np.abs(res.x - cold.x).max() <= 1e-8 * np.abs(cold.x).max()
