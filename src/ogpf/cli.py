@@ -85,7 +85,7 @@ def _config_echo(cfg: RunConfig, command: str) -> dict:
 
 def _run_entry(run_id: int, result) -> dict:
     """One report row; consensus runs add their ``[r_norm, d_norm]``
-    residual history."""
+    residual history, Approximate runs their worst pipes."""
     dev = result.recovery.deviations
     entry = {
         "run": run_id,
@@ -103,6 +103,8 @@ def _run_entry(run_id: int, result) -> dict:
     }
     if result.mode == CONSENSUS:
         entry["consensus_history"] = [list(h) for h in result.solution.history]
+    if not result.certificate.is_optimal:
+        entry["worst_pipes"] = result.recovery.worst_pipes
     return entry
 
 

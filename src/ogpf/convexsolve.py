@@ -5,10 +5,13 @@ reports an empty box or an inconsistent vanished row as infeasible; when
 the iterations do not converge, an elastic feasibility probe tells an
 infeasible model from a slow one. ``solve_consensus`` runs an
 area-decomposed scaled consensus ADMM over the boundary variables
-referenced by the coupling rows; within one outer iteration the area
-subproblems are independent and synchronize at the iteration barrier. Each
-area keeps one prepared interior point (``ipm.prepare``) for the whole run
-and warm-starts every solve from the iterate its previous solve recorded.
+referenced by the coupling rows, as a fixed-point iteration on the
+consensus values and scaled duals accelerated by safeguarded type-II
+Anderson acceleration. Within one evaluation of the ADMM map the area
+subproblems are independent and synchronize at its barrier. Each area keeps
+one prepared interior point (``ipm.prepare``) for the whole run,
+warm-starts every solve from the iterate its previous solve recorded and
+solves only as accurately as the last residuals warrant.
 """
 
 from __future__ import annotations
@@ -55,8 +58,9 @@ class Solution:
     ``duals`` carries equality, inequality, bound and quadratic-row
     multipliers for stationarity checks. Solver tolerances apply to the
     internally equilibrated system; ``residuals`` report raw row violations.
-    Consensus solves additionally record the per-iteration primal/dual
-    residual sequence in ``history``.
+    Consensus solves additionally record the primal/dual residual pair of
+    every evaluation of the ADMM map in ``history``; ``iterations`` counts
+    those evaluations.
     """
 
     x: np.ndarray
@@ -198,6 +202,24 @@ class ConsensusOptions:
     def __post_init__(self):
         if self.rho <= 0:
             raise ConfigError("rho must be > 0")
+        if self.max_outer < 1:
+            raise ConfigError("max_outer must be >= 1")
+        if self.primal_tol <= 0 or self.dual_tol <= 0:
+            raise ConfigError("consensus tolerances must be > 0")
+
+
+# Anderson acceleration of the consensus map: memory (0 switches it off),
+# Tikhonov weight, and the A2DR safeguard's D, R and epsilon
+_AA_MEMORY = 5
+_AA_REG = 1e-4
+_AA_SAFE_D = 1e6
+_AA_SAFE_R = 10
+_AA_SAFE_EPS = 1e-6
+# inexact area solves run to min(_INEXACT_CAP, _INEXACT * min(r, d)) of the
+# last evaluation's residuals, never tighter than the inner tolerances
+# (0 switches it off)
+_INEXACT = 0.01
+_INEXACT_CAP = 1e-4
 
 
 class _AreaProblem:
@@ -260,18 +282,21 @@ class _AreaProblem:
         self.prepared = prepare(self.base)
         self.start = None      # warm-start iterate of the last solve
         self.feasible = None   # feasibility-probe verdict, once decided
-        self.u = np.zeros(self.shared_local.size)  # scaled duals
         self.x = np.zeros(nloc)
 
-    def solve(self, z_vals: np.ndarray, rho: float, opts: SolveOptions) -> None:
+    def solve(self, z_vals: np.ndarray, u: np.ndarray, rho: float,
+              opts: SolveOptions, tol: float) -> None:
+        """Prox step at consensus values ``z_vals`` and scaled duals ``u``,
+        to the inner tolerances loosened to at most ``tol``."""
         sl = self.shared_local
         w = rho * self.weights
         obj_quad = self.base.obj_quad.copy()
         obj_lin = self.base.obj_lin.copy()
         obj_quad[sl] += 0.5 * w
-        obj_lin[sl] += -w * (z_vals - self.u)
-        res = self.prepared.solve(obj_quad, obj_lin, opts.feas_tol,
-                                  opts.opt_tol, opts.max_iter, self.start)
+        obj_lin[sl] += -w * (z_vals - u)
+        res = self.prepared.solve(obj_quad, obj_lin, max(opts.feas_tol, tol),
+                                  max(opts.opt_tol, tol), opts.max_iter,
+                                  self.start)
         if res.status != "optimal":
             # the presolve and the probe read only the constraints, so one
             # verdict serves every outer iteration
@@ -290,15 +315,48 @@ class _AreaProblem:
         return self.x[self.shared_local]
 
 
+def _anderson_step(s_mem: list, y_mem: list, g: np.ndarray) -> np.ndarray:
+    """Type-II Anderson correction ``(S - Y) gamma`` for the residual ``g``,
+    with ``gamma`` the Tikhonov-regularized least-squares fit
+    ``(Y^T Y + eta (|S|^2 + |Y|^2) I) gamma = Y^T g`` (Zhang, O'Donoghue &
+    Boyd, SIAM J. Optim. 2020)."""
+    S = np.column_stack(s_mem)
+    Y = np.column_stack(y_mem)
+    reg = _AA_REG * (np.vdot(S, S) + np.vdot(Y, Y))
+    gamma = np.linalg.solve(Y.T @ Y + reg * np.eye(Y.shape[1]), Y.T @ g)
+    return (S - Y) @ gamma
+
+
 def solve_consensus(model: StandardModel, views: list[AreaView],
                     opts: ConsensusOptions | None = None) -> Solution:
     """Area-decomposed solve of a relaxed model via scaled consensus ADMM.
 
     Boundary variables (columns referenced by coupling rows owned by another
     area) are duplicated per touching area and reconciled through averaged
-    consensus values with scaled dual updates; the penalty parameter is
-    rebalanced from the primal/dual residual ratio. With a single area this
+    consensus values with scaled dual updates. With a single area this
     reduces to one centralized solve.
+
+    The outer loop iterates the ADMM map ``T`` on ``v = (z, u_1..u_A)``, the
+    consensus values and every area's scaled duals, each entry measured in
+    units of its shared column's box magnitude. One evaluation ``T(v)``
+    (area solves, averaging, dual update) records one ``(r_norm, d_norm)``
+    pair in ``history`` and counts as one of ``iterations``. From the
+    last accepted point and its ``f = T(v)``, type-II Anderson acceleration
+    (memory ``_AA_MEMORY``) proposes ``f - (S - Y) gamma`` from the
+    differences of the last accepted points and of their residuals
+    ``v - T(v)``. The candidate is accepted when its own residual passes the
+    A2DR safeguard (Fu, Zhang & Boyd 2020); a rejected one costs its
+    evaluation and the plain step ``T(f)`` follows. Every tenth evaluation
+    the penalty is rebalanced from the primal/dual residual ratio, which
+    rescales the duals and clears the memory.
+
+    Area solves run to the inner tolerances loosened to
+    ``min(_INEXACT_CAP, _INEXACT * min(r_norm, d_norm))`` of the last
+    evaluation (Eckstein & Bertsekas 1992). The run stops when
+    ``r_norm <= primal_tol`` and ``d_norm <= dual_tol`` on an evaluation
+    whose area solves ran at the full inner tolerances, and returns that
+    evaluation's point. With ``_AA_MEMORY = 0`` and ``_INEXACT = 0`` this is
+    plain ADMM.
 
     Raises NonConvergence when the iteration cap is hit with residuals still
     far from tolerance (increase rho or the cap).
@@ -326,54 +384,96 @@ def solve_consensus(model: StandardModel, views: list[AreaView],
                           [j for j in shared_cols if v.area in shared_map[j]])
              for v in views]
     shared = np.array(shared_cols, dtype=int)
-    # position of each area's shared columns in the consensus vector
+    nz = shared.size
+    # position of each area's shared columns in the consensus vector, and
+    # of its scaled duals in the state v = (z, u_1, ..., u_A)
     pos = [np.searchsorted(shared, p.shared_global) for p in probs]
+    offsets = np.cumsum([nz] + [k.size for k in pos])
+    spans = list(zip(offsets[:-1], offsets[1:]))
     copies = np.array([len(shared_map[j]) for j in shared_cols], dtype=float)
 
-    # consensus state, initialized at box centers
+    # consensus state, initialized at box centers with zero duals
     lo, hi = model.lb[shared], model.ub[shared]
     boxed = np.isfinite(lo) & np.isfinite(hi)
-    z = np.zeros(shared.size)
-    z[boxed] = 0.5 * (lo[boxed] + hi[boxed])
+    v = np.zeros(offsets[-1])
+    v[:nz][boxed] = 0.5 * (lo[boxed] + hi[boxed])
     rho = opts.rho
     scale_z = col_scale(lo, hi)
+    # every entry of v measured in its shared column's units
+    v_scale = np.concatenate([scale_z] + [scale_z[k] for k in pos])
+    full_tol = min(opts.inner.feas_tol, opts.inner.opt_tol)
+
+    def evaluate(v, rho, tol):
+        """One ADMM pass T(v): area solves, averaging, dual update."""
+        z = v[:nz]
+        for p, k, (a, b) in zip(probs, pos, spans):
+            p.solve(z[k], v[a:b], rho, opts.inner, tol)
+        sums = np.zeros(nz)
+        for p, k, (a, b) in zip(probs, pos, spans):
+            np.add.at(sums, k, p.shared_values() + v[a:b])
+        f = np.empty_like(v)
+        f[:nz] = sums / copies
+        r_norm = 0.0
+        for p, k, (a, b) in zip(probs, pos, spans):
+            diff = p.shared_values() - f[:nz][k]
+            f[a:b] = v[a:b] + diff
+            r_norm = max(r_norm, float(
+                (np.abs(diff) / scale_z[k]).max(initial=0.0)))
+        d_norm = rho * float(
+            (np.abs(f[:nz] - z) / scale_z).max(initial=0.0))
+        return f, r_norm, d_norm
 
     status = MAX_ITER
     it = 0
     r_norm = d_norm = np.inf
     history = []
+    # last accepted point: (v, T(v), scaled residual v - T(v)), and the
+    # Anderson memory of scaled differences between accepted points
+    base = None
+    s_mem, y_mem = [], []
+    g0 = None
+    n_aa = 0
+    candidate = False
     for it in range(1, opts.max_outer + 1):
-        for p, k in zip(probs, pos):
-            p.solve(z[k], rho, opts.inner)
-
-        z_old = z
-        sums = np.zeros(shared.size)
-        for p, k in zip(probs, pos):
-            np.add.at(sums, k, p.shared_values() + p.u)
-        z = sums / copies
-
-        r_norm = 0.0
-        for p, k in zip(probs, pos):
-            diff = p.shared_values() - z[k]
-            p.u = p.u + diff
-            r_norm = max(r_norm, float(
-                (np.abs(diff) / scale_z[k]).max(initial=0.0)))
-        d_norm = rho * float((np.abs(z - z_old) / scale_z).max(initial=0.0))
+        tol = min(_INEXACT_CAP, _INEXACT * min(r_norm, d_norm)) \
+            if _INEXACT else 0.0
+        f, r_norm, d_norm = evaluate(v, rho, tol)
         history.append((r_norm, d_norm))
 
-        if r_norm <= opts.primal_tol and d_norm <= opts.dual_tol:
+        if r_norm <= opts.primal_tol and d_norm <= opts.dual_tol \
+                and tol <= full_tol:
             status = OPTIMAL
             break
 
+        g = (v - f) / v_scale
+        g_norm = float(np.linalg.norm(g))
+        if candidate and g_norm > _AA_SAFE_D * g0 * (
+                n_aa / _AA_SAFE_R + 1.0) ** -(1.0 + _AA_SAFE_EPS):
+            # safeguard: drop the candidate for the plain step
+            v = base[1]
+            candidate = False
+        else:
+            n_aa += candidate
+            if base is not None and _AA_MEMORY:
+                s_mem = (s_mem + [(v - base[0]) / v_scale])[-_AA_MEMORY:]
+                y_mem = (y_mem + [g - base[2]])[-_AA_MEMORY:]
+            if g0 is None:
+                g0 = g_norm
+            base = (v, f, g)
+            candidate = bool(s_mem)
+            v = f - v_scale * _anderson_step(s_mem, y_mem, g) if candidate \
+                else f
+
         if it % 10 == 0:
-            if r_norm > 10.0 * d_norm and rho < 1e6:
-                rho *= 2.0
-                for p in probs:
-                    p.u = p.u / 2.0
-            elif d_norm > 10.0 * r_norm and rho > 1e-4:
-                rho /= 2.0
-                for p in probs:
-                    p.u = p.u * 2.0
+            step = (2.0 if r_norm > 10.0 * d_norm and rho < 1e6 else
+                    0.5 if d_norm > 10.0 * r_norm and rho > 1e-4 else 1.0)
+            if step != 1.0:
+                # rescale the duals of the plain step; the memory holds
+                # differences taken at the old rho
+                rho *= step
+                v = base[1].copy()
+                v[nz:] /= step
+                base, s_mem, y_mem, candidate = None, [], [], False
 
     if status == MAX_ITER and r_norm > 1e3 * opts.primal_tol:
         raise NonConvergence(
@@ -383,7 +483,7 @@ def solve_consensus(model: StandardModel, views: list[AreaView],
     x = np.zeros(model.num_vars)
     for p in probs:
         x[p.global_cols[p.owned_local]] = p.x[p.owned_local]
-    x[shared] = z
+    x[shared] = f[:nz]
 
     rep = check_point(model, x, tol=np.inf)
     return Solution(

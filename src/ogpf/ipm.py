@@ -60,7 +60,7 @@ _W_CAP = 1e14
 # warm start: a solve records its first iterate within this relative gap;
 # a start iterate's slacks and multipliers are raised to at least this
 _WARM_GAP = 1e-3
-_WARM_SHIFT = 1e-3
+_WARM_SHIFT = 1e-4
 
 
 @dataclass

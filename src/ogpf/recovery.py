@@ -166,6 +166,9 @@ class RecoveryResult:
     certificate: Certificate
     u_star: np.ndarray
     deviations: dict = field(default_factory=dict)
+    # Approximate only: up to three [pwa_flow row label, mismatch] pairs
+    # above cert_tol, largest first
+    worst_pipes: list = field(default_factory=list)
 
 
 def assemble_and_certify(u0: np.ndarray,
@@ -203,13 +206,18 @@ def assemble_and_certify(u0: np.ndarray,
     # certify from the assembled point itself: worst residual of the coupled
     # flow equalities equals the pressure objective at the recovered point
     rows = index.rows(EQ, "pwa_flow")
-    j_direct = float(np.abs(model.a_eq[rows] @ u_star - model.b_eq[rows])
-                     .max(initial=0.0))
+    mismatch = np.abs(model.a_eq[rows] @ u_star - model.b_eq[rows])
+    j_direct = float(mismatch.max(initial=0.0))
     kind = CERT_OPTIMAL if j_direct <= cert_tol else CERT_APPROXIMATE
     cert = Certificate(kind, j_direct)
+    worst = np.argsort(-mismatch, kind="stable")[:3]
     result = RecoveryResult(configuration=dict(configuration),
                             psi_tilde=dict(psi_tilde), j_psi=j_direct,
-                            certificate=cert, u_star=u_star)
+                            certificate=cert, u_star=u_star,
+                            worst_pipes=[[index.row_name(EQ, rows[k]),
+                                          float(mismatch[k])]
+                                         for k in worst
+                                         if mismatch[k] > cert_tol])
     if cert.is_optimal:
         rep = check_point(model, u_star, feas_tol * (1.0 + 1e-9),
                           check_integrality=True)

@@ -50,6 +50,29 @@ def test_solve_exit_two_on_approximate(tmp_path):
     assert _report(out)["runs"][0]["certificate"] == "Approximate"
 
 
+def test_approximate_report_lists_worst_pipes(tmp_path):
+    out = tmp_path / "rep.json"
+    assert _run(["solve", "--instance", LOOP, "--r", "4",
+                 "--out", str(out)]) == 2
+    entry = _report(out)["runs"][0]
+    worst = entry["worst_pipes"]
+    # loop1area has three pipes, each violating its flow equality
+    assert len(worst) == 3
+    assert all(label.startswith("pwa_flow[") for label, _ in worst)
+    values = [v for _, v in worst]
+    assert values == sorted(values, reverse=True)
+    assert values[0] == entry["certificate_bound"]
+    assert min(values) > 1e-8
+    # the ranking matches the flow-equality residuals of the assembled point
+    ref = ogpf.solve_two_stage(ogpf.load_instance(LOOP), 4)
+    model, index = ref.model, ref.index
+    rows = index.rows("eq", "pwa_flow")
+    resid = abs(model.a_eq[rows] @ ref.recovery.u_star - model.b_eq[rows])
+    assert values == sorted(resid.tolist(), reverse=True)[:3]
+    assert {label for label, _ in worst} == {
+        index.row_name("eq", k) for k in rows}
+
+
 def test_solve_missing_instance_is_error(tmp_path):
     code = _run(["solve", "--instance", str(tmp_path / "nope.json")])
     assert code == 1
