@@ -1,11 +1,9 @@
 """Two-stage solver toolkit for multi-area optimal gas-power flow."""
 
-from .convexsolve import (ConsensusOptions, SolveOptions, Solution,
-                          solve_consensus, solve_convex)
+from .convexsolve import SolveOptions, Solution, solve_consensus, solve_convex
 from .errors import (AllInfeasible, CapExceeded, CertificationBug,
-                     ConfigError, MissingBounds, ModelError, NonConvergence,
-                     OgpfError, OutOfRange, ParseError, SolverFailure,
-                     ValidationError)
+                     ConfigError, MissingBounds, ModelError, OgpfError,
+                     OutOfRange, ParseError, SolverFailure, ValidationError)
 from .mipbuild import (QuadBlock, StandardModel, VarIndex, area_views,
                        build_model, check_point, dump_model, fit_all_curves,
                        relax, substitute_columns)

@@ -84,8 +84,8 @@ def _config_echo(cfg: RunConfig, command: str) -> dict:
 
 
 def _run_entry(run_id: int, result) -> dict:
-    """One report row; consensus runs add their ``[r_norm, d_norm]``
-    residual history, Approximate runs their worst pipes."""
+    """One report row, the same keys in either mode; Approximate runs add
+    their worst pipes."""
     dev = result.recovery.deviations
     entry = {
         "run": run_id,
@@ -101,8 +101,6 @@ def _run_entry(run_id: int, result) -> dict:
         "solver_status": result.solution.status,
         "error": None,
     }
-    if result.mode == CONSENSUS:
-        entry["consensus_history"] = [list(h) for h in result.solution.history]
     if not result.certificate.is_optimal:
         entry["worst_pipes"] = result.recovery.worst_pipes
     return entry

@@ -49,10 +49,6 @@ class AllInfeasible(OgpfError):
     """Every enumerated binary configuration is infeasible."""
 
 
-class NonConvergence(OgpfError):
-    """Consensus iteration diverged; consider increasing the penalty parameter."""
-
-
 class CertificationBug(OgpfError):
     """Internal assertion: a certified-optimal point failed the independent
     feasibility re-check. Signals an implementation error."""

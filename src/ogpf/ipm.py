@@ -20,27 +20,24 @@ bounds are folded into the inequality block, variables and rows are
 equilibrated, and each iteration solves one condensed KKT system for the
 affine and corrector directions. The KKT matrix is sparse with a fixed
 pattern: the pattern and the maps from every product term to its slot are
-built once, each iteration only refills the values and factors them with
-SuperLU (minimum-degree ordering of ``K + K^T``, which suits the symmetric
-quasi-definite K; static regularization; one refinement pass). Quadratic
-rows arrive as the model's coordinate block (``mipbuild.QuadBlock``) and
-enter through their gradients plus a second-order correction in the
-corrector, which is exact for quadratics.
+built once, each iteration only refills the values. Quadratic rows arrive
+as the model's coordinate block (``mipbuild.QuadBlock``) and enter through
+their gradients plus a second-order correction in the corrector, which is
+exact for quadratics.
 
-Nothing of that set-up reads the objective. ``prepare(model)`` does it once
-(presolve and its infeasibility verdict, scaling, bound folding, KKT
-pattern) and ``Prepared.solve`` iterates for any diagonal objective over the
-same constraints, so a caller that re-solves with a changing objective (the
-consensus area subproblems) pays for it once. ``solve_ipm`` is the one-shot
-``prepare(model).solve(...)`` with the model's own objective.
-
-Warm start: each solve records its first iterate whose relative gap is at
-most ``_WARM_GAP`` (well centred, not yet pinned to the boundary). Passed as
-``start`` to a later solve of the same structure, its slacks and multipliers
-are raised to at least ``_WARM_SHIFT`` in the scaled space and the
-iterations resume from there; a warm-started solve that does not end
-``optimal`` is rerun cold. Cold solves start from the box midpoints.
-Determinism: fixed ordering and iteration order, no randomness.
+Factoring goes through one seam, ``KktPartition.factor``, which splits the
+KKT indices into blocks plus a border. Without area labels K is one block
+with an empty border and is factored whole. With the area of every column
+and equality row (``solve_ipm(..., areas=...)``), each area's columns and
+own equality rows form a block and the coupling equality rows form the
+border: every block is factored on its own and one small Schur complement
+on the border couples them (a block-bordered interior point, as in Gondzio
+& Grothey, Comput. Manag. Sci. 2009). Both give the same Newton step up to
+rounding. Every factor is SuperLU with minimum-degree ordering of
+``K + K^T``, which suits the symmetric quasi-definite K; static
+regularization and one refinement pass against the whole K follow.
+Cold start from the box midpoints. Determinism: fixed ordering and
+iteration order, no randomness.
 """
 
 from __future__ import annotations
@@ -51,28 +48,12 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import ConfigError
-from .mipbuild import QuadBlock, Reduction, StandardModel, substitute_columns
+from .errors import ConfigError, ModelError
+from .mipbuild import QuadBlock, StandardModel, substitute_columns
 
 _REG_PRIMAL = 1e-10
 _REG_DUAL = 1e-10
 _W_CAP = 1e14
-# warm start: a solve records its first iterate within this relative gap;
-# a start iterate's slacks and multipliers are raised to at least this
-_WARM_GAP = 1e-3
-_WARM_SHIFT = 1e-4
-
-
-@dataclass
-class Iterate:
-    """Primal-dual point of one prepared model, in its scaled space."""
-
-    x: np.ndarray
-    nu: np.ndarray
-    s: np.ndarray             # slacks of the folded inequality block
-    lam: np.ndarray
-    t: np.ndarray             # slacks of the quadratic rows
-    mu: np.ndarray
 
 
 @dataclass
@@ -91,7 +72,6 @@ class EngineResult:
     pres: float
     dres: float
     relgap: float
-    warm: Iterate | None = None  # first iterate with relgap <= _WARM_GAP
 
 
 def _row_pairs(indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -160,6 +140,133 @@ class Kkt:
         return self.K
 
 
+class KktPartition:
+    """The KKT indices split into blocks plus a border, with the maps from
+    K's slots to each block and to its border columns, built once from K's
+    fixed pattern.
+
+    ``label[i]`` is the block of KKT index ``i``, -1 for the border. Every
+    entry of K outside the border rows and columns must lie within one
+    block, so after permutation K is block diagonal but for the border.
+    ``factor`` factors each block ``K_aa`` on its own and the dense Schur
+    complement ``S = K_bb - sum_a K_ab^T K_aa^-1 K_ab`` of the border (K is
+    symmetric); with one block and an empty border it factors K itself.
+    """
+
+    def __init__(self, K: sp.csc_matrix, label: np.ndarray):
+        size = K.shape[0]
+        rows = K.indices
+        cols = np.repeat(np.arange(size), np.diff(K.indptr))
+        lr, lc = label[rows], label[cols]
+        if ((lr >= 0) & (lc >= 0) & (lr != lc)).any():
+            raise ModelError("a row outside the coupling rows spans two "
+                             "areas")
+        self.border = np.flatnonzero(label < 0)
+        nb = self.border.size
+        # position of each index within its block, or within the border
+        pos = np.zeros(size, dtype=np.intp)
+        pos[self.border] = np.arange(nb)
+        bb = np.flatnonzero((lr < 0) & (lc < 0))
+        self._bb = bb, pos[rows[bb]] * nb + pos[cols[bb]]
+        self.blocks = []
+        for a in np.unique(label[label >= 0]):
+            idx = np.flatnonzero(label == a)
+            pos[idx] = np.arange(idx.size)
+            if idx.size == size:
+                mat, inner = K, None    # one block: K itself, no copy
+            else:
+                inner = np.flatnonzero((lr == a) & (lc == a))
+                # K's canonical CSC order carries over to the block
+                indptr = np.concatenate([[0], np.cumsum(
+                    np.bincount(pos[cols[inner]], minlength=idx.size))])
+                mat = sp.csc_matrix(
+                    (np.zeros(inner.size), pos[rows[inner]].astype(np.int32),
+                     indptr.astype(np.int32)), shape=(idx.size, idx.size))
+            ab = np.flatnonzero((lr == a) & (lc < 0))
+            touch = np.unique(pos[cols[ab]])
+            self.blocks.append(_Block(
+                idx, inner, mat, touch, ab, pos[rows[ab]] * touch.size
+                + np.searchsorted(touch, pos[cols[ab]])))
+
+    def factor(self, K: sp.csc_matrix) -> _Factor:
+        """Factor K (refilled on the pattern the partition was built from).
+
+        A singular block or border raises RuntimeError, as SuperLU does for
+        a singular K; so does a non-finite border.
+        """
+        data = K.data
+        lus = []
+        for blk in self.blocks:
+            if blk.inner is not None:
+                blk.mat.data[:] = data[blk.inner]
+            lus.append(splu(blk.mat, permc_spec="MMD_AT_PLUS_A"))
+        nb = self.border.size
+        if not nb:
+            return _Factor(self, lus, [], None)
+        S = np.zeros(nb * nb)
+        S[self._bb[1]] = data[self._bb[0]]
+        S = S.reshape(nb, nb)
+        coupling = []
+        for blk, lu in zip(self.blocks, lus):
+            kab = np.zeros((blk.idx.size, blk.touch.size))
+            kab.flat[blk.ab_flat] = data[blk.ab]
+            z = lu.solve(kab)
+            S[np.ix_(blk.touch, blk.touch)] -= kab.T @ z
+            coupling.append((kab, z))
+        if not np.isfinite(S).all():
+            raise RuntimeError("non-finite border Schur complement")
+        return _Factor(self, lus, coupling,
+                       splu(sp.csc_matrix(S), permc_spec="MMD_AT_PLUS_A"))
+
+
+@dataclass
+class _Block:
+    """One block of a ``KktPartition``: its KKT indices, the slots of its
+    own entries in K (None when the block is all of K) and the matrix they
+    refill, the border positions its
+    ``K_ab`` touches, and the slots of ``K_ab`` with their flat positions in
+    the dense ``len(idx) x len(touch)`` array."""
+
+    idx: np.ndarray
+    inner: np.ndarray | None
+    mat: sp.csc_matrix
+    touch: np.ndarray
+    ab: np.ndarray
+    ab_flat: np.ndarray
+
+
+@dataclass
+class _Factor:
+    """Factors of a partitioned K: the LU of every block and, with a
+    border, per block ``K_ab`` and ``K_aa^-1 K_ab`` (on the border positions
+    it touches) and the LU of the border's Schur complement."""
+
+    partition: KktPartition
+    lus: list
+    coupling: list            # empty without a border
+    schur: object             # None without a border
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``K^-1 rhs`` by block elimination of the border."""
+        blocks = self.partition.blocks
+        if self.schur is None and len(blocks) == 1:
+            return self.lus[0].solve(rhs)     # the block is K itself
+        ys = [lu.solve(rhs[blk.idx]) for blk, lu in zip(blocks, self.lus)]
+        out = np.empty(rhs.size)
+        if self.schur is not None:
+            border = self.partition.border
+            rb = rhs[border]
+            for blk, (kab, _), y in zip(blocks, self.coupling, ys):
+                rb[blk.touch] -= kab.T @ y
+            xb = self.schur.solve(rb)
+            out[border] = xb
+            for blk, (_, z), y in zip(blocks, self.coupling, ys):
+                y -= z @ xb[blk.touch]
+        for blk, y in zip(blocks, ys):
+            out[blk.idx] = y
+        return out
+
+
 def _initial_x(lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
     """Analytic-center-flavored start: box midpoints, pushed off one-sided
     bounds, zero for free columns."""
@@ -184,103 +291,68 @@ def col_scale(lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
     return d
 
 
-@dataclass
-class Prepared:
-    """Everything of an interior-point solve of one model that does not
-    depend on its objective, built once by ``prepare``: the presolve, the
-    scaled reduced model with its bounds folded in and its KKT pattern.
-    ``solve`` runs the iterations for one objective."""
-
-    model: StandardModel
-    pinned: np.ndarray        # columns fixed by the presolve
-    red: Reduction            # presolve index maps
-    core: _Scaled | None      # None when the presolve proved infeasibility
-
-    def solve(self, obj_quad: np.ndarray, obj_lin: np.ndarray,
-              feas_tol: float, opt_tol: float, max_iter: int,
-              start: Iterate | None = None) -> EngineResult:
-        """Iterate for the diagonal objective ``obj_quad``, ``obj_lin``
-        (full-model columns) and map the result back to the full model.
-
-        ``start`` is an iterate an earlier solve of this structure recorded
-        (``EngineResult.warm``); a warm-started solve that does not end
-        ``optimal`` is rerun from the cold start, and the result counts the
-        iterations of both runs. Status ``infeasible`` means the presolve
-        proved the constraints infeasible; nothing iterates then.
-        """
-        model = self.model
-        n = model.num_vars
-        if self.core is None:
-            return EngineResult(_initial_x(model.lb, model.ub),
-                                np.zeros(model.num_eq), np.zeros(model.num_in),
-                                np.zeros(n), np.zeros(n),
-                                np.zeros(len(model.quad_ineq)), "infeasible",
-                                0, np.inf, np.inf, np.inf)
-
-        red = self.red
-        # the objective is diagonal, so the presolve only restricts it
-        q, c = obj_quad[red.keep], obj_lin[red.keep]
-        res = _iterate(self.core, q, c, feas_tol, opt_tol, max_iter, start)
-        if start is not None and res.status != "optimal":
-            warm_iters = res.iterations
-            res = _iterate(self.core, q, c, feas_tol, opt_tol, max_iter, None)
-            res.iterations += warm_iters
-        pinned = self.pinned
-        x = np.zeros(n)
-        x[red.keep] = res.x
-        x[pinned] = model.lb[pinned]
-        nu = np.zeros(model.num_eq)
-        nu[red.eq_rows] = res.nu
-        lam = np.zeros(model.num_in)
-        lam[red.in_rows] = res.lam_in
-        mu = np.zeros(len(model.quad_ineq))
-        mu[red.quad_rows] = res.mu_quad
-        lam_lb = np.zeros(n)
-        lam_ub = np.zeros(n)
-        lam_lb[red.keep] = res.lam_lb
-        lam_ub[red.keep] = res.lam_ub
-        return EngineResult(x, nu, lam, lam_lb, lam_ub, mu, res.status,
-                            res.iterations, res.pres, res.dres, res.relgap,
-                            res.warm)
-
-
-def prepare(model: StandardModel) -> Prepared:
-    """Presolve, scale and lay out the KKT pattern of ``model`` once.
+def solve_ipm(model: StandardModel, feas_tol: float, opt_tol: float,
+              max_iter: int,
+              areas: tuple[np.ndarray, np.ndarray] | None = None
+              ) -> EngineResult:
+    """Solve ``model`` with its own objective, cold from the box midpoints.
 
     The presolve is ``substitute_columns`` with the pinned (``lb == ub``)
     columns fixed: pinned columns and vanished rows both destroy the strict
-    interior the barrier needs (paired zero slacks). Only the constraints
-    and boxes are read, never the objective.
-    Raises ConfigError on a model with integral columns.
+    interior the barrier needs (paired zero slacks). When it proves the
+    model infeasible (an inconsistent vanished row or an empty box), returns
+    status ``infeasible`` without iterating.
+
+    ``areas`` is the block of every model column and of every equality row
+    (integers >= 0; -1 puts an equality row in the border, as a coupling
+    row). The KKT step then factors each block on its own and couples them
+    through the border (``KktPartition``); without it K is one block.
+    Raises ConfigError on a model with integral columns and ModelError when
+    some row other than a border row spans two blocks.
     """
     if model.integrality.any():
         raise ConfigError("relax the model before solving")
+    n = model.num_vars
     pinned = np.flatnonzero(np.isfinite(model.lb) & (model.lb == model.ub))
     red = substitute_columns(
         model, dict(zip(pinned.tolist(), model.lb[pinned].tolist())), {})
-    return Prepared(model, pinned, red,
-                    _Scaled(red.model) if red.feasible else None)
+    if not red.feasible:
+        return EngineResult(_initial_x(model.lb, model.ub),
+                            np.zeros(model.num_eq), np.zeros(model.num_in),
+                            np.zeros(n), np.zeros(n),
+                            np.zeros(len(model.quad_ineq)), "infeasible",
+                            0, np.inf, np.inf, np.inf)
 
-
-def solve_ipm(model: StandardModel, feas_tol: float, opt_tol: float,
-              max_iter: int) -> EngineResult:
-    """Cold solve of ``model`` with its own objective:
-    ``prepare(model).solve(model.obj_quad, model.obj_lin, ...)``.
-
-    When the presolve proves the model infeasible (an inconsistent vanished
-    row or an empty box), returns status ``infeasible`` without iterating.
-    Raises ConfigError on a model with integral columns.
-    """
-    return prepare(model).solve(model.obj_quad, model.obj_lin, feas_tol,
-                                opt_tol, max_iter)
+    label = np.zeros(red.keep.size + red.eq_rows.size, dtype=np.intp) \
+        if areas is None else np.concatenate([areas[0][red.keep],
+                                              areas[1][red.eq_rows]])
+    # the objective is diagonal, so the presolve only restricts it
+    res = _iterate(_Scaled(red.model, label), model.obj_quad[red.keep],
+                   model.obj_lin[red.keep], feas_tol, opt_tol, max_iter)
+    x = np.zeros(n)
+    x[red.keep] = res.x
+    x[pinned] = model.lb[pinned]
+    nu = np.zeros(model.num_eq)
+    nu[red.eq_rows] = res.nu
+    lam = np.zeros(model.num_in)
+    lam[red.in_rows] = res.lam_in
+    mu = np.zeros(len(model.quad_ineq))
+    mu[red.quad_rows] = res.mu_quad
+    lam_lb = np.zeros(n)
+    lam_ub = np.zeros(n)
+    lam_lb[red.keep] = res.lam_lb
+    lam_ub[red.keep] = res.lam_ub
+    return EngineResult(x, nu, lam, lam_lb, lam_ub, mu, res.status,
+                        res.iterations, res.pres, res.dres, res.relgap)
 
 
 class _Scaled:
     """A presolved model with its columns scaled by box magnitude, its rows
     to unit max coefficient and its finite bounds folded into the
-    inequality block, plus the fixed pattern of its KKT matrix."""
+    inequality block, plus the fixed pattern of its KKT matrix and its
+    partition by ``label`` (see ``KktPartition``)."""
 
-    def __init__(self, model: StandardModel):
+    def __init__(self, model: StandardModel, label: np.ndarray):
         n = model.num_vars
         self.n = n
         self.num_in = model.num_in
@@ -332,14 +404,13 @@ class _Scaled:
         self.GT = G.T.tocsr()
         self.AT = A.T.tocsr()
         self.kkt = Kkt(G, A, quad)
+        self.partition = KktPartition(self.kkt.K, label)
 
 
 def _iterate(core: _Scaled, obj_quad: np.ndarray, obj_lin: np.ndarray,
-             feas_tol: float, opt_tol: float, max_iter: int,
-             start: Iterate | None) -> EngineResult:
-    """Mehrotra predictor-corrector on a prepared model, for the reduced
-    objective ``obj_quad``, ``obj_lin``; cold from the box midpoints, or
-    warm from ``start``."""
+             feas_tol: float, opt_tol: float, max_iter: int) -> EngineResult:
+    """Mehrotra predictor-corrector on a scaled model, for the reduced
+    objective ``obj_quad``, ``obj_lin``, cold from the box midpoints."""
     n = core.n
     if n == 0:
         return EngineResult(np.zeros(0), np.zeros(0), np.zeros(0),
@@ -351,35 +422,27 @@ def _iterate(core: _Scaled, obj_quad: np.ndarray, obj_lin: np.ndarray,
     c = obj_lin * d
     lb, ub = core.lb, core.ub
     A, b, G, h, quad = core.A, core.b, core.G, core.h, core.quad
-    GT, AT, kkt = core.GT, core.AT, core.kkt
+    GT, AT, kkt, partition = core.GT, core.AT, core.kkt, core.partition
     rs_a, rs_g, rs_q = core.rs_a, core.rs_g, core.rs_q
     fu, fl = core.fu, core.fl
     mi = G.shape[0]
     me = A.shape[0]
     mq = len(quad)
 
-    if start is not None:
-        # shift slacks and multipliers back into the interior
-        x, nu = start.x, start.nu
-        s = np.maximum(start.s, _WARM_SHIFT)
-        lam = np.maximum(start.lam, _WARM_SHIFT)
-        t = np.maximum(start.t, _WARM_SHIFT)
-        mu = np.maximum(start.mu, _WARM_SHIFT)
+    x = _initial_x(lb, ub)
+    nu = np.zeros(me)
+    if mi:
+        s = np.maximum(h - G @ x, 1.0)
+        lam = np.ones(mi)
     else:
-        x = _initial_x(lb, ub)
-        nu = np.zeros(me)
-        if mi:
-            s = np.maximum(h - G @ x, 1.0)
-            lam = np.ones(mi)
-        else:
-            s = np.zeros(0)
-            lam = np.zeros(0)
-        if mq:
-            t = np.maximum(-quad.value(x), 1.0)
-            mu = np.ones(mq)
-        else:
-            t = np.zeros(0)
-            mu = np.zeros(0)
+        s = np.zeros(0)
+        lam = np.zeros(0)
+    if mq:
+        t = np.maximum(-quad.value(x), 1.0)
+        mu = np.ones(mq)
+    else:
+        t = np.zeros(0)
+        mu = np.zeros(0)
 
     scale_p = 1.0 + max(np.abs(b).max(initial=0.0), np.abs(h).max(initial=0.0))
     scale_d = 1.0 + np.abs(c).max(initial=0.0)
@@ -402,11 +465,10 @@ def _iterate(core: _Scaled, obj_quad: np.ndarray, obj_lin: np.ndarray,
         """Refill and factor K; a singular factor raises RuntimeError here,
         a non-finite one shows as a non-finite solution in ``solve_kkt``."""
         K = kkt.fill(W, H, V, jv)
-        return K, splu(K, permc_spec="MMD_AT_PLUS_A")
+        return K, partition.factor(K)
 
     best = None
     best_merit = np.inf
-    warm = None
     status = "max_iter"
     stall = 0
     iters_done = 0
@@ -439,9 +501,6 @@ def _iterate(core: _Scaled, obj_quad: np.ndarray, obj_lin: np.ndarray,
                    np.abs(rq).max(initial=0.0))
         dres = float(np.abs(rd).max(initial=0.0))
         relgap = gap_total / (1.0 + abs(fx))
-        # iterates are rebound, never updated in place, so no copy
-        if warm is None and relgap <= _WARM_GAP:
-            warm = Iterate(x, nu, s, lam, t, mu)
 
         merit = pres / scale_p + dres / scale_d + relgap
         if merit < best_merit:
@@ -577,7 +636,7 @@ def _iterate(core: _Scaled, obj_quad: np.ndarray, obj_lin: np.ndarray,
         lam_model * rs_g if num_in else lam_model,
         lam_lb / d, lam_ub / d,
         mu * rs_q if mq else mu,
-        status, iters_done, float(pres), float(dres), float(relgap), warm)
+        status, iters_done, float(pres), float(dres), float(relgap))
 
 
 def _unscale_nu(nu: np.ndarray, rs_a: np.ndarray) -> np.ndarray:

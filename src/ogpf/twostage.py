@@ -1,10 +1,12 @@
 """End-to-end two-stage solve: convex relaxation, then recovery.
 
-Stage 1 solves the relaxed model (centralized interior point or area
-consensus). Stage 2 reads a region configuration off the stage-1 flows,
-recomputes pressures through the infinity-norm problem, sets the binaries
-and product auxiliaries the configuration implies, assembles the final point
-(stage-1 components untouched) and certifies it.
+Stage 1 solves the relaxed model with the interior point, either on the
+whole KKT system (centralized) or with each area factoring its own KKT
+block and the coupling rows joining them (consensus); both take the same
+iterations to the same optimum. Stage 2 reads a region configuration off
+the stage-1 flows, recomputes pressures through the infinity-norm problem,
+sets the binaries and product auxiliaries the configuration implies,
+assembles the final point (stage-1 components untouched) and certifies it.
 
 A positive pressure residual is reported as an Approximate certificate with
 the flows kept as decided; no repair pass re-solves stage 1 under the
@@ -16,8 +18,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .convexsolve import (ConsensusOptions, INFEASIBLE, SolveOptions,
-                          Solution, solve_consensus, solve_convex)
+from .convexsolve import (INFEASIBLE, SolveOptions, Solution,
+                          solve_consensus, solve_convex)
 from .errors import OgpfError
 from .mipbuild import PHI, StandardModel, VarIndex, area_views, build_model, relax
 from .netmodel import NetworkInstance
@@ -61,7 +63,6 @@ class TwoStageResult:
 def solve_two_stage(inst: NetworkInstance, r: int, *, epsilon: float = 1e-6,
                     cert_tol: float = 1e-8, mode: str = CENTRALIZED,
                     solve_opts: SolveOptions | None = None,
-                    consensus_opts: ConsensusOptions | None = None,
                     feas_tol: float = 1e-6,
                     press_tol: float = 1e-9) -> TwoStageResult:
     """Run both stages on an instance and return the assembled outcome.
@@ -74,13 +75,12 @@ def solve_two_stage(inst: NetworkInstance, r: int, *, epsilon: float = 1e-6,
     relaxed = relax(model)
     curves = index.curves
 
+    opts = solve_opts or SolveOptions(feas_tol=1e-10, opt_tol=1e-10)
     t0 = time.perf_counter()
     if mode == CONSENSUS:
-        views = area_views(model, inst, index)
-        sol = solve_consensus(relaxed, views, consensus_opts)
+        sol = solve_consensus(relaxed, area_views(model, inst, index), opts)
     elif mode == CENTRALIZED:
-        sol = solve_convex(relaxed, solve_opts
-                           or SolveOptions(feas_tol=1e-10, opt_tol=1e-10))
+        sol = solve_convex(relaxed, opts)
     else:
         raise OgpfError(f"unknown solve mode {mode!r}")
     t1 = time.perf_counter()
@@ -88,8 +88,8 @@ def solve_two_stage(inst: NetworkInstance, r: int, *, epsilon: float = 1e-6,
         raise OgpfError("stage 1: relaxed problem is infeasible")
 
     # stage-2 quantities use reciprocity-symmetrized flows so that solver
-    # noise between the two orientations (relevant for consensus mode) does
-    # not leak into the pressure targets; exact solves are unaffected. The
+    # noise between the two orientations does not leak into the pressure
+    # targets; exact solves are unaffected. The
     # curves list each pipe's orientations adjacently, stored one first.
     phi_star = {}
     keys = list(curves)
@@ -102,8 +102,8 @@ def solve_two_stage(inst: NetworkInstance, r: int, *, epsilon: float = 1e-6,
     psi_bounds = {nd.id: (nd.psi_min, nd.psi_max) for nd in inst.gas_nodes}
 
     # certification re-checks the point against every row; that can only be
-    # as tight as stage 1 actually solved (consensus mode stops at its own
-    # residual tolerance)
+    # as tight as stage 1 actually solved (a MaxIter stage 1 returns its best
+    # iterate)
     stage1_res = max(sol.residuals.max_eq, sol.residuals.max_ineq)
     check_tol = max(feas_tol, 2.0 * stage1_res)
 

@@ -3,7 +3,6 @@ import json
 
 import ogpf
 from ogpf.cli import _exit_code, _run_entry, aggregate_runs, main
-from ogpf.convexsolve import ConsensusOptions
 
 SMALL = ogpf.instance_path("small2area")
 LOOP = ogpf.instance_path("loop1area")
@@ -95,10 +94,10 @@ def test_consensus_mode_matches_centralized(tmp_path):
                  "--mode", "consensus", "--out", str(out_d)]) == 0
     obj_c = _report(out_c)["runs"][0]["objective"]
     obj_d = _report(out_d)["runs"][0]["objective"]
-    assert abs(obj_c - obj_d) <= 1e-4 * max(1.0, abs(obj_c))
+    assert abs(obj_c - obj_d) <= 1e-9 * max(1.0, abs(obj_c))
 
 
-def test_consensus_report_adds_only_residual_history(tmp_path):
+def test_consensus_report_has_centralized_keys(tmp_path):
     out_c = tmp_path / "cen.json"
     out_d = tmp_path / "dis.json"
     assert _run(["solve", "--instance", SMALL, "--r", "2",
@@ -107,19 +106,15 @@ def test_consensus_report_adds_only_residual_history(tmp_path):
                  "--mode", "consensus", "--out", str(out_d)]) == 0
     cen = _report(out_c)["runs"][0]
     dis = _report(out_d)["runs"][0]
-    assert "consensus_history" not in cen
-    assert set(dis) == set(cen) | {"consensus_history"}
-    # the CLI passes no consensus options: the report is the library's
-    # default solve
+    assert set(dis) == set(cen)
+    assert dis["solver_iterations"] == cen["solver_iterations"]
+    # the report is the library's default consensus solve
     ref = ogpf.solve_two_stage(ogpf.load_instance(SMALL), 2,
-                               mode="consensus",
-                               consensus_opts=ConsensusOptions())
+                               mode="consensus")
     expected = _run_entry(0, ref)
     for key in ("stage1_time_s", "stage2_time_s"):
         del dis[key], expected[key]
     assert dis == expected
-    assert dis["consensus_history"] == [list(h) for h in ref.solution.history]
-    assert len(dis["consensus_history"]) == dis["solver_iterations"]
 
 
 def test_sweep_single_row_csv(tmp_path):

@@ -5,8 +5,8 @@ import scipy.sparse as sp
 import ogpf
 import ogpf.convexsolve
 import ogpf.ipm
-from ogpf.convexsolve import (ConsensusOptions, SolveOptions,
-                              linear_infeasible, solve_consensus, solve_convex)
+from ogpf.convexsolve import (SolveOptions, linear_infeasible,
+                              solve_consensus, solve_convex)
 from ogpf.mipbuild import (AreaView, QuadBlock, StandardModel, area_views,
                            build_model, relax)
 from ogpf.pwa import PwaConfig
@@ -157,73 +157,6 @@ def test_iteration_cap_returns_best_iterate(small2area_model):
 # consensus mode
 # ---------------------------------------------------------------------------
 
-def test_consensus_single_area_reduces_to_centralized(instances):
-    inst = instances["single1area"]
-    model, index = build_model(inst, PwaConfig(r=2))
-    relaxed = relax(model)
-    views = area_views(relaxed, inst, index)
-    dis = solve_consensus(relaxed, views)
-    cen = solve_convex(relaxed)
-    assert dis.iterations == 1
-    assert dis.objective == pytest.approx(cen.objective, abs=1e-9)
-
-
-def test_consensus_two_area_toy_averages_minimizers():
-    # (x - 1)^2 + (y - 3)^2 with the coupling x = y: optimum at 2
-    model = StandardModel(
-        2, np.array([1.0, 1.0]), np.array([-2.0, -6.0]), 10.0,
-        sp.csr_matrix(np.array([[1.0, -1.0]])), np.zeros(1),
-        sp.csr_matrix((0, 2)), np.zeros(0), no_quad(2),
-        np.array([-10.0, -10.0]), np.array([10.0, 10.0]),
-        np.zeros(2, dtype=bool))
-    views = [
-        AreaView(1, np.array([0]), np.array([0]), np.zeros(0, int),
-                 np.zeros(0, int), np.array([0]), np.array([1])),
-        AreaView(2, np.array([1]), np.zeros(0, int), np.zeros(0, int),
-                 np.zeros(0, int), np.zeros(0, int), np.zeros(0, int)),
-    ]
-    sol = solve_consensus(model, views, ConsensusOptions(max_outer=300))
-    assert abs(sol.x[0] - 2.0) <= 1e-3
-    assert abs(sol.x[1] - 2.0) <= 1e-3
-    assert sol.objective == pytest.approx(2.0, abs=1e-3)
-
-
-def test_consensus_matches_centralized_on_small2area(instances):
-    inst = instances["small2area"]
-    model, index = build_model(inst, PwaConfig(r=2))
-    relaxed = relax(model)
-    views = area_views(relaxed, inst, index)
-    dis = solve_consensus(relaxed, views)
-    cen = solve_convex(relaxed)
-    rel = abs(dis.objective - cen.objective) / max(1.0, abs(cen.objective))
-    assert rel <= 1e-4
-    assert dis.iterations <= 500
-
-
-def test_consensus_nonconvergence_raises_with_advice(instances):
-    from ogpf.errors import NonConvergence
-
-    inst = instances["chain2area"]
-    model, index = build_model(inst, PwaConfig(r=2))
-    relaxed = relax(model)
-    views = area_views(relaxed, inst, index)
-    with pytest.raises(NonConvergence, match="rho"):
-        solve_consensus(relaxed, views, ConsensusOptions(max_outer=2))
-
-
-def test_consensus_records_residual_history(instances):
-    inst = instances["small2area"]
-    model, index = build_model(inst, PwaConfig(r=2))
-    relaxed = relax(model)
-    views = area_views(relaxed, inst, index)
-    opts = ConsensusOptions()
-    dis = solve_consensus(relaxed, views, opts)
-    assert dis.status == "Optimal"
-    assert len(dis.history) == dis.iterations
-    final_primal, _ = dis.history[-1]
-    assert final_primal <= opts.primal_tol
-
-
 def _consensus_inputs(instances, name, r):
     inst = instances[name]
     model, index = build_model(inst, PwaConfig(r=r))
@@ -231,126 +164,113 @@ def _consensus_inputs(instances, name, r):
     return relaxed, area_views(relaxed, inst, index)
 
 
+def test_consensus_single_area_reduces_to_centralized(instances):
+    """One area is one KKT block with an empty border: the centralized
+    solve itself."""
+    relaxed, views = _consensus_inputs(instances, "single1area", 2)
+    dis = solve_consensus(relaxed, views)
+    cen = solve_convex(relaxed)
+    assert len(views) == 1
+    assert dis.x.tobytes() == cen.x.tobytes()
+    assert dis.iterations == cen.iterations
+
+
+def _toy_views(coupling=np.array([0])):
+    # area 1 owns x and the row x = y, area 2 owns y
+    return [
+        AreaView(1, np.array([0]), np.array([0]), np.zeros(0, int),
+                 np.zeros(0, int), coupling, np.array([1])),
+        AreaView(2, np.array([1]), np.zeros(0, int), np.zeros(0, int),
+                 np.zeros(0, int), np.zeros(0, int), np.zeros(0, int)),
+    ]
+
+
+def _toy_model(rows=1):
+    # (x - 1)^2 + (y - 3)^2 with the coupling x = y (repeated ``rows``
+    # times): optimum at 2
+    return StandardModel(
+        2, np.array([1.0, 1.0]), np.array([-2.0, -6.0]), 10.0,
+        sp.csr_matrix(np.tile([1.0, -1.0], (rows, 1))), np.zeros(rows),
+        sp.csr_matrix((0, 2)), np.zeros(0), no_quad(2),
+        np.array([-10.0, -10.0]), np.array([10.0, 10.0]),
+        np.zeros(2, dtype=bool))
+
+
+def test_consensus_two_area_toy_averages_minimizers():
+    sol = solve_consensus(_toy_model(), _toy_views(),
+                          SolveOptions(feas_tol=1e-10, opt_tol=1e-10))
+    assert sol.status == "Optimal"
+    assert abs(sol.x[0] - 2.0) <= 1e-8
+    assert abs(sol.x[1] - 2.0) <= 1e-8
+    assert sol.objective == pytest.approx(2.0, abs=1e-8)
+
+
+def test_consensus_rejects_rows_spanning_areas():
+    """A row that joins two areas but is not a coupling row would put an
+    entry of the KKT matrix between two area blocks."""
+    with pytest.raises(ogpf.ModelError, match="spans two areas"):
+        solve_consensus(_toy_model(), _toy_views(np.zeros(0, int)))
+
+
+def test_singular_border_ends_stalled(monkeypatch):
+    """Without the dual regularization, a repeated coupling row makes the
+    border's Schur complement exactly singular: the solve stalls, as a
+    singular K does, and solve_convex falls back to the probe."""
+    monkeypatch.setattr(ogpf.ipm, "_REG_DUAL", 0.0)
+    model = _toy_model(rows=2)
+    areas = (np.array([0, 1]), np.array([-1, -1]))
+    res = ogpf.ipm.solve_ipm(model, 1e-8, 1e-8, 50, areas=areas)
+    assert res.status == "stalled" and np.isfinite(res.x).all()
+    sol = solve_consensus(model, _toy_views(np.array([0, 1])))
+    assert (sol.status, sol.iterations) == ("MaxIter", 1)
+
+
+@pytest.mark.parametrize("name,r", [(name, r) for name in (
+    "small2area", "chain2area", "medium3area") for r in (2, 4, 8)])
+def test_consensus_matches_centralized(instances, name, r):
+    """The area-blocked KKT solve takes the centralized Newton steps: same
+    status, iterations and certificate, objective to rounding."""
+    inst = instances[name]
+    cen = ogpf.solve_two_stage(inst, r)
+    dis = ogpf.solve_two_stage(inst, r, mode="consensus")
+    assert dis.solution.status == cen.solution.status == "Optimal"
+    assert dis.solution.iterations == cen.solution.iterations
+    assert dis.objective == pytest.approx(cen.objective, rel=1e-9)
+    assert dis.certificate.kind == cen.certificate.kind
+    assert dis.certificate.bound == pytest.approx(cen.certificate.bound,
+                                                  rel=1e-9)
+
+
 def test_consensus_repeats_bitwise(instances):
-    """Warm-start state lives on one call's area problems only."""
     relaxed, views = _consensus_inputs(instances, "small2area", 4)
     a = solve_consensus(relaxed, views)
     b = solve_consensus(relaxed, views)
     assert a.x.tobytes() == b.x.tobytes()
-    assert a.history == b.history and a.iterations == b.iterations
+    assert a.iterations == b.iterations
 
 
-def _area_iterations(monkeypatch, relaxed, views):
-    """Consensus solution and the total IPM iterations of its area solves."""
-    total = [0]
-    iterate = ogpf.ipm._iterate
-
-    def counting(*args):
-        res = iterate(*args)
-        total[0] += res.iterations
-        return res
-
-    monkeypatch.setattr(ogpf.ipm, "_iterate", counting)
-    sol = solve_consensus(relaxed, views)
-    monkeypatch.setattr(ogpf.ipm, "_iterate", iterate)
-    return sol, total[0]
-
-
-# outer iterations and objective of consensus with cold area restarts,
-# recorded from the dict-based synchronisation the array version replaced
-COLD_CONSENSUS = {
-    ("small2area", 2): (47, 1.969998899128422),
-    ("small2area", 4): (47, 1.9699988998558702),
-    ("chain2area", 2): (41, 1.1328766572881033),
-    ("chain2area", 4): (41, 1.132876657290272),
-}
-
-
-def _plain_admm(monkeypatch):
-    """Switch off Anderson acceleration and inexact area solves."""
-    monkeypatch.setattr(ogpf.convexsolve, "_AA_MEMORY", 0)
-    monkeypatch.setattr(ogpf.convexsolve, "_INEXACT", 0.0)
-
-
-@pytest.mark.parametrize("name,r", sorted(COLD_CONSENSUS))
-def test_warm_start_cuts_area_iterations(monkeypatch, instances, name, r):
-    _plain_admm(monkeypatch)
-    relaxed, views = _consensus_inputs(instances, name, r)
-    warm, warm_iters = _area_iterations(monkeypatch, relaxed, views)
-    # a recording threshold no gap meets: every area solve starts cold
-    monkeypatch.setattr(ogpf.ipm, "_WARM_GAP", -1.0)
-    cold, cold_iters = _area_iterations(monkeypatch, relaxed, views)
-    assert (cold.iterations, cold.objective) == COLD_CONSENSUS[(name, r)]
-    assert warm.iterations == cold.iterations
-    assert warm_iters <= 0.6 * cold_iters
-    cen = solve_convex(relaxed, SolveOptions(feas_tol=1e-10, opt_tol=1e-10))
-    for sol in (warm, cold):
-        assert abs(sol.objective - cen.objective) <= 1e-4 * max(
-            1.0, abs(cen.objective))
-
-
-def test_area_probe_runs_once_per_area(monkeypatch, instances):
-    """Capped area solves end MaxIter on every outer iteration; the probe
-    verdict, which reads only the constraints, is reused after the first."""
-    from ogpf.errors import NonConvergence
-
-    relaxed, views = _consensus_inputs(instances, "small2area", 2)
-    calls = []
-    probe = ogpf.convexsolve.feasibility_probe
-
-    def counting(model, opts):
-        calls.append(model.num_vars)
-        return probe(model, opts)
-
-    monkeypatch.setattr(ogpf.convexsolve, "feasibility_probe", counting)
-    opts = ConsensusOptions(max_outer=4, inner=SolveOptions(max_iter=3))
-    with pytest.raises(NonConvergence, match="rho"):
-        solve_consensus(relaxed, views, opts)
-    assert len(calls) == len(views)
-
-
-@pytest.mark.parametrize("name,r", [(name, r) for name in (
-    "small2area", "chain2area", "medium3area") for r in (2, 4)])
-def test_acceleration_never_costs_evaluations(monkeypatch, instances, name, r):
-    """Anderson acceleration with inexact area solves needs no more
-    evaluations of the ADMM map than plain ADMM, and cuts the slow
-    medium3area run by at least 3x."""
-    relaxed, views = _consensus_inputs(instances, name, r)
-    fast = solve_consensus(relaxed, views)
-    _plain_admm(monkeypatch)
-    plain = solve_consensus(relaxed, views)
-    assert fast.status == plain.status == "Optimal"
-    assert fast.iterations <= plain.iterations
-    if (name, r) == ("medium3area", 2):
-        assert 3 * fast.iterations <= plain.iterations
-    cen = solve_convex(relaxed, SolveOptions(feas_tol=1e-10, opt_tol=1e-10))
-    for sol in (fast, plain):
-        assert abs(sol.objective - cen.objective) <= 1e-4 * max(
-            1.0, abs(cen.objective))
-
-
-def test_rejected_candidates_count_as_evaluations(monkeypatch, instances):
-    """A safeguard that rejects every Anderson candidate costs one
-    evaluation per rejection, each recorded in the history; the run stays
-    deterministic and still converges through the plain steps."""
-    relaxed, views = _consensus_inputs(instances, "small2area", 2)
-    accepted = solve_consensus(relaxed, views)
-    monkeypatch.setattr(ogpf.convexsolve, "_AA_SAFE_D", 0.0)
-    a = solve_consensus(relaxed, views)
-    b = solve_consensus(relaxed, views)
-    assert a.x.tobytes() == b.x.tobytes() and a.history == b.history
-    assert a.status == "Optimal"
-    assert len(a.history) == a.iterations > accepted.iterations
-    assert len(accepted.history) == accepted.iterations
+def test_consensus_infeasible_like_centralized(instances):
+    # every demand ten times over: more than the sources and generators
+    # can supply
+    base = instances["small2area"]
+    inst = ogpf.scale_demands(base, [10.0] * len(base.buses),
+                              [10.0] * len(base.gas_nodes))
+    errors = []
+    for mode in ("centralized", "consensus"):
+        with pytest.raises(ogpf.OgpfError) as err:
+            ogpf.solve_two_stage(inst, 4, mode=mode)
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == "stage 1: relaxed problem is infeasible"
 
 
 @pytest.mark.parametrize("make", [
     lambda: SolveOptions(feas_tol=0.0),
     lambda: SolveOptions(max_iter=0),
-    lambda: ConsensusOptions(rho=0.0),
-    lambda: ConsensusOptions(max_outer=0),
-    lambda: ConsensusOptions(primal_tol=0.0),
-    lambda: ConsensusOptions(dual_tol=-1.0),
+    lambda: SolveOptions(opt_tol=0.0),
+    lambda: SolveOptions(feas_tol=-1e-9),
+    lambda: SolveOptions(opt_tol=-1.0),
+    lambda: SolveOptions(max_iter=-3),
 ])
 def test_bad_options_raise_config_error(make):
     with pytest.raises(ogpf.ConfigError):

@@ -4,16 +4,18 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 import ogpf
 import ogpf.convexsolve
 import ogpf.ipm
 from ogpf.convexsolve import solve_convex
-from ogpf.ipm import Iterate, Kkt, prepare, solve_ipm
-from ogpf.mipbuild import QuadBlock, StandardModel, build_model, relax
+from ogpf.ipm import Kkt, KktPartition, solve_ipm
+from ogpf.mipbuild import (QuadBlock, StandardModel, area_views, build_model,
+                           relax)
 from ogpf.pwa import PwaConfig
 
-from conftest import BUNDLED, no_quad
+from conftest import no_quad
 
 
 def _reference_rows(block, x):
@@ -166,65 +168,60 @@ def test_solve_ipm_rejects_integral_model(small2area_model):
         solve_ipm(model, 1e-8, 1e-8, 10)
 
 
-_FIELDS = ("x", "nu", "lam_in", "lam_lb", "lam_ub", "mu_quad")
-
-
-def _same(a, b):
-    return (a.status == b.status and a.iterations == b.iterations
-            and all(getattr(a, f).tobytes() == getattr(b, f).tobytes()
-                    for f in _FIELDS))
-
-
-@pytest.mark.parametrize("name", BUNDLED)
-def test_prepared_solve_matches_solve_ipm(instances, name):
-    """One prepared structure serves any objective: solving another one
-    first leaves the cold solve of the model's own bitwise unchanged."""
-    model, _ = build_model(instances[name], PwaConfig(r=4))
+def _kkt_and_labels(instances, name, r):
+    """Kkt of the relaxed full model, refilled at random weights, and the
+    KKT label of every column and equality row by area (-1 for the
+    coupling rows)."""
+    inst = instances[name]
+    model, index = build_model(inst, PwaConfig(r=r))
     model = relax(model)
-    prepared = prepare(model)
-    f = np.random.default_rng(3).uniform(0.9, 1.1, (2, model.num_vars))
-    other = prepared.solve(model.obj_quad * f[0], model.obj_lin * f[1],
-                           1e-10, 1e-10, 200)
-    assert other.status == "optimal"
-    res = prepared.solve(model.obj_quad, model.obj_lin, 1e-10, 1e-10, 200)
-    assert _same(res, solve_ipm(model, 1e-10, 1e-10, 200))
+    views = area_views(model, inst, index)
+    label = np.full(model.num_vars + model.num_eq, -1)
+    for k, v in enumerate(views):
+        label[v.owned_cols] = k
+        label[model.num_vars + v.owned_eq_rows] = k
+        label[model.num_vars + v.coupling_eq_rows] = -1
+    kkt = Kkt(model.g_in, model.a_eq, model.quad_ineq)
+    rng = np.random.default_rng(5)
+    K = kkt.fill(rng.uniform(0.1, 10.0, model.num_in),
+                 rng.uniform(0.1, 10.0, model.num_vars),
+                 rng.uniform(0.1, 10.0, len(model.quad_ineq)),
+                 model.quad_ineq.jac(rng.uniform(-2.0, 2.0, model.num_vars)))
+    return K, label, rng
 
 
-def test_warm_start_from_recorded_iterate(small2area_model):
-    model = relax(small2area_model[0])
-    prepared = prepare(model)
-    cold = prepared.solve(model.obj_quad, model.obj_lin, 1e-10, 1e-10, 200)
-    assert cold.status == "optimal" and cold.warm is not None
-    warm = prepared.solve(model.obj_quad, model.obj_lin, 1e-10, 1e-10, 200,
-                          cold.warm)
-    assert warm.status == "optimal"
-    assert warm.iterations < cold.iterations
-    # the relaxed optimum is not unique, so only the objectives agree
-    assert model.objective(warm.x) == pytest.approx(
-        model.objective(cold.x), rel=1e-9)
+@pytest.mark.parametrize("name", ["small2area", "chain2area", "medium3area"])
+def test_area_blocks_solve_the_whole_kkt(instances, name):
+    """Factoring each area's block and the coupling rows' Schur complement
+    solves the same system as factoring K whole."""
+    K, label, rng = _kkt_and_labels(instances, name, 4)
+    part = KktPartition(K, label)
+    assert len(part.blocks) == len(set(label.tolist()) - {-1}) > 1
+    assert 0 < part.border.size <= 6
+    rhs = rng.standard_normal(K.shape[0])
+    whole = splu(K, permc_spec="MMD_AT_PLUS_A").solve(rhs)
+    sol = part.factor(K).solve(rhs)
+    assert np.abs(sol - whole).max() <= 1e-8 * np.abs(whole).max()
+    assert np.abs(K @ sol - rhs).max() <= 1e-8 * np.abs(rhs).max()
 
 
-def test_adversarial_start_falls_back_to_cold(monkeypatch, small2area_model):
-    model = relax(small2area_model[0])
-    prepared = prepare(model)
-    cold = prepared.solve(model.obj_quad, model.obj_lin, 1e-10, 1e-10, 200)
-    w = cold.warm
-    # far outside the boxes with exploding multipliers: the warm run stalls
-    bad = Iterate(w.x + 1e3, w.nu - 1e3, w.s, np.full(w.lam.size, 1e12),
-                  w.t, np.full(w.mu.size, 1e12))
-    runs = []
-    iterate = ogpf.ipm._iterate
+def test_one_block_factors_k_itself(instances):
+    """The unpartitioned case is bitwise the plain SuperLU solve of K."""
+    K, label, rng = _kkt_and_labels(instances, "medium3area", 4)
+    rhs = rng.standard_normal(K.shape[0])
+    part = KktPartition(K, np.zeros_like(label))
+    assert part.border.size == 0 and len(part.blocks) == 1
+    sol = part.factor(K).solve(rhs)
+    whole = splu(K, permc_spec="MMD_AT_PLUS_A").solve(rhs)
+    assert sol.tobytes() == whole.tobytes()
 
-    def recording(core, q, c, feas_tol, opt_tol, max_iter, start):
-        res = iterate(core, q, c, feas_tol, opt_tol, max_iter, start)
-        runs.append((start is None, res.status))
-        return res
 
-    monkeypatch.setattr(ogpf.ipm, "_iterate", recording)
-    res = prepared.solve(model.obj_quad, model.obj_lin, 1e-10, 1e-10, 200,
-                         bad)
-    assert runs[0][0] is False and runs[0][1] != "optimal"
-    assert runs[1] == (True, "optimal") and len(runs) == 2
-    assert res.status == "optimal"
-    assert res.iterations > cold.iterations
-    assert np.abs(res.x - cold.x).max() <= 1e-8 * np.abs(cold.x).max()
+def test_non_finite_border_raises_runtime_error():
+    """The interior point ends a solve as stalled on RuntimeError from the
+    factorization; a non-finite border must take that path too."""
+    K = sp.csc_matrix(np.array([[2.0, 0.0, 1.0],
+                                [0.0, 2.0, 1.0],
+                                [1.0, 1.0, -np.inf]]))
+    part = KktPartition(K, np.array([0, 1, -1]))
+    with pytest.raises(RuntimeError, match="non-finite"):
+        part.factor(K)
