@@ -241,6 +241,80 @@ def test_consensus_matches_centralized(instances, name, r):
                                                   rel=1e-9)
 
 
+def test_consensus_matches_centralized_on_small2area(instances):
+    """At the model level and default options: the same status and
+    iterations as ``solve_convex``, the objective to rounding."""
+    relaxed, views = _consensus_inputs(instances, "small2area", 2)
+    dis = solve_consensus(relaxed, views)
+    cen = solve_convex(relaxed)
+    assert dis.status == cen.status == "Optimal"
+    assert dis.iterations == cen.iterations
+    rel = abs(dis.objective - cen.objective) / max(1.0, abs(cen.objective))
+    assert rel <= 1e-9
+
+
+def _kkt_work(monkeypatch, solve):
+    """Run ``solve``; return its solution, the (largest block, size of K,
+    border size) of every KKT factorization and the number of KKT
+    solves."""
+    factors, solves = [], [0]
+    factor = ogpf.ipm.KktPartition.factor
+    back = ogpf.ipm._Factor.solve
+
+    def counting_factor(self, K):
+        factors.append((max(b.idx.size for b in self.blocks), K.shape[0],
+                        self.border.size))
+        return factor(self, K)
+
+    def counting_solve(self, rhs):
+        solves[0] += 1
+        return back(self, rhs)
+
+    with monkeypatch.context() as m:
+        m.setattr(ogpf.ipm.KktPartition, "factor", counting_factor)
+        m.setattr(ogpf.ipm._Factor, "solve", counting_solve)
+        sol = solve()
+    return sol, factors, solves[0]
+
+
+@pytest.mark.parametrize("name,r", [(name, r) for name in (
+    "small2area", "chain2area", "medium3area") for r in (2, 4)])
+def test_acceleration_never_costs_evaluations(monkeypatch, instances, name, r):
+    """The area-blocked Newton step costs no KKT evaluation the centralized
+    solve does not make: as many factorizations and as many solves, each
+    factorization over area blocks smaller than K joined by a border of at
+    most six coupling rows."""
+    relaxed, views = _consensus_inputs(instances, name, r)
+    cen, cen_f, cen_s = _kkt_work(monkeypatch, lambda: solve_convex(relaxed))
+    dis, dis_f, dis_s = _kkt_work(
+        monkeypatch, lambda: solve_consensus(relaxed, views))
+    assert dis.status == cen.status == "Optimal"
+    assert dis.iterations == cen.iterations
+    # one factorization per iteration but the last, which converges
+    assert len(dis_f) == len(cen_f) == cen.iterations - 1
+    assert dis_s == cen_s
+    assert all(big == size and nb == 0 for big, size, nb in cen_f)
+    assert all(big < size and 0 < nb <= 6 for big, size, nb in dis_f)
+
+
+def test_area_probe_runs_once_per_area(monkeypatch, instances):
+    """The probe verdict reads only the constraints, which the areas share
+    through the border: a capped consensus solve ends MaxIter and probes
+    once, on the whole model, for all areas together."""
+    relaxed, views = _consensus_inputs(instances, "small2area", 2)
+    calls = []
+    probe = ogpf.convexsolve.feasibility_probe
+
+    def counting(model, opts):
+        calls.append(model.num_vars)
+        return probe(model, opts)
+
+    monkeypatch.setattr(ogpf.convexsolve, "feasibility_probe", counting)
+    sol = solve_consensus(relaxed, views, SolveOptions(max_iter=3))
+    assert sol.status == "MaxIter"
+    assert calls == [relaxed.num_vars]
+
+
 def test_consensus_repeats_bitwise(instances):
     relaxed, views = _consensus_inputs(instances, "small2area", 4)
     a = solve_consensus(relaxed, views)

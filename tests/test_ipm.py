@@ -15,7 +15,7 @@ from ogpf.mipbuild import (QuadBlock, StandardModel, area_views, build_model,
                            relax)
 from ogpf.pwa import PwaConfig
 
-from conftest import no_quad
+from conftest import BUNDLED, no_quad
 
 
 def _reference_rows(block, x):
@@ -225,3 +225,44 @@ def test_non_finite_border_raises_runtime_error():
     part = KktPartition(K, np.array([0, 1, -1]))
     with pytest.raises(RuntimeError, match="non-finite"):
         part.factor(K)
+
+
+_FIELDS = ("x", "nu", "lam_in", "lam_lb", "lam_ub", "mu_quad")
+
+
+def _same(a, b):
+    return (a.status == b.status and a.iterations == b.iterations
+            and all(getattr(a, f).tobytes() == getattr(b, f).tobytes()
+                    for f in _FIELDS))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_prepared_solve_matches_solve_ipm(instances, name):
+    """An area labelling prepared from the area views gives ``solve_ipm``
+    the centralized iterates: bitwise with one area (one block, empty
+    border), and with several the same status and iterations and the
+    objective to rounding. A second solve with the same labelling repeats
+    the first bitwise: the partition keeps nothing between solves."""
+    inst = instances[name]
+    model, index = build_model(inst, PwaConfig(r=4))
+    model = relax(model)
+    views = area_views(model, inst, index)
+    col_area = np.full(model.num_vars, -1)
+    eq_area = np.full(model.num_eq, -1)
+    for k, v in enumerate(views):
+        col_area[v.owned_cols] = k
+        eq_area[v.owned_eq_rows] = k
+    for v in views:
+        eq_area[v.coupling_eq_rows] = -1
+    areas = (col_area, eq_area)
+    whole = solve_ipm(model, 1e-10, 1e-10, 200)
+    blocked = solve_ipm(model, 1e-10, 1e-10, 200, areas=areas)
+    assert _same(blocked, solve_ipm(model, 1e-10, 1e-10, 200, areas=areas))
+    assert whole.status == "optimal"
+    if len(views) == 1:
+        assert _same(blocked, whole)
+    else:
+        assert (blocked.status, blocked.iterations) == (whole.status,
+                                                        whole.iterations)
+        assert model.objective(blocked.x) == pytest.approx(
+            model.objective(whole.x), rel=1e-9)
