@@ -230,22 +230,57 @@ def test_dump_model_mentions_rows_and_vars(small2area_model):
     assert f"vars {model.num_vars}" in text
 
 
-# sha256 of dump_model at r=4, recorded before the quadratic rows became one
-# coordinate block
+# sha256 of dump_model, recorded at r=4 before the quadratic rows became one
+# coordinate block, and at r=2 and r=16 before the linear rows became arrays
 DUMP_SHA256 = {
-    "small2area": "d7dea30d6f3a4f8822bfa2c7a3e5e210de64458b2ce97d9f44172312f377149f",
-    "single1area": "883b809e7e9da79bad944f98ddaa2590c3726501038c90fd4e90700974c316f3",
-    "chain2area": "54de840dec712eee9c8d2b4da4e735522cd8f79e89d6e32982a3218f60f984a7",
-    "medium3area": "28b7234dab12cd2f08c21425fde69bf92c3fe681992403d1da91f8c8895e4468",
-    "loop1area": "253485b5244146cb3b608438435be7ca700d85fa0a9b5195351bd13f48144664",
+    ("chain2area", 2): "9ceb6a1c035ad7e7b826753f977f6cbb535f20e46349759b54fcfa35adade303",
+    ("loop1area", 2): "379caaf034f0f0bd4f8b53608a52286ea8c814fb80b95d941d40a67e4d9a5b6b",
+    ("medium3area", 2): "638bbad34ef117486f7ec38c53c1ef52ce9a13e2ec774bd3ccada191a24f56bd",
+    ("single1area", 2): "47d46c33a1e2286fb4a8507b7de825cb81b22d571585b52b36a5b389bd289945",
+    ("small2area", 2): "0b60e55235a6e2336a7e694fd074eff4d3a012c017b6a3469c1d905afb1b2739",
+    ("chain2area", 4): "54de840dec712eee9c8d2b4da4e735522cd8f79e89d6e32982a3218f60f984a7",
+    ("loop1area", 4): "253485b5244146cb3b608438435be7ca700d85fa0a9b5195351bd13f48144664",
+    ("medium3area", 4): "28b7234dab12cd2f08c21425fde69bf92c3fe681992403d1da91f8c8895e4468",
+    ("single1area", 4): "883b809e7e9da79bad944f98ddaa2590c3726501038c90fd4e90700974c316f3",
+    ("small2area", 4): "d7dea30d6f3a4f8822bfa2c7a3e5e210de64458b2ce97d9f44172312f377149f",
+    ("chain2area", 16): "d1d964c8c3dfd0fb5c47b9f6868ae3556d1b8df80892eb168add3052530e5ec0",
+    ("loop1area", 16): "2d622970d6ab977e2d86ba74e35f78ac3bc3b7fd246ccedb5beb07a6e529428c",
+    ("medium3area", 16): "ec87dc9872e4cebbeece1aaca1492c2642a2aaf0a195b7098d56bd9312e138fd",
+    ("single1area", 16): "5538c3228c6c724e4c1d098079b8b9ad6155949534548000bf1a2c960df70664",
+    ("small2area", 16): "79d7e73df1325c921d82fa5255fafabc7cc2d8f3e3fc4e0c38d2bdf0993e58bc",
 }
 
 
-@pytest.mark.parametrize("name", sorted(DUMP_SHA256))
-def test_dump_model_is_unchanged(instances, name):
-    model, index = build_model(instances[name], PwaConfig(r=4))
+@pytest.mark.parametrize("name, r", [
+    pytest.param(name, r, id=name if r == 4 else f"{name}-r{r}")
+    for name, r in sorted(DUMP_SHA256)])
+def test_dump_model_is_unchanged(instances, name, r):
+    model, index = build_model(instances[name], PwaConfig(r=r))
     text = dump_model(model, index)
-    assert hashlib.sha256(text.encode()).hexdigest() == DUMP_SHA256[name]
+    assert hashlib.sha256(text.encode()).hexdigest() == DUMP_SHA256[name, r]
+
+
+# sha256 of the stage-1 point's bytes and the interior-point iteration count
+# at r=4, recorded before the linear rows became arrays
+STAGE1_SHA256 = {
+    ("chain2area", "centralized"): ("ffe83a2d0f075517c851b86daae9d30161ca82560ef12d3f489a363bdffefb21", 14),
+    ("chain2area", "consensus"): ("f1d05fa6524f3421da5fe3ff39eba488e13fe8c5dfb70ffe0833ae6fe2be0d71", 14),
+    ("loop1area", "centralized"): ("0bb48e86d2de54a012391b2290cfc771a1f22962b5b21ea55f828aba591bd9bf", 11),
+    ("loop1area", "consensus"): ("0bb48e86d2de54a012391b2290cfc771a1f22962b5b21ea55f828aba591bd9bf", 11),
+    ("medium3area", "centralized"): ("a85b7db0817cee65a770ed6aa8f6011acf613e4d9c228b6c1f44db7e1d07a823", 17),
+    ("medium3area", "consensus"): ("24ccdc16ba11b55af469b9df5e9a38a31a72c1434c098e1c432d9f4ba46f44d9", 17),
+    ("single1area", "centralized"): ("c4582698b6ba3164eff8ecc196e12f3248f719c7d548bc6e12ebbf4c73daa1bc", 12),
+    ("single1area", "consensus"): ("c4582698b6ba3164eff8ecc196e12f3248f719c7d548bc6e12ebbf4c73daa1bc", 12),
+    ("small2area", "centralized"): ("b7988ff18b9008de90985fb5172698729c519e0a988b673520d5cfa023f1a081", 18),
+    ("small2area", "consensus"): ("fd8ae4f5e711575737666a7a0ff9e05ad32c236ea85e4a0a66be27d93effac53", 18),
+}
+
+
+@pytest.mark.parametrize("name, mode", sorted(STAGE1_SHA256))
+def test_stage1_points_are_unchanged(instances, name, mode):
+    sol = ogpf.solve_two_stage(instances[name], 4, mode=mode).solution
+    assert (hashlib.sha256(sol.x.tobytes()).hexdigest(),
+            sol.iterations) == STAGE1_SHA256[name, mode]
 
 
 def test_dump_model_rejects_an_index_of_another_model(small2area_model):
