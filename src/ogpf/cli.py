@@ -95,6 +95,7 @@ def _run_entry(run_id: int, result) -> dict:
         "certificate_bound": float(result.certificate.bound),
         "mean_abs_dev": mean_abs_deviation(dev),
         "max_abs_dev": max_abs_deviation(dev),
+        "build_time_s": result.build_time_s,
         "stage1_time_s": result.stage1_time_s,
         "stage2_time_s": result.stage2_time_s,
         "solver_iterations": result.solution.iterations,

@@ -49,7 +49,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigError, ModelError
-from .mipbuild import QuadBlock, StandardModel, substitute_columns
+from .mipbuild import (QuadBlock, StandardModel, csr_from_rows, entry_rows,
+                       substitute_columns)
 
 _REG_PRIMAL = 1e-10
 _REG_DUAL = 1e-10
@@ -359,43 +360,22 @@ class _Scaled:
         d = col_scale(model.lb, model.ub)
         lb = model.lb / d
         ub = model.ub / d
-        A = (model.a_eq @ sp.diags(d)).tocsr() if model.num_eq else \
-            sp.csr_matrix((0, n))
-        b = model.b_eq.copy()
-        Gm = (model.g_in @ sp.diags(d)).tocsr() if model.num_in else \
-            sp.csr_matrix((0, n))
-        hm = model.h_in.copy()
-
-        def _row_scales(mat):
-            if mat.shape[0] == 0:
-                return np.ones(0)
-            mags = np.maximum(np.abs(mat).max(axis=1).toarray().ravel(), 1.0)
-            return 1.0 / mags
-
-        rs_a = _row_scales(A)
-        if rs_a.size:
-            A = sp.diags(rs_a) @ A
-            b = b * rs_a
-        rs_g = _row_scales(Gm)
-        if rs_g.size:
-            Gm = sp.diags(rs_g) @ Gm
-            hm = hm * rs_g
-
+        A, rs_a = _equilibrate(model.a_eq, d)
+        Gm, rs_g = _equilibrate(model.g_in, d)
+        b = model.b_eq * rs_a
+        hm = model.h_in * rs_g
         quad, rs_q = model.quad_ineq.scaled(d)
 
-        # fold finite bounds into the inequality block
+        # fold finite bounds into the inequality block: x_j <= ub_j rows,
+        # then -x_j <= -lb_j rows
         fu = np.flatnonzero(np.isfinite(ub))
         fl = np.flatnonzero(np.isfinite(lb))
-        rows = [Gm]
-        if fu.size:
-            rows.append(sp.csr_matrix((np.ones(fu.size),
-                                       (np.arange(fu.size), fu)),
-                                      shape=(fu.size, n)))
-        if fl.size:
-            rows.append(sp.csr_matrix((-np.ones(fl.size),
-                                       (np.arange(fl.size), fl)),
-                                      shape=(fl.size, n)))
-        G = sp.vstack(rows, format="csr")
+        nb = fu.size + fl.size
+        G = sp.csr_matrix(
+            (np.concatenate([Gm.data, np.ones(fu.size), -np.ones(fl.size)]),
+             np.concatenate([Gm.indices, fu, fl]),
+             np.concatenate([Gm.indptr, Gm.nnz + 1 + np.arange(nb)])),
+            shape=(Gm.shape[0] + nb, n))
         h = np.concatenate([hm, ub[fu], -lb[fl]])
         self.d, self.lb, self.ub = d, lb, ub
         self.A, self.b, self.G, self.h, self.quad = A, b, G, h, quad
@@ -405,6 +385,28 @@ class _Scaled:
         self.AT = A.T.tocsr()
         self.kkt = Kkt(G, A, quad)
         self.partition = KktPartition(self.kkt.K, label)
+
+
+def _equilibrate(mat: sp.csr_matrix, d: np.ndarray
+                 ) -> tuple[sp.csr_matrix, np.ndarray]:
+    """``diag(rs) @ mat @ diag(d)``, where ``rs`` divides every row by its
+    largest magnitude (at least 1), and ``rs``. Every entry is computed as
+    ``rs * (a * d)``; entries that come out zero are dropped. Each row lists
+    its entries by descending column: every product with the matrix sums in
+    that order, and the stage-1 points recorded in the tests depend on it."""
+    m, n = mat.shape
+    row = entry_rows(mat)
+    col = mat.indices
+    data = mat.data * d[col]
+    nz = np.flatnonzero(data)
+    nz = nz[np.argsort(row[nz] * n + (n - 1 - col[nz]), kind="stable")]
+    row, col, data = row[nz], col[nz], data[nz]
+    mags = np.ones(m)
+    np.maximum.at(mags, row, np.abs(data))
+    rs = 1.0 / mags
+    data = rs[row] * data
+    nz = data != 0
+    return csr_from_rows(row[nz], col[nz], data[nz], mat.shape), rs
 
 
 def _iterate(core: _Scaled, obj_quad: np.ndarray, obj_lin: np.ndarray,
@@ -567,7 +569,13 @@ def _iterate(core: _Scaled, obj_quad: np.ndarray, obj_lin: np.ndarray,
                 dmu = np.zeros(0)
             return dx, dnu, ds, dlam, dt, dmu
 
-        def max_step(v, dv):
+        # every slack and multiplier, for one ratio test per step
+        v = np.concatenate([s, lam, t, mu])
+
+        def max_step(*dv):
+            """Longest step in (0, 1] along ``dv`` (the directions of s, lam,
+            t and mu) that keeps them all nonnegative."""
+            dv = np.concatenate(dv)
             neg = dv < 0
             if not neg.any():
                 return 1.0
@@ -577,9 +585,7 @@ def _iterate(core: _Scaled, obj_quad: np.ndarray, obj_lin: np.ndarray,
         try:
             dxa, dnua, dsa, dlama, dta, dmua = direction(
                 0.0, np.zeros(mi), np.zeros(mq), rq)
-            a_aff = min(max_step(s, dsa), max_step(lam, dlama),
-                        max_step(t, dta) if mq else 1.0,
-                        max_step(mu, dmua) if mq else 1.0)
+            a_aff = max_step(dsa, dlama, dta, dmua)
             gap_aff = (float((s + a_aff * dsa) @ (lam + a_aff * dlama))
                        + (float((t + a_aff * dta) @ (mu + a_aff * dmua))
                           if mq else 0.0)) / m_total
@@ -595,9 +601,7 @@ def _iterate(core: _Scaled, obj_quad: np.ndarray, obj_lin: np.ndarray,
             break
 
         tau = 0.995 if gap > 1e-6 else 0.9995
-        alpha = tau * min(max_step(s, ds), max_step(lam, dlam),
-                          max_step(t, dt) if mq else 1.0,
-                          max_step(mu, dmu) if mq else 1.0)
+        alpha = tau * max_step(ds, dlam, dt, dmu)
         alpha = min(alpha, 1.0)
         if alpha < 1e-9:
             stall += 1

@@ -22,9 +22,11 @@ undirected internal pipe (the mirrored copy is implied by reciprocity and the
 sign link once binaries are integral, and emitting both would make the
 equality block rank-deficient).
 
-The quadratic rows are one coordinate block (``QuadBlock``), evaluated and
-transformed as arrays. ``substitute_columns`` is the one column-elimination
-routine and presolve: it fixes or aliases columns, drops the rows whose
+Rows are built as arrays: the linear rows as coordinate triplets (the big-M
+blocks from ``pwa.emit_mld``) assembled in one sparse-matrix call per block,
+the quadratic rows as one coordinate block (``QuadBlock``).
+``substitute_columns`` is the one column-elimination routine and presolve,
+working on the CSR arrays: it fixes or aliases columns, drops the rows whose
 support vanished, detects contradictions, and returns the index maps that
 carry a reduced solution and its duals back. The enumeration oracle and the
 interior point both use it.
@@ -40,7 +42,8 @@ import scipy.sparse as sp
 
 from .errors import ModelError
 from .netmodel import NetworkInstance, classify_edges
-from .pwa import PwaConfig, PwaCurve, Row, emit_mld, fit_pwa, key_label
+from .pwa import (PwaConfig, PwaCurve, block_keys, emit_mld, fit_pwa,
+                  key_label)
 
 # variable kinds
 P = "p"          # generator output
@@ -48,16 +51,8 @@ DGU = "dgu"      # generator gas consumption
 THETA = "theta"  # bus voltage angle
 GS = "gs"        # source gas production
 PSI = "psi"      # squared nodal pressure
-PHI = "phi"      # directed pipe flow
-YPSI = "ypsi"    # dpsi * psi_i product
-YM = "ym"        # dm * phi product
-DPSI = "dpsi"    # pressure-order / flow-sign binary
-ALPHA = "alpha"  # [phi <= hi_m] binary
-BETA = "beta"    # [phi >= lo_m] binary
-DM = "dm"        # region indicator binary
-
-_BINARY_KINDS = (DPSI, ALPHA, BETA, DM)
-
+PHI = "phi"      # directed pipe flow; pwa.block_keys lists the other kinds
+                 # of an internal-pipe orientation
 
 # row blocks of the model, and the column block
 EQ, IN, QUAD, COL = "eq", "in", "quad", "col"
@@ -66,6 +61,11 @@ EQ, IN, QUAD, COL = "eq", "in", "quad", "col"
 _ENTITY = {P: "gen", DGU: "gen", "gas_conversion": "gen", THETA: "bus",
            "power_balance": "bus", GS: "source", PSI: "node",
            "gas_balance": "node"}
+
+
+def _number(codes: dict, items) -> np.ndarray:
+    return np.array([codes.setdefault(x, len(codes)) for x in items],
+                    dtype=np.intp)
 
 
 def _entity(key: tuple) -> tuple:
@@ -84,27 +84,42 @@ class VarIndex:
     pipes, and ``key_label`` writes a key as ``kind[owner]``. Columns are
     numbered in insertion order; rows in the order of their block (``EQ``,
     ``IN`` or ``QUAD``). Both orders are deterministic for a given instance
-    and configuration. ``owners`` numbers the entity owning each key (a
-    generator, bus, gas source or gas node). ``curves`` holds the chord
+    and configuration. Every key's kind and owning entity (a generator, bus,
+    gas source or gas node) are also kept as array codes, so looking keys up
+    by kind or owner is an array operation. ``curves`` holds the chord
     curves the build fitted, per directed internal pipe.
     """
 
     def __init__(self):
         self._fwd: dict[tuple, int] = {}
         self._keys: dict[str, list[tuple]] = {COL: [], EQ: [], IN: [], QUAD: []}
+        # per block, (kind codes, entity codes) chunks, joined on lookup
+        none = np.zeros(0, np.intp)
+        self._chunks = {block: [(none, none)] for block in self._keys}
+        self._kinds: dict[str, int] = {}
         self._entities: dict[tuple, int] = {}
         self.curves: dict[tuple, PwaCurve] = {}
 
-    def add(self, kind: str, owner, m: int | None = None) -> int:
-        key = (kind, owner) if m is None else (kind, owner, m)
-        if key in self._fwd:
-            raise ModelError(f"duplicate variable {key}")
-        j = self._fwd[key] = len(self._fwd)
-        self._keys[COL].append(key)
-        return j
-
-    def add_rows(self, block: str, keys):
+    def extend(self, block: str, keys: list[tuple], kinds=None,
+               entities=None) -> None:
+        """Append the columns (``COL``) or rows of ``block`` named ``keys``.
+        ``kinds`` and ``entities`` give each key's kind and owning entity as
+        ``(table, positions)``, key ``k``'s being ``table[positions[k]]``;
+        by default both are read off the keys."""
+        if block == COL:
+            for j, key in enumerate(keys, len(self._fwd)):
+                if self._fwd.setdefault(key, j) != j:
+                    raise ModelError(f"duplicate variable {key}")
         self._keys[block].extend(keys)
+        kinds = kinds or ([key[0] for key in keys], slice(None))
+        entities = entities or (list(map(_entity, keys)), slice(None))
+        self._chunks[block].append((_number(self._kinds, kinds[0])[kinds[1]],
+                                    _number(self._entities, entities[0])
+                                    [entities[1]]))
+
+    def add(self, kind: str, owner, m: int | None = None) -> int:
+        self.extend(COL, [(kind, owner) if m is None else (kind, owner, m)])
+        return len(self._fwd) - 1
 
     def col(self, kind: str, owner, m: int | None = None) -> int:
         key = (kind, owner) if m is None else (kind, owner, m)
@@ -120,20 +135,25 @@ class VarIndex:
     def row_name(self, block: str, k: int) -> str:
         return key_label(self._keys[block][k])
 
-    def columns(self, kind: str) -> list[int]:
-        return [j for j, key in enumerate(self._keys[COL]) if key[0] == kind]
+    def _codes(self, block: str) -> tuple[np.ndarray, np.ndarray]:
+        chunks = self._chunks[block]
+        if len(chunks) > 1:
+            chunks[:] = [tuple(map(np.concatenate, zip(*chunks)))]
+        return chunks[0]
 
     def rows(self, block: str, kind: str) -> np.ndarray:
-        """Positions of the rows of ``block`` whose key has ``kind``."""
-        return np.array([k for k, key in enumerate(self._keys[block])
-                         if key[0] == kind], dtype=np.intp)
+        """Positions of the columns (``COL``) or rows of ``block`` whose key
+        has ``kind``."""
+        return np.flatnonzero(self._codes(block)[0]
+                              == self._kinds.get(kind, -1))
+
+    def columns(self, kind: str) -> np.ndarray:
+        return self.rows(COL, kind)
 
     def owners(self, block: str) -> np.ndarray:
         """Number of the entity owning every column (``COL``) or row of
-        ``block``; ``entities`` lists the entities numbered so far."""
-        codes = self._entities
-        return np.array([codes.setdefault(_entity(key), len(codes))
-                         for key in self._keys[block]], dtype=np.intp)
+        ``block``; ``entities`` lists the entities in number order."""
+        return self._codes(block)[1]
 
     @property
     def entities(self) -> list[tuple]:
@@ -303,22 +323,15 @@ class StandardModel:
             self.lb.copy(), self.ub.copy(), self.integrality.copy())
 
 
-def _to_csr(rows: list[Row], n: int) -> tuple[sp.csr_matrix, np.ndarray]:
-    data, ri, ci = [], [], []
-    rhs = np.zeros(len(rows))
-    for k, row in enumerate(rows):
-        if len(row.cols) != len(row.coefs):
-            raise ModelError(f"row {row.label}: {len(row.cols)} columns "
-                             f"but {len(row.coefs)} coefficients")
-        ri.extend([k] * len(row.cols))
-        ci.extend(row.cols)
-        data.extend(row.coefs)
-        rhs[k] = row.rhs
-    if ci and not 0 <= min(ci) <= max(ci) < n:
+def _to_csr(row: np.ndarray, col: np.ndarray, coef: np.ndarray, m: int,
+            n: int) -> sp.csr_matrix:
+    """The ``m x n`` matrix of the coordinate entries; a column outside
+    ``0..n-1`` raises ModelError."""
+    if col.size and not 0 <= col.min() <= col.max() < n:
         raise ModelError(f"a row references a column outside 0..{n - 1}")
-    mat = sp.csr_matrix((data, (ri, ci)), shape=(len(rows), n))
+    mat = sp.csr_matrix((coef, (row, col)), shape=(m, n))
     mat.sum_duplicates()
-    return mat, rhs
+    return mat
 
 
 def fit_all_curves(inst: NetworkInstance, cfg: PwaConfig) -> dict[tuple, PwaCurve]:
@@ -346,31 +359,24 @@ def build_model(inst: NetworkInstance, cfg: PwaConfig) -> tuple[StandardModel, V
     index = VarIndex()
     index.curves = curves
 
-    for g in inst.generators:
-        index.add(P, g.id)
-        index.add(DGU, g.id)
-    for b in inst.buses:
-        index.add(THETA, b.id)
-    for s in inst.gas_sources:
-        index.add(GS, s.id)
-    for n in inst.gas_nodes:
-        index.add(PSI, n.id)
-    for p in edges.tie_pipes:
-        index.add(PHI, (p.from_node, p.to_node))
-        index.add(PHI, (p.to_node, p.from_node))
-    for dp in edges.internal_pipes_directed:
-        index.add(PHI, dp.key)
-        index.add(YPSI, dp.key)
-        for m in range(1, cfg.r + 1):
-            index.add(YM, dp.key, m)
-        index.add(DPSI, dp.key)
-        for m in range(1, cfg.r + 1):
-            index.add(ALPHA, dp.key, m)
-        for m in range(1, cfg.r + 1):
-            index.add(BETA, dp.key, m)
-        for m in range(1, cfg.r + 1):
-            index.add(DM, dp.key, m)
-
+    index.extend(COL, [key for g in inst.generators
+                       for key in ((P, g.id), (DGU, g.id))]
+                 + [(THETA, b.id) for b in inst.buses]
+                 + [(GS, s.id) for s in inst.gas_sources]
+                 + [(PSI, nd.id) for nd in inst.gas_nodes]
+                 + [(PHI, key) for p in edges.tie_pipes
+                    for key in ((p.from_node, p.to_node),
+                                (p.to_node, p.from_node))])
+    # one contiguous block of columns per internal-pipe orientation, last
+    pipes = edges.internal_pipes_directed
+    r = cfg.r
+    width = 3 + 4 * r
+    first = len(index)
+    keys = [key for dp in pipes for key in block_keys(dp.key, r)]
+    nodes = [("node", dp.from_node) for dp in pipes]
+    index.extend(COL, keys, ([key[0] for key in keys[:width]],
+                             np.tile(np.arange(width), len(pipes))),
+                 (nodes, np.repeat(np.arange(len(pipes)), width)))
     n = len(index)
     obj_quad = np.zeros(n)
     obj_lin = np.zeros(n)
@@ -406,24 +412,20 @@ def build_model(inst: NetworkInstance, cfg: PwaConfig) -> tuple[StandardModel, V
             jf = index.col(PHI, key)
             lb[jf], ub[jf] = -p.flow_cap, p.flow_cap
     node_map = {nd.id: nd for nd in inst.gas_nodes}
-    for dp in edges.internal_pipes_directed:
-        jf = index.col(PHI, dp.key)
-        lb[jf], ub[jf] = -dp.flow_cap, dp.flow_cap
-        jy = index.col(YPSI, dp.key)
-        nd = node_map[dp.from_node]
-        lb[jy], ub[jy] = min(0.0, nd.psi_min), max(0.0, nd.psi_max)
-        for m in range(1, cfg.r + 1):
-            jm = index.col(YM, dp.key, m)
-            lb[jm], ub[jm] = -dp.flow_cap, dp.flow_cap
-        for kind in _BINARY_KINDS:
-            ms = (None,) if kind == DPSI else range(1, cfg.r + 1)
-            for m in ms:
-                jz = index.col(kind, dp.key, m)
-                lb[jz], ub[jz] = 0.0, 1.0
-                integrality[jz] = True
+    cap = np.array([dp.flow_cap for dp in pipes], dtype=float)[:, None]
+    block_lb = lb[first:].reshape(-1, width)
+    block_ub = ub[first:].reshape(-1, width)
+    # flow and flow products within the cap, the pressure product within the
+    # from node's box widened to 0, binaries within [0, 1]
+    block_lb[:, :1] = block_lb[:, 2:2 + r] = -cap
+    block_ub[:, :1] = block_ub[:, 2:2 + r] = cap
+    block_lb[:, 1] = [min(0.0, node_map[dp.from_node].psi_min) for dp in pipes]
+    block_ub[:, 1] = [max(0.0, node_map[dp.from_node].psi_max) for dp in pipes]
+    block_lb[:, 2 + r:] = 0.0
+    block_ub[:, 2 + r:] = 1.0
+    integrality[first:].reshape(-1, width)[:, 2 + r:] = True
 
-    eq: list[Row] = []
-    ineq: list[Row] = []
+    eq: list[tuple] = []     # (key, columns, coefficients, rhs) per row
 
     # power balance per bus: sum(p at bus) - sum((theta_i - theta_j)/X) = demand
     gens_at_bus: dict[str, list] = {b.id: [] for b in inst.buses}
@@ -444,8 +446,8 @@ def build_model(inst: NetworkInstance, cfg: PwaConfig) -> tuple[StandardModel, V
             jo = index.col(THETA, other)
             cols[ji] = cols.get(ji, 0.0) - w
             cols[jo] = cols.get(jo, 0.0) + w
-        eq.append(Row(tuple(cols), tuple(cols.values()), b.demand_e,
-                      ("power_balance", b.id)))
+        eq.append((("power_balance", b.id), list(cols), list(cols.values()),
+                   b.demand_e))
 
     # gas balance per node: sum(g) - sum(dgu) - sum(phi out) = demand
     sources_at: dict[str, list] = {nd.id: [] for nd in inst.gas_nodes}
@@ -460,33 +462,38 @@ def build_model(inst: NetworkInstance, cfg: PwaConfig) -> tuple[StandardModel, V
         out_flows[p.from_node].append((p.from_node, p.to_node))
         out_flows[p.to_node].append((p.to_node, p.from_node))
     for nd in inst.gas_nodes:
-        cols, coefs = [], []
-        for s in sources_at[nd.id]:
-            cols.append(index.col(GS, s.id))
-            coefs.append(1.0)
-        for g in gas_gens_at[nd.id]:
-            cols.append(index.col(DGU, g.id))
-            coefs.append(-1.0)
-        for key in out_flows[nd.id]:
-            cols.append(index.col(PHI, key))
-            coefs.append(-1.0)
-        eq.append(Row(tuple(cols), tuple(coefs), nd.demand_g,
-                      ("gas_balance", nd.id)))
+        cols = ([index.col(GS, s.id) for s in sources_at[nd.id]]
+                + [index.col(DGU, g.id) for g in gas_gens_at[nd.id]]
+                + [index.col(PHI, key) for key in out_flows[nd.id]])
+        coefs = ([1.0] * len(sources_at[nd.id])
+                 + [-1.0] * (len(cols) - len(sources_at[nd.id])))
+        eq.append((("gas_balance", nd.id), cols, coefs, nd.demand_g))
 
     # tie reciprocity
     for p in edges.tie_pipes:
-        eq.append(Row((index.col(PHI, (p.from_node, p.to_node)),
-                       index.col(PHI, (p.to_node, p.from_node))),
-                      (1.0, 1.0), 0.0,
-                      ("tie_reciprocity", (p.from_node, p.to_node))))
+        eq.append((("tie_reciprocity", (p.from_node, p.to_node)),
+                   [index.col(PHI, (p.from_node, p.to_node)),
+                    index.col(PHI, (p.to_node, p.from_node))], [1.0, 1.0], 0.0))
 
-    # internal pipe blocks; stored orientation carries the pair-level rows
+    # internal pipe blocks: the big-M inequalities, and the simplex and
+    # pair-level equalities after the rows above
     psi_bounds = {nd.id: (nd.psi_min, nd.psi_max) for nd in inst.gas_nodes}
-    for k, dp in enumerate(edges.internal_pipes_directed):
-        block = emit_mld(dp, curves[dp.key], cfg, index.col, psi_bounds,
-                         pair_rows=(k % 2 == 0))
-        eq.extend(block.eq_rows)
-        ineq.extend(block.ineq_rows)
+    mld_in, mld_eq = emit_mld(pipes, curves, cfg, index.col, psi_bounds)
+    head = len(eq)
+    a_eq = _to_csr(
+        np.concatenate([np.repeat(np.arange(head), [len(e[1]) for e in eq]),
+                        head + mld_eq.row]),
+        np.concatenate([np.array([j for e in eq for j in e[1]], np.intp),
+                        mld_eq.col]),
+        np.concatenate([[c for e in eq for c in e[2]], mld_eq.coef]),
+        head + mld_eq.rhs.size, n)
+    b_eq = np.concatenate([[e[3] for e in eq], mld_eq.rhs])
+    g_in = _to_csr(mld_in.row, mld_in.col, mld_in.coef, mld_in.rhs.size, n)
+    h_in = mld_in.rhs
+    index.extend(EQ, [e[0] for e in eq])
+    for block, rows in ((EQ, mld_eq), (IN, mld_in)):
+        index.extend(block, rows.keys, (rows.kinds, rows.kind),
+                     (nodes, rows.owner))
 
     # gas conversion: eta2 p^2 + eta1 p + eta0 - dgu <= 0
     gas = [g for g in inst.generators if g.is_gas]
@@ -498,12 +505,7 @@ def build_model(inst: NetworkInstance, cfg: PwaConfig) -> tuple[StandardModel, V
         np.column_stack([jp, jd]).ravel(),
         np.column_stack([[g.eta1 for g in gas], -np.ones(len(gas))]).ravel(),
         [g.eta0 for g in gas])
-
-    a_eq, b_eq = _to_csr(eq, n)
-    g_in, h_in = _to_csr(ineq, n)
-    index.add_rows(EQ, (row.key for row in eq))
-    index.add_rows(IN, (row.key for row in ineq))
-    index.add_rows(QUAD, (("gas_conversion", g.id) for g in gas))
+    index.extend(QUAD, [("gas_conversion", g.id) for g in gas])
     model = StandardModel(n, obj_quad, obj_lin, obj_const, a_eq, b_eq,
                           g_in, h_in, quad, lb, ub, integrality)
     return model, index
@@ -535,10 +537,35 @@ class Reduction:
     quad_rows: np.ndarray | None = None
 
 
-def _live(mat: sp.csr_matrix) -> np.ndarray:
-    """Mask of the rows of ``mat`` with a coefficient above 1e-12."""
-    big = np.concatenate([[0], np.cumsum(np.abs(mat.data) > 1e-12)])
-    return big[mat.indptr[1:]] > big[mat.indptr[:-1]]
+def csr_from_rows(row: np.ndarray, col: np.ndarray, val: np.ndarray,
+                  shape: tuple[int, int]) -> sp.csr_matrix:
+    """CSR matrix of entries listed in row order; each row keeps its
+    entries in the order given, which fixes the summation order of every
+    product with the matrix."""
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row,
+                                                        minlength=shape[0]))])
+    return sp.csr_matrix((val, col, indptr), shape=shape)
+
+
+def entry_rows(mat: sp.csr_matrix) -> np.ndarray:
+    """Row of every stored entry of ``mat``."""
+    return np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+
+
+def _restrict(mat: sp.csr_matrix, col_map: np.ndarray, n: int
+              ) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The entries of ``mat`` in the columns that ``col_map`` keeps (maps to
+    a number >= 0), renumbered into ``n`` columns, without the rows left
+    with no coefficient above 1e-12; and the mask of the rows kept. Each row
+    keeps its entry order."""
+    row = entry_rows(mat)
+    col = col_map[mat.indices]
+    kept = col >= 0
+    live = np.bincount(row[kept & (np.abs(mat.data) > 1e-12)],
+                       minlength=mat.shape[0]) > 0
+    kept &= live[row]
+    return csr_from_rows((np.cumsum(live) - 1)[row[kept]], col[kept],
+                         mat.data[kept], (int(live.sum()), n)), live
 
 
 def substitute_columns(model: StandardModel, fixed: dict[int, float],
@@ -600,21 +627,14 @@ def substitute_columns(model: StandardModel, fixed: dict[int, float],
     scale = col_coef[mapped]
     if aliases:
         S = sp.csr_matrix((scale, (mapped, col_map[mapped])), shape=(n, nk))
-
-        def reduce(mat):
-            return mat @ S
-    else:
-        # a column slice: cheaper than the product, and it keeps each row's
-        # entry order
-        def reduce(mat):
-            return mat[:, keep]
-
-    a_eq = reduce(model.a_eq)
+        a_eq, g_in, cols = model.a_eq @ S, model.g_in @ S, np.arange(nk)
+    else:   # the fixed columns' entries drop out in ``_restrict``
+        a_eq, g_in, cols = model.a_eq, model.g_in, col_map
     b_eq = model.b_eq - model.a_eq @ offset
-    g_in = reduce(model.g_in)
     h_in = model.h_in - model.g_in @ offset
     quad = model.quad_ineq.substitute(col_map, col_coef, offset, nk)
-    eq_live, in_live = _live(a_eq), _live(g_in)
+    a_eq, eq_live = _restrict(a_eq, cols, nk)
+    g_in, in_live = _restrict(g_in, cols, nk)
     quad_live = (np.bincount(quad.q_row, minlength=len(quad))
                  + np.bincount(quad.l_row, minlength=len(quad))) > 0
     if (np.any(np.abs(b_eq[~eq_live]) > 1e-9)
@@ -624,11 +644,7 @@ def substitute_columns(model: StandardModel, fixed: dict[int, float],
     eq_rows = np.flatnonzero(eq_live)
     in_rows = np.flatnonzero(in_live)
     quad_rows = np.flatnonzero(quad_live)
-
-    if eq_rows.size < model.num_eq:
-        a_eq, b_eq = a_eq[eq_rows], b_eq[eq_rows]
-    if in_rows.size < model.num_in:
-        g_in, h_in = g_in[in_rows], h_in[in_rows]
+    b_eq, h_in = b_eq[eq_rows], h_in[in_rows]
     if quad_rows.size < len(quad):
         quad = quad.take(quad_rows)
 
@@ -742,7 +758,7 @@ def area_views(model: StandardModel, inst: NetworkInstance,
 
     def crossing(mat, row_area):
         """Row and column of every entry outside its row's area."""
-        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+        rows = entry_rows(mat)
         out = col_area[mat.indices] != row_area[rows]
         return rows[out], mat.indices[out].astype(int)
 
@@ -794,7 +810,7 @@ def dump_model(model: StandardModel, index: VarIndex) -> str:
         return [" + ".join(part) for part in parts]
 
     def csr_terms(mat):
-        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+        rows = entry_rows(mat)
         return by_row(rows, [f"{c:.17g}*{name[j]}" for j, c
                              in zip(mat.indices, mat.data)], mat.shape[0])
 

@@ -14,7 +14,9 @@ flow-sign logic. Region membership, flow sign and pressure ordering are
 encoded as mixed-logical big-M inequality blocks with a strict-inequality
 tolerance ``epsilon``; each directed orientation carries ``1 + 3r`` binaries
 (sign delta, and alpha/beta/delta per region) and ``1 + r`` extra continuous
-variables (one pressure product, one flow product per region).
+variables (one pressure product, one flow product per region), in one
+contiguous column block (``block_keys``). ``emit_mld`` emits the rows of
+every orientation at once as coordinate arrays (``LinearRows``).
 
 Note the usual strict-inequality artifact of big-M logic encodings: with
 integral binaries the feasible flow set excludes open bands of width
@@ -30,10 +32,11 @@ stage 2 recovers one, and both pass it through that one function.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import ConfigError, MissingBounds, OutOfRange
+import numpy as np
+
+from .errors import ConfigError, MissingBounds, ModelError, OutOfRange
 
 
 @dataclass(frozen=True)
@@ -152,158 +155,172 @@ def key_label(key: tuple) -> str:
     return f"{key[0]}[{owner}]"
 
 
-@dataclass(frozen=True)
-class Row:
-    """Sparse linear row ``sum(coef * col) (<=|=) rhs`` with its key."""
-
-    cols: tuple[int, ...]
-    coefs: tuple[float, ...]
-    rhs: float
-    key: tuple
-
-    @property
-    def label(self) -> str:
-        return key_label(self.key)
+def block_keys(key: tuple, r: int) -> list[tuple]:
+    """Keys of the ``3 + 4r`` columns of orientation ``key``, in the order
+    ``emit_mld`` expects them to lie: the flow, the pressure product, the
+    ``r`` flow products, the sign binary, then the ``alpha``, ``beta`` and
+    ``dm`` binaries of each region (``1 + 3r`` binaries in all)."""
+    ms = range(1, r + 1)
+    return ([("phi", key), ("ypsi", key)] + [("ym", key, m) for m in ms]
+            + [("dpsi", key)]
+            + [(kind, key, m) for kind in ("alpha", "beta", "dm") for m in ms])
 
 
-@dataclass
-class MldBlock:
-    """Constraint block for one directed internal pipe orientation.
+@dataclass(frozen=True, eq=False)
+class LinearRows:
+    """Linear rows as coordinate arrays: coefficient ``coef[e]`` of column
+    ``col[e]`` in row ``row[e]``, and per row its right-hand side, key, kind
+    (a position in ``kinds``) and owning orientation (a position in the
+    pipes given to ``emit_mld``)."""
 
-    ``ineq_rows`` hold the five big-M logic families; ``eq_rows`` hold this
-    orientation's region simplex and, on the stored (canonical) orientation
-    only, the pair-level equalities: the orientation-coupled flow equality,
-    flow reciprocity, and the sign-binary link.
+    row: np.ndarray
+    col: np.ndarray
+    coef: np.ndarray
+    rhs: np.ndarray
+    keys: list[tuple]
+    kinds: tuple[str, ...]
+    kind: np.ndarray
+    owner: np.ndarray
+
+
+def _rows(n: int, specs, *labels) -> LinearRows:
+    """The ``n`` rows of ``specs``: each ``(row, rhs, *terms)`` makes rows
+    ``row`` read ``sum(coef * x[col]) (<=|=) rhs`` over its ``(col, coef)``
+    terms, every array broadcasting to one shape. ``labels`` are the keys,
+    kinds, kind and owner of ``LinearRows``."""
+    rhs, parts = np.empty(n), []
+    for row, h, *terms in specs:
+        rhs[row] = h
+        for col, coef in terms:
+            part = np.empty((3,) + np.broadcast(row, col, coef).shape)
+            part[0], part[1], part[2] = row, col, coef   # indices stay exact
+            parts.append(part.reshape(3, -1))
+    row, col, coef = np.concatenate(parts, axis=1)
+    return LinearRows(row.astype(np.intp), col.astype(np.intp), coef, rhs,
+                      *labels)
+
+
+# big-M kinds of one orientation in row order, the region and flow-product
+# kinds repeating per region; equality kinds of one pipe pair
+_HEAD = ("psi_order_up", "psi_order_dn", "flow_sign_up", "flow_sign_dn")
+_REGION = ("reg_hi_up", "reg_hi_dn", "reg_lo_up", "reg_lo_dn", "reg_and_a",
+           "reg_and_b", "reg_and_c")
+_PROD_F = ("prod_f_lb", "prod_f_ub", "prod_f_cap", "prod_f_floor")
+_PROD_P = ("prod_p_lb", "prod_p_ub", "prod_p_cap", "prod_p_floor")
+_PAIR = ("simplex", "pwa_flow", "reciprocity", "dpsi_link")
+
+
+def emit_mld(pipes, curves: dict[tuple, PwaCurve], cfg: PwaConfig, col,
+             psi_bounds) -> tuple[LinearRows, LinearRows]:
+    """Emit the mixed-logical rows of every directed internal-pipe
+    orientation at once, as arrays.
+
+    ``pipes`` lists each stored orientation (i, j) followed by its mirror
+    (j, i), as ``classify_edges`` does; ``curves`` maps each to its fitted
+    curve with ``cfg.r`` regions. ``col(kind, owner, m=None)`` looks columns
+    up, and each orientation's columns must lie contiguously in the order of
+    ``block_keys``. ``psi_bounds`` maps node id -> (psi_min, psi_max); the
+    four pressure bounds of a pipe and its flow cap act as big-M constants
+    and must be finite.
+
+    Returns the inequality rows, ``8 + 11r`` per orientation (pressure
+    order, flow sign, the region logic per region, the flow products per
+    region, the pressure products), and the equality rows, five per pair:
+    the stored orientation's region simplex, the orientation-coupled flow
+    equality, flow reciprocity and the sign link, then the mirror's simplex.
     """
+    r, eps = cfg.r, cfg.epsilon
+    keys = [dp.key for dp in pipes]
+    num = len(keys)
+    if num % 2 or any(keys[k + 1] != keys[k][::-1] for k in range(0, num, 2)):
+        raise ModelError("pipes must come as (stored, mirror) pairs")
+    bounds = np.array([(*psi_bounds[i], *psi_bounds[j], curves[i, j].phi_cap)
+                       for i, j in keys], dtype=float).reshape(num, 5)
+    bad = np.flatnonzero(~np.isfinite(bounds))
+    if bad.size:
+        (i, j), w = keys[bad[0] // 5], bad[0] % 5
+        what = ("psi_min", "psi_max", "psi_min", "psi_max", "flow_cap")[w]
+        owner = (i, i, j, j, f"{i}->{j}")[w]
+        raise MissingBounds(f"{what}[{owner}] must be finite for big-M "
+                            "emission")
+    # per-orientation numbers are (num, 1) columns, per-region ones (num, r)
+    lo_i, hi_i, lo_j, hi_j, cap = (bounds[:, [w]] for w in range(5))
+    seg = np.array([[(s.lo, s.hi, s.a, s.b) for s in curves[key].segments]
+                    for key in keys], dtype=float).reshape(num, r, 4)
+    lo, hi, a, b = (seg[:, :, w] for w in range(4))
 
-    pipe: tuple[str, str]
-    ineq_rows: list[Row] = field(default_factory=list)
-    eq_rows: list[Row] = field(default_factory=list)
-    num_binaries: int = 0
-    num_extra_continuous: int = 0
+    base = np.array([col("phi", key) for key in keys], np.intp)[:, None]
+    if any(col("dm", key, r) != j + 2 + 4 * r
+           for key, j in zip(keys, base[:, 0])):
+        raise ModelError("orientation columns not laid out as block_keys")
+    ms = np.arange(r)
+    phi, ypsi, dpsi = base, base + 1, base + 2 + r
+    ym, alpha, beta, dm = (base + off + ms
+                           for off in (2, 3 + r, 3 + 2 * r, 3 + 3 * r))
+    psi_i = np.array([col("psi", i) for i, _ in keys], np.intp)[:, None]
+    psi_j = np.array([col("psi", j) for _, j in keys], np.intp)[:, None]
 
+    per = 8 + 11 * r
+    first = np.arange(num)[:, None] * per
+    reg = first + 4 + 7 * ms
+    prod = first + 4 + 7 * r + 4 * ms
+    tail = first + 4 + 11 * r
+    regions = range(1, r + 1)
+    in_keys = [row_key for key in keys for row_key in (
+        [(kind, key) for kind in _HEAD]
+        + [(kind, key, m) for m in regions for kind in _REGION]
+        + [(kind, key, m) for m in regions for kind in _PROD_F]
+        + [(kind, key) for kind in _PROD_P])]
+    in_kind = np.concatenate([np.arange(4), np.tile(4 + np.arange(7), r),
+                              np.tile(11 + np.arange(4), r), 15 + np.arange(4)])
+    ineq = _rows(num * per, [
+        # 1. pressure-order logic: [dpsi = 1] <-> [psi_i >= psi_j]
+        (first, -(lo_i - hi_j),
+         (psi_i, -1.0), (psi_j, 1.0), (dpsi, -(lo_i - hi_j))),
+        (first + 1, -eps,
+         (psi_i, 1.0), (psi_j, -1.0), (dpsi, -(hi_i - lo_j) - eps)),
+        # 2. flow-sign logic: [dpsi = 1] <-> [phi >= 0]
+        (first + 2, cap, (phi, -1.0), (dpsi, cap)),
+        (first + 3, -eps, (phi, 1.0), (dpsi, -cap - eps)),
+        # 3. region logic per segment: [delta_m = 1] <-> [lo_m <= phi <= hi_m],
+        #    via alpha_m = [phi <= hi_m], beta_m = [phi >= lo_m], delta = alpha AND beta
+        (reg, cap, (phi, 1.0), (alpha, cap - hi)),
+        (reg + 1, -hi - eps, (phi, -1.0), (alpha, -cap - hi - eps)),
+        (reg + 2, cap, (phi, -1.0), (beta, cap + lo)),
+        (reg + 3, lo - eps, (phi, 1.0), (beta, -cap + lo - eps)),
+        (reg + 4, 0.0, (alpha, -1.0), (dm, 1.0)),
+        (reg + 5, 0.0, (beta, -1.0), (dm, 1.0)),
+        (reg + 6, 1.0, (alpha, 1.0), (beta, 1.0), (dm, -1.0)),
+        # 4. product linearization y_m = delta_m * phi (bounds +-phi_cap)
+        (prod, 0.0, (ym, -1.0), (dm, -cap)),
+        (prod + 1, cap, (ym, 1.0), (phi, -1.0), (dm, cap)),
+        (prod + 2, 0.0, (ym, 1.0), (dm, -cap)),
+        (prod + 3, cap, (ym, -1.0), (phi, 1.0), (dm, cap)),
+        # 5. product linearization ypsi = dpsi * psi_i (bounds [psi_lo_i, psi_hi_i])
+        (tail, 0.0, (ypsi, -1.0), (dpsi, lo_i)),
+        (tail + 1, -lo_i, (ypsi, 1.0), (psi_i, -1.0), (dpsi, -lo_i)),
+        (tail + 2, 0.0, (ypsi, 1.0), (dpsi, -hi_i)),
+        (tail + 3, hi_i, (ypsi, -1.0), (psi_i, 1.0), (dpsi, hi_i)),
+    ], in_keys, _HEAD + _REGION + _PROD_F + _PROD_P, np.tile(in_kind, num),
+        np.repeat(np.arange(num), per))
 
-def emit_mld(pipe, curve: PwaCurve, cfg: PwaConfig, col, psi_bounds,
-             pair_rows: bool) -> MldBlock:
-    """Emit the mixed-logical constraint block for one directed orientation.
-
-    Parameters
-    ----------
-    pipe : DirectedPipe
-        Orientation (i, j); the block constrains this orientation's flow,
-        auxiliaries and binaries against the pressures of i and j.
-    curve : PwaCurve
-        Fitted chord approximation for this pipe.
-    cfg : PwaConfig
-        Supplies the strict-inequality tolerance.
-    col : callable
-        ``col(kind, owner, m=None) -> int`` column lookup.
-    psi_bounds : mapping
-        node id -> (psi_min, psi_max); all four bounds plus the flow cap act
-        as big-M constants and must be finite.
-    pair_rows : bool
-        Emit the pair-level equalities (flow equality coupling the two
-        orientations, reciprocity, sign link). Set on the stored orientation
-        only, so each undirected pipe contributes them once.
-    """
-    i, j = pipe.from_node, pipe.to_node
-    key = (i, j)
-    mirror = (j, i)
-    name = f"{i}->{j}"
-    eps = cfg.epsilon
-    r = curve.r
-    phi_cap = curve.phi_cap
-
-    psi_lo_i, psi_hi_i = psi_bounds[i]
-    psi_lo_j, psi_hi_j = psi_bounds[j]
-    for v, what in ((psi_lo_i, f"psi_min[{i}]"), (psi_hi_i, f"psi_max[{i}]"),
-                    (psi_lo_j, f"psi_min[{j}]"), (psi_hi_j, f"psi_max[{j}]"),
-                    (phi_cap, f"flow_cap[{name}]")):
-        if not math.isfinite(v):
-            raise MissingBounds(f"{what} must be finite for big-M emission")
-
-    c_phi = col("phi", key)
-    c_psi_i = col("psi", i)
-    c_psi_j = col("psi", j)
-    c_ypsi = col("ypsi", key)
-    c_dpsi = col("dpsi", key)
-
-    block = MldBlock(pipe=key, num_binaries=1 + 3 * r,
-                     num_extra_continuous=1 + r)
-    ineq = block.ineq_rows
-
-    def le(cols, coefs, rhs, kind, *m):
-        ineq.append(Row(tuple(cols), tuple(coefs), rhs, (kind, key, *m)))
-
-    # 1. pressure-order logic: [dpsi = 1] <-> [psi_i >= psi_j]
-    le((c_psi_i, c_psi_j, c_dpsi), (-1.0, 1.0, -(psi_lo_i - psi_hi_j)),
-       -(psi_lo_i - psi_hi_j), "psi_order_up")
-    le((c_psi_i, c_psi_j, c_dpsi), (1.0, -1.0, -(psi_hi_i - psi_lo_j) - eps),
-       -eps, "psi_order_dn")
-
-    # 2. flow-sign logic: [dpsi = 1] <-> [phi >= 0]
-    le((c_phi, c_dpsi), (-1.0, phi_cap), phi_cap, "flow_sign_up")
-    le((c_phi, c_dpsi), (1.0, -phi_cap - eps), -eps, "flow_sign_dn")
-
-    # 3. region logic per segment: [delta_m = 1] <-> [lo_m <= phi <= hi_m],
-    #    via alpha_m = [phi <= hi_m], beta_m = [phi >= lo_m], delta = alpha AND beta
-    for seg in curve.segments:
-        m = seg.m
-        c_al = col("alpha", key, m)
-        c_be = col("beta", key, m)
-        c_dm = col("dm", key, m)
-        le((c_phi, c_al), (1.0, phi_cap - seg.hi), phi_cap, "reg_hi_up", m)
-        le((c_phi, c_al), (-1.0, -phi_cap - seg.hi - eps), -seg.hi - eps,
-           "reg_hi_dn", m)
-        le((c_phi, c_be), (-1.0, phi_cap + seg.lo), phi_cap, "reg_lo_up", m)
-        le((c_phi, c_be), (1.0, -phi_cap + seg.lo - eps), seg.lo - eps,
-           "reg_lo_dn", m)
-        le((c_al, c_dm), (-1.0, 1.0), 0.0, "reg_and_a", m)
-        le((c_be, c_dm), (-1.0, 1.0), 0.0, "reg_and_b", m)
-        le((c_al, c_be, c_dm), (1.0, 1.0, -1.0), 1.0, "reg_and_c", m)
-
-    # 4. product linearization y_m = delta_m * phi (bounds +-phi_cap)
-    for seg in curve.segments:
-        m = seg.m
-        c_ym = col("ym", key, m)
-        c_dm = col("dm", key, m)
-        le((c_ym, c_dm), (-1.0, -phi_cap), 0.0, "prod_f_lb", m)
-        le((c_ym, c_phi, c_dm), (1.0, -1.0, phi_cap), phi_cap, "prod_f_ub", m)
-        le((c_ym, c_dm), (1.0, -phi_cap), 0.0, "prod_f_cap", m)
-        le((c_ym, c_phi, c_dm), (-1.0, 1.0, phi_cap), phi_cap,
-           "prod_f_floor", m)
-
-    # 5. product linearization ypsi = dpsi * psi_i (bounds [psi_lo_i, psi_hi_i])
-    le((c_ypsi, c_dpsi), (-1.0, psi_lo_i), 0.0, "prod_p_lb")
-    le((c_ypsi, c_psi_i, c_dpsi), (1.0, -1.0, -psi_lo_i), -psi_lo_i,
-       "prod_p_ub")
-    le((c_ypsi, c_dpsi), (1.0, -psi_hi_i), 0.0, "prod_p_cap")
-    le((c_ypsi, c_psi_i, c_dpsi), (-1.0, 1.0, psi_hi_i), psi_hi_i,
-       "prod_p_floor")
-
-    def eq(cols, coefs, rhs, kind):
-        block.eq_rows.append(Row(tuple(cols), tuple(coefs), rhs, (kind, key)))
-
-    # region simplex: exactly one active segment
-    eq([col("dm", key, m) for m in range(1, r + 1)], [1.0] * r, 1.0, "simplex")
-
-    if pair_rows:
+    at = np.arange(num)[:, None]
+    pair = 5 * np.arange(num // 2)[:, None]
+    s, t = slice(0, num, 2), slice(1, num, 2)
+    eq = _rows(5 * num // 2, [
+        # region simplex per orientation: exactly one active segment
+        (5 * (at // 2) + 4 * (at % 2), 1.0, (dm, 1.0)),
         # linearized flow equality coupling the two orientations:
         # sum_m (a_m y_m + b_m d_m) - 2 ypsi_ij - 2 ypsi_ji + psi_i + psi_j = 0
-        cols = []
-        coefs = []
-        for seg in curve.segments:
-            cols.append(col("ym", key, seg.m))
-            coefs.append(seg.a)
-            cols.append(col("dm", key, seg.m))
-            coefs.append(seg.b)
-        cols += [c_ypsi, col("ypsi", mirror), c_psi_i, c_psi_j]
-        coefs += [-2.0, -2.0, 1.0, 1.0]
-        eq(cols, coefs, 0.0, "pwa_flow")
-        eq((c_phi, col("phi", mirror)), (1.0, 1.0), 0.0, "reciprocity")
-        eq((c_dpsi, col("dpsi", mirror)), (1.0, 1.0), 1.0, "dpsi_link")
-
-    return block
+        (pair + 1, 0.0, (ym[s], a[s]), (dm[s], b[s]), (ypsi[s], -2.0),
+         (ypsi[t], -2.0), (psi_i[s], 1.0), (psi_j[s], 1.0)),
+        (pair + 2, 0.0, (phi[s], 1.0), (phi[t], 1.0)),
+        (pair + 3, 1.0, (dpsi[s], 1.0), (dpsi[t], 1.0)),
+    ], [row_key for key, mirror in zip(keys[::2], keys[1::2])
+        for row_key in [(kind, key) for kind in _PAIR] + [("simplex", mirror)]],
+        _PAIR, np.tile([0, 1, 2, 3, 0], num // 2),
+        at.reshape(-1, 2)[:, [0, 0, 0, 0, 1]].ravel())
+    return ineq, eq
 
 
 # ---------------------------------------------------------------------------

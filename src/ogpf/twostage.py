@@ -43,6 +43,7 @@ class TwoStageResult:
     recovery: RecoveryResult
     model: StandardModel
     index: VarIndex
+    build_time_s: float       # model build plus relax, before stage 1
     stage1_time_s: float
     stage2_time_s: float
     mode: str                 # CENTRALIZED or CONSENSUS
@@ -71,6 +72,7 @@ def solve_two_stage(inst: NetworkInstance, r: int, *, epsilon: float = 1e-6,
     an Approximate certificate is a normal return, not an error.
     """
     cfg = PwaConfig(r=r, epsilon=epsilon)
+    t_build = time.perf_counter()
     model, index = build_model(inst, cfg)
     relaxed = relax(model)
     curves = index.curves
@@ -118,5 +120,6 @@ def solve_two_stage(inst: NetworkInstance, r: int, *, epsilon: float = 1e-6,
     t2 = time.perf_counter()
 
     return TwoStageResult(solution=sol, recovery=recovery, model=model,
-                          index=index, stage1_time_s=t1 - t0,
+                          index=index, build_time_s=t0 - t_build,
+                          stage1_time_s=t1 - t0,
                           stage2_time_s=t2 - t1, mode=mode)

@@ -3,7 +3,8 @@ import pytest
 
 import ogpf
 from ogpf.mipbuild import QuadBlock, VarIndex, build_model
-from ogpf.pwa import PwaConfig
+from ogpf.netmodel import DirectedPipe
+from ogpf.pwa import PwaConfig, emit_mld
 
 BUNDLED = ["small2area", "single1area", "chain2area", "medium3area",
            "loop1area"]
@@ -49,6 +50,21 @@ def pair_index(r):
     index.add("psi", "i")
     index.add("psi", "j")
     return index
+
+
+def emit_pair(index, curves, cfg, bounds, c=1.0, cap=1.0):
+    """The inequality and equality rows ``emit_mld`` emits for both
+    orientations of pipe i-j over ``index`` (see ``pair_index``); owner 0 is
+    i->j, owner 1 is j->i."""
+    pipes = [DirectedPipe("i", "j", c, cap, 1), DirectedPipe("j", "i", c, cap, 1)]
+    return emit_mld(pipes, curves, cfg, index.col, bounds)
+
+
+def row_values(rows, x):
+    """Left-hand side of every row of ``rows`` (``pwa.LinearRows``) at
+    ``x``, each summed in emission order."""
+    return np.bincount(rows.row, rows.coef * x[rows.col],
+                       minlength=rows.rhs.size)
 
 
 def make_instance(*, num_areas=1, buses=None, lines=None, generators=None,

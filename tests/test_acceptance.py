@@ -163,9 +163,7 @@ def test_criterion_4_pwa_analytics():
 
 
 def test_criterion_5_mld_logic_soundness():
-    from ogpf.mipbuild import VarIndex
-    from ogpf.netmodel import DirectedPipe
-    from ogpf.pwa import emit_mld
+    from conftest import emit_pair, pair_index, row_values
 
     rng = np.random.default_rng(99)
     counts = {k: [0, 0] for k in
@@ -182,29 +180,16 @@ def test_criterion_5_mld_logic_soundness():
         box_j = (lo_j, lo_j + rng.uniform(1.0, 5.0))
         cfg = PwaConfig(r=r, epsilon=eps)
         curve = fit_pwa(c, cap, cfg)
-        index = VarIndex()
-        for key in (("i", "j"), ("j", "i")):
-            index.add("phi", key)
-            index.add("ypsi", key)
-            for m in range(1, r + 1):
-                index.add("ym", key, m)
-            index.add("dpsi", key)
-            for kind in ("alpha", "beta", "dm"):
-                for m in range(1, r + 1):
-                    index.add(kind, key, m)
-        index.add("psi", "i")
-        index.add("psi", "j")
-        block = emit_mld(DirectedPipe("i", "j", c, cap, 1), curve, cfg,
-                         index.col, {"i": box_i, "j": box_j}, pair_rows=False)
+        index = pair_index(r)
+        ineq, _ = emit_pair(index, {("i", "j"): curve, ("j", "i"): curve},
+                            cfg, {"i": box_i, "j": box_j}, c, cap)
         by_family = {}
-        for row in block.ineq_rows:
-            fam = row.label.split("[")[0]
-            by_family.setdefault(fam, []).append(row)
+        for k in np.flatnonzero(ineq.owner == 0):
+            by_family.setdefault(ineq.keys[k][0], []).append(k)
 
         def rows_ok(family_rows, x):
-            return all(
-                sum(c0 * x[j] for j, c0 in zip(row.cols, row.coefs)) <= row.rhs
-                for row in family_rows)
+            return bool((row_values(ineq, x)[family_rows]
+                         <= ineq.rhs[family_rows]).all())
 
         key = ("i", "j")
         for _ in range(8):
@@ -243,8 +228,8 @@ def test_criterion_5_mld_logic_soundness():
             x[index.col("dm", key, m)] = d
             fams = ["reg_hi_up", "reg_hi_dn", "reg_lo_up", "reg_lo_dn",
                     "reg_and_a", "reg_and_b", "reg_and_c"]
-            rows_m = [row for fam in fams for row in by_family[fam]
-                      if row.label.endswith(f",{m}]")]
+            rows_m = [k for fam in fams for k in by_family[fam]
+                      if ineq.keys[k][2] == m]
             got = rows_ok(rows_m, x)
             want = ((phi <= seg.hi if a else phi >= seg.hi + eps)
                     and (phi >= seg.lo if b else phi <= seg.lo - eps)
@@ -256,10 +241,9 @@ def test_criterion_5_mld_logic_soundness():
             # block 4: flow product
             ym = phi * d if rng.random() < 0.5 else float(rng.uniform(-cap, cap))
             x[index.col("ym", key, m)] = ym
-            rows_m = [row for fam in ("prod_f_lb", "prod_f_ub", "prod_f_cap",
-                                      "prod_f_floor")
-                      for row in by_family[fam]
-                      if row.label.endswith(f",{m}]")]
+            rows_m = [k for fam in ("prod_f_lb", "prod_f_ub", "prod_f_cap",
+                                    "prod_f_floor")
+                      for k in by_family[fam] if ineq.keys[k][2] == m]
             got = rows_ok(rows_m, x)
             want = (ym == phi) if d else (ym == 0.0)
             counts["prod_flow"][got] += 1
@@ -269,9 +253,9 @@ def test_criterion_5_mld_logic_soundness():
             # block 5: pressure product
             yp = psi_i * dpsi if rng.random() < 0.5 else float(rng.uniform(*box_i))
             x[index.col("ypsi", key)] = yp
-            rows_p = [row for fam in ("prod_p_lb", "prod_p_ub", "prod_p_cap",
-                                      "prod_p_floor")
-                      for row in by_family[fam]]
+            rows_p = [k for fam in ("prod_p_lb", "prod_p_ub", "prod_p_cap",
+                                    "prod_p_floor")
+                      for k in by_family[fam]]
             got = rows_ok(rows_p, x)
             want = (yp == psi_i) if dpsi else (yp == 0.0)
             counts["prod_psi"][got] += 1

@@ -20,6 +20,7 @@ def _report(path):
 def _strip_times(report):
     out = copy.deepcopy(report)
     for run in out.get("runs", []):
+        run.pop("build_time_s", None)
         run.pop("stage1_time_s", None)
         run.pop("stage2_time_s", None)
     out.get("aggregate", {}).pop("mean_time_s", None)
@@ -34,6 +35,15 @@ def test_solve_exit_zero_on_exact_instance(tmp_path):
     rep = _report(out)
     assert rep["runs"][0]["certificate"] == "Optimal"
     assert rep["config"]["sign_convention"]
+
+
+def test_run_entry_times_the_build(tmp_path):
+    out = tmp_path / "rep.json"
+    assert _run(["solve", "--instance", SMALL, "--r", "4",
+                 "--out", str(out)]) == 0
+    entry = _report(out)["runs"][0]
+    assert entry["build_time_s"] > 0.0
+    assert entry["stage1_time_s"] > 0.0 and entry["stage2_time_s"] > 0.0
 
 
 def test_solve_rejects_odd_region_count(capsys):
@@ -112,7 +122,7 @@ def test_consensus_report_has_centralized_keys(tmp_path):
     ref = ogpf.solve_two_stage(ogpf.load_instance(SMALL), 2,
                                mode="consensus")
     expected = _run_entry(0, ref)
-    for key in ("stage1_time_s", "stage2_time_s"):
+    for key in ("build_time_s", "stage1_time_s", "stage2_time_s"):
         del dis[key], expected[key]
     assert dis == expected
 

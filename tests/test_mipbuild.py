@@ -290,6 +290,35 @@ def test_dump_model_rejects_an_index_of_another_model(small2area_model):
         dump_model(reduced, index)
 
 
+def test_to_csr_rejects_a_column_out_of_range():
+    to_csr = ogpf.mipbuild._to_csr
+    mat = to_csr(np.array([0, 0, 1]), np.array([2, 0, 1]),
+                 np.array([1.0, 2.0, 0.0]), 2, 3)
+    # entries sorted within rows, explicit zeros kept
+    assert mat.indices.tolist() == [0, 2, 1]
+    assert mat.data.tolist() == [2.0, 1.0, 0.0]
+    for col in (3, -1):
+        with pytest.raises(ogpf.ModelError, match=re.escape("outside 0..2")):
+            to_csr(np.array([0]), np.array([col]), np.array([1.0]), 1, 3)
+
+
+def test_index_looks_keys_up_by_kind_and_owner(instances, small2area_model):
+    model, index = small2area_model
+    nodes = [nd.id for nd in instances["small2area"].gas_nodes]
+    assert list(index.columns("psi")) == [index.col("psi", n) for n in nodes]
+    assert index.columns("no_such_kind").size == 0
+    labels = index.names("in")
+    assert [labels[k] for k in index.rows("in", "reg_and_a")] == [
+        label for label in labels if label.startswith("reg_and_a[")]
+    assert [index.owners(block).size for block in ("col", "eq", "in", "quad")
+            ] == [model.num_vars, model.num_eq, model.num_in, 1]
+    # a pipe's rows belong to its from node, like the node's own columns
+    k = labels.index("reg_and_a[n1->n2,1]")
+    assert index.entities[index.owners("in")[k]] == ("node", "n1")
+    assert index.entities[index.owners("col")[index.col("psi", "n1")]] == \
+        ("node", "n1")
+
+
 def test_duplicate_column_key_is_a_model_error():
     index = VarIndex()
     index.add("psi", "n1")

@@ -1,11 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from ogpf.errors import ConfigError, MissingBounds, OutOfRange
-from ogpf.netmodel import DirectedPipe
-from ogpf.pwa import PwaConfig, emit_mld, fit_pwa, max_region_error
+from ogpf.pwa import (PwaConfig, block_keys, fit_pwa, key_label,
+                      max_region_error)
 
-from conftest import pair_index
+from conftest import emit_pair, pair_index, row_values
 
 
 def test_chord_fit_r2_unit():
@@ -112,43 +114,38 @@ def _emit_pair(r=2, c=1.0, cap=1.0, psi_box=(0.0, 1.0)):
     index = pair_index(r)
     bounds = {"i": psi_box, "j": psi_box}
     curve = fit_pwa(c, cap, cfg, pipe=("i", "j"))
-    fwd = emit_mld(DirectedPipe("i", "j", c, cap, 1), curve, cfg, index.col,
-                   bounds, pair_rows=True)
-    rev = emit_mld(DirectedPipe("j", "i", c, cap, 1), curve, cfg, index.col,
-                   bounds, pair_rows=False)
-    return index, fwd, rev
+    curves = {("i", "j"): curve, ("j", "i"): curve}
+    return (index, *emit_pair(index, curves, cfg, bounds, c, cap))
 
 
 def test_block_counts():
-    _, fwd, rev = _emit_pair(r=2)
-    assert fwd.num_binaries == 7
-    assert fwd.num_extra_continuous == 3
+    _, ineq, eq = _emit_pair(r=2)
+    kinds = [key[0] for key in block_keys(("i", "j"), 2)]
+    assert sum(k in ("dpsi", "alpha", "beta", "dm") for k in kinds) == 7
+    assert sum(k in ("ypsi", "ym") for k in kinds) == 3
     # 2 + 2 + 7r + 4r + 4 inequality rows per orientation
-    assert len(fwd.ineq_rows) == 8 + 11 * 2
-    assert len(rev.ineq_rows) == 8 + 11 * 2
+    assert list(np.bincount(ineq.owner)) == [8 + 11 * 2] * 2
     # simplex everywhere; pair-level equalities only on the stored orientation
-    assert len(rev.eq_rows) == 1
-    assert len(fwd.eq_rows) == 4
-    labels = [row.label for row in fwd.eq_rows]
+    assert list(np.bincount(eq.owner)) == [4, 1]
+    labels = [key_label(eq.keys[k]) for k in np.flatnonzero(eq.owner == 0)]
     assert any(l.startswith("pwa_flow") for l in labels)
     assert any(l.startswith("reciprocity") for l in labels)
     assert any(l.startswith("dpsi_link") for l in labels)
 
 
 def test_region_logic_row_rejects_delta_without_alpha():
-    index, fwd, _ = _emit_pair(r=2)
+    index, ineq, _ = _emit_pair(r=2)
     x = np.zeros(len(index))
     x[index.col("dm", ("i", "j"), 1)] = 1.0
     x[index.col("alpha", ("i", "j"), 1)] = 0.0
-    row = next(r for r in fwd.ineq_rows if r.label == "reg_and_a[i->j,1]")
-    value = sum(c * x[j] for j, c in zip(row.cols, row.coefs))
-    assert value > row.rhs  # -alpha + delta <= 0 is violated
+    k = [key_label(key) for key in ineq.keys].index("reg_and_a[i->j,1]")
+    assert row_values(ineq, x)[k] > ineq.rhs[k]  # -alpha + delta <= 0 is violated
 
 
 def test_truth_table_point_satisfies_every_row():
     """A consistent integral assignment at phi=0.5, psi=(0.75, 0.25)
     satisfies both orientations' blocks and the pair equalities exactly."""
-    index, fwd, rev = _emit_pair(r=2, c=1.0, cap=1.0, psi_box=(0.0, 1.0))
+    index, ineq, eq = _emit_pair(r=2, c=1.0, cap=1.0, psi_box=(0.0, 1.0))
     x = np.zeros(len(index))
 
     def put(kind, owner, val, m=None):
@@ -176,13 +173,11 @@ def test_truth_table_point_satisfies_every_row():
         put("beta", mirror, b, m)
         put("dm", mirror, d, m)
 
-    for block in (fwd, rev):
-        for row in block.ineq_rows:
-            value = sum(c * x[j] for j, c in zip(row.cols, row.coefs))
-            assert value <= row.rhs + 1e-12, row.label
-        for row in block.eq_rows:
-            value = sum(c * x[j] for j, c in zip(row.cols, row.coefs))
-            assert value == pytest.approx(row.rhs, abs=1e-12), row.label
+    assert ineq.owner.max() == eq.owner.max() == 1    # both orientations
+    above = row_values(ineq, x) > ineq.rhs + 1e-12
+    assert [key_label(k) for k, bad in zip(ineq.keys, above) if bad] == []
+    off = np.abs(row_values(eq, x) - eq.rhs) > 1e-12
+    assert [key_label(k) for k, bad in zip(eq.keys, off) if bad] == []
 
 
 def test_missing_bounds_rejected():
@@ -190,9 +185,8 @@ def test_missing_bounds_rejected():
     index = pair_index(2)
     curve = fit_pwa(1.0, 1.0, cfg)
     bounds = {"i": (0.0, np.inf), "j": (0.0, 1.0)}
-    with pytest.raises(MissingBounds):
-        emit_mld(DirectedPipe("i", "j", 1.0, 1.0, 1), curve, cfg, index.col,
-                 bounds, pair_rows=True)
+    with pytest.raises(MissingBounds, match=re.escape("psi_max[i]")):
+        emit_pair(index, {("i", "j"): curve, ("j", "i"): curve}, cfg, bounds)
 
 
 def test_segment_for_rejects_flow_outside_the_grid():

@@ -4,15 +4,14 @@ import pytest
 import ogpf
 from ogpf.errors import OutOfRange
 from ogpf.mipbuild import check_point
-from ogpf.netmodel import DirectedPipe
-from ogpf.pwa import (PwaConfig, config_columns, emit_mld, fit_pwa,
+from ogpf.pwa import (PwaConfig, config_columns, fit_pwa, key_label,
                       max_region_error)
 from ogpf.recovery import (build_pressure_lp, max_abs_deviation,
                            mean_abs_deviation, recover_binaries,
                            solve_pressure_lp, weymouth_deviation)
 from ogpf.twostage import solve_two_stage
 
-from conftest import pair_index
+from conftest import emit_pair, pair_index, row_values
 
 
 def _pair_curves(r=2, c=1.0, cap=1.0, eps=1e-6):
@@ -68,20 +67,10 @@ def test_recover_rejects_out_of_range_flow():
         recover_binaries({("i", "j"): 1.5, ("j", "i"): -1.5}, curves)
 
 
-def _row_value(row, x):
-    return sum(c * x[j] for j, c in zip(row.cols, row.coefs))
-
-
 def _pair_rows(curves, cfg, index, bounds, c=1.0, cap=1.0):
-    """The rows ``emit_mld`` emits for both orientations of pipe i-j, each
-    paired with whether it is an equality."""
-    rows = []
-    for (a, b), pair_rows in ((("i", "j"), True), (("j", "i"), False)):
-        block = emit_mld(DirectedPipe(a, b, c, cap, 1), curves[(a, b)],
-                         cfg, index.col, bounds, pair_rows=pair_rows)
-        rows += [(row, False) for row in block.ineq_rows]
-        rows += [(row, True) for row in block.eq_rows]
-    return rows
+    """The rows ``emit_mld`` emits for both orientations of pipe i-j: the
+    inequality rows, then the equality rows."""
+    return emit_pair(index, curves, cfg, bounds, c, cap)
 
 
 def _point(config, curves, index, phi, psi):
@@ -103,12 +92,11 @@ def _point(config, curves, index, phi, psi):
 def _violated(rows, x, kinds):
     """Kinds among ``kinds`` with an emitted row that ``x`` violates."""
     bad = set()
-    for row, is_eq in rows:
-        kind = row.key[0]
-        if kind in kinds:
-            value = _row_value(row, x)
-            if not (value == row.rhs if is_eq else value <= row.rhs):
-                bad.add(kind)
+    for block, is_eq in zip(rows, (False, True)):
+        value = row_values(block, x)
+        ok = value == block.rhs if is_eq else value <= block.rhs
+        bad.update(key[0] for key, good in zip(block.keys, ok)
+                   if key[0] in kinds and not good)
     return bad
 
 
@@ -209,7 +197,8 @@ def test_recovered_configuration_satisfies_emitted_rows():
                   "j": (lo_j, lo_j + rng.uniform(1.0, 5.0))}
         rows = _pair_rows(curves, PwaConfig(r=r, epsilon=eps), index,
                           bounds, c=c, cap=cap)
-        assert {row.key[0] for row, _ in rows} >= _BINARY_ONLY | away_only
+        assert {key[0] for block in rows
+                for key in block.keys} >= _BINARY_ONLY | away_only
 
         breaks = np.array(curves[key].breakpoints)
         near = np.concatenate([breaks - 0.5 * eps, breaks + 0.5 * eps])
@@ -224,10 +213,11 @@ def test_recovered_configuration_satisfies_emitted_rows():
             away = np.abs(breaks - phi).min() > eps
             checked["away" if away else "breakpoint"] += 1
             if away:
-                for row, _ in rows:
-                    if row.key[0] in away_only:
-                        assert _row_value(row, x) <= row.rhs + 1e-9, \
-                            (row.label, phi, config)
+                # every row of these kinds is an inequality
+                ineq = rows[0]
+                above = row_values(ineq, x) > ineq.rhs + 1e-9
+                assert [key_label(key) for key, bad in zip(ineq.keys, above)
+                        if bad and key[0] in away_only] == [], (phi, config)
     assert checked["breakpoint"] > 0 and checked["away"] > 0
 
 
