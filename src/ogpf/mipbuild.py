@@ -462,11 +462,16 @@ def build_model(inst: NetworkInstance, cfg: PwaConfig) -> tuple[StandardModel, V
         out_flows[p.from_node].append((p.from_node, p.to_node))
         out_flows[p.to_node].append((p.to_node, p.from_node))
     for nd in inst.gas_nodes:
-        cols = ([index.col(GS, s.id) for s in sources_at[nd.id]]
-                + [index.col(DGU, g.id) for g in gas_gens_at[nd.id]]
-                + [index.col(PHI, key) for key in out_flows[nd.id]])
-        coefs = ([1.0] * len(sources_at[nd.id])
-                 + [-1.0] * (len(cols) - len(sources_at[nd.id])))
+        cols, coefs = [], []
+        for s in sources_at[nd.id]:
+            cols.append(index.col(GS, s.id))
+            coefs.append(1.0)
+        for g in gas_gens_at[nd.id]:
+            cols.append(index.col(DGU, g.id))
+            coefs.append(-1.0)
+        for key in out_flows[nd.id]:
+            cols.append(index.col(PHI, key))
+            coefs.append(-1.0)
         eq.append((("gas_balance", nd.id), cols, coefs, nd.demand_g))
 
     # tie reciprocity
