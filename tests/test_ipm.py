@@ -11,11 +11,10 @@ import ogpf.convexsolve
 import ogpf.ipm
 from ogpf.convexsolve import solve_convex
 from ogpf.ipm import Kkt, KktPartition, solve_ipm
-from ogpf.mipbuild import (QuadBlock, StandardModel, area_views, build_model,
-                           relax)
+from ogpf.mipbuild import QuadBlock, StandardModel, build_model, relax
 from ogpf.pwa import PwaConfig
 
-from conftest import BUNDLED, no_quad
+from conftest import BUNDLED, area_labels, no_quad
 
 
 def _reference_rows(block, x):
@@ -175,12 +174,7 @@ def _kkt_and_labels(instances, name, r):
     inst = instances[name]
     model, index = build_model(inst, PwaConfig(r=r))
     model = relax(model)
-    views = area_views(model, inst, index)
-    label = np.full(model.num_vars + model.num_eq, -1)
-    for k, v in enumerate(views):
-        label[v.owned_cols] = k
-        label[model.num_vars + v.owned_eq_rows] = k
-        label[model.num_vars + v.coupling_eq_rows] = -1
+    label = np.concatenate(area_labels(model, inst, index))
     kkt = Kkt(model.g_in, model.a_eq, model.quad_ineq)
     rng = np.random.default_rng(5)
     K = kkt.fill(rng.uniform(0.1, 10.0, model.num_in),
@@ -246,20 +240,12 @@ def test_prepared_solve_matches_solve_ipm(instances, name):
     inst = instances[name]
     model, index = build_model(inst, PwaConfig(r=4))
     model = relax(model)
-    views = area_views(model, inst, index)
-    col_area = np.full(model.num_vars, -1)
-    eq_area = np.full(model.num_eq, -1)
-    for k, v in enumerate(views):
-        col_area[v.owned_cols] = k
-        eq_area[v.owned_eq_rows] = k
-    for v in views:
-        eq_area[v.coupling_eq_rows] = -1
-    areas = (col_area, eq_area)
+    areas = area_labels(model, inst, index)
     whole = solve_ipm(model, 1e-10, 1e-10, 200)
     blocked = solve_ipm(model, 1e-10, 1e-10, 200, areas=areas)
     assert _same(blocked, solve_ipm(model, 1e-10, 1e-10, 200, areas=areas))
     assert whole.status == "optimal"
-    if len(views) == 1:
+    if inst.num_areas == 1:
         assert _same(blocked, whole)
     else:
         assert (blocked.status, blocked.iterations) == (whole.status,

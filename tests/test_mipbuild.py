@@ -13,7 +13,7 @@ from ogpf.mipbuild import (QuadBlock, StandardModel, VarIndex, area_views,
                            substitute_columns)
 from ogpf.pwa import PwaConfig
 
-from conftest import make_instance, small_witness_point
+from conftest import area_labels, make_instance, small_witness_point
 
 
 def test_small2area_row_and_column_counts(small2area_model):
@@ -341,29 +341,28 @@ def test_solve_two_stage_fits_each_curve_once(monkeypatch, small2area):
     assert list(result.index.curves) == [dp.key for dp in directed]
 
 
-def _views_digest(views):
+def _labels_digest(labels):
     h = hashlib.sha256()
-    for v in views:
-        for a in (v.area, v.owned_cols, v.owned_eq_rows, v.owned_in_rows,
-                  v.owned_quad_rows, v.coupling_eq_rows, v.foreign_cols):
-            a = np.asarray(a, dtype=np.int64)
-            h.update(np.int64(a.size).tobytes() + a.tobytes())
+    for a in labels:
+        a = np.asarray(a, dtype=np.int64)
+        h.update(np.int64(a.size).tobytes() + a.tobytes())
     return h.hexdigest()
 
 
-# sha256 over every array of every AreaView at r=4, recorded while area_views
-# still parsed row labels
-VIEWS_SHA256 = {
-    "small2area": "47746748b72df654a6d2ccef3c2d22fcecbe4054554e6e687d6e5a9e611cb902",
-    "single1area": "7cd18d6c4ae4fd483a664a8fe8eaa1e90633ec52e1650d7dda67cecf62d99aba",
-    "chain2area": "3749bcf5063da93cfeecc60a83e68e046bac58ec52c2cbbd47bfbf54ddd5c0ef",
-    "medium3area": "38357476cc6cc0a90faa7998dce60902085b55b2065d9e40772604be188e9af0",
-    "loop1area": "16de1f55fb01101ddf84f96b92c6ff07837f678aa8134e628b7dc026d7f38066",
+# sha256 over the column and equality-row area labels at r=4 (area a is
+# block a-1, coupling rows -1), recorded while area_views still returned one
+# view per area and solve_consensus converted the views into these labels
+LABELS_SHA256 = {
+    "chain2area": "73d18d0dceab602b334b02467cd1b46e4392b5dcb40145eb4ca8bd2c7f9ad1d2",
+    "loop1area": "23b7f2bd69e45a1057e8e234280642e97aabbfc5d7c7b9524008abf0508b3136",
+    "medium3area": "d67443edc572ed34a66743e1cac46e04ab34abbd365cfcaf581090a9f10c117c",
+    "single1area": "be2802dacd65fb3617ac2bd8b617913ac286e341b2c4946c8c3d7fe4a0d56d69",
+    "small2area": "762f4deca43f5352b0171fe1022afbb8c9137149f6c90bb990731940427ba4a8",
 }
 
 
-@pytest.mark.parametrize("name", sorted(VIEWS_SHA256))
+@pytest.mark.parametrize("name", sorted(LABELS_SHA256))
 def test_area_views_are_unchanged(instances, name):
     model, index = build_model(instances[name], PwaConfig(r=4))
-    views = area_views(model, instances[name], index)
-    assert _views_digest(views) == VIEWS_SHA256[name]
+    labels = area_labels(model, instances[name], index)
+    assert _labels_digest(labels) == LABELS_SHA256[name]
