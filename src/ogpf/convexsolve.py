@@ -19,7 +19,7 @@ from scipy.optimize import linprog
 
 from .errors import ConfigError
 from .ipm import EngineResult, solve_ipm
-from .mipbuild import AreaView, QuadBlock, StandardModel, check_point
+from .mipbuild import QuadBlock, StandardModel, check_point
 
 OPTIMAL = "Optimal"
 MAX_ITER = "MaxIter"
@@ -180,26 +180,22 @@ def solve_convex(model: StandardModel, opts: SolveOptions | None = None,
     return _solution_from_engine(model, res, MAX_ITER)
 
 
-def solve_consensus(model: StandardModel, views: list[AreaView],
+def solve_consensus(model: StandardModel,
+                    areas: tuple[np.ndarray, np.ndarray],
                     opts: SolveOptions | None = None) -> Solution:
     """Area-decomposed solve of a relaxed model: ``solve_convex`` with each
     area's KKT block factored on its own.
 
-    Every area's columns and own equality rows form one block of the
-    interior point's KKT system; the coupling rows (tie-bus balances and
-    tie reciprocity rows) form the border, the only rows that join areas,
-    and one small Schur complement on them gives each Newton step
+    ``areas`` is ``(col_area, eq_area)`` from ``mipbuild.area_views``: the
+    block of every column and equality row, -1 for the coupling rows (tie-bus
+    balances and tie reciprocity rows). Every area's columns and own
+    equality rows form one block of the interior point's KKT system; the
+    coupling rows form the border, the only rows that join areas, and one
+    small Schur complement on them gives each Newton step
     (``ipm.KktPartition``). The iterates are the centralized ones up to
-    rounding, so status, iterations, feasibility probe and ``Solution``
-    are those of ``solve_convex``; with a single area it is exactly the
-    centralized solve. Rows or columns no view owns join the border.
-    Raises ModelError when a row other than a coupling row spans two areas.
+    rounding, so status, iterations, feasibility probe and ``Solution`` are
+    those of ``solve_convex``; with a single area it is exactly the
+    centralized solve. Raises ModelError when a row other than a coupling
+    row spans two areas.
     """
-    col_area = np.full(model.num_vars, -1)
-    eq_area = np.full(model.num_eq, -1)
-    for k, v in enumerate(views):
-        col_area[v.owned_cols] = k
-        eq_area[v.owned_eq_rows] = k
-    for v in views:
-        eq_area[v.coupling_eq_rows] = -1
-    return solve_convex(model, opts, (col_area, eq_area))
+    return solve_convex(model, opts, areas)

@@ -18,7 +18,7 @@ class ConfigError(OgpfError):
 
 
 class ModelError(OgpfError):
-    """A model, its area views or a requested column substitution is
+    """A model, its area labels or a requested column substitution is
     structurally inconsistent."""
 
 

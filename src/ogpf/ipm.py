@@ -281,7 +281,7 @@ def _initial_x(lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
     return x
 
 
-def col_scale(lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
+def _col_scale(lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
     """Box magnitude ``max(1, |lb|, |ub|)`` per column; infinite bounds
     count as 0."""
     d = np.ones(lb.size)
@@ -304,10 +304,12 @@ def solve_ipm(model: StandardModel, feas_tol: float, opt_tol: float,
     model infeasible (an inconsistent vanished row or an empty box), returns
     status ``infeasible`` without iterating.
 
-    ``areas`` is the block of every model column and of every equality row
-    (integers >= 0; -1 puts an equality row in the border, as a coupling
-    row). The KKT step then factors each block on its own and couples them
-    through the border (``KktPartition``); without it K is one block.
+    ``areas`` is ``(col_area, eq_area)``, the block of every model column
+    and of every equality row (integers >= 0; -1 puts an equality row in
+    the border, as a coupling row), as ``mipbuild.area_views`` returns them
+    with area ``a`` as block ``a - 1``. The KKT step then factors each block
+    on its own and couples them through the border (``KktPartition``);
+    without it K is one block.
     Raises ConfigError on a model with integral columns and ModelError when
     some row other than a border row spans two blocks.
     """
@@ -327,9 +329,7 @@ def solve_ipm(model: StandardModel, feas_tol: float, opt_tol: float,
     label = np.zeros(red.keep.size + red.eq_rows.size, dtype=np.intp) \
         if areas is None else np.concatenate([areas[0][red.keep],
                                               areas[1][red.eq_rows]])
-    # the objective is diagonal, so the presolve only restricts it
-    res = _iterate(_Scaled(red.model, label), model.obj_quad[red.keep],
-                   model.obj_lin[red.keep], feas_tol, opt_tol, max_iter)
+    res = _iterate(red.model, label, feas_tol, opt_tol, max_iter)
     x = np.zeros(n)
     x[red.keep] = res.x
     x[pinned] = model.lb[pinned]
@@ -345,46 +345,6 @@ def solve_ipm(model: StandardModel, feas_tol: float, opt_tol: float,
     lam_ub[red.keep] = res.lam_ub
     return EngineResult(x, nu, lam, lam_lb, lam_ub, mu, res.status,
                         res.iterations, res.pres, res.dres, res.relgap)
-
-
-class _Scaled:
-    """A presolved model with its columns scaled by box magnitude, its rows
-    to unit max coefficient and its finite bounds folded into the
-    inequality block, plus the fixed pattern of its KKT matrix and its
-    partition by ``label`` (see ``KktPartition``)."""
-
-    def __init__(self, model: StandardModel, label: np.ndarray):
-        n = model.num_vars
-        self.n = n
-        self.num_in = model.num_in
-        d = col_scale(model.lb, model.ub)
-        lb = model.lb / d
-        ub = model.ub / d
-        A, rs_a = _equilibrate(model.a_eq, d)
-        Gm, rs_g = _equilibrate(model.g_in, d)
-        b = model.b_eq * rs_a
-        hm = model.h_in * rs_g
-        quad, rs_q = model.quad_ineq.scaled(d)
-
-        # fold finite bounds into the inequality block: x_j <= ub_j rows,
-        # then -x_j <= -lb_j rows
-        fu = np.flatnonzero(np.isfinite(ub))
-        fl = np.flatnonzero(np.isfinite(lb))
-        nb = fu.size + fl.size
-        G = sp.csr_matrix(
-            (np.concatenate([Gm.data, np.ones(fu.size), -np.ones(fl.size)]),
-             np.concatenate([Gm.indices, fu, fl]),
-             np.concatenate([Gm.indptr, Gm.nnz + 1 + np.arange(nb)])),
-            shape=(Gm.shape[0] + nb, n))
-        h = np.concatenate([hm, ub[fu], -lb[fl]])
-        self.d, self.lb, self.ub = d, lb, ub
-        self.A, self.b, self.G, self.h, self.quad = A, b, G, h, quad
-        self.rs_a, self.rs_g, self.rs_q = rs_a, rs_g, rs_q
-        self.fu, self.fl = fu, fl
-        self.GT = G.T.tocsr()
-        self.AT = A.T.tocsr()
-        self.kkt = Kkt(G, A, quad)
-        self.partition = KktPartition(self.kkt.K, label)
 
 
 def _equilibrate(mat: sp.csr_matrix, d: np.ndarray
@@ -409,59 +369,61 @@ def _equilibrate(mat: sp.csr_matrix, d: np.ndarray
     return csr_from_rows(row[nz], col[nz], data[nz], mat.shape), rs
 
 
-def _iterate(core: _Scaled, obj_quad: np.ndarray, obj_lin: np.ndarray,
-             feas_tol: float, opt_tol: float, max_iter: int) -> EngineResult:
-    """Mehrotra predictor-corrector on a scaled model, for the reduced
-    objective ``obj_quad``, ``obj_lin``, cold from the box midpoints."""
-    n = core.n
+def _iterate(model: StandardModel, label: np.ndarray, feas_tol: float,
+             opt_tol: float, max_iter: int) -> EngineResult:
+    """Mehrotra predictor-corrector on a presolved model, cold from the box
+    midpoints.
+
+    Columns are scaled by box magnitude, rows to unit max coefficient, and
+    finite bounds are folded into the inequality block; the KKT pattern and
+    its partition by ``label`` (see ``KktPartition``) are built once."""
+    n = model.num_vars
     if n == 0:
         return EngineResult(np.zeros(0), np.zeros(0), np.zeros(0),
                             np.zeros(0), np.zeros(0), np.zeros(0), "optimal",
                             0, 0.0, 0.0, 0.0)
 
-    d = core.d
-    q = obj_quad * d * d
-    c = obj_lin * d
-    lb, ub = core.lb, core.ub
-    A, b, G, h, quad = core.A, core.b, core.G, core.h, core.quad
-    GT, AT, kkt, partition = core.GT, core.AT, core.kkt, core.partition
-    rs_a, rs_g, rs_q = core.rs_a, core.rs_g, core.rs_q
-    fu, fl = core.fu, core.fl
+    d = _col_scale(model.lb, model.ub)
+    q = model.obj_quad * d * d
+    c = model.obj_lin * d
+    lb = model.lb / d
+    ub = model.ub / d
+    A, rs_a = _equilibrate(model.a_eq, d)
+    Gm, rs_g = _equilibrate(model.g_in, d)
+    b = model.b_eq * rs_a
+    quad, rs_q = model.quad_ineq.scaled(d)
+    # fold finite bounds into the inequality block: x_j <= ub_j rows, then
+    # -x_j <= -lb_j rows
+    fu = np.flatnonzero(np.isfinite(ub))
+    fl = np.flatnonzero(np.isfinite(lb))
+    nb = fu.size + fl.size
+    G = sp.csr_matrix(
+        (np.concatenate([Gm.data, np.ones(fu.size), -np.ones(fl.size)]),
+         np.concatenate([Gm.indices, fu, fl]),
+         np.concatenate([Gm.indptr, Gm.nnz + 1 + np.arange(nb)])),
+        shape=(Gm.shape[0] + nb, n))
+    h = np.concatenate([model.h_in * rs_g, ub[fu], -lb[fl]])
+    GT = G.T.tocsr()
+    AT = A.T.tocsr()
+    kkt = Kkt(G, A, quad)
+    partition = KktPartition(kkt.K, label)
     mi = G.shape[0]
-    me = A.shape[0]
     mq = len(quad)
 
     x = _initial_x(lb, ub)
-    nu = np.zeros(me)
-    if mi:
-        s = np.maximum(h - G @ x, 1.0)
-        lam = np.ones(mi)
-    else:
-        s = np.zeros(0)
-        lam = np.zeros(0)
-    if mq:
-        t = np.maximum(-quad.value(x), 1.0)
-        mu = np.ones(mq)
-    else:
-        t = np.zeros(0)
-        mu = np.zeros(0)
+    nu = np.zeros(A.shape[0])
+    s = np.maximum(h - G @ x, 1.0)
+    lam = np.ones(mi)
+    t = np.maximum(-quad.value(x), 1.0)
+    mu = np.ones(mq)
 
     scale_p = 1.0 + max(np.abs(b).max(initial=0.0), np.abs(h).max(initial=0.0))
     scale_d = 1.0 + np.abs(c).max(initial=0.0)
     m_total = mi + mq
 
     def residuals(x, nu, lam, mu, jv, qv):
-        rd = 2.0 * q * x + c
-        if me:
-            rd = rd + AT @ nu
-        if mi:
-            rd = rd + GT @ lam
-        if mq:
-            rd = rd + quad.jac_t(jv, mu)
-        rp = (A @ x - b) if me else np.zeros(0)
-        rg = (G @ x + s - h) if mi else np.zeros(0)
-        rq = (qv + t) if mq else np.zeros(0)
-        return rd, rp, rg, rq
+        rd = 2.0 * q * x + c + AT @ nu + GT @ lam + quad.jac_t(jv, mu)
+        return rd, A @ x - b, G @ x + s - h, qv + t
 
     def factor(W, H, V, jv):
         """Refill and factor K; a singular factor raises RuntimeError here,
@@ -485,7 +447,7 @@ def _iterate(core: _Scaled, obj_quad: np.ndarray, obj_lin: np.ndarray,
         x, nu = sol[:n], sol[n:]
         rd, rp, _, _ = residuals(x, nu, lam, mu, np.zeros(0), np.zeros(0))
         return EngineResult(
-            x * d, _unscale_nu(nu, rs_a), np.zeros(0), np.zeros(n),
+            x * d, nu * rs_a, np.zeros(0), np.zeros(n),
             np.zeros(n), np.zeros(0), "optimal", 1,
             float(np.abs(rp).max(initial=0.0)),
             float(np.abs(rd).max(initial=0.0)), 0.0)
@@ -532,7 +494,7 @@ def _iterate(core: _Scaled, obj_quad: np.ndarray, obj_lin: np.ndarray,
 
         # condensed KKT matrix, shared by predictor and corrector
         W = np.minimum(lam / s, _W_CAP)
-        V = np.minimum(mu / t, _W_CAP) if mq else np.zeros(0)
+        V = np.minimum(mu / t, _W_CAP)
         Hd = 2.0 * q + _REG_PRIMAL + quad.hess_diag(mu)
         try:
             K, lu = factor(W, Hd, V, jv)
@@ -553,20 +515,15 @@ def _iterate(core: _Scaled, obj_quad: np.ndarray, obj_lin: np.ndarray,
 
         def direction(sigma_gap, corr_s, corr_t, rq_eff):
             rcs = sigma_gap - s * lam - corr_s
-            rct = (sigma_gap - t * mu - corr_t) if mq else np.zeros(0)
-            rhs_x = -rd - GT @ ((rcs + lam * rg) / s)
-            if mq:
-                rhs_x = rhs_x - quad.jac_t(jv, (rct + mu * rq_eff) / t)
+            rct = sigma_gap - t * mu - corr_t
+            rhs_x = (-rd - GT @ ((rcs + lam * rg) / s)
+                     - quad.jac_t(jv, (rct + mu * rq_eff) / t))
             rhs = np.concatenate([rhs_x, -rp])
             dx, dnu = solve_kkt(rhs)
             ds = -rg - G @ dx
             dlam = (rcs - lam * ds) / s
-            if mq:
-                dt = -rq_eff - quad.jac_mul(jv, dx)
-                dmu = (rct - mu * dt) / t
-            else:
-                dt = np.zeros(0)
-                dmu = np.zeros(0)
+            dt = -rq_eff - quad.jac_mul(jv, dx)
+            dmu = (rct - mu * dt) / t
             return dx, dnu, ds, dlam, dt, dmu
 
         # every slack and multiplier, for one ratio test per step
@@ -587,15 +544,14 @@ def _iterate(core: _Scaled, obj_quad: np.ndarray, obj_lin: np.ndarray,
                 0.0, np.zeros(mi), np.zeros(mq), rq)
             a_aff = max_step(dsa, dlama, dta, dmua)
             gap_aff = (float((s + a_aff * dsa) @ (lam + a_aff * dlama))
-                       + (float((t + a_aff * dta) @ (mu + a_aff * dmua))
-                          if mq else 0.0)) / m_total
+                       + float((t + a_aff * dta) @ (mu + a_aff * dmua))
+                       ) / m_total
             sigma = min(max((gap_aff / gap) ** 3, 1e-8), 1.0 - 1e-8)
 
             # corrector with second-order terms (exact for quadratic rows)
-            rq_eff = rq + quad.curvature(dxa) if mq else rq
             dx, dnu, ds, dlam, dt, dmu = direction(
-                sigma * gap, dsa * dlama,
-                dta * dmua if mq else np.zeros(0), rq_eff)
+                sigma * gap, dsa * dlama, dta * dmua,
+                rq + quad.curvature(dxa))
         except FloatingPointError:
             status = "stalled"
             break
@@ -615,33 +571,18 @@ def _iterate(core: _Scaled, obj_quad: np.ndarray, obj_lin: np.ndarray,
         nu = nu + alpha * dnu
         s = s + alpha * ds
         lam = lam + alpha * dlam
-        if mq:
-            t = t + alpha * dt
-            mu = mu + alpha * dmu
+        t = t + alpha * dt
+        mu = mu + alpha * dmu
 
     if status != "optimal" and best is not None:
         x, nu, lam, mu, pres, dres, relgap = best
 
     # split folded duals back out and undo scaling
-    num_in = core.num_in
-    lam_model = lam[:num_in] if num_in else np.zeros(0)
+    num_in = model.num_in
     lam_ub = np.zeros(n)
     lam_lb = np.zeros(n)
-    off = num_in
-    if fu.size:
-        lam_ub[fu] = lam[off:off + fu.size]
-        off += fu.size
-    if fl.size:
-        lam_lb[fl] = lam[off:off + fl.size]
-
-    return EngineResult(
-        x * d,
-        _unscale_nu(nu, rs_a),
-        lam_model * rs_g if num_in else lam_model,
-        lam_lb / d, lam_ub / d,
-        mu * rs_q if mq else mu,
-        status, iters_done, float(pres), float(dres), float(relgap))
-
-
-def _unscale_nu(nu: np.ndarray, rs_a: np.ndarray) -> np.ndarray:
-    return nu * rs_a if nu.size else nu
+    lam_ub[fu] = lam[num_in:num_in + fu.size]
+    lam_lb[fl] = lam[num_in + fu.size:]
+    return EngineResult(x * d, nu * rs_a, lam[:num_in] * rs_g, lam_lb / d,
+                        lam_ub / d, mu * rs_q, status, iters_done,
+                        float(pres), float(dres), float(relgap))

@@ -722,27 +722,11 @@ def check_point(model: StandardModel, x: np.ndarray, tol: float,
 # area decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AreaView:
-    """Column/row ownership of one area plus the coupling rows it hosts.
-
-    ``owned_cols`` partition the model columns across views; every coupling
-    row is an equality owned by exactly one area that also references columns
-    of exactly one other area.
-    """
-
-    area: int
-    owned_cols: np.ndarray
-    owned_eq_rows: np.ndarray
-    owned_in_rows: np.ndarray
-    owned_quad_rows: np.ndarray
-    coupling_eq_rows: np.ndarray
-    foreign_cols: np.ndarray
-
-
 def area_views(model: StandardModel, inst: NetworkInstance,
-               index: VarIndex) -> list[AreaView]:
-    """Partition columns and rows by owning area.
+               index: VarIndex) -> tuple[np.ndarray, np.ndarray]:
+    """Area labels of the columns and equality rows, ``(col_area,
+    eq_area)``, in the form ``ipm.solve_ipm(..., areas=...)`` takes: area
+    ``a`` is block ``a - 1`` and coupling rows are -1.
 
     Each column and row belongs to the area of the entity that owns its key:
     a generator takes its bus's area and a gas source its node's; a pipe's
@@ -757,34 +741,21 @@ def area_views(model: StandardModel, inst: NetworkInstance,
     area.update((("gen", g.id), area["bus", g.bus]) for g in inst.generators)
     area.update((("source", s.id), area["node", s.node])
                 for s in inst.gas_sources)
-    owners = [index.owners(block) for block in (COL, EQ, IN, QUAD)]
-    entity_area = np.array([area[e] for e in index.entities], dtype=int)
-    col_area, eq_area, in_area, quad_area = (entity_area[o] for o in owners)
+    entity_area = np.array([area[e] for e in index.entities], dtype=int) - 1
+    col_area, eq_area, in_area = (entity_area[index.owners(block)]
+                                  for block in (COL, EQ, IN))
 
     def crossing(mat, row_area):
-        """Row and column of every entry outside its row's area."""
+        """Rows with an entry outside the row's area."""
         rows = entry_rows(mat)
-        out = col_area[mat.indices] != row_area[rows]
-        return rows[out], mat.indices[out].astype(int)
+        return rows[col_area[mat.indices] != row_area[rows]]
 
-    in_rows, _ = crossing(model.g_in, in_area)
+    in_rows = crossing(model.g_in, in_area)
     if in_rows.size:
         raise ModelError(f"inequality row {index.row_name(IN, in_rows[0])} "
                          "crosses areas")
-    eq_rows, eq_cols = crossing(model.a_eq, eq_area)
-    views = []
-    for a in range(1, inst.num_areas + 1):
-        mine = eq_area[eq_rows] == a
-        views.append(AreaView(
-            area=a,
-            owned_cols=np.flatnonzero(col_area == a),
-            owned_eq_rows=np.flatnonzero(eq_area == a),
-            owned_in_rows=np.flatnonzero(in_area == a),
-            owned_quad_rows=np.flatnonzero(quad_area == a),
-            coupling_eq_rows=np.unique(eq_rows[mine]),
-            foreign_cols=np.unique(eq_cols[mine]),
-        ))
-    return views
+    eq_area[crossing(model.a_eq, eq_area)] = -1
+    return col_area, eq_area
 
 
 def dump_model(model: StandardModel, index: VarIndex) -> str:

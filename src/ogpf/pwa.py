@@ -120,18 +120,13 @@ def fit_pwa(c_f: float, phi_cap: float, cfg: PwaConfig,
         raise ConfigError(
             f"epsilon {cfg.epsilon} is not small against the region width "
             f"{width}; reduce epsilon or the region count")
-    segments = []
-    for m in range(1, cfg.r + 1):
-        lo = -phi_cap + (m - 1) * width
-        hi = -phi_cap + m * width
-        if m == cfg.r:
-            hi = phi_cap
-        if m == cfg.r // 2:
-            hi = 0.0
-        if m == cfg.r // 2 + 1:
-            lo = 0.0
-        segments.append(PwaSegment(m, lo, hi, (lo + hi) / c2, -lo * hi / c2))
-    return PwaCurve(pipe, c_f, phi_cap, tuple(segments))
+    # the upper half of the grid is the negated lower half, so the
+    # breakpoints are exactly antisymmetric and 0 is exactly one of them
+    lower = [-phi_cap + k * width for k in range(cfg.r // 2)] + [0.0]
+    grid = lower + [-g for g in reversed(lower[:-1])]
+    segments = tuple(PwaSegment(m, lo, hi, (lo + hi) / c2, -lo * hi / c2)
+                     for m, (lo, hi) in enumerate(zip(grid, grid[1:]), 1))
+    return PwaCurve(pipe, c_f, phi_cap, segments)
 
 
 def max_region_error(seg: PwaSegment, c_f: float) -> float:

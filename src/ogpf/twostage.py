@@ -36,6 +36,13 @@ CONSENSUS = "consensus"
 # linearized flow equality.
 SIGN_CONVENTION = "delta_psi = 1 <=> oriented flow >= 0"
 
+# stage-1 solve tolerances
+STAGE1_OPTS = SolveOptions(feas_tol=1e-10, opt_tol=1e-10)
+# flow-sign tolerance of the recovery and floor of the certification re-check
+FEAS_TOL = 1e-6
+# pressure drop below which a Weymouth deviation is reported as absolute
+PRESS_TOL = 1e-9
+
 
 @dataclass
 class TwoStageResult:
@@ -62,10 +69,8 @@ class TwoStageResult:
 
 
 def solve_two_stage(inst: NetworkInstance, r: int, *, epsilon: float = 1e-6,
-                    cert_tol: float = 1e-8, mode: str = CENTRALIZED,
-                    solve_opts: SolveOptions | None = None,
-                    feas_tol: float = 1e-6,
-                    press_tol: float = 1e-9) -> TwoStageResult:
+                    cert_tol: float = 1e-8,
+                    mode: str = CENTRALIZED) -> TwoStageResult:
     """Run both stages on an instance and return the assembled outcome.
 
     Raises OgpfError subclasses on configuration or infeasibility problems;
@@ -77,12 +82,12 @@ def solve_two_stage(inst: NetworkInstance, r: int, *, epsilon: float = 1e-6,
     relaxed = relax(model)
     curves = index.curves
 
-    opts = solve_opts or SolveOptions(feas_tol=1e-10, opt_tol=1e-10)
     t0 = time.perf_counter()
     if mode == CONSENSUS:
-        sol = solve_consensus(relaxed, area_views(model, inst, index), opts)
+        sol = solve_consensus(relaxed, area_views(model, inst, index),
+                              STAGE1_OPTS)
     elif mode == CENTRALIZED:
-        sol = solve_convex(relaxed, opts)
+        sol = solve_convex(relaxed, STAGE1_OPTS)
     else:
         raise OgpfError(f"unknown solve mode {mode!r}")
     t1 = time.perf_counter()
@@ -107,16 +112,16 @@ def solve_two_stage(inst: NetworkInstance, r: int, *, epsilon: float = 1e-6,
     # as tight as stage 1 actually solved (a MaxIter stage 1 returns its best
     # iterate)
     stage1_res = max(sol.residuals.max_eq, sol.residuals.max_ineq)
-    check_tol = max(feas_tol, 2.0 * stage1_res)
+    check_tol = max(FEAS_TOL, 2.0 * stage1_res)
 
-    configuration = recover_binaries(phi_star, curves, feas_tol=feas_tol)
+    configuration = recover_binaries(phi_star, curves, feas_tol=FEAS_TOL)
     lp = build_pressure_lp(configuration, phi_star, curves, psi_bounds)
     psi_tilde, _ = solve_pressure_lp(lp)
     recovery = assemble_and_certify(sol.x, configuration, psi_tilde, phi_star,
                                     cert_tol, model=model, index=index,
                                     feas_tol=check_tol)
     recovery.deviations = weymouth_deviation(phi_star, psi_tilde, c_f,
-                                             press_tol=press_tol)
+                                             press_tol=PRESS_TOL)
     t2 = time.perf_counter()
 
     return TwoStageResult(solution=sol, recovery=recovery, model=model,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ogpf
-from ogpf.mipbuild import QuadBlock, VarIndex, area_views, build_model
+from ogpf.mipbuild import QuadBlock, VarIndex, build_model
 from ogpf.netmodel import DirectedPipe
 from ogpf.pwa import PwaConfig, emit_mld
 
@@ -27,21 +27,6 @@ def small2area(instances):
 def small2area_model(small2area):
     model, index = build_model(small2area, PwaConfig(r=2))
     return model, index
-
-
-def area_labels(model, inst, index):
-    """``(col_area, eq_area)`` for ``solve_ipm(..., areas=...)``: area ``a``
-    is block ``a - 1`` and coupling equality rows are -1, converted from
-    ``area_views`` as ``solve_consensus`` does."""
-    views = area_views(model, inst, index)
-    col_area = np.full(model.num_vars, -1)
-    eq_area = np.full(model.num_eq, -1)
-    for k, v in enumerate(views):
-        col_area[v.owned_cols] = k
-        eq_area[v.owned_eq_rows] = k
-    for v in views:
-        eq_area[v.coupling_eq_rows] = -1
-    return col_area, eq_area
 
 
 def no_quad(n):

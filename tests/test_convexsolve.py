@@ -7,8 +7,8 @@ import ogpf.convexsolve
 import ogpf.ipm
 from ogpf.convexsolve import (SolveOptions, linear_infeasible,
                               solve_consensus, solve_convex)
-from ogpf.mipbuild import (AreaView, QuadBlock, StandardModel, area_views,
-                           build_model, relax)
+from ogpf.mipbuild import (QuadBlock, StandardModel, area_views, build_model,
+                           relax)
 from ogpf.pwa import PwaConfig
 
 from conftest import make_instance, no_quad, small_witness_point
@@ -167,22 +167,18 @@ def _consensus_inputs(instances, name, r):
 def test_consensus_single_area_reduces_to_centralized(instances):
     """One area is one KKT block with an empty border: the centralized
     solve itself."""
-    relaxed, views = _consensus_inputs(instances, "single1area", 2)
-    dis = solve_consensus(relaxed, views)
+    relaxed, areas = _consensus_inputs(instances, "single1area", 2)
+    dis = solve_consensus(relaxed, areas)
     cen = solve_convex(relaxed)
-    assert len(views) == 1
+    assert not np.concatenate(areas).any()
     assert dis.x.tobytes() == cen.x.tobytes()
     assert dis.iterations == cen.iterations
 
 
-def _toy_views(coupling=np.array([0])):
-    # area 1 owns x and the row x = y, area 2 owns y
-    return [
-        AreaView(1, np.array([0]), np.array([0]), np.zeros(0, int),
-                 np.zeros(0, int), coupling, np.array([1])),
-        AreaView(2, np.array([1]), np.zeros(0, int), np.zeros(0, int),
-                 np.zeros(0, int), np.zeros(0, int), np.zeros(0, int)),
-    ]
+def _toy_views(eq_area=(-1,)):
+    # x is area 1 (block 0), y area 2 (block 1); the row x = y is a
+    # coupling row (-1) unless ``eq_area`` gives it to an area
+    return np.array([0, 1]), np.array(eq_area)
 
 
 def _toy_model(rows=1):
@@ -209,7 +205,7 @@ def test_consensus_rejects_rows_spanning_areas():
     """A row that joins two areas but is not a coupling row would put an
     entry of the KKT matrix between two area blocks."""
     with pytest.raises(ogpf.ModelError, match="spans two areas"):
-        solve_consensus(_toy_model(), _toy_views(np.zeros(0, int)))
+        solve_consensus(_toy_model(), _toy_views((0,)))
 
 
 def test_singular_border_ends_stalled(monkeypatch):
@@ -218,10 +214,10 @@ def test_singular_border_ends_stalled(monkeypatch):
     singular K does, and solve_convex falls back to the probe."""
     monkeypatch.setattr(ogpf.ipm, "_REG_DUAL", 0.0)
     model = _toy_model(rows=2)
-    areas = (np.array([0, 1]), np.array([-1, -1]))
+    areas = _toy_views((-1, -1))
     res = ogpf.ipm.solve_ipm(model, 1e-8, 1e-8, 50, areas=areas)
     assert res.status == "stalled" and np.isfinite(res.x).all()
-    sol = solve_consensus(model, _toy_views(np.array([0, 1])))
+    sol = solve_consensus(model, areas)
     assert (sol.status, sol.iterations) == ("MaxIter", 1)
 
 
@@ -244,8 +240,8 @@ def test_consensus_matches_centralized(instances, name, r):
 def test_consensus_matches_centralized_on_small2area(instances):
     """At the model level and default options: the same status and
     iterations as ``solve_convex``, the objective to rounding."""
-    relaxed, views = _consensus_inputs(instances, "small2area", 2)
-    dis = solve_consensus(relaxed, views)
+    relaxed, areas = _consensus_inputs(instances, "small2area", 2)
+    dis = solve_consensus(relaxed, areas)
     cen = solve_convex(relaxed)
     assert dis.status == cen.status == "Optimal"
     assert dis.iterations == cen.iterations
@@ -284,10 +280,10 @@ def test_acceleration_never_costs_evaluations(monkeypatch, instances, name, r):
     solve does not make: as many factorizations and as many solves, each
     factorization over area blocks smaller than K joined by a border of at
     most six coupling rows."""
-    relaxed, views = _consensus_inputs(instances, name, r)
+    relaxed, areas = _consensus_inputs(instances, name, r)
     cen, cen_f, cen_s = _kkt_work(monkeypatch, lambda: solve_convex(relaxed))
     dis, dis_f, dis_s = _kkt_work(
-        monkeypatch, lambda: solve_consensus(relaxed, views))
+        monkeypatch, lambda: solve_consensus(relaxed, areas))
     assert dis.status == cen.status == "Optimal"
     assert dis.iterations == cen.iterations
     # one factorization per iteration but the last, which converges
@@ -301,7 +297,7 @@ def test_area_probe_runs_once_per_area(monkeypatch, instances):
     """The probe verdict reads only the constraints, which the areas share
     through the border: a capped consensus solve ends MaxIter and probes
     once, on the whole model, for all areas together."""
-    relaxed, views = _consensus_inputs(instances, "small2area", 2)
+    relaxed, areas = _consensus_inputs(instances, "small2area", 2)
     calls = []
     probe = ogpf.convexsolve.feasibility_probe
 
@@ -310,15 +306,15 @@ def test_area_probe_runs_once_per_area(monkeypatch, instances):
         return probe(model, opts)
 
     monkeypatch.setattr(ogpf.convexsolve, "feasibility_probe", counting)
-    sol = solve_consensus(relaxed, views, SolveOptions(max_iter=3))
+    sol = solve_consensus(relaxed, areas, SolveOptions(max_iter=3))
     assert sol.status == "MaxIter"
     assert calls == [relaxed.num_vars]
 
 
 def test_consensus_repeats_bitwise(instances):
-    relaxed, views = _consensus_inputs(instances, "small2area", 4)
-    a = solve_consensus(relaxed, views)
-    b = solve_consensus(relaxed, views)
+    relaxed, areas = _consensus_inputs(instances, "small2area", 4)
+    a = solve_consensus(relaxed, areas)
+    b = solve_consensus(relaxed, areas)
     assert a.x.tobytes() == b.x.tobytes()
     assert a.iterations == b.iterations
 

@@ -11,10 +11,11 @@ import ogpf.convexsolve
 import ogpf.ipm
 from ogpf.convexsolve import solve_convex
 from ogpf.ipm import Kkt, KktPartition, solve_ipm
-from ogpf.mipbuild import QuadBlock, StandardModel, build_model, relax
+from ogpf.mipbuild import (QuadBlock, StandardModel, area_views, build_model,
+                           relax)
 from ogpf.pwa import PwaConfig
 
-from conftest import BUNDLED, area_labels, no_quad
+from conftest import BUNDLED, no_quad
 
 
 def _reference_rows(block, x):
@@ -137,6 +138,47 @@ def test_equality_qp_uses_single_solve():
     assert np.allclose(res.x, [1.0, 1.0])
 
 
+def _stationarity(model, sol):
+    """Gradient of the Lagrangian at ``sol`` from its reported duals."""
+    duals = sol.duals
+    quad = model.quad_ineq
+    return (2.0 * model.obj_quad * sol.x + model.obj_lin
+            + model.a_eq.T @ duals["eq"] + model.g_in.T @ duals["ineq"]
+            + quad.jac_t(quad.jac(sol.x), duals["quad"])
+            + duals["ub"] - duals["lb"])
+
+
+def test_quadratic_row_without_equality_rows():
+    """No equality rows, no model inequality rows, one quadratic row:
+    minimize y - x subject to x^2 - y <= 0, x in [-2, 2], y in [0, 4],
+    whose optimum is x = 1/2, y = 1/4 with the row's multiplier 1."""
+    model = StandardModel(
+        2, np.zeros(2), np.array([-1.0, 1.0]), 0.0, sp.csr_matrix((0, 2)),
+        np.zeros(0), sp.csr_matrix((0, 2)), np.zeros(0),
+        QuadBlock(2, [0], [0], [1.0], [0], [1], [-1.0], [0.0]),
+        np.array([-2.0, 0.0]), np.array([2.0, 4.0]), np.zeros(2, dtype=bool))
+    sol = solve_convex(model, ogpf.SolveOptions(1e-10, 1e-10))
+    assert sol.status == "Optimal"
+    assert np.abs(sol.x - [0.5, 0.25]).max() <= 1e-8
+    assert sol.duals["quad"] == pytest.approx([1.0], abs=1e-8)
+    assert np.abs(_stationarity(model, sol)).max() <= 1e-8
+
+
+def test_inequality_row_with_lower_bounds_only():
+    """No equality or quadratic rows and no finite upper bound: minimize
+    (x0 - 1)^2 + (x1 - 3/2)^2 subject to x0 + x1 <= 1, x >= 0, whose
+    optimum is the projection (1/4, 3/4) with the row's multiplier 3/2."""
+    model = StandardModel(
+        2, np.ones(2), np.array([-2.0, -3.0]), 3.25, sp.csr_matrix((0, 2)),
+        np.zeros(0), sp.csr_matrix([[1.0, 1.0]]), np.array([1.0]),
+        no_quad(2), np.zeros(2), np.full(2, np.inf), np.zeros(2, dtype=bool))
+    sol = solve_convex(model, ogpf.SolveOptions(1e-10, 1e-10))
+    assert sol.status == "Optimal"
+    assert np.abs(sol.x - [0.25, 0.75]).max() <= 1e-8
+    assert sol.duals["ineq"] == pytest.approx([1.5], abs=1e-8)
+    assert np.abs(_stationarity(model, sol)).max() <= 1e-8
+
+
 def test_inconsistent_vanished_row_skips_engine_and_probe(monkeypatch):
     # 0 * x = 1: the presolve proves it infeasible before any iteration
     model = StandardModel(
@@ -174,7 +216,7 @@ def _kkt_and_labels(instances, name, r):
     inst = instances[name]
     model, index = build_model(inst, PwaConfig(r=r))
     model = relax(model)
-    label = np.concatenate(area_labels(model, inst, index))
+    label = np.concatenate(area_views(model, inst, index))
     kkt = Kkt(model.g_in, model.a_eq, model.quad_ineq)
     rng = np.random.default_rng(5)
     K = kkt.fill(rng.uniform(0.1, 10.0, model.num_in),
@@ -232,7 +274,7 @@ def _same(a, b):
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_prepared_solve_matches_solve_ipm(instances, name):
-    """An area labelling prepared from the area views gives ``solve_ipm``
+    """The area labels of ``area_views`` give ``solve_ipm``
     the centralized iterates: bitwise with one area (one block, empty
     border), and with several the same status and iterations and the
     objective to rounding. A second solve with the same labelling repeats
@@ -240,7 +282,7 @@ def test_prepared_solve_matches_solve_ipm(instances, name):
     inst = instances[name]
     model, index = build_model(inst, PwaConfig(r=4))
     model = relax(model)
-    areas = area_labels(model, inst, index)
+    areas = area_views(model, inst, index)
     whole = solve_ipm(model, 1e-10, 1e-10, 200)
     blocked = solve_ipm(model, 1e-10, 1e-10, 200, areas=areas)
     assert _same(blocked, solve_ipm(model, 1e-10, 1e-10, 200, areas=areas))

@@ -13,7 +13,7 @@ from ogpf.mipbuild import (QuadBlock, StandardModel, VarIndex, area_views,
                            substitute_columns)
 from ogpf.pwa import PwaConfig
 
-from conftest import area_labels, make_instance, small_witness_point
+from conftest import make_instance, small_witness_point
 
 
 def test_small2area_row_and_column_counts(small2area_model):
@@ -128,19 +128,20 @@ def test_build_is_deterministic(small2area):
 
 def test_area_views_partition_and_coupling(instances, small2area_model):
     model, index = small2area_model
-    views = area_views(model, instances["small2area"], index)
-    assert len(views) == 2
-    cols = np.concatenate([v.owned_cols for v in views])
-    assert sorted(cols) == list(range(model.num_vars))
-    coupling = [index.row_name("eq", int(k)) for v in views
-                for k in v.coupling_eq_rows]
+    col_area, eq_area = area_views(model, instances["small2area"], index)
+    assert col_area.shape == (model.num_vars,)
+    assert eq_area.shape == (model.num_eq,)
+    # every column belongs to one of the two areas, blocks 0 and 1
+    assert sorted(set(col_area.tolist())) == [0, 1]
+    coupling = [index.row_name("eq", int(k))
+                for k in np.flatnonzero(eq_area < 0)]
     assert sorted(coupling) == ["power_balance[b2]", "power_balance[b3]",
                                 "tie_reciprocity[n3->n4]"]
 
     single, sindex = build_model(instances["single1area"], PwaConfig(r=2))
-    (view,) = area_views(single, instances["single1area"], sindex)
-    assert view.coupling_eq_rows.size == 0
-    assert view.owned_cols.size == single.num_vars
+    col_area, eq_area = area_views(single, instances["single1area"], sindex)
+    assert not col_area.any() and not eq_area.any()
+    assert col_area.size == single.num_vars
 
 
 def test_area_views_rejects_an_inequality_across_areas(instances,
@@ -364,5 +365,5 @@ LABELS_SHA256 = {
 @pytest.mark.parametrize("name", sorted(LABELS_SHA256))
 def test_area_views_are_unchanged(instances, name):
     model, index = build_model(instances[name], PwaConfig(r=4))
-    labels = area_labels(model, instances[name], index)
+    labels = area_views(model, instances[name], index)
     assert _labels_digest(labels) == LABELS_SHA256[name]

@@ -105,6 +105,19 @@ def test_mirror_region():
     assert [curve.mirror_region(m) for m in (1, 2, 3, 4)] == [4, 3, 2, 1]
 
 
+def test_breakpoints_are_exactly_antisymmetric():
+    """The upper half of the grid is the negated lower half, bit for bit,
+    so the region of ``-phi`` is ``mirror_region`` of the region of ``phi``
+    even at a breakpoint. Built as ``-phi_cap + k * width`` throughout,
+    1797 of these 2000 grids were not."""
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        r = 2 * int(rng.integers(1, 33))
+        cap = float(rng.uniform(1.0, 500.0))
+        bp = np.array(fit_pwa(1.0, cap, PwaConfig(r=r)).breakpoints)
+        assert np.array_equal(bp, -bp[::-1]), (r, cap)
+
+
 # ---------------------------------------------------------------------------
 # mixed-logical block emission
 # ---------------------------------------------------------------------------
