@@ -284,6 +284,32 @@ def test_stage1_points_are_unchanged(instances, name, mode):
             sol.iterations) == STAGE1_SHA256[name, mode]
 
 
+# stage-1 status, interior-point iterations, certificate kind and objective
+# at r=4: what a change of factorization must keep, where the point's bytes
+# may move by rounding
+STAGE1_OUTCOME = {
+    ("chain2area", "centralized"): ("Optimal", 14, "Optimal", 1.132875000000041),
+    ("chain2area", "consensus"): ("Optimal", 14, "Optimal", 1.1328750000000412),
+    ("loop1area", "centralized"): ("Optimal", 11, "Approximate", 0.5090000000007092),
+    ("loop1area", "consensus"): ("Optimal", 11, "Approximate", 0.5090000000007092),
+    ("medium3area", "centralized"): ("Optimal", 17, "Optimal", 3.471550000000088),
+    ("medium3area", "consensus"): ("Optimal", 17, "Optimal", 3.471550000000088),
+    ("single1area", "centralized"): ("Optimal", 12, "Optimal", 0.5112000000001451),
+    ("single1area", "consensus"): ("Optimal", 12, "Optimal", 0.5112000000001451),
+    ("small2area", "centralized"): ("Optimal", 18, "Optimal", 1.9700000000000903),
+    ("small2area", "consensus"): ("Optimal", 18, "Optimal", 1.9700000000000903),
+}
+
+
+@pytest.mark.parametrize("name, mode", sorted(STAGE1_OUTCOME))
+def test_stage1_outcomes_are_unchanged(instances, name, mode):
+    res = ogpf.solve_two_stage(instances[name], 4, mode=mode)
+    status, iterations, kind, objective = STAGE1_OUTCOME[name, mode]
+    assert (res.solution.status, res.solution.iterations,
+            res.certificate.kind) == (status, iterations, kind)
+    assert abs(res.objective - objective) <= 1e-12 * abs(objective)
+
+
 def test_dump_model_rejects_an_index_of_another_model(small2area_model):
     model, index = small2area_model
     reduced = substitute_columns(model, {index.col("p", "g1"): 60.0}, {}).model
