@@ -33,9 +33,15 @@ own equality rows form a block and the coupling equality rows form the
 border: every block is factored on its own and one small Schur complement
 on the border couples them (a block-bordered interior point, as in Gondzio
 & Grothey, Comput. Manag. Sci. 2009). Both give the same Newton step up to
-rounding. Every factor is SuperLU with minimum-degree ordering of
-``K + K^T``, which suits the symmetric quasi-definite K; static
-regularization and one refinement pass against the whole K follow.
+rounding. Every factor goes through ``_lu``: SuperLU in its symmetric
+mode, with minimum-degree ordering of ``K + K^T`` applied to rows and
+columns alike and a diagonal pivot kept unless it is below 0.01 of its
+column's largest entry. K is symmetric quasi-definite (Vanderbei, SIAM J.
+Optim. 1995), so most pivots stay on the diagonal and the factor follows the
+symmetric ordering; default partial pivoting ignores the symmetry and is
+slower. A threshold of 0 would be faster still but, with only the static
+regularization below, unstable. Static regularization and one refinement
+pass against the whole K follow.
 Cold start from the box midpoints. Determinism: fixed ordering and
 iteration order, no randomness.
 """
@@ -55,6 +61,7 @@ from .mipbuild import (QuadBlock, StandardModel, csr_from_rows, entry_rows,
 _REG_PRIMAL = 1e-10
 _REG_DUAL = 1e-10
 _W_CAP = 1e14
+_DIAG_PIVOT_THRESH = 0.01
 
 
 @dataclass
@@ -152,6 +159,8 @@ class KktPartition:
     ``factor`` factors each block ``K_aa`` on its own and the dense Schur
     complement ``S = K_bb - sum_a K_ab^T K_aa^-1 K_ab`` of the border (K is
     symmetric); with one block and an empty border it factors K itself.
+    Every factor is SuperLU with threshold diagonal pivoting in its
+    symmetric mode (``_lu``).
     """
 
     def __init__(self, K: sp.csc_matrix, label: np.ndarray):
@@ -200,7 +209,7 @@ class KktPartition:
         for blk in self.blocks:
             if blk.inner is not None:
                 blk.mat.data[:] = data[blk.inner]
-            lus.append(splu(blk.mat, permc_spec="MMD_AT_PLUS_A"))
+            lus.append(_lu(blk.mat))
         nb = self.border.size
         if not nb:
             return _Factor(self, lus, [], None)
@@ -216,8 +225,17 @@ class KktPartition:
             coupling.append((kab, z))
         if not np.isfinite(S).all():
             raise RuntimeError("non-finite border Schur complement")
-        return _Factor(self, lus, coupling,
-                       splu(sp.csc_matrix(S), permc_spec="MMD_AT_PLUS_A"))
+        return _Factor(self, lus, coupling, _lu(sp.csc_matrix(S)))
+
+
+def _lu(mat: sp.csc_matrix):
+    """SuperLU factor of a symmetric KKT block: minimum-degree ordering of
+    ``mat + mat^T`` applied to rows and columns alike, keeping a diagonal
+    pivot unless it is below ``_DIAG_PIVOT_THRESH`` times the largest entry
+    of its column (SuperLU's symmetric mode)."""
+    return splu(mat, permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=_DIAG_PIVOT_THRESH,
+                options={"SymmetricMode": True})
 
 
 @dataclass

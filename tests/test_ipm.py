@@ -242,13 +242,13 @@ def test_area_blocks_solve_the_whole_kkt(instances, name):
 
 
 def test_one_block_factors_k_itself(instances):
-    """The unpartitioned case is bitwise the plain SuperLU solve of K."""
+    """The unpartitioned case is bitwise the solve of K's own factor."""
     K, label, rng = _kkt_and_labels(instances, "medium3area", 4)
     rhs = rng.standard_normal(K.shape[0])
     part = KktPartition(K, np.zeros_like(label))
     assert part.border.size == 0 and len(part.blocks) == 1
     sol = part.factor(K).solve(rhs)
-    whole = splu(K, permc_spec="MMD_AT_PLUS_A").solve(rhs)
+    whole = ogpf.ipm._lu(K).solve(rhs)
     assert sol.tobytes() == whole.tobytes()
 
 

@@ -4,6 +4,7 @@ import pytest
 
 import ogpf
 import ogpf.convexsolve
+import ogpf.ipm
 from ogpf.convexsolve import SolveOptions, solve_convex
 from ogpf.errors import AllInfeasible, CapExceeded
 from ogpf.mipbuild import build_model, fit_all_curves, relax
@@ -81,9 +82,7 @@ def test_best_configuration_matches_recovered_regions(instances):
 
 
 def test_small2area_r4_configuration_statuses(small2area):
-    """Nine of the 64 configurations are feasible and solve to optimality.
-    Configuration (3, 2, 3) ends near a singular KKT matrix, so its status
-    is sensitive to the pivot order of the factorization."""
+    """Nine of the 64 configurations are feasible and solve to optimality."""
     res = enumerate_solve(*_build(small2area, 4))
     optimal = [k for k, e in enumerate(res.log) if e["status"] == "Optimal"]
     assert optimal == [22, 38, 39, 42, 43, 58, 59, 62, 63]
@@ -91,15 +90,39 @@ def test_small2area_r4_configuration_statuses(small2area):
     assert res.log[38]["config"] == dict(zip(res.log[38]["config"], (3, 2, 3)))
 
 
+def test_small2area_r4_statuses_do_not_depend_on_the_ordering(
+        monkeypatch, small2area):
+    """Under COLAMD instead of minimum degree on ``K + K^T`` the same nine
+    configurations solve to optimality; configuration (3, 2, 3) ends near a
+    singular KKT matrix and once ended MaxIter under partial pivoting."""
+    splu = ogpf.ipm.splu
+    specs = set()
+
+    def colamd(mat, **kw):
+        specs.add(kw.pop("permc_spec"))
+        return splu(mat, permc_spec="COLAMD", **kw)
+
+    monkeypatch.setattr(ogpf.ipm, "splu", colamd)
+    res = enumerate_solve(*_build(small2area, 4))
+    assert specs == {"MMD_AT_PLUS_A"}
+    optimal = [k for k, e in enumerate(res.log) if e["status"] == "Optimal"]
+    assert optimal == [22, 38, 39, 42, 43, 58, 59, 62, 63]
+
+
 @pytest.mark.parametrize("name, not_infeasible", [
     ("single1area", {10: "Optimal", 14: "Optimal", 15: "Optimal"}),
     ("loop1area", {38: "MaxIter", 42: "Optimal", 43: "Optimal"}),
+    ("medium3area", {
+        **dict.fromkeys([170, 171, 234, 235, 246, 247], "MaxIter"),
+        **dict.fromkeys([82, 86, 87, 146, 150, 151, 162, 166, 167, 226, 230,
+                         231, 242, 250, 251, 254, 255], "Optimal")}),
 ])
 def test_r4_configuration_statuses(instances, name, not_infeasible):
     """Per-configuration statuses at r=4; every other entry is Infeasible
     with no objective."""
     res = enumerate_solve(*_build(instances[name], 4))
-    assert len(res.log) == 4 ** (2 if name == "single1area" else 3)
+    pipes = {"single1area": 2, "medium3area": 4}.get(name, 3)
+    assert len(res.log) == 4 ** pipes
     for k, e in enumerate(res.log):
         assert e["status"] == not_infeasible.get(k, "Infeasible")
         assert (e["objective"] is None) == (e["status"] != "Optimal")

@@ -33,3 +33,19 @@ def test_only_pwa_and_mipbuild_name_the_region_binaries():
                     or isinstance(node, ast.Constant) and node.value in kinds):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_the_factor_helper_names_splu():
+    # every KKT factor goes through ipm._lu, so no factor call can drift
+    # from its symmetric-mode options
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Name) and node.id == "splu"
+                        or isinstance(node, ast.Attribute)
+                        and node.attr == "splu"
+                        or isinstance(node, ast.alias) and node.name == "splu"):
+                    found.append((path.name, getattr(top, "name", "import")))
+    assert found == [("ipm.py", "import"), ("ipm.py", "_lu")]
