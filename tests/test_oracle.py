@@ -93,8 +93,9 @@ def test_small2area_r4_configuration_statuses(small2area):
 def test_small2area_r4_statuses_do_not_depend_on_the_ordering(
         monkeypatch, small2area):
     """Under COLAMD instead of minimum degree on ``K + K^T`` the same nine
-    configurations solve to optimality; configuration (3, 2, 3) ends near a
-    singular KKT matrix and once ended MaxIter under partial pivoting."""
+    configurations solve to optimality. Configuration (3, 2, 3) ends near a
+    singular KKT matrix; under COLAMD with partial pivoting it ended
+    MaxIter."""
     splu = ogpf.ipm.splu
     specs = set()
 
