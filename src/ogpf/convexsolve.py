@@ -6,7 +6,9 @@ the iterations do not converge, an elastic feasibility probe tells an
 infeasible model from a slow one. ``solve_consensus`` is the same
 solve with the interior point's KKT system split by area: each area
 factors its own block and only the coupling rows, through one small Schur
-complement, join them.
+complement, join them. ``propagation_infeasible`` and
+``linear_infeasible`` judge the linear rows and boxes alone, before any
+solve; the enumeration oracle runs them in that order.
 """
 
 from __future__ import annotations
@@ -19,11 +21,16 @@ from scipy.optimize import linprog
 
 from .errors import ConfigError
 from .ipm import EngineResult, solve_ipm
-from .mipbuild import QuadBlock, StandardModel, check_point
+from .mipbuild import QuadBlock, StandardModel, check_point, entry_rows
 
 OPTIMAL = "Optimal"
 MAX_ITER = "MaxIter"
 INFEASIBLE = "Infeasible"
+
+# cap on the sweeps of ``propagation_infeasible``. The bundled oracles'
+# rejections take at most 4 sweeps (18 on loop1area at r=8); where nothing
+# empties, bounds creep round a cycle of rows until the cap.
+_MAX_SWEEPS = 20
 
 
 @dataclass(frozen=True)
@@ -133,6 +140,59 @@ def probe_threshold(model: StandardModel, opts: SolveOptions) -> float:
         1.0 + np.abs(model.b_eq).max(initial=0.0))
 
 
+def propagation_infeasible(model: StandardModel, opts: SolveOptions) -> bool:
+    """True when bound propagation over the linear rows empties a row or a
+    box.
+
+    Each equality row counts as two ``<=`` rows next to ``G x <= h``; the
+    quadratic rows are dropped. A sweep computes every row's least activity
+    over the boxes and tightens each column's box by what the row, relaxed
+    by the tolerance, leaves for it (a row with one infinite contribution
+    still bounds that column). A least activity above the right-hand side,
+    or crossed bounds, by more than ``probe_threshold`` proves the model
+    infeasible. Sweeps stop when no bound moves or after ``_MAX_SWEEPS``;
+    on a cycle the bounds can creep round it without end. False means
+    undecided, not feasible. The model is not changed.
+    """
+    tol = probe_threshold(model, opts)
+    a_eq, g_in = model.a_eq, model.g_in
+    n, mi = model.num_vars, model.num_in
+    row = np.concatenate([entry_rows(g_in), mi + entry_rows(a_eq),
+                          mi + model.num_eq + entry_rows(a_eq)])
+    col = np.concatenate([g_in.indices, a_eq.indices, a_eq.indices])
+    coef = np.concatenate([g_in.data, a_eq.data, -a_eq.data])
+    rhs = np.concatenate([model.h_in, model.b_eq, -model.b_eq]) + tol
+    live = coef != 0.0
+    row, col, coef = row[live], col[live], coef[live]
+    # both bounds in one array that only shrinks, (-lb, ub): an entry's
+    # least activity reads the bound its sign picks and its room caps the
+    # other one
+    bnd = np.concatenate([-model.lb, model.ub])
+    least_at = np.where(coef > 0, col, n + col)
+    room_at = np.where(coef > 0, n + col, col)
+    size = np.abs(coef)
+    for _ in range(_MAX_SWEEPS):
+        least = -size * bnd[least_at]
+        inf = np.isinf(least)
+        least[inf] = 0.0
+        slack = rhs - np.bincount(row, least, minlength=rhs.size)
+        num_inf = np.bincount(row, inf, minlength=rhs.size)
+        if np.any(slack[num_inf == 0] < 0.0):
+            return True
+        # what the row leaves for each column once the others take their
+        # least share: nothing is known unless this column holds the row's
+        # only infinite contribution, or the row has none
+        room = np.where(num_inf[row] == inf, slack[row] + least, np.inf)
+        new = bnd.copy()
+        np.minimum.at(new, room_at, room / size)
+        if np.any(new[:n] + new[n:] < -tol):
+            return True
+        if np.array_equal(new, bnd):
+            return False
+        bnd = new
+    return False
+
+
 def linear_infeasible(model: StandardModel, opts: SolveOptions) -> bool:
     """True when the linear rows and boxes alone admit no point.
 
@@ -140,7 +200,9 @@ def linear_infeasible(model: StandardModel, opts: SolveOptions) -> bool:
     relaxation of the model: an infeasible LP proves the model infeasible.
     HiGHS works to the probe's own threshold as its primal feasibility
     tolerance, so whatever it rejects the feasibility probe would reject too.
-    False means undecided, not feasible.
+    False means undecided, not feasible. The oracle calls it only on the
+    configurations that ``propagation_infeasible`` leaves undecided: a call
+    costs several milliseconds, over ten times a rejection by propagation.
     """
     res = linprog(np.zeros(model.num_vars), A_ub=model.g_in, b_ub=model.h_in,
                   A_eq=model.a_eq, b_eq=model.b_eq,

@@ -155,7 +155,11 @@ class KktPartition:
 
     ``label[i]`` is the block of KKT index ``i``, -1 for the border. Every
     entry of K outside the border rows and columns must lie within one
-    block, so after permutation K is block diagonal but for the border.
+    block, so after permutation K is block diagonal but for the border;
+    ``__init__`` raises ModelError otherwise. That check guards the exact
+    Newton step: any entry between two blocks, from an inequality,
+    equality or quadratic row, would be lost to the block factors. Which
+    area owns a row is ``mipbuild.area_views``'s check, not this one.
     ``factor`` factors each block ``K_aa`` on its own and the dense Schur
     complement ``S = K_bb - sum_a K_ab^T K_aa^-1 K_ab`` of the border (K is
     symmetric); with one block and an empty border it factors K itself.

@@ -683,11 +683,6 @@ class FeasReport:
     max_integrality: float
     worst: list[tuple[str, int, float]] = field(default_factory=list)
 
-    @property
-    def max_violation(self) -> float:
-        return max(self.max_eq, self.max_in, self.max_quad, self.max_bound,
-                   self.max_integrality)
-
 
 def check_point(model: StandardModel, x: np.ndarray, tol: float,
                 check_integrality: bool = False) -> FeasReport:
@@ -735,6 +730,13 @@ def area_views(model: StandardModel, inst: NetworkInstance,
     the equality rows that reference another area's columns: the tie-bus
     power balances and the tie reciprocity rows. Raises ModelError when an
     inequality row references another area's columns.
+
+    That check guards the ownership of the area split: an inequality row is
+    a local limit, never a coupling, so all its columns lie in its owner's
+    area. It asks more than the interior point needs, since a row whose
+    columns all lie in one other area leaves the KKT matrix block-diagonal.
+    ``ipm.KktPartition`` checks what the factorization needs, the KKT
+    pattern itself, and covers the quadratic rows, which this check skips.
     """
     area = {("bus", b.id): b.area for b in inst.buses}
     area.update((("node", nd.id), nd.area) for nd in inst.gas_nodes)

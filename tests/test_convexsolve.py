@@ -1,3 +1,6 @@
+from dataclasses import replace
+from itertools import product
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,10 +9,11 @@ import ogpf
 import ogpf.convexsolve
 import ogpf.ipm
 from ogpf.convexsolve import (SolveOptions, linear_infeasible,
-                              solve_consensus, solve_convex)
+                              propagation_infeasible, solve_consensus,
+                              solve_convex)
 from ogpf.mipbuild import (QuadBlock, StandardModel, area_views, build_model,
-                           relax)
-from ogpf.pwa import PwaConfig
+                           relax, substitute_columns)
+from ogpf.pwa import PwaConfig, config_columns
 
 from conftest import make_instance, no_quad, small_witness_point
 
@@ -70,6 +74,84 @@ def test_quadratic_only_infeasibility_passes_screen_and_hits_probe():
         np.array([1.0, 0.0]), np.array([2.0, 0.5]), np.zeros(2, dtype=bool))
     assert not linear_infeasible(model, SolveOptions())
     assert solve_convex(model).status == "Infeasible"
+
+
+def _linear_model(a_eq, b_eq, g_in, h_in, lb, ub):
+    n = len(lb)
+    return StandardModel(
+        n, np.zeros(n), np.zeros(n), 0.0, sp.csr_matrix(a_eq, shape=(
+            len(b_eq), n)), np.asarray(b_eq, float),
+        sp.csr_matrix(g_in, shape=(len(h_in), n)), np.asarray(h_in, float),
+        no_quad(n), np.asarray(lb, float), np.asarray(ub, float),
+        np.zeros(n, dtype=bool))
+
+
+def _chain(z_min):
+    # y = x, z = y, z >= z_min with x in [0, 1] and y, z in [0, 10]
+    return _linear_model([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]], [0.0, 0.0],
+                         [[0.0, 0.0, -1.0]], [-z_min], [0.0, 0.0, 0.0],
+                         [1.0, 10.0, 10.0])
+
+
+def test_propagation_rejects_contradictory_balance():
+    # x + y = 3 with both columns boxed to [0, 1]
+    model = _linear_model([[1.0, 1.0]], [3.0], np.zeros((0, 2)), [],
+                          [0.0, 0.0], [1.0, 1.0])
+    assert propagation_infeasible(model, SolveOptions())
+
+
+def test_propagation_needs_a_second_sweep_along_a_chain(monkeypatch):
+    # the first sweep caps y at 1 and lifts z to 2; only the second finds
+    # z - y >= 1 against z = y
+    model = _chain(2.0)
+    assert propagation_infeasible(model, SolveOptions())
+    monkeypatch.setattr(ogpf.convexsolve, "_MAX_SWEEPS", 1)
+    assert not propagation_infeasible(model, SolveOptions())
+
+
+def test_propagation_leaves_feasible_models_undecided(small2area_model):
+    assert not propagation_infeasible(_chain(0.5), SolveOptions())
+    assert not propagation_infeasible(relax(small2area_model[0]),
+                                      SolveOptions(1e-10, 1e-10))
+
+
+def test_propagation_ignores_quadratic_rows():
+    # the model of test_quadratic_only_infeasibility_passes_screen_and_hits_
+    # probe: x in [1, 2], y in [0, 0.5], x^2 - y <= 0
+    model = StandardModel(
+        2, np.zeros(2), np.array([1.0, 0.0]), 0.0, sp.csr_matrix((0, 2)),
+        np.zeros(0), sp.csr_matrix((0, 2)), np.zeros(0),
+        QuadBlock(2, [0], [0], [1.0], [0], [1], [-1.0], [0.0]),
+        np.array([1.0, 0.0]), np.array([2.0, 0.5]), np.zeros(2, dtype=bool))
+    assert not propagation_infeasible(model, SolveOptions())
+    assert solve_convex(model).status == "Infeasible"
+
+
+def test_propagation_rejects_only_what_the_lp_screen_rejects(instances):
+    """Over every configuration of the bundled oracles at r=2 and r=4 (508),
+    a configuration that propagation rejects is also rejected by the
+    presolve or by the HiGHS LP on the reduced model."""
+    opts = SolveOptions(feas_tol=1e-10, opt_tol=1e-10)
+    configs = rejected = 0
+    for inst in instances.values():
+        for r in (2, 4):
+            model, index = build_model(inst, PwaConfig(r=r))
+            relaxed = relax(model)
+            # curves list the two orientations of a pipe one after the other
+            stored = list(index.curves)[::2]
+            for combo in product(range(1, r + 1), repeat=len(stored)):
+                fixed, aliases = config_columns(dict(zip(stored, combo)),
+                                                index.curves, index.col)
+                lb, ub = relaxed.lb.copy(), relaxed.ub.copy()
+                lb[list(fixed)] = ub[list(fixed)] = list(fixed.values())
+                configs += 1
+                if propagation_infeasible(replace(relaxed, lb=lb, ub=ub),
+                                          opts):
+                    rejected += 1
+                    red = substitute_columns(relaxed, fixed, aliases)
+                    assert (not red.feasible
+                            or linear_infeasible(red.model, opts)), combo
+    assert (configs, rejected) == (508, 437)
 
 
 def test_relaxed_small2area_solves_tight(instances, small2area_model):

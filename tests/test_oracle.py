@@ -5,6 +5,7 @@ import pytest
 import ogpf
 import ogpf.convexsolve
 import ogpf.ipm
+import ogpf.oracle
 from ogpf.convexsolve import SolveOptions, solve_convex
 from ogpf.errors import AllInfeasible, CapExceeded
 from ogpf.mipbuild import build_model, fit_all_curves, relax
@@ -131,12 +132,13 @@ def test_r4_configuration_statuses(instances, name, not_infeasible):
 
 def test_linear_screen_keeps_infeasible_configurations_off_the_ipm(
         monkeypatch, small2area):
-    """The LP screen rejects all 55 infeasible configurations of small2area
-    at r=4, so only the nine feasible ones reach the interior point and the
-    feasibility probe never runs."""
-    calls = {"ipm": 0, "probe": 0}
+    """Bound propagation rejects all 55 infeasible configurations of
+    small2area at r=4, so only the nine feasible ones reach the HiGHS LP
+    screen and the interior point, and the feasibility probe never runs."""
+    calls = {"ipm": 0, "probe": 0, "lp": 0}
     solve_ipm = ogpf.convexsolve.solve_ipm
     probe = ogpf.convexsolve.feasibility_probe
+    screen = ogpf.oracle.linear_infeasible
 
     def counting_ipm(*args, **kw):
         calls["ipm"] += 1
@@ -146,8 +148,13 @@ def test_linear_screen_keeps_infeasible_configurations_off_the_ipm(
         calls["probe"] += 1
         return probe(*args, **kw)
 
+    def counting_screen(*args, **kw):
+        calls["lp"] += 1
+        return screen(*args, **kw)
+
     monkeypatch.setattr(ogpf.convexsolve, "solve_ipm", counting_ipm)
     monkeypatch.setattr(ogpf.convexsolve, "feasibility_probe", counting_probe)
+    monkeypatch.setattr(ogpf.oracle, "linear_infeasible", counting_screen)
     res = enumerate_solve(*_build(small2area, 4))
     assert sum(e["status"] == "Optimal" for e in res.log) == 9
-    assert calls == {"ipm": 9, "probe": 0}
+    assert calls == {"ipm": 9, "probe": 0, "lp": 9}
