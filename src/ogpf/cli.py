@@ -11,10 +11,11 @@ CSV with header ``r,mean_abs_dev,max_abs_dev,j_psi,objective,time_s``.
 
 Exit codes: 0 when every solved run certifies Optimal and its stage-1 solve
 converged (``solver_status`` Optimal); 2 when some run returns an
-Approximate certificate or its stage 1 stopped at the iteration cap
-(``solver_status`` MaxIter, centralized or consensus), whatever its
-certificate; 1 on any error (bad configuration, unreadable instance,
-infeasibility, exceeded enumeration cap) or when no run succeeded.
+Approximate certificate or its stage 1 ended unconverged (``solver_status``
+MaxIter, centralized or consensus: the iteration cap or a stall, with no
+proof of infeasibility), whatever its certificate; 1 on any error (bad
+configuration, unreadable instance, infeasibility, exceeded enumeration
+cap) or when no run succeeded.
 The oracle report counts configurations that ended MaxIter as
 ``num_unresolved``: they are neither feasible nor proven infeasible.
 """

@@ -2,12 +2,12 @@
 
 ``solve_convex`` runs the bundled interior-point engine. Its presolve
 reports an empty box or an inconsistent vanished row as infeasible; when
-the iterations do not converge, an elastic feasibility probe tells an
-infeasible model from a slow one. ``solve_consensus`` is the same
-solve with the interior point's KKT system split by area: each area
-factors its own block and only the coupling rows, through one small Schur
-complement, join them. ``propagation_infeasible`` and
-``linear_infeasible`` judge the linear rows and boxes alone, before any
+the iterations do not converge, Kelley's cutting planes over HiGHS LPs
+(``feasibility_probe``) look for a proof that the model is infeasible.
+``solve_consensus`` is the same solve with the interior point's KKT system
+split by area: each area factors its own block and only the coupling rows,
+through one small Schur complement, join them. ``propagation_infeasible``
+and ``linear_infeasible`` judge the linear rows and boxes alone, before any
 solve; the enumeration oracle runs them in that order.
 """
 
@@ -21,7 +21,7 @@ from scipy.optimize import linprog
 
 from .errors import ConfigError
 from .ipm import EngineResult, solve_ipm
-from .mipbuild import QuadBlock, StandardModel, check_point, entry_rows
+from .mipbuild import StandardModel, check_point, entry_rows
 
 OPTIMAL = "Optimal"
 MAX_ITER = "MaxIter"
@@ -31,6 +31,10 @@ INFEASIBLE = "Infeasible"
 # rejections take at most 4 sweeps (18 on loop1area at r=8); where nothing
 # empties, bounds creep round a cycle of rows until the cap.
 _MAX_SWEEPS = 20
+
+# cap on the cut rounds of ``feasibility_probe``; the bundled oracles'
+# stalls are decided in at most 4 LPs
+_MAX_CUT_ROUNDS = 20
 
 
 @dataclass(frozen=True)
@@ -88,54 +92,10 @@ def _solution_from_engine(model: StandardModel, res: EngineResult,
     )
 
 
-def _elastic_model(model: StandardModel) -> StandardModel:
-    """Feasibility-probe model: every row is relaxed by a penalized slack.
-
-    Variable boxes stay hard (``solve_convex`` probes only models whose boxes
-    passed the interior point's presolve), so the probe is always
-    feasible and its optimum measures the least total constraint violation.
-    """
-    n = model.num_vars
-    me, mi, mq = model.num_eq, model.num_in, len(model.quad_ineq)
-    n_new = n + 2 * me + mi + mq
-    lb = np.concatenate([model.lb, np.zeros(2 * me + mi + mq)])
-    ub = np.concatenate([model.ub, np.full(2 * me + mi + mq, np.inf)])
-    obj_lin = np.concatenate([np.zeros(n), np.ones(2 * me + mi + mq)])
-
-    a_eq = sp.hstack([model.a_eq, sp.identity(me), -sp.identity(me),
-                      sp.csr_matrix((me, mi + mq))], format="csr") \
-        if me else sp.csr_matrix((0, n_new))
-    g_in = sp.hstack([model.g_in, sp.csr_matrix((mi, 2 * me)),
-                      -sp.identity(mi), sp.csr_matrix((mi, mq))],
-                     format="csr") if mi else sp.csr_matrix((0, n_new))
-    qb = model.quad_ineq
-    rows = np.arange(mq)
-    quad = QuadBlock(n_new, qb.q_row, qb.q_col, qb.q_coef,
-                     np.concatenate([qb.l_row, rows]),
-                     np.concatenate([qb.l_col, n + 2 * me + mi + rows]),
-                     np.concatenate([qb.l_coef, -np.ones(mq)]), qb.d)
-
-    return StandardModel(
-        n_new, np.zeros(n_new), obj_lin, 0.0, a_eq, model.b_eq.copy(),
-        g_in, model.h_in.copy(), quad, lb, ub, np.zeros(n_new, dtype=bool))
-
-
-def feasibility_probe(model: StandardModel, opts: SolveOptions) -> float:
-    """Least total (L1) constraint violation subject to the variable boxes.
-
-    Decides feasible-but-slow versus infeasible, so moderate accuracy is
-    enough.
-    """
-    probe = _elastic_model(model)
-    # the probe must reach a verdict even when the caller capped iterations
-    res = solve_ipm(probe, feas_tol=max(opts.feas_tol, 1e-8),
-                    opt_tol=max(opts.opt_tol, 1e-8),
-                    max_iter=max(opts.max_iter, 100))
-    return float(probe.objective(res.x))
-
-
 def probe_threshold(model: StandardModel, opts: SolveOptions) -> float:
-    """Least total violation above which a model counts as infeasible."""
+    """Tolerance of the infeasibility verdicts: HiGHS's primal feasibility
+    tolerance, and the row violation above which propagation or a cutting
+    plane counts."""
     return max(1e-6, 100.0 * opts.feas_tol) * (
         1.0 + np.abs(model.b_eq).max(initial=0.0))
 
@@ -193,23 +153,60 @@ def propagation_infeasible(model: StandardModel, opts: SolveOptions) -> bool:
     return False
 
 
-def linear_infeasible(model: StandardModel, opts: SolveOptions) -> bool:
-    """True when the linear rows and boxes alone admit no point.
+def _cutting_planes(model: StandardModel, opts: SolveOptions,
+                    rounds: int) -> bool | None:
+    """Kelley's cutting planes over the quadratic rows, one HiGHS LP a round.
 
-    Drops the quadratic rows, so the zero-objective LP solved by HiGHS is a
-    relaxation of the model: an infeasible LP proves the model infeasible.
-    HiGHS works to the probe's own threshold as its primal feasibility
-    tolerance, so whatever it rejects the feasibility probe would reject too.
-    False means undecided, not feasible. The oracle calls it only on the
-    configurations that ``propagation_infeasible`` leaves undecided: a call
-    costs several milliseconds, over ten times a rejection by propagation.
+    Each LP has a zero objective, the model's linear rows and boxes, and
+    ``probe_threshold`` as primal feasibility tolerance. After each LP but
+    the last, every quadratic row violated at the LP point ``x0`` by more
+    than the threshold gains the tangent cut ``J_k x <= J_k x0 - q_k(x0)``,
+    which keeps every point of the convex row. True: an LP is infeasible,
+    which proves the model infeasible. False: ``x0`` is a witness, judged by
+    its worst quadratic-row violation (not a sum) against the threshold.
+    None: HiGHS ended otherwise, or the rounds ran out.
     """
-    res = linprog(np.zeros(model.num_vars), A_ub=model.g_in, b_ub=model.h_in,
-                  A_eq=model.a_eq, b_eq=model.b_eq,
-                  bounds=np.column_stack([model.lb, model.ub]), method="highs",
-                  options={"primal_feasibility_tolerance":
-                           probe_threshold(model, opts)})
-    return res.status == 2
+    tol = probe_threshold(model, opts)
+    quad = model.quad_ineq
+    a_ub, b_ub = model.g_in, model.h_in
+    for k in range(rounds + 1):
+        res = linprog(np.zeros(model.num_vars), A_ub=a_ub, b_ub=b_ub,
+                      A_eq=model.a_eq, b_eq=model.b_eq,
+                      bounds=np.column_stack([model.lb, model.ub]),
+                      method="highs",
+                      options={"primal_feasibility_tolerance": tol})
+        if res.status != 0:
+            return True if res.status == 2 else None
+        q0 = quad.value(res.x)
+        cut = q0 > tol
+        if not cut.any():
+            return False
+        if k == rounds:
+            return None
+        jv = quad.jac(res.x)
+        jac = sp.csr_matrix((jv, (quad.j_row, quad.j_col)),
+                            shape=(len(quad), model.num_vars))
+        a_ub = sp.vstack([a_ub, jac[cut]], format="csr")
+        b_ub = np.concatenate([b_ub, (quad.jac_mul(jv, res.x) - q0)[cut]])
+
+
+def linear_infeasible(model: StandardModel, opts: SolveOptions) -> bool:
+    """True when the linear rows and boxes alone admit no point: round 0 of
+    ``_cutting_planes``, one LP and no cut, so ``feasibility_probe`` rejects
+    whatever it rejects. False means undecided, not feasible. The oracle
+    calls it only on the configurations that ``propagation_infeasible``
+    leaves undecided: a call costs several milliseconds, over ten times a
+    rejection by propagation.
+    """
+    return _cutting_planes(model, opts, 0) is True
+
+
+def feasibility_probe(model: StandardModel,
+                      opts: SolveOptions) -> bool | None:
+    """Verdict on a model whose interior point did not converge: True
+    proves it infeasible, False and None leave its feasibility unproven
+    (``_cutting_planes`` with ``_MAX_CUT_ROUNDS`` rounds)."""
+    return _cutting_planes(model, opts, _MAX_CUT_ROUNDS)
 
 
 def solve_convex(model: StandardModel, opts: SolveOptions | None = None,
@@ -219,12 +216,12 @@ def solve_convex(model: StandardModel, opts: SolveOptions | None = None,
 
     Returns a Solution with status Optimal, MaxIter (best iterate, residuals
     reported) or Infeasible (an empty box or an inconsistent vanished row
-    found by the interior point's presolve, without the probe; or a
-    feasibility probe that certifies positive minimum violation).
-    ``areas`` (column and equality-row areas, see ``ipm.solve_ipm``) splits
-    the interior point's KKT factorization by area; the probe runs whole.
-    Deterministic for identical inputs. Raises ConfigError on a model with
-    integral columns.
+    found by the interior point's presolve, without the probe; or, when the
+    interior point does not converge, a ``feasibility_probe`` LP that HiGHS
+    proves infeasible). ``areas`` (column and equality-row areas, see
+    ``ipm.solve_ipm``) splits the interior point's KKT factorization by
+    area; the probe reads the whole model. Deterministic for identical
+    inputs. Raises ConfigError on a model with integral columns.
     """
     opts = opts or SolveOptions()
     res = solve_ipm(model, feas_tol=opts.feas_tol, opt_tol=opts.opt_tol,
@@ -235,8 +232,8 @@ def solve_convex(model: StandardModel, opts: SolveOptions | None = None,
     if res.status == "optimal":
         return _solution_from_engine(model, res, OPTIMAL)
 
-    # engine did not converge: decide feasible-but-slow vs infeasible
-    if feasibility_probe(model, opts) > probe_threshold(model, opts):
+    # engine did not converge: only a proof of infeasibility changes that
+    if feasibility_probe(model, opts):
         return Solution(res.x, np.nan, INFEASIBLE,
                         Residuals(np.inf, np.inf, np.inf), res.iterations)
     return _solution_from_engine(model, res, MAX_ITER)

@@ -500,8 +500,8 @@ def _iterate(model: StandardModel, label: np.ndarray, feas_tol: float,
             break
 
         # infeasible problems show up as diverging duals with a primal
-        # residual that stops improving; bail out early and let the caller's
-        # feasibility probe make the call
+        # residual that stops improving; bail out early and let the caller
+        # judge the stall (convexsolve.feasibility_probe, HiGHS LPs)
         dual_norm = max(np.abs(lam).max(initial=0.0),
                         np.abs(mu).max(initial=0.0),
                         np.abs(nu).max(initial=0.0))

@@ -99,9 +99,6 @@ class PwaCurve:
                 return s
         raise OutOfRange(f"flow {phi} outside [{-self.phi_cap}, {self.phi_cap}]")
 
-    def value(self, phi: float) -> float:
-        return self.segment_for(phi).value(phi)
-
     def mirror_region(self, m: int) -> int:
         """Region index of ``-phi`` on the reversed orientation."""
         return self.r + 1 - m

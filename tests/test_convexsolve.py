@@ -76,6 +76,61 @@ def test_quadratic_only_infeasibility_passes_screen_and_hits_probe():
     assert solve_convex(model).status == "Infeasible"
 
 
+def _parabola_model():
+    # x in [1, 2], y in [0, 0.5], x^2 - y <= 0: the linear part is feasible
+    return StandardModel(
+        2, np.zeros(2), np.array([1.0, 0.0]), 0.0, sp.csr_matrix((0, 2)),
+        np.zeros(0), sp.csr_matrix((0, 2)), np.zeros(0),
+        QuadBlock(2, [0], [0], [1.0], [0], [1], [-1.0], [0.0]),
+        np.array([1.0, 0.0]), np.array([2.0, 0.5]), np.zeros(2, dtype=bool))
+
+
+def _count_lps(monkeypatch):
+    calls = []
+    linprog = ogpf.convexsolve.linprog
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return linprog(*args, **kw)
+
+    monkeypatch.setattr(ogpf.convexsolve, "linprog", counting)
+    return calls
+
+
+def test_one_tangent_cut_proves_the_parabola_infeasible(monkeypatch):
+    """Round 0 drops x^2 - y <= 0 and finds a point of the boxes; the
+    tangent cut at that point leaves the boxes empty, so the second LP is
+    infeasible."""
+    calls = _count_lps(monkeypatch)
+    assert ogpf.convexsolve.feasibility_probe(_parabola_model(),
+                                              SolveOptions()) is True
+    assert len(calls) == 2
+
+
+def test_linear_screen_is_one_lp(monkeypatch):
+    calls = _count_lps(monkeypatch)
+    assert not linear_infeasible(_parabola_model(), SolveOptions())
+    assert len(calls) == 1
+
+
+def test_undecided_verdict_is_not_a_proof(monkeypatch):
+    """With no round of cuts the verdict cannot decide the parabola, and
+    the stalled solve stays MaxIter: feasibility is unproven, not
+    disproved."""
+    monkeypatch.setattr(ogpf.convexsolve, "_MAX_CUT_ROUNDS", 0)
+    model = _parabola_model()
+    assert ogpf.convexsolve.feasibility_probe(model, SolveOptions()) is None
+    assert solve_convex(model).status == "MaxIter"
+
+
+def test_feasible_lp_point_is_a_witness():
+    # x in [0, 2], y in [0, 4]: the parabola x^2 - y <= 0 meets the boxes,
+    # so the loop ends on a point that violates it by at most the threshold
+    model = replace(_parabola_model(), lb=np.zeros(2),
+                    ub=np.array([2.0, 4.0]))
+    assert ogpf.convexsolve.feasibility_probe(model, SolveOptions()) is False
+
+
 def _linear_model(a_eq, b_eq, g_in, h_in, lb, ub):
     n = len(lb)
     return StandardModel(
@@ -217,6 +272,24 @@ def test_engine_adapter_seam(monkeypatch, small2area_model):
     monkeypatch.setattr(ogpf.convexsolve, "solve_ipm", recording_ipm)
     sol = solve_convex(relax(model))
     assert sol.status == "Optimal"
+    assert calls == [model.num_vars]
+
+
+def test_capped_solve_runs_the_interior_point_once(monkeypatch,
+                                                   small2area_model):
+    """The verdict on an unconverged solve is HiGHS's, not a second
+    interior point's."""
+    model, _ = small2area_model
+    calls = []
+    ipm = ogpf.convexsolve.solve_ipm
+
+    def recording_ipm(m, *args, **kw):
+        calls.append(m.num_vars)
+        return ipm(m, *args, **kw)
+
+    monkeypatch.setattr(ogpf.convexsolve, "solve_ipm", recording_ipm)
+    sol = solve_convex(relax(model), SolveOptions(max_iter=3))
+    assert sol.status == "MaxIter"
     assert calls == [model.num_vars]
 
 

@@ -49,3 +49,23 @@ def test_only_the_factor_helper_names_splu():
                         or isinstance(node, ast.alias) and node.name == "splu"):
                     found.append((path.name, getattr(top, "name", "import")))
     assert found == [("ipm.py", "import"), ("ipm.py", "_lu")]
+
+
+def test_only_the_highs_helpers_name_linprog():
+    # the convex-solve verdicts share one HiGHS LP in convexsolve's
+    # cutting-plane loop; stage 2's pressure LP is the only other one
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Name) and node.id == "linprog"
+                        or isinstance(node, ast.Attribute)
+                        and node.attr == "linprog"
+                        or isinstance(node, ast.alias)
+                        and node.name == "linprog"):
+                    found.append((path.name, getattr(top, "name", "import")))
+    assert found == [("convexsolve.py", "import"),
+                     ("convexsolve.py", "_cutting_planes"),
+                     ("recovery.py", "import"),
+                     ("recovery.py", "solve_pressure_lp")]
