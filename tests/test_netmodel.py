@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import math
 
 import pytest
 
@@ -199,6 +201,135 @@ def test_save_load_round_trip(tmp_path, instances):
         ogpf.save_instance(inst, path)
         again = ogpf.load_instance(path)
         assert again == inst
+
+
+# sha256 of the bytes ``save_instance`` writes for each bundled instance
+SAVE_SHA256 = {
+    "chain2area": "2850c3687d6505c0ebdf77543e83e6a945ed914b4a5d8a1e1e43042ff8cce932",
+    "loop1area": "78ff11794e591815ec4112be656bec577fee6d16169a3f88495037000ac04ce1",
+    "medium3area": "ef69232e4eb9e561aa56bfe9727a9c4f9848550a9c14004be8222755d713db0c",
+    "single1area": "e11ea31d5dd9a669de92e2c6cd38dec28e0f6434266fe44f75b0c37c3b9925c5",
+    "small2area": "201f261230a10960195859cd406fcc4b8f146010959f9a3fb8a401e42a3cfaad",
+}
+
+
+def test_saved_files_are_unchanged(tmp_path, instances):
+    assert set(instances) == set(SAVE_SHA256)
+    for name, inst in instances.items():
+        path = tmp_path / f"{name}.json"
+        ogpf.save_instance(inst, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVE_SHA256[name]
+
+
+_DROP = object()
+
+# (collection or None for the top level, entry index, changes with _DROP
+# deleting a key, error type, exact message); the base file is small2area,
+# whose generators are g1 (non_gas_fueled) and g2 (gas_fueled) and whose
+# pipe n3-n4 is its one tie
+MALFORMED = {
+    "bus-missing": ("buses", 0, {"theta_max": _DROP}, ParseError,
+                    "bus b1: missing fields ['theta_max']"),
+    "bus-unknown": ("buses", 0, {"voltage": 1.0}, ParseError,
+                    "bus b1: unknown fields ['voltage']"),
+    "bus-string": ("buses", 0, {"demand_e": "50"}, ParseError,
+                   "bus b1: field 'demand_e' must be a number, got '50'"),
+    "bus-bool": ("buses", 0, {"theta_min": True}, ParseError,
+                 "bus b1: field 'theta_min' must be a number, got True"),
+    "bus-infinite": ("buses", 0, {"demand_e": math.inf}, ParseError,
+                     "bus b1: field 'demand_e' must be finite"),
+    "line-missing": ("lines", 0, {"reactance": _DROP}, ParseError,
+                     "line b1-b2: missing fields ['reactance']"),
+    "line-missing-end": ("lines", 0, {"to": _DROP}, ParseError,
+                         "line b1-None: missing fields ['to']"),
+    "line-unknown": ("lines", 0, {"from_bus": "b1"}, ParseError,
+                     "line b1-b2: unknown fields ['from_bus']"),
+    "line-string": ("lines", 0, {"reactance": "0.005"}, ParseError,
+                    "line: field 'reactance' must be a number, got '0.005'"),
+    "line-nan": ("lines", 1, {"reactance": math.nan}, ParseError,
+                 "line: field 'reactance' must be finite"),
+    "gen-missing": ("generators", 0, {"kind": _DROP}, ParseError,
+                    "generator g1: missing fields ['kind']"),
+    "gen-unknown": ("generators", 0, {"cost_c3": 0.0}, ParseError,
+                    "generator g1: unknown fields ['cost_c3']"),
+    "gen-bool": ("generators", 1, {"eta1": False}, ParseError,
+                 "generator g2: field 'eta1' must be a number, got False"),
+    "gen-string": ("generators", 0, {"p_max": "100"}, ParseError,
+                   "generator g1: field 'p_max' must be a number, got '100'"),
+    "nongas-with-eta": ("generators", 0, {"eta2": 0.002}, ValidationError,
+                        "generator g1: non_gas_fueled units carry cost "
+                        "coefficients only"),
+    "nongas-without-cost": ("generators", 0, {"cost_c2": _DROP},
+                            ValidationError,
+                            "generator g1: non_gas_fueled units carry cost "
+                            "coefficients only"),
+    "nongas-with-gas-node": ("generators", 0, {"gas_node": "n1"},
+                             ValidationError,
+                             "generator g1: non_gas_fueled units have no "
+                             "gas_node"),
+    "gas-with-cost": ("generators", 1, {"cost_c1": 0.02}, ValidationError,
+                      "generator g2: gas_fueled units carry eta coefficients "
+                      "only"),
+    "gas-without-eta": ("generators", 1, {"eta0": _DROP}, ValidationError,
+                        "generator g2: gas_fueled units carry eta "
+                        "coefficients only"),
+    "gas-without-gas-node": ("generators", 1, {"gas_node": _DROP},
+                             ValidationError,
+                             "generator g2: gas_fueled units need a gas_node"),
+    "node-missing": ("gas_nodes", 2, {"psi_min": _DROP}, ParseError,
+                     "gas node n3: missing fields ['psi_min']"),
+    "node-string": ("gas_nodes", 2, {"psi_max": "900"}, ParseError,
+                    "gas node n3: field 'psi_max' must be a number, got '900'"),
+    "node-infinite": ("gas_nodes", 2, {"demand_g": -math.inf}, ParseError,
+                      "gas node n3: field 'demand_g' must be finite"),
+    "pipe-missing": ("pipelines", 0, {"flow_cap": _DROP}, ParseError,
+                     "pipe n1-n2: missing fields ['flow_cap']"),
+    "pipe-unknown": ("pipelines", 0, {"length": 1.0}, ParseError,
+                     "pipe n1-n2: unknown fields ['length']"),
+    "pipe-string": ("pipelines", 0, {"weymouth_c": "8"}, ParseError,
+                    "pipe n1-n2: field 'weymouth_c' must be a number, got '8'"),
+    "pipe-nan": ("pipelines", 3, {"flow_cap": math.nan}, ParseError,
+                 "pipe n4-n5: field 'flow_cap' must be finite"),
+    "tie-with-weymouth": ("pipelines", 2, {"weymouth_c": 8.0}, ValidationError,
+                          "pipe n3-n4: tie pipe must not carry weymouth_c"),
+    "internal-without-weymouth": ("pipelines", 0, {"weymouth_c": _DROP},
+                                  ValidationError,
+                                  "pipe n1-n2: internal pipe needs weymouth_c"),
+    "source-missing": ("gas_sources", 1, {"cost_c0": _DROP}, ParseError,
+                       "source s2: missing fields ['cost_c0']"),
+    "source-unknown": ("gas_sources", 1, {"cost_c2": 0.0}, ParseError,
+                       "source s2: unknown fields ['cost_c2']"),
+    "source-bool": ("gas_sources", 1, {"g_max": True}, ParseError,
+                    "source s2: field 'g_max' must be a number, got True"),
+    "top-missing": (None, None, {"gas_sources": _DROP}, ParseError,
+                    "instance: missing fields ['gas_sources']"),
+    "top-unknown": (None, None, {"name": "x"}, ParseError,
+                    "instance: unknown fields ['name']"),
+    "num-areas-float": (None, None, {"num_areas": 2.0}, ParseError,
+                        "num_areas must be an integer"),
+    "num-areas-string": (None, None, {"num_areas": "2"}, ParseError,
+                         "num_areas must be an integer"),
+    "num-areas-bool": (None, None, {"num_areas": True}, ParseError,
+                       "num_areas must be an integer"),
+}
+
+
+@pytest.mark.parametrize("key,at,change,error,message",
+                         list(MALFORMED.values()), ids=list(MALFORMED))
+def test_malformed_entry_message(tmp_path, key, at, change, error, message):
+    doc = json.load(open(ogpf.instance_path("small2area")))
+    entry = doc if key is None else doc[key][at]
+    for field, value in change.items():
+        if value is _DROP:
+            del entry[field]
+        else:
+            entry[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(error) as exc:
+        ogpf.load_instance(path)
+    assert exc.type is error
+    assert str(exc.value) == message
 
 
 def test_scale_demands(small2area):
