@@ -5,6 +5,10 @@ frozen dataclasses; a :class:`NetworkInstance` validates the full system on
 construction and is immutable afterwards, so it can be shared read-only across
 concurrent solver runs.
 
+In the JSON file format each collection is an array of objects whose keys are
+the entity's fields (``from``/``to`` for endpoints), optional exactly when the
+field has a default.
+
 Pressures are modeled directly in squared-pressure units, so the static pipe
 flow relation reads ``phi = sgn(psi_i - psi_j) * c_f * sqrt(|psi_i - psi_j|)``
 with no unit-conversion layer. Units of ``psi`` and ``c_f`` are treated as
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import NamedTuple
 
 from .errors import ParseError, ValidationError
@@ -218,8 +222,7 @@ class NetworkInstance:
 
     def __post_init__(self):
         # normalize sequences to tuples so instances are genuinely immutable
-        for name in ("buses", "lines", "generators", "gas_nodes", "pipelines",
-                     "gas_sources"):
+        for name in _COLLECTIONS:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         _validate_instance(self)
 
@@ -336,16 +339,20 @@ def _validate_instance(inst: NetworkInstance):
 # file interface
 # ---------------------------------------------------------------------------
 
-_BUS_FIELDS = {"id", "area", "demand_e", "theta_min", "theta_max"}
-_LINE_FIELDS = {"from", "to", "reactance"}
-_GEN_REQUIRED = {"id", "bus", "kind", "p_min", "p_max"}
-_GEN_COST = {"cost_c2", "cost_c1", "cost_c0"}
-_GEN_ETA = {"eta2", "eta1", "eta0", "gas_node"}
-_NODE_FIELDS = {"id", "area", "demand_g", "psi_min", "psi_max"}
-_PIPE_REQUIRED = {"from", "to", "flow_cap"}
-_SOURCE_FIELDS = {"id", "node", "g_min", "g_max", "cost_c1", "cost_c0"}
-_TOP_KEYS = {"num_areas", "buses", "lines", "generators", "gas_nodes",
-             "pipelines", "gas_sources"}
+# JSON key of each entity collection -> (entity class, label in messages)
+_COLLECTIONS = {
+    "buses": (Bus, "bus"),
+    "lines": (PowerLine, "line"),
+    "generators": (Generator, "generator"),
+    "gas_nodes": (GasNode, "gas node"),
+    "pipelines": (Pipeline, "pipe"),
+    "gas_sources": (GasSource, "source"),
+}
+# the only fields whose file key differs from the field name
+_FILE_KEY = {"from_bus": "from", "to_bus": "to", "from_node": "from",
+             "to_node": "to"}
+# converter by annotation (a string: annotations are postponed); else _num
+_CONVERT = {"str": str, "str | None": str, "int": int}
 
 
 def _num(entry: dict, key: str, what: str) -> float:
@@ -368,6 +375,23 @@ def _check_fields(entry: dict, allowed: set[str], required: set[str], what: str)
         raise ParseError(f"{what}: missing fields {sorted(missing)}")
 
 
+def _read(cls, label: str, entry: dict):
+    """One entity from its file entry: the keys are the fields of ``cls``,
+    required exactly when the field has no default."""
+    keys = [(f, _FILE_KEY.get(f.name, f.name)) for f in fields(cls)]
+    allowed = {key for _, key in keys}
+    what = (f"{label} {entry.get('id')}" if "id" in allowed
+            else f"{label} {entry.get('from')}-{entry.get('to')}")
+    _check_fields(entry, allowed,
+                  {key for f, key in keys if f.default is MISSING}, what)
+    kw = {}
+    for f, key in keys:
+        if key in entry:
+            convert = _CONVERT.get(f.type)
+            kw[f.name] = convert(entry[key]) if convert else _num(entry, key, what)
+    return cls(**kw)
+
+
 def load_instance(path) -> NetworkInstance:
     """Load and validate a network instance from a JSON file.
 
@@ -384,102 +408,23 @@ def load_instance(path) -> NetworkInstance:
         raise ParseError(f"instance file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("instance file must contain a JSON object")
-    _check_fields(raw, _TOP_KEYS, _TOP_KEYS, "instance")
+    top = {"num_areas", *_COLLECTIONS}
+    _check_fields(raw, top, top, "instance")
     if isinstance(raw["num_areas"], bool) or not isinstance(raw["num_areas"], int):
         raise ParseError("num_areas must be an integer")
-
-    buses = []
-    for e in raw["buses"]:
-        _check_fields(e, _BUS_FIELDS, _BUS_FIELDS, f"bus {e.get('id')}")
-        buses.append(Bus(str(e["id"]), int(e["area"]),
-                         _num(e, "demand_e", f"bus {e['id']}"),
-                         _num(e, "theta_min", f"bus {e['id']}"),
-                         _num(e, "theta_max", f"bus {e['id']}")))
-    lines = []
-    for e in raw["lines"]:
-        _check_fields(e, _LINE_FIELDS, _LINE_FIELDS,
-                      f"line {e.get('from')}-{e.get('to')}")
-        lines.append(PowerLine(str(e["from"]), str(e["to"]),
-                               _num(e, "reactance", "line")))
-    gens = []
-    for e in raw["generators"]:
-        what = f"generator {e.get('id')}"
-        _check_fields(e, _GEN_REQUIRED | _GEN_COST | _GEN_ETA, _GEN_REQUIRED, what)
-        kw = dict(id=str(e["id"]), bus=str(e["bus"]), kind=str(e["kind"]),
-                  p_min=_num(e, "p_min", what), p_max=_num(e, "p_max", what))
-        for k in _GEN_COST | (_GEN_ETA - {"gas_node"}):
-            if k in e:
-                kw[k] = _num(e, k, what)
-        if "gas_node" in e:
-            kw["gas_node"] = str(e["gas_node"])
-        gens.append(Generator(**kw))
-    nodes = []
-    for e in raw["gas_nodes"]:
-        what = f"gas node {e.get('id')}"
-        _check_fields(e, _NODE_FIELDS, _NODE_FIELDS, what)
-        nodes.append(GasNode(str(e["id"]), int(e["area"]),
-                             _num(e, "demand_g", what),
-                             _num(e, "psi_min", what),
-                             _num(e, "psi_max", what)))
-    pipes = []
-    for e in raw["pipelines"]:
-        what = f"pipe {e.get('from')}-{e.get('to')}"
-        _check_fields(e, _PIPE_REQUIRED | {"weymouth_c"}, _PIPE_REQUIRED, what)
-        pipes.append(Pipeline(
-            str(e["from"]), str(e["to"]), _num(e, "flow_cap", what),
-            _num(e, "weymouth_c", what) if "weymouth_c" in e else None))
-    sources = []
-    for e in raw["gas_sources"]:
-        what = f"source {e.get('id')}"
-        _check_fields(e, _SOURCE_FIELDS, _SOURCE_FIELDS, what)
-        sources.append(GasSource(str(e["id"]), str(e["node"]),
-                                 _num(e, "g_min", what), _num(e, "g_max", what),
-                                 _num(e, "cost_c1", what), _num(e, "cost_c0", what)))
-
-    return NetworkInstance(raw["num_areas"], tuple(buses), tuple(lines),
-                           tuple(gens), tuple(nodes), tuple(pipes),
-                           tuple(sources))
+    return NetworkInstance(raw["num_areas"], **{
+        key: tuple(_read(cls, label, e) for e in raw[key])
+        for key, (cls, label) in _COLLECTIONS.items()})
 
 
 def save_instance(inst: NetworkInstance, path):
-    """Write an instance back to the JSON file format (round-trips exactly)."""
-    doc = {
-        "num_areas": inst.num_areas,
-        "buses": [
-            {"id": b.id, "area": b.area, "demand_e": b.demand_e,
-             "theta_min": b.theta_min, "theta_max": b.theta_max}
-            for b in inst.buses
-        ],
-        "lines": [
-            {"from": l.from_bus, "to": l.to_bus, "reactance": l.reactance}
-            for l in inst.lines
-        ],
-        "generators": [],
-        "gas_nodes": [
-            {"id": n.id, "area": n.area, "demand_g": n.demand_g,
-             "psi_min": n.psi_min, "psi_max": n.psi_max}
-            for n in inst.gas_nodes
-        ],
-        "pipelines": [],
-        "gas_sources": [
-            {"id": s.id, "node": s.node, "g_min": s.g_min, "g_max": s.g_max,
-             "cost_c1": s.cost_c1, "cost_c0": s.cost_c0}
-            for s in inst.gas_sources
-        ],
-    }
-    for g in inst.generators:
-        e = {"id": g.id, "bus": g.bus, "kind": g.kind,
-             "p_min": g.p_min, "p_max": g.p_max}
-        if g.is_gas:
-            e.update(eta2=g.eta2, eta1=g.eta1, eta0=g.eta0, gas_node=g.gas_node)
-        else:
-            e.update(cost_c2=g.cost_c2, cost_c1=g.cost_c1, cost_c0=g.cost_c0)
-        doc["generators"].append(e)
-    for p in inst.pipelines:
-        e = {"from": p.from_node, "to": p.to_node, "flow_cap": p.flow_cap}
-        if p.weymouth_c is not None:
-            e["weymouth_c"] = p.weymouth_c
-        doc["pipelines"].append(e)
+    """Write an instance back to the JSON file format (round-trips exactly):
+    each entity's fields that are not None, in field order."""
+    doc = {"num_areas": inst.num_areas}
+    for key in _COLLECTIONS:
+        doc[key] = [{_FILE_KEY.get(k, k): v for k, v in asdict(e).items()
+                     if v is not None}
+                    for e in getattr(inst, key)]
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
@@ -496,15 +441,10 @@ class DirectedPipe(NamedTuple):
     to_node: str
     weymouth_c: float
     flow_cap: float
-    area: int
 
     @property
     def key(self) -> tuple[str, str]:
         return (self.from_node, self.to_node)
-
-    @property
-    def name(self) -> str:
-        return f"{self.from_node}->{self.to_node}"
 
 
 class EdgeClassification(NamedTuple):
@@ -531,11 +471,10 @@ def classify_edges(inst: NetworkInstance) -> EdgeClassification:
         if node_area[p.from_node] != node_area[p.to_node]:
             tie_pipes.append(p)
         else:
-            area = node_area[p.from_node]
             directed.append(DirectedPipe(p.from_node, p.to_node,
-                                         p.weymouth_c, p.flow_cap, area))
+                                         p.weymouth_c, p.flow_cap))
             directed.append(DirectedPipe(p.to_node, p.from_node,
-                                         p.weymouth_c, p.flow_cap, area))
+                                         p.weymouth_c, p.flow_cap))
     return EdgeClassification(tie_lines, tuple(tie_pipes), tuple(directed))
 
 
@@ -545,14 +484,12 @@ def scale_demands(inst: NetworkInstance, bus_factors, node_factors) -> NetworkIn
     ``bus_factors`` / ``node_factors`` are sequences aligned with
     ``inst.buses`` / ``inst.gas_nodes``.
     """
-    import dataclasses
-
     buses = tuple(
-        dataclasses.replace(b, demand_e=b.demand_e * f)
+        replace(b, demand_e=b.demand_e * f)
         for b, f in zip(inst.buses, bus_factors, strict=True)
     )
     nodes = tuple(
-        dataclasses.replace(n, demand_g=n.demand_g * f)
+        replace(n, demand_g=n.demand_g * f)
         for n, f in zip(inst.gas_nodes, node_factors, strict=True)
     )
     return NetworkInstance(inst.num_areas, buses, inst.lines, inst.generators,

@@ -68,7 +68,8 @@ def enumerate_solve(model: StandardModel, index: VarIndex,
 
     ``curves`` provides both orientations per pipe; the first-listed
     orientation of each pair is enumerated and the mirror is forced
-    consistently (sign-inconsistent combinations are never generated).
+    consistently (sign-inconsistent combinations are never generated);
+    without internal pipes the one empty configuration is solved.
     Configurations whose solve ends MaxIter are logged (status MaxIter,
     objective None) but never chosen as best, even when feasible. Raises
     CapExceeded when ``r ** num_pipes`` exceeds ``cap``, AllInfeasible when
@@ -78,7 +79,7 @@ def enumerate_solve(model: StandardModel, index: VarIndex,
     opts = opts or SolveOptions(feas_tol=1e-10, opt_tol=1e-10)
     stored: list[tuple[str, str]] = []
     seen = set()
-    r = None
+    r = 1
     for key in curves:
         if key in seen:
             continue
@@ -88,14 +89,6 @@ def enumerate_solve(model: StandardModel, index: VarIndex,
         stored.append(key)
         seen.update((key, mirror))
         r = curves[key].r
-
-    if not stored:
-        sol = solve_convex(relax(model), opts)
-        if sol.status == INFEASIBLE:
-            raise AllInfeasible("continuous problem infeasible")
-        return OracleResult(sol.objective, {}, 1,
-                            [{"config": {}, "status": sol.status,
-                              "objective": sol.objective}])
 
     required = r ** len(stored)
     if required > cap:

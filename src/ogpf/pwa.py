@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MissingBounds, ModelError, OutOfRange
+from .errors import ConfigError, MissingBounds, ModelError
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,6 @@ class PwaSegment:
     def value(self, phi: float) -> float:
         return self.a * phi + self.b
 
-    def contains(self, phi: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= phi <= self.hi + tol
-
 
 @dataclass(frozen=True)
 class PwaCurve:
@@ -92,12 +89,6 @@ class PwaCurve:
     @property
     def breakpoints(self) -> list[float]:
         return [self.segments[0].lo] + [s.hi for s in self.segments]
-
-    def segment_for(self, phi: float) -> PwaSegment:
-        for s in self.segments:
-            if s.contains(phi):
-                return s
-        raise OutOfRange(f"flow {phi} outside [{-self.phi_cap}, {self.phi_cap}]")
 
     def mirror_region(self, m: int) -> int:
         """Region index of ``-phi`` on the reversed orientation."""

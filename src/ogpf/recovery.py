@@ -28,10 +28,15 @@ from .pwa import PwaCurve, config_columns, orientation_regions
 CERT_OPTIMAL = "Optimal"
 CERT_APPROXIMATE = "Approximate"
 
+# flow-sign tolerance of the recovery and floor of the certification re-check
+FEAS_TOL = 1e-6
+# pressure drop below which a Weymouth deviation is reported as absolute
+PRESS_TOL = 1e-9
+
 
 def recover_binaries(phi_star: dict[tuple[str, str], float],
-                     curves: dict[tuple[str, str], PwaCurve],
-                     feas_tol: float = 1e-6) -> dict[tuple[str, str], int]:
+                     curves: dict[tuple[str, str], PwaCurve]
+                     ) -> dict[tuple[str, str], int]:
     """Read the region configuration off the first-stage flows.
 
     One region per undirected pipe, read off the flow of its first-listed
@@ -40,7 +45,7 @@ def recover_binaries(phi_star: dict[tuple[str, str], float],
     ``phi >= 0``, below it otherwise). Reading each pair off one orientation
     keeps the sign link exact even for flows of magnitude below solver noise.
     Raises OutOfRange when a flow exceeds the approximated range beyond
-    ``feas_tol``.
+    ``FEAS_TOL``.
     """
     config: dict[tuple[str, str], int] = {}
     for key, curve in curves.items():
@@ -48,7 +53,7 @@ def recover_binaries(phi_star: dict[tuple[str, str], float],
             continue
         phi = float(phi_star[key])
         cap = curve.phi_cap
-        if abs(phi) > cap + feas_tol:
+        if abs(phi) > cap + FEAS_TOL:
             raise OutOfRange(
                 f"flow {phi} on {key} outside [-{cap}, {cap}]")
         phi = min(max(phi, -cap), cap)
@@ -176,7 +181,7 @@ def assemble_and_certify(u0: np.ndarray,
                          psi_tilde: dict[str, float],
                          phi_star: dict[tuple[str, str], float],
                          cert_tol: float, *, model: StandardModel,
-                         index: VarIndex, feas_tol: float = 1e-6) -> RecoveryResult:
+                         index: VarIndex, feas_tol: float) -> RecoveryResult:
     """Assemble the final point and certify it.
 
     Writes the recovered pressures, then the binaries and product
@@ -186,7 +191,8 @@ def assemble_and_certify(u0: np.ndarray,
 
     The certificate is Optimal iff the pressure objective is at most
     ``cert_tol``; a certified point is re-checked against every model row at
-    ``feas_tol`` (CertificationBug on failure, which would indicate an
+    ``feas_tol``, which the caller sets to ``FEAS_TOL`` widened to the
+    stage-1 residual (CertificationBug on failure, which would indicate an
     implementation error, since cost-relevant components are untouched and
     the recovered gas-side components satisfy the logic blocks by
     construction).
@@ -231,21 +237,20 @@ def assemble_and_certify(u0: np.ndarray,
 
 def weymouth_deviation(phi_star: dict[tuple[str, str], float],
                        psi_tilde: dict[str, float],
-                       c_f: dict[tuple[str, str], float],
-                       press_tol: float = 1e-9) -> dict:
+                       c_f: dict[tuple[str, str], float]) -> dict:
     """Relative mismatch between decided flows and the square-root pressure
     law at the recovered pressures.
 
     For each directed internal pipe the reference flow is
     ``sgn(psi_i - psi_j) * c_f * sqrt(|psi_i - psi_j|)``; the deviation is
-    the relative error against it. Below ``press_tol`` of pressure difference
+    the relative error against it. Below ``PRESS_TOL`` of pressure difference
     the ratio is undefined and the absolute residual (the flow itself) is
     returned, flagged ``absolute``.
     """
     out = {}
     for key, phi in phi_star.items():
         d = psi_tilde[key[0]] - psi_tilde[key[1]]
-        if abs(d) < press_tol:
+        if abs(d) < PRESS_TOL:
             out[key] = {"value": float(phi), "kind": "absolute"}
             continue
         ref = np.sign(d) * c_f[key] * np.sqrt(abs(d))

@@ -24,7 +24,7 @@ from .errors import OgpfError
 from .mipbuild import PHI, StandardModel, VarIndex, area_views, build_model, relax
 from .netmodel import NetworkInstance
 from .pwa import PwaConfig
-from .recovery import (RecoveryResult, assemble_and_certify,
+from .recovery import (FEAS_TOL, RecoveryResult, assemble_and_certify,
                        build_pressure_lp, recover_binaries, solve_pressure_lp,
                        weymouth_deviation)
 
@@ -38,10 +38,6 @@ SIGN_CONVENTION = "delta_psi = 1 <=> oriented flow >= 0"
 
 # stage-1 solve tolerances
 STAGE1_OPTS = SolveOptions(feas_tol=1e-10, opt_tol=1e-10)
-# flow-sign tolerance of the recovery and floor of the certification re-check
-FEAS_TOL = 1e-6
-# pressure drop below which a Weymouth deviation is reported as absolute
-PRESS_TOL = 1e-9
 
 
 @dataclass
@@ -114,14 +110,13 @@ def solve_two_stage(inst: NetworkInstance, r: int, *, epsilon: float = 1e-6,
     stage1_res = max(sol.residuals.max_eq, sol.residuals.max_ineq)
     check_tol = max(FEAS_TOL, 2.0 * stage1_res)
 
-    configuration = recover_binaries(phi_star, curves, feas_tol=FEAS_TOL)
+    configuration = recover_binaries(phi_star, curves)
     lp = build_pressure_lp(configuration, phi_star, curves, psi_bounds)
     psi_tilde, _ = solve_pressure_lp(lp)
     recovery = assemble_and_certify(sol.x, configuration, psi_tilde, phi_star,
                                     cert_tol, model=model, index=index,
                                     feas_tol=check_tol)
-    recovery.deviations = weymouth_deviation(phi_star, psi_tilde, c_f,
-                                             press_tol=PRESS_TOL)
+    recovery.deviations = weymouth_deviation(phi_star, psi_tilde, c_f)
     t2 = time.perf_counter()
 
     return TwoStageResult(solution=sol, recovery=recovery, model=model,

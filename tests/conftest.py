@@ -56,7 +56,7 @@ def emit_pair(index, curves, cfg, bounds, c=1.0, cap=1.0):
     """The inequality and equality rows ``emit_mld`` emits for both
     orientations of pipe i-j over ``index`` (see ``pair_index``); owner 0 is
     i->j, owner 1 is j->i."""
-    pipes = [DirectedPipe("i", "j", c, cap, 1), DirectedPipe("j", "i", c, cap, 1)]
+    pipes = [DirectedPipe("i", "j", c, cap), DirectedPipe("j", "i", c, cap)]
     return emit_mld(pipes, curves, cfg, index.col, bounds)
 
 

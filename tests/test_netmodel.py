@@ -2,11 +2,14 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 import ogpf
 from ogpf.errors import ParseError, ValidationError
+from ogpf.netmodel import _COLLECTIONS, _read
 
 from conftest import make_instance
 
@@ -245,9 +248,10 @@ MALFORMED = {
     "line-unknown": ("lines", 0, {"from_bus": "b1"}, ParseError,
                      "line b1-b2: unknown fields ['from_bus']"),
     "line-string": ("lines", 0, {"reactance": "0.005"}, ParseError,
-                    "line: field 'reactance' must be a number, got '0.005'"),
+                    "line b1-b2: field 'reactance' must be a number, "
+                    "got '0.005'"),
     "line-nan": ("lines", 1, {"reactance": math.nan}, ParseError,
-                 "line: field 'reactance' must be finite"),
+                 "line b2-b3: field 'reactance' must be finite"),
     "gen-missing": ("generators", 0, {"kind": _DROP}, ParseError,
                     "generator g1: missing fields ['kind']"),
     "gen-unknown": ("generators", 0, {"cost_c3": 0.0}, ParseError,
@@ -330,6 +334,19 @@ def test_malformed_entry_message(tmp_path, key, at, change, error, message):
         ogpf.load_instance(path)
     assert exc.type is error
     assert str(exc.value) == message
+
+
+def test_readme_example_follows_the_schema():
+    """Every entry of the README's file-format example reads as its entity,
+    so the documented keys cannot drift from the dataclass fields."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Instance files"):]
+    doc = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    assert set(doc) == {"num_areas", *_COLLECTIONS}
+    for key, (cls, label) in _COLLECTIONS.items():
+        assert doc[key]
+        for entry in doc[key]:
+            assert isinstance(_read(cls, label, entry), cls)
 
 
 def test_scale_demands(small2area):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -6,11 +7,12 @@ import ogpf
 import ogpf.convexsolve
 import ogpf.ipm
 import ogpf.oracle
-from ogpf.convexsolve import SolveOptions, solve_convex
+from ogpf.convexsolve import MAX_ITER, SolveOptions, solve_convex
 from ogpf.errors import AllInfeasible, CapExceeded
 from ogpf.mipbuild import build_model, fit_all_curves, relax
 from ogpf.oracle import enumerate_solve
 from ogpf.pwa import PwaConfig
+from ogpf.twostage import solve_two_stage
 
 from conftest import make_instance
 
@@ -54,6 +56,42 @@ def test_cap_exceeded(small2area):
     with pytest.raises(CapExceeded) as info:
         enumerate_solve(model, index, curves, cap=3)
     assert info.value.required == 8
+
+
+def _all_tie_pipes(inst):
+    """``inst`` (small2area) with gas nodes n1, n3 and n5 in area 1 and n2
+    and n4 in area 2, so every pipe is a tie and the model has no binary."""
+    area = {"n1": 1, "n2": 2, "n3": 1, "n4": 2, "n5": 1}
+    return dataclasses.replace(
+        inst,
+        gas_nodes=[dataclasses.replace(n, area=area[n.id])
+                   for n in inst.gas_nodes],
+        pipelines=[dataclasses.replace(p, weymouth_c=None)
+                   for p in inst.pipelines])
+
+
+def test_no_internal_pipe_enumerates_the_one_empty_configuration(small2area):
+    inst = _all_tie_pipes(small2area)
+    model, index, curves = _build(inst, 2)
+    assert curves == {}
+    res = enumerate_solve(model, index, curves)
+    assert res.log == [{"config": {}, "status": "Optimal",
+                        "objective": 1.9700000000000768}]
+    assert (res.best_objective, res.best_configuration,
+            res.num_configurations) == (1.9700000000000768, {}, 1)
+    assert solve_two_stage(inst, 2).objective == res.best_objective
+
+
+def test_no_internal_pipe_never_returns_an_unconverged_objective(
+        monkeypatch, small2area):
+    """A MaxIter solve is never chosen as best, with or without pipes to
+    enumerate."""
+    model, index, curves = _build(_all_tie_pipes(small2area), 2)
+    sol = solve_convex(relax(model), SolveOptions(1e-10, 1e-10))
+    monkeypatch.setattr(ogpf.oracle, "solve_convex",
+                        lambda *args: dataclasses.replace(sol, status=MAX_ITER))
+    with pytest.raises(AllInfeasible):
+        enumerate_solve(model, index, curves)
 
 
 def test_pipe_order_does_not_change_optimum(tmp_path, small2area):

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from ogpf.errors import ConfigError, MissingBounds, OutOfRange
+from ogpf.errors import ConfigError, MissingBounds
 from ogpf.pwa import (PwaConfig, block_keys, fit_pwa, key_label,
                       max_region_error)
 
@@ -200,10 +200,3 @@ def test_missing_bounds_rejected():
     bounds = {"i": (0.0, np.inf), "j": (0.0, 1.0)}
     with pytest.raises(MissingBounds, match=re.escape("psi_max[i]")):
         emit_pair(index, {("i", "j"): curve, ("j", "i"): curve}, cfg, bounds)
-
-
-def test_segment_for_rejects_flow_outside_the_grid():
-    curve = fit_pwa(8.0, 150.0, PwaConfig(r=4))
-    assert curve.segment_for(150.0).m == 4
-    with pytest.raises(OutOfRange):
-        curve.segment_for(150.5)

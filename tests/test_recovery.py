@@ -5,7 +5,7 @@ import ogpf
 from ogpf.errors import OutOfRange
 from ogpf.mipbuild import check_point
 from ogpf.pwa import (PwaConfig, config_columns, fit_pwa, key_label,
-                      max_region_error)
+                      max_region_error, orientation_regions)
 from ogpf.recovery import (build_pressure_lp, max_abs_deviation,
                            mean_abs_deviation, recover_binaries,
                            solve_pressure_lp, weymouth_deviation)
@@ -373,9 +373,11 @@ def test_deviation_consistency_with_certificate(instances):
     edges = ogpf.classify_edges(instances["small2area"])
     from ogpf.mipbuild import fit_all_curves
     curves = fit_all_curves(instances["small2area"], PwaConfig(r=4))
+    regions = {key: m for key, m, _ in
+               orientation_regions(res.recovery.configuration, curves)}
     for dp in edges.internal_pipes_directed:
         phi = res.solution.x[index.col("phi", dp.key)]
         drop = abs(psi[dp.from_node] - psi[dp.to_node])
-        seg = curves[dp.key].segment_for(phi)
+        seg = curves[dp.key].segments[regions[dp.key] - 1]
         gap = abs(phi * phi / dp.weymouth_c ** 2 - drop)
         assert gap <= max_region_error(seg, dp.weymouth_c) + 1e-7
