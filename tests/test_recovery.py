@@ -381,3 +381,94 @@ def test_deviation_consistency_with_certificate(instances):
         seg = curves[dp.key].segments[regions[dp.key] - 1]
         gap = abs(phi * phi / dp.weymouth_c ** 2 - drop)
         assert gap <= max_region_error(seg, dp.weymouth_c) + 1e-7
+
+
+# ---------------------------------------------------------------------------
+# pinned stage-2 outcomes of the bundled instances
+# ---------------------------------------------------------------------------
+
+# (instance, r): (certificate kind, bound, "i-j:region ...", psi_tilde in
+# gas-node order)
+PINNED = {
+    ("small2area", 2): ("Optimal", 1.1368683772161603e-13,
+        "n1-n2:2 n2-n3:2 n4-n5:2",
+        (560.2187499998779, 263.0312499999389, 1.0, 227.87500000000267, 1.0)),
+    ("small2area", 4): ("Optimal", 5.684341886080802e-14,
+        "n1-n2:4 n2-n3:4 n4-n5:4",
+        (488.26562499984226, 218.2656249999211, 1.0, 165.5312500000045, 1.0)),
+    ("small2area", 8): ("Optimal", 0.0,
+        "n1-n2:8 n2-n3:7 n4-n5:7",
+        (453.1093749998559, 196.70312499993992, 1.0, 152.7578124999999, 1.0)),
+    ("small2area", 16): ("Optimal", 5.684341886080802e-14,
+        "n1-n2:15 n2-n3:14 n4-n5:14",
+        (448.7148437496964, 196.49804687486085, 1.0, 148.158203125003, 1.0)),
+    ("single1area", 2): ("Optimal", 2.842170943040401e-14,
+        "n1-n2:2 n2-n3:2",
+        (339.90625000005934, 152.87500000002973, 1.0)),
+    ("single1area", 4): ("Optimal", 0.0,
+        "n1-n2:4 n2-n3:3",
+        (181.70312500006412, 76.93750000001604, 1.0)),
+    ("single1area", 8): ("Optimal", 0.0,
+        "n1-n2:7 n2-n3:6",
+        (172.91406250004218, 70.96093750001583, 1.0)),
+    ("single1area", 16): ("Optimal", 0.0,
+        "n1-n2:13 n2-n3:12",
+        (168.5195312500004, 67.97265625000017, 1.0)),
+    ("chain2area", 2): ("Optimal", 0.0,
+        "n1-n2:2 n3-n4:2 n4-n5:2",
+        (274.63281249997794, 1.0, 449.8281249999968, 218.3828124999984, 1.0)),
+    ("chain2area", 4): ("Optimal", 0.0,
+        "n1-n2:4 n3-n4:4 n4-n5:4",
+        (235.6679687499746, 1.0, 322.6796874999971, 151.29296874999852, 1.0)),
+    ("chain2area", 8): ("Optimal", 0.0,
+        "n1-n2:8 n3-n4:7 n4-n5:7",
+        (216.18554687471163, 1.0, 298.36328124995873, 140.89257812497937,
+         1.0)),
+    ("chain2area", 16): ("Optimal", 0.0,
+        "n1-n2:15 n3-n4:14 n4-n5:13",
+        (214.94042967916118, 1.0, 289.13476562291464, 135.69238281156157,
+         1.0)),
+    ("medium3area", 2): ("Optimal", 5.684341886080802e-14,
+        "n1-n2:2 n2-n3:2 n4-n5:2 n6-n7:2",
+        (560.9999999997897, 270.99999999989484, 1.0, 41.599999999891374, 1.0,
+         150.99999999998835, 1.0)),
+    ("medium3area", 4): ("Optimal", 0.0,
+        "n1-n2:4 n2-n3:4 n4-n5:3 n6-n7:3",
+        (440.99999999991564, 205.99999999995782, 1.0, 21.299999999985463, 1.0,
+         75.9999999999997, 1.0)),
+    ("medium3area", 8): ("Optimal", 5.684341886080802e-14,
+        "n1-n2:7 n2-n3:7 n4-n5:5 n6-n7:6",
+        (400.99999999915366, 188.49999999957686, 1.0, 11.149999999913707, 1.0,
+         63.499999999973795, 1.0)),
+    ("medium3area", 16): ("Optimal", 0.0,
+        "n1-n2:14 n2-n3:14 n4-n5:9 n6-n7:12",
+        (395.99999999970237, 184.74999999985118, 1.0, 6.074999999986436, 1.0,
+         57.250000000000114, 1.0)),
+    ("loop1area", 2): ("Approximate", 19.479881842675212,
+        "n1-n2:2 n2-n3:2 n1-n3:2",
+        (104.6076998813744, 1.0, 7.055632138257925)),
+    ("loop1area", 4): ("Approximate", 9.262177467987946,
+        "n1-n2:3 n2-n3:3 n1-n3:3",
+        (52.401277671524184, 1.0, 3.7117469321591834)),
+    ("loop1area", 8): ("Approximate", 2.922639033280511,
+        "n1-n2:5 n2-n3:5 n1-n3:6",
+        (28.56404871372564, 1.3219116740053565, 1.0)),
+    ("loop1area", 16): ("Approximate", 1.1760589271146742,
+        "n1-n2:10 n2-n3:9 n1-n3:11",
+        (25.761109998537922, 1.4332378720834376, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name,r", list(PINNED))
+def test_stage2_outcome_is_pinned(instances, name, r):
+    kind, bound, config, psi = PINNED[name, r]
+    res = solve_two_stage(instances[name], r)
+    rec = res.recovery
+    assert res.certificate.kind == kind
+    # bounds of certified runs are rounding noise; 1e-12 floors the relative
+    # tolerance there
+    assert res.certificate.bound == pytest.approx(bound, rel=1e-12, abs=1e-12)
+    assert " ".join(f"{i}-{j}:{m}" for (i, j), m
+                    in rec.configuration.items()) == config
+    assert list(rec.psi_tilde) == [nd.id for nd in instances[name].gas_nodes]
+    assert list(rec.psi_tilde.values()) == pytest.approx(psi, rel=0, abs=1e-12)
