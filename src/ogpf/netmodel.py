@@ -351,18 +351,21 @@ _COLLECTIONS = {
 # the only fields whose file key differs from the field name
 _FILE_KEY = {"from_bus": "from", "to_bus": "to", "from_node": "from",
              "to_node": "to"}
-# converter by annotation (a string: annotations are postponed); else _num
-_CONVERT = {"str": str, "str | None": str, "int": int}
+# JSON type and its name by annotation (a string); other fields are numbers
+_TYPES = {"str": (str, "a string"), "str | None": (str, "a string"),
+          "int": (int, "an integer")}
 
 
-def _num(entry: dict, key: str, what: str) -> float:
+def _value(entry: dict, key: str, annotation: str, what: str):
     v = entry[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ParseError(f"{what}: field {key!r} must be a number, got {v!r}")
-    v = float(v)
+    typ, name = _TYPES.get(annotation, ((int, float), "a number"))
+    if isinstance(v, bool) or not isinstance(v, typ):
+        raise ParseError(f"{what}: field {key!r} must be {name}, got {v!r}")
+    if annotation in _TYPES:
+        return v
     if not math.isfinite(v):
         raise ParseError(f"{what}: field {key!r} must be finite")
-    return v
+    return float(v)
 
 
 def _check_fields(entry: dict, allowed: set[str], required: set[str], what: str):
@@ -384,12 +387,19 @@ def _read(cls, label: str, entry: dict):
             else f"{label} {entry.get('from')}-{entry.get('to')}")
     _check_fields(entry, allowed,
                   {key for f, key in keys if f.default is MISSING}, what)
-    kw = {}
-    for f, key in keys:
-        if key in entry:
-            convert = _CONVERT.get(f.type)
-            kw[f.name] = convert(entry[key]) if convert else _num(entry, key, what)
-    return cls(**kw)
+    return cls(**{f.name: _value(entry, key, f.type, what)
+                  for f, key in keys if key in entry})
+
+
+def _entries(raw: dict, key: str) -> list[dict]:
+    """The entries of collection ``key``, each a JSON object."""
+    entries = raw[key]
+    if not isinstance(entries, list):
+        raise ParseError(f"{key} must be a list of objects")
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ParseError(f"{key}[{k}] must be an object, got {entry!r}")
+    return entries
 
 
 def load_instance(path) -> NetworkInstance:
@@ -413,7 +423,7 @@ def load_instance(path) -> NetworkInstance:
     if isinstance(raw["num_areas"], bool) or not isinstance(raw["num_areas"], int):
         raise ParseError("num_areas must be an integer")
     return NetworkInstance(raw["num_areas"], **{
-        key: tuple(_read(cls, label, e) for e in raw[key])
+        key: tuple(_read(cls, label, e) for e in _entries(raw, key))
         for key, (cls, label) in _COLLECTIONS.items()})
 
 

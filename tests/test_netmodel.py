@@ -241,6 +241,18 @@ MALFORMED = {
                  "bus b1: field 'theta_min' must be a number, got True"),
     "bus-infinite": ("buses", 0, {"demand_e": math.inf}, ParseError,
                      "bus b1: field 'demand_e' must be finite"),
+    "bus-area-float": ("buses", 0, {"area": 1.7}, ParseError,
+                       "bus b1: field 'area' must be an integer, got 1.7"),
+    "bus-area-bool": ("buses", 0, {"area": True}, ParseError,
+                      "bus b1: field 'area' must be an integer, got True"),
+    "bus-area-string": ("buses", 0, {"area": "1"}, ParseError,
+                        "bus b1: field 'area' must be an integer, got '1'"),
+    "bus-area-text": ("buses", 0, {"area": "x"}, ParseError,
+                      "bus b1: field 'area' must be an integer, got 'x'"),
+    "bus-area-null": ("buses", 0, {"area": None}, ParseError,
+                      "bus b1: field 'area' must be an integer, got None"),
+    "bus-id-number": ("buses", 0, {"id": 5}, ParseError,
+                      "bus 5: field 'id' must be a string, got 5"),
     "line-missing": ("lines", 0, {"reactance": _DROP}, ParseError,
                      "line b1-b2: missing fields ['reactance']"),
     "line-missing-end": ("lines", 0, {"to": _DROP}, ParseError,
@@ -252,6 +264,8 @@ MALFORMED = {
                     "got '0.005'"),
     "line-nan": ("lines", 1, {"reactance": math.nan}, ParseError,
                  "line b2-b3: field 'reactance' must be finite"),
+    "line-end-number": ("lines", 0, {"from": 1}, ParseError,
+                        "line 1-b2: field 'from' must be a string, got 1"),
     "gen-missing": ("generators", 0, {"kind": _DROP}, ParseError,
                     "generator g1: missing fields ['kind']"),
     "gen-unknown": ("generators", 0, {"cost_c3": 0.0}, ParseError,
@@ -277,6 +291,9 @@ MALFORMED = {
     "gas-without-eta": ("generators", 1, {"eta0": _DROP}, ValidationError,
                         "generator g2: gas_fueled units carry eta "
                         "coefficients only"),
+    "gas-node-null": ("generators", 1, {"gas_node": None}, ParseError,
+                      "generator g2: field 'gas_node' must be a string, "
+                      "got None"),
     "gas-without-gas-node": ("generators", 1, {"gas_node": _DROP},
                              ValidationError,
                              "generator g2: gas_fueled units need a gas_node"),
@@ -286,6 +303,9 @@ MALFORMED = {
                     "gas node n3: field 'psi_max' must be a number, got '900'"),
     "node-infinite": ("gas_nodes", 2, {"demand_g": -math.inf}, ParseError,
                       "gas node n3: field 'demand_g' must be finite"),
+    "node-area-float": ("gas_nodes", 2, {"area": 1.7}, ParseError,
+                        "gas node n3: field 'area' must be an integer, "
+                        "got 1.7"),
     "pipe-missing": ("pipelines", 0, {"flow_cap": _DROP}, ParseError,
                      "pipe n1-n2: missing fields ['flow_cap']"),
     "pipe-unknown": ("pipelines", 0, {"length": 1.0}, ParseError,
@@ -333,6 +353,25 @@ def test_malformed_entry_message(tmp_path, key, at, change, error, message):
     with pytest.raises(error) as exc:
         ogpf.load_instance(path)
     assert exc.type is error
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("lines", [["b1", "b2", 0.005]],
+     "lines[0] must be an object, got ['b1', 'b2', 0.005]"),
+    ("gas_sources", [{"id": "s1", "node": "n1", "g_min": 0.0, "g_max": 1.0,
+                      "cost_c1": 0.0, "cost_c0": 0.0}, "s2"],
+     "gas_sources[1] must be an object, got 's2'"),
+    ("lines", {"b1-b2": {"from": "b1", "to": "b2", "reactance": 0.005}},
+     "lines must be a list of objects"),
+])
+def test_non_object_entry_is_a_parse_error(tmp_path, key, value, message):
+    doc = json.load(open(ogpf.instance_path("small2area")))
+    doc[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError) as exc:
+        ogpf.load_instance(path)
     assert str(exc.value) == message
 
 
