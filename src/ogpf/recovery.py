@@ -1,6 +1,7 @@
 """Solution recovery: a region configuration from first-stage flows,
-pressure recomputation via an infinity-norm linear program, certification and
-flow-deviation metrics.
+pressure recomputation via an infinity-norm linear program over the model's
+own flow equalities (its ``pwa_flow`` rows) at that configuration,
+certification and flow-deviation metrics.
 
 Stage 2 recovers the binaries in the form the oracle enumerates: one active
 region per undirected pipe, a configuration ``{stored orientation:
@@ -18,12 +19,13 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .errors import CertificationBug, OutOfRange, SolverFailure
-from .mipbuild import (EQ, IN, PHI, PSI, QUAD, StandardModel, VarIndex,
+from .mipbuild import (COL, EQ, IN, PHI, PSI, QUAD, StandardModel, VarIndex,
                        check_point)
-from .pwa import PwaCurve, config_columns, orientation_regions
+from .pwa import PwaCurve, config_columns
 
 CERT_OPTIMAL = "Optimal"
 CERT_APPROXIMATE = "Approximate"
@@ -68,75 +70,79 @@ def recover_binaries(phi_star: dict[tuple[str, str], float],
 
 @dataclass
 class PressureLp:
-    """Epigraph form of the infinity-norm pressure problem.
+    """The infinity-norm pressure problem ``min |a u(psi) - b|_inf`` over
+    the boxes ``lo <= psi <= hi`` of the pressures of ``nodes``.
 
-    One row per directed internal pipe: the signed node-incidence row
-    ``(2*delta_psi - 1) * (psi_i - psi_j)`` against the active-segment value
-    of the first-stage flow. ``min t  s.t.  -t <= E psi - theta <= t`` within
-    the pressure boxes; always feasible for nonempty boxes.
+    ``a u = b`` are the model's ``pwa_flow`` rows, one per internal pipe,
+    and ``u(psi) = base + lift @ psi`` is the assembled point at a fixed
+    configuration, which is affine in the pressures.
     """
 
     nodes: list[str]
-    pipes: list[tuple[str, str]]
-    e_rows: np.ndarray
-    theta: np.ndarray
+    base: np.ndarray
+    lift: np.ndarray
+    a: sp.csr_matrix
+    b: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
 
 
-def build_pressure_lp(configuration: dict[tuple[str, str], int],
-                      phi_star: dict[tuple[str, str], float],
-                      curves: dict[tuple[str, str], PwaCurve],
-                      bounds: dict[str, tuple[float, float]]) -> PressureLp:
-    """Assemble the incidence rows and active-segment targets, one row per
-    orientation of every pipe in the configuration."""
-    nodes = list(bounds)
-    pos = {node: k for k, node in enumerate(nodes)}
-    orientations = list(orientation_regions(configuration, curves))
-    pipes = [key for key, _, _ in orientations]
-    e_rows = np.zeros((len(pipes), len(nodes)))
-    theta = np.zeros(len(pipes))
-    for k, (key, region, delta_psi) in enumerate(orientations):
-        sign = 2.0 * delta_psi - 1.0
-        e_rows[k, pos[key[0]]] = sign
-        e_rows[k, pos[key[1]]] = -sign
-        seg = curves[key].segments[region - 1]
-        theta[k] = seg.a * float(phi_star[key]) + seg.b
-    lo = np.array([bounds[nd][0] for nd in nodes])
-    hi = np.array([bounds[nd][1] for nd in nodes])
-    return PressureLp(nodes, pipes, e_rows, theta, lo, hi)
+def build_pressure_lp(u0: np.ndarray,
+                      configuration: dict[tuple[str, str], int],
+                      phi_star: dict[tuple[str, str], float], *,
+                      model: StandardModel, index: VarIndex) -> PressureLp:
+    """The pressure problem at a configuration, read off the model.
+
+    ``base`` is the stage-1 point ``u0`` with the columns ``pwa.config_columns``
+    fixes and the flow products it aliases, taken at the symmetrized flows
+    ``phi_star``; ``lift`` moves the pressures and the pressure products
+    aliased to them, which are 0 in ``base``.
+    """
+    psi = index.columns(PSI)
+    entities = index.entities
+    nodes = [entities[e][1] for e in index.owners(COL)[psi]]
+    fixed, aliases = config_columns(configuration, index.curves, index.col)
+    base = np.array(u0, dtype=float)
+    base[list(fixed)] = list(fixed.values())
+    base[psi] = 0.0
+    lift = np.zeros((model.num_vars, psi.size))
+    lift[psi, np.arange(psi.size)] = 1.0
+    node = dict(zip(psi.tolist(), range(psi.size)))
+    flows = {index.col(PHI, key): phi for key, phi in phi_star.items()}
+    for j, (src, coef) in aliases.items():
+        if src in node:
+            lift[j, node[src]], base[j] = coef, 0.0
+        else:
+            base[j] = coef * flows[src]
+    rows = index.rows(EQ, "pwa_flow")
+    return PressureLp(nodes, base, lift, model.a_eq[rows], model.b_eq[rows],
+                      model.lb[psi], model.ub[psi])
 
 
-def solve_pressure_lp(lp: PressureLp) -> tuple[dict[str, float], float]:
+def solve_pressure_lp(lp: PressureLp) -> tuple[np.ndarray, float]:
     """Minimize the worst row mismatch over the pressure boxes.
 
-    Returns the recomputed squared pressures and the achieved infinity norm,
-    evaluated directly at the solution. Solved as a plain LP (HiGHS), which
-    returns vertex solutions, so consistent targets come back with a norm at
-    numerical zero.
+    Returns the recomputed squared pressures, in the order of ``lp.nodes``,
+    and the achieved infinity norm, evaluated directly at the solution.
+    Solved in epigraph form as a plain LP (HiGHS), which returns vertex
+    solutions, so consistent targets come back with a norm at numerical zero.
     """
     n = len(lp.nodes)
-    k = lp.e_rows.shape[0]
+    e_rows, theta = lp.a @ lp.lift, lp.b - lp.a @ lp.base
+    k = e_rows.shape[0]
     if k == 0:
-        psi = {nd: float(np.clip(0.0, lp.lo[i], lp.hi[i]))
-               for i, nd in enumerate(lp.nodes)}
-        return psi, 0.0
+        return np.clip(0.0, lp.lo, lp.hi), 0.0
     # columns: psi (n), t (1)
-    a_ub = np.vstack([
-        np.hstack([lp.e_rows, -np.ones((k, 1))]),
-        np.hstack([-lp.e_rows, -np.ones((k, 1))]),
-    ])
-    b_ub = np.concatenate([lp.theta, -lp.theta])
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
+    minus_t = -np.ones((k, 1))
+    a_ub = np.block([[e_rows, minus_t], [-e_rows, minus_t]])
+    b_ub = np.concatenate([theta, -theta])
+    c = np.append(np.zeros(n), 1.0)
     bnds = [(lp.lo[i], lp.hi[i]) for i in range(n)] + [(0.0, None)]
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bnds, method="highs")
     if res.status != 0:
         raise SolverFailure(f"pressure LP unexpectedly failed: {res.message}")
-    psi_vec = res.x[:n]
-    j_psi = float(np.abs(lp.e_rows @ psi_vec - lp.theta).max())
-    psi = {nd: float(psi_vec[i]) for i, nd in enumerate(lp.nodes)}
-    return psi, j_psi
+    psi = res.x[:n]
+    return psi, float(np.abs(e_rows @ psi - theta).max())
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +173,6 @@ class RecoveryResult:
 
     configuration: dict[tuple[str, str], int]
     psi_tilde: dict[str, float]
-    j_psi: float
     certificate: Certificate
     u_star: np.ndarray
     deviations: dict = field(default_factory=dict)
@@ -176,54 +181,36 @@ class RecoveryResult:
     worst_pipes: list = field(default_factory=list)
 
 
-def assemble_and_certify(u0: np.ndarray,
+def assemble_and_certify(lp: PressureLp, psi_tilde: np.ndarray,
                          configuration: dict[tuple[str, str], int],
-                         psi_tilde: dict[str, float],
-                         phi_star: dict[tuple[str, str], float],
                          cert_tol: float, *, model: StandardModel,
                          index: VarIndex, feas_tol: float) -> RecoveryResult:
-    """Assemble the final point and certify it.
+    """Assemble the final point ``base + lift @ psi_tilde`` and certify it.
 
-    Writes the recovered pressures, then the binaries and product
-    auxiliaries that ``pwa.config_columns`` derives from the configuration;
-    the auxiliaries are evaluated at the stage-1 point with the recovered
-    pressures and the symmetrized flows ``phi_star``.
-
-    The certificate is Optimal iff the pressure objective is at most
-    ``cert_tol``; a certified point is re-checked against every model row at
-    ``feas_tol``, which the caller sets to ``FEAS_TOL`` widened to the
-    stage-1 residual (CertificationBug on failure, which would indicate an
-    implementation error, since cost-relevant components are untouched and
-    the recovered gas-side components satisfy the logic blocks by
-    construction).
+    The certificate bound is the pressure objective at the assembled point,
+    the worst residual of the ``pwa_flow`` rows; it is Optimal iff the bound
+    is at most ``cert_tol``. A certified point is re-checked against every
+    model row at ``feas_tol``, which the caller sets to ``FEAS_TOL`` widened
+    to the stage-1 residual (CertificationBug on failure, which would
+    indicate an implementation error, since cost-relevant components are
+    untouched and the recovered gas-side components satisfy the logic blocks
+    by construction).
     """
-    u_star = np.asarray(u0, dtype=float).copy()
-    for node, val in psi_tilde.items():
-        u_star[index.col(PSI, node)] = val
-    point = u_star.copy()
-    for key, phi in phi_star.items():
-        point[index.col(PHI, key)] = phi
-    fixed, aliases = config_columns(configuration, index.curves, index.col)
-    for j, val in fixed.items():
-        u_star[j] = val
-    for j, (src, coef) in aliases.items():
-        u_star[j] = coef * point[src]
-
-    # certify from the assembled point itself: worst residual of the coupled
-    # flow equalities equals the pressure objective at the recovered point
+    # only the lifted columns are written, so the others keep u0 bit for bit
+    moved, at = np.nonzero(lp.lift)
+    u_star = lp.base.copy()
+    u_star[moved] += lp.lift[moved, at] * psi_tilde[at]
+    mismatch = np.abs(lp.a @ u_star - lp.b)
+    bound = float(mismatch.max(initial=0.0))
+    cert = Certificate(CERT_OPTIMAL if bound <= cert_tol else CERT_APPROXIMATE,
+                       bound)
     rows = index.rows(EQ, "pwa_flow")
-    mismatch = np.abs(model.a_eq[rows] @ u_star - model.b_eq[rows])
-    j_direct = float(mismatch.max(initial=0.0))
-    kind = CERT_OPTIMAL if j_direct <= cert_tol else CERT_APPROXIMATE
-    cert = Certificate(kind, j_direct)
-    worst = np.argsort(-mismatch, kind="stable")[:3]
-    result = RecoveryResult(configuration=dict(configuration),
-                            psi_tilde=dict(psi_tilde), j_psi=j_direct,
-                            certificate=cert, u_star=u_star,
-                            worst_pipes=[[index.row_name(EQ, rows[k]),
-                                          float(mismatch[k])]
-                                         for k in worst
-                                         if mismatch[k] > cert_tol])
+    worst = [[index.row_name(EQ, rows[k]), float(mismatch[k])]
+             for k in np.argsort(-mismatch, kind="stable")[:3]
+             if mismatch[k] > cert_tol]
+    result = RecoveryResult(dict(configuration),
+                            dict(zip(lp.nodes, psi_tilde.tolist())), cert,
+                            u_star, worst_pipes=worst)
     if cert.is_optimal:
         rep = check_point(model, u_star, feas_tol * (1.0 + 1e-9),
                           check_integrality=True)

@@ -4,9 +4,11 @@ Stage 1 solves the relaxed model with the interior point, either on the
 whole KKT system (centralized) or with each area factoring its own KKT
 block and the coupling rows joining them (consensus); both take the same
 iterations to the same optimum. Stage 2 reads a region configuration off
-the stage-1 flows, recomputes pressures through the infinity-norm problem,
-sets the binaries and product auxiliaries the configuration implies,
-assembles the final point (stage-1 components untouched) and certifies it.
+the stage-1 flows, sets the binaries and product auxiliaries the
+configuration implies, recomputes pressures through the infinity-norm
+problem over the model's flow-equality (``pwa_flow``) rows at that
+configuration, assembles the final point (stage-1 components untouched) and
+certifies it.
 
 A positive pressure residual is reported as an Approximate certificate with
 the flows kept as decided; no repair pass re-solves stage 1 under the
@@ -57,7 +59,7 @@ class TwoStageResult:
 
     @property
     def j_psi(self) -> float:
-        return self.recovery.j_psi
+        return self.recovery.certificate.bound
 
     @property
     def certificate(self):
@@ -101,8 +103,6 @@ def solve_two_stage(inst: NetworkInstance, r: int, *, epsilon: float = 1e-6,
                      - float(sol.x[index.col(PHI, mirror)]))
         phi_star[key] = phi
         phi_star[mirror] = -phi
-    c_f = {key: curve.c_f for key, curve in curves.items()}
-    psi_bounds = {nd.id: (nd.psi_min, nd.psi_max) for nd in inst.gas_nodes}
 
     # certification re-checks the point against every row; that can only be
     # as tight as stage 1 actually solved (a MaxIter stage 1 returns its best
@@ -111,12 +111,14 @@ def solve_two_stage(inst: NetworkInstance, r: int, *, epsilon: float = 1e-6,
     check_tol = max(FEAS_TOL, 2.0 * stage1_res)
 
     configuration = recover_binaries(phi_star, curves)
-    lp = build_pressure_lp(configuration, phi_star, curves, psi_bounds)
+    lp = build_pressure_lp(sol.x, configuration, phi_star, model=model,
+                           index=index)
     psi_tilde, _ = solve_pressure_lp(lp)
-    recovery = assemble_and_certify(sol.x, configuration, psi_tilde, phi_star,
-                                    cert_tol, model=model, index=index,
+    recovery = assemble_and_certify(lp, psi_tilde, configuration, cert_tol,
+                                    model=model, index=index,
                                     feas_tol=check_tol)
-    recovery.deviations = weymouth_deviation(phi_star, psi_tilde, c_f)
+    recovery.deviations = weymouth_deviation(
+        phi_star, recovery.psi_tilde, {k: c.c_f for k, c in curves.items()})
     t2 = time.perf_counter()
 
     return TwoStageResult(solution=sol, recovery=recovery, model=model,

@@ -5,6 +5,7 @@ import ogpf
 from ogpf.mipbuild import QuadBlock, VarIndex, build_model
 from ogpf.netmodel import DirectedPipe
 from ogpf.pwa import PwaConfig, emit_mld
+from ogpf.recovery import PressureLp
 
 BUNDLED = ["small2area", "single1area", "chain2area", "medium3area",
            "loop1area"]
@@ -65,6 +66,15 @@ def row_values(rows, x):
     ``x``, each summed in emission order."""
     return np.bincount(rows.row, rows.coef * x[rows.col],
                        minlength=rows.rhs.size)
+
+
+def direct_lp(rows, theta, lo, hi):
+    """The pressure LP whose point is the pressures themselves (``base`` 0,
+    ``lift`` the identity), so that its rows and targets are ``rows`` and
+    ``theta``."""
+    n = len(lo)
+    return PressureLp([f"n{t}" for t in range(n)], np.zeros(n), np.eye(n),
+                      rows, theta, lo, hi)
 
 
 def make_instance(*, num_areas=1, buses=None, lines=None, generators=None,

@@ -16,8 +16,10 @@ from ogpf.mipbuild import build_model, check_point, fit_all_curves, relax
 from ogpf.netmodel import scale_demands
 from ogpf.oracle import enumerate_solve
 from ogpf.pwa import PwaConfig, fit_pwa, max_region_error
-from ogpf.recovery import PressureLp, solve_pressure_lp
+from ogpf.recovery import solve_pressure_lp
 from ogpf.twostage import solve_two_stage
+
+from conftest import direct_lp
 
 SMALL = ["small2area", "single1area", "chain2area"]
 MULTI_AREA = ["small2area", "chain2area", "medium3area"]
@@ -286,9 +288,7 @@ def test_criterion_6_pressure_lp_vs_grid():
         lo = rng.uniform(0.0, 1.0, size=n)
         width = rng.uniform(0.05, 0.24 if n == 2 else 0.15, size=n)
         hi = lo + width
-        lp = PressureLp([f"n{t}" for t in range(n)],
-                        [("p", str(t)) for t in range(k)],
-                        rows, theta, lo, hi)
+        lp = direct_lp(rows, theta, lo, hi)
         _, j_lp = solve_pressure_lp(lp)
 
         axes = [np.arange(lo[d], hi[d] + step / 2, step) for d in range(n)]

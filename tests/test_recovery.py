@@ -3,7 +3,7 @@ import pytest
 
 import ogpf
 from ogpf.errors import OutOfRange
-from ogpf.mipbuild import check_point
+from ogpf.mipbuild import build_model, check_point
 from ogpf.pwa import (PwaConfig, config_columns, fit_pwa, key_label,
                       max_region_error, orientation_regions)
 from ogpf.recovery import (build_pressure_lp, max_abs_deviation,
@@ -11,7 +11,8 @@ from ogpf.recovery import (build_pressure_lp, max_abs_deviation,
                            solve_pressure_lp, weymouth_deviation)
 from ogpf.twostage import solve_two_stage
 
-from conftest import emit_pair, pair_index, row_values
+from conftest import (direct_lp, emit_pair, make_instance, pair_index,
+                      row_values)
 
 
 def _pair_curves(r=2, c=1.0, cap=1.0, eps=1e-6):
@@ -225,63 +226,59 @@ def test_recovered_configuration_satisfies_emitted_rows():
 # pressure problem
 # ---------------------------------------------------------------------------
 
-def _configuration(curves, flows):
-    return recover_binaries(flows, curves)
+def _pipe_lp(phi):
+    """The pressure LP of a one-pipe instance (n1 -> n2, c_f 8, cap 150) at
+    r=2, with flow ``phi`` on n1 -> n2."""
+    model, index = build_model(make_instance(), PwaConfig(r=2))
+    flows = {("n1", "n2"): phi, ("n2", "n1"): -phi}
+    config = recover_binaries(flows, index.curves)
+    return build_pressure_lp(np.zeros(model.num_vars), config, flows,
+                             model=model, index=index), config, index
 
 
 def test_pressure_lp_rows_follow_sign_binary():
-    curves = _pair_curves()
-    bounds = {"i": (0.0, 2.0), "j": (0.0, 2.0)}
-    # positive oriented flow: +1 at the from node, -1 at the to node
-    config = _configuration(curves, {("i", "j"): 0.4, ("j", "i"): -0.4})
-    lp = build_pressure_lp(config, {("i", "j"): 0.4, ("j", "i"): -0.4},
-                           curves, bounds)
-    k = lp.pipes.index(("i", "j"))
-    assert lp.e_rows[k].tolist() == [1.0, -1.0]
-    # active segment is the unit chord: theta = a*phi + b = 0.4
-    assert lp.theta[k] == pytest.approx(0.4)
+    # one row per pipe, the model's flow equality: psi_i + psi_j - 2 ypsi
+    # with ypsi aliasing the from node's pressure of the orientation whose
+    # sign binary is 1; the target is minus the active chord value, 40 * 150
+    # / 64 on either region of the r=2 fit
+    lp, config, index = _pipe_lp(40.0)
+    assert lp.nodes == ["n1", "n2"]
+    assert (lp.a @ lp.lift).tolist() == [[-1.0, 1.0]]
+    assert (lp.b - lp.a @ lp.base).tolist() == [-93.75]
+    # the pressures move themselves and the pressure product aliased to one
+    moved = np.flatnonzero(lp.lift.any(axis=1))
+    assert [index.name(j) for j in moved] == ["psi[n1]", "psi[n2]",
+                                              "ypsi[n1->n2]"]
     # a nonpositive flow flips the sign binary and hence the row
-    config = _configuration(curves, {("i", "j"): -0.4, ("j", "i"): 0.4})
-    lp = build_pressure_lp(config, {("i", "j"): -0.4, ("j", "i"): 0.4},
-                           curves, bounds)
-    k = lp.pipes.index(("i", "j"))
-    assert _binaries(config, curves)[("dpsi", ("i", "j"), None)] == 0
-    assert lp.e_rows[k].tolist() == [-1.0, 1.0]
-    # the mirror orientation duplicates the same row and target
-    km = lp.pipes.index(("j", "i"))
-    assert lp.e_rows[km].tolist() == lp.e_rows[k].tolist()
-    assert lp.theta[km] == pytest.approx(lp.theta[k])
+    lp, config, index = _pipe_lp(-40.0)
+    assert _binaries(config, index.curves)[("dpsi", ("n1", "n2"), None)] == 0
+    assert (lp.a @ lp.lift).tolist() == [[1.0, -1.0]]
+    assert (lp.b - lp.a @ lp.base).tolist() == [-93.75]
+    moved = np.flatnonzero(lp.lift.any(axis=1))
+    assert [index.name(j) for j in moved] == ["psi[n1]", "psi[n2]",
+                                              "ypsi[n2->n1]"]
 
 
 def test_pressure_lp_feasible_target_reaches_zero():
-    curves = _pair_curves()
-    bounds = {"i": (0.0, 2.0), "j": (0.0, 2.0)}
-    flows = {("i", "j"): np.sqrt(0.5) * np.sqrt(0.5), ("j", "i"): -0.5}
-    flows = {("i", "j"): 0.5, ("j", "i"): -0.5}
-    config = _configuration(curves, flows)
-    lp = build_pressure_lp(config, flows, curves, bounds)
+    lp, _, _ = _pipe_lp(40.0)
     psi, j = solve_pressure_lp(lp)
     assert j <= 1e-10
-    assert psi["i"] - psi["j"] == pytest.approx(lp.theta[0], abs=1e-9)
+    assert psi[0] - psi[1] == pytest.approx(93.75, abs=1e-9)
 
 
 def test_pressure_lp_box_limited_spread():
     # a single row demanding a drop of 3 inside unit boxes leaves residual 2
-    from ogpf.recovery import PressureLp
-    lp = PressureLp(["i", "j"], [("i", "j")], np.array([[1.0, -1.0]]),
-                    np.array([3.0]), np.array([0.0, 0.0]),
-                    np.array([1.0, 1.0]))
+    lp = direct_lp(np.array([[1.0, -1.0]]), np.array([3.0]),
+                   np.array([0.0, 0.0]), np.array([1.0, 1.0]))
     psi, j = solve_pressure_lp(lp)
     assert j == pytest.approx(2.0, abs=1e-9)
-    assert psi["i"] == pytest.approx(1.0, abs=1e-9)
-    assert psi["j"] == pytest.approx(0.0, abs=1e-9)
+    assert psi[0] == pytest.approx(1.0, abs=1e-9)
+    assert psi[1] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_pressure_lp_zero_targets():
-    from ogpf.recovery import PressureLp
-    lp = PressureLp(["i", "j"], [("i", "j")], np.array([[1.0, -1.0]]),
-                    np.array([0.0]), np.array([0.5, 0.5]),
-                    np.array([2.0, 2.0]))
+    lp = direct_lp(np.array([[1.0, -1.0]]), np.array([0.0]),
+                   np.array([0.5, 0.5]), np.array([2.0, 2.0]))
     psi, j = solve_pressure_lp(lp)
     assert j <= 1e-10
 
@@ -296,14 +293,11 @@ def test_pressure_lp_matches_direct_norm_evaluation():
             i, j = rng.choice(n, size=2, replace=False)
             s = rng.choice([-1.0, 1.0])
             row[i], row[j] = s, -s
-        from ogpf.recovery import PressureLp
         lo = rng.uniform(0.0, 1.0, size=n)
-        lp = PressureLp([f"n{t}" for t in range(n)],
-                        [("a", str(t)) for t in range(k)], rows,
-                        rng.uniform(-2, 2, size=k), lo, lo + rng.uniform(0.5, 2, size=n))
-        psi, j = solve_pressure_lp(lp)
-        vec = np.array([psi[f"n{t}"] for t in range(n)])
-        assert j == pytest.approx(float(np.abs(rows @ vec - lp.theta).max()),
+        theta = rng.uniform(-2, 2, size=k)
+        psi, j = solve_pressure_lp(direct_lp(
+            rows, theta, lo, lo + rng.uniform(0.5, 2, size=n)))
+        assert j == pytest.approx(float(np.abs(rows @ psi - theta).max()),
                                   abs=1e-9)
 
 
@@ -335,8 +329,7 @@ def test_stage1_components_survive_bitwise(instances):
 def test_cycle_instance_certifies_approximate(instances):
     res = solve_two_stage(instances["loop1area"], 2)
     assert res.certificate.kind == "Approximate"
-    assert res.certificate.bound == res.j_psi
-    assert res.j_psi > 1e-8
+    assert res.j_psi == res.certificate.bound > 1e-8
 
 
 def test_weymouth_deviation_examples():

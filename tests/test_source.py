@@ -35,6 +35,16 @@ def test_only_pwa_and_mipbuild_name_the_region_binaries():
     assert found == []
 
 
+def test_only_pwa_reads_the_chord_segments():
+    # the chord coefficients enter the model only through pwa.emit_mld, so
+    # stage 2 reads them off the model's rows rather than off the curves
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "pwa.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "segments"]
+    assert found == []
+
+
 def test_only_the_factor_helper_names_splu():
     # every KKT factor goes through ipm._lu, so no factor call can drift
     # from its symmetric-mode options
