@@ -1,6 +1,6 @@
 """Two-stage solver toolkit for multi-area optimal gas-power flow."""
 
-from .convexsolve import SolveOptions, Solution, solve_consensus, solve_convex
+from .convexsolve import Solution, solve_consensus, solve_convex
 from .errors import (AllInfeasible, CapExceeded, CertificationBug,
                      ConfigError, MissingBounds, ModelError, OgpfError,
                      OutOfRange, ParseError, SolverFailure, ValidationError)

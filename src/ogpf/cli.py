@@ -63,8 +63,6 @@ class RunConfig:
             raise ConfigError("--runs must be >= 1")
         if self.sigma is not None and not 0.0 <= self.sigma < 1.0:
             raise ConfigError("--sigma must be in [0, 1)")
-        if self.mode not in (CENTRALIZED, CONSENSUS):
-            raise ConfigError(f"unknown mode {self.mode!r}")
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
@@ -202,10 +200,7 @@ def _parse_r_list(spec: str) -> list[int]:
         raise ConfigError(f"cannot parse region list {spec!r}") from exc
     if not values:
         raise ConfigError("empty region list")
-    for r in values:
-        if r < 2 or r % 2:
-            raise ConfigError(f"r must be even and >= 2, got {r}")
-    return values
+    return [PwaConfig(r=r).r for r in values]
 
 
 def monte_carlo_runs(inst: NetworkInstance, num_runs: int, sigma: float,

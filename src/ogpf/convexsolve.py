@@ -9,6 +9,10 @@ split by area: each area factors its own block and only the coupling rows,
 through one small Schur complement, join them. ``propagation_infeasible``
 and ``linear_infeasible`` judge the linear rows and boxes alone, before any
 solve; the enumeration oracle runs them in that order.
+
+Every solve stops by the interior point's one rule (``ipm``: scaled
+primal residual and relative gap within 1e-10, dual residual within 1e-9,
+or 200 iterations); the verdicts share one threshold, ``probe_threshold``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from .errors import ConfigError
 from .ipm import EngineResult, solve_ipm
 from .mipbuild import StandardModel, check_point, entry_rows
 
@@ -37,24 +40,10 @@ _MAX_SWEEPS = 20
 _MAX_CUT_ROUNDS = 20
 
 
-@dataclass(frozen=True)
-class SolveOptions:
-    """Tolerances and iteration cap for one convex solve."""
-
-    feas_tol: float = 1e-8
-    opt_tol: float = 1e-8
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if self.feas_tol <= 0 or self.opt_tol <= 0 or self.max_iter <= 0:
-            raise ConfigError("solve options must be positive")
-
-
 @dataclass
 class Residuals:
     max_eq: float
     max_ineq: float
-    gap: float
 
 
 @dataclass
@@ -84,23 +73,21 @@ def _solution_from_engine(model: StandardModel, res: EngineResult,
         status=status,
         residuals=Residuals(max_eq=rep.max_eq,
                             max_ineq=max(rep.max_in, rep.max_quad,
-                                         rep.max_bound),
-                            gap=res.relgap),
+                                         rep.max_bound)),
         iterations=res.iterations,
         duals={"eq": res.nu, "ineq": res.lam_in, "lb": res.lam_lb,
                "ub": res.lam_ub, "quad": res.mu_quad},
     )
 
 
-def probe_threshold(model: StandardModel, opts: SolveOptions) -> float:
+def probe_threshold(model: StandardModel) -> float:
     """Tolerance of the infeasibility verdicts: HiGHS's primal feasibility
     tolerance, and the row violation above which propagation or a cutting
     plane counts."""
-    return max(1e-6, 100.0 * opts.feas_tol) * (
-        1.0 + np.abs(model.b_eq).max(initial=0.0))
+    return 1e-6 * (1.0 + np.abs(model.b_eq).max(initial=0.0))
 
 
-def propagation_infeasible(model: StandardModel, opts: SolveOptions) -> bool:
+def propagation_infeasible(model: StandardModel) -> bool:
     """True when bound propagation over the linear rows empties a row or a
     box.
 
@@ -114,7 +101,7 @@ def propagation_infeasible(model: StandardModel, opts: SolveOptions) -> bool:
     on a cycle the bounds can creep round it without end. False means
     undecided, not feasible. The model is not changed.
     """
-    tol = probe_threshold(model, opts)
+    tol = probe_threshold(model)
     a_eq, g_in = model.a_eq, model.g_in
     n, mi = model.num_vars, model.num_in
     row = np.concatenate([entry_rows(g_in), mi + entry_rows(a_eq),
@@ -153,8 +140,7 @@ def propagation_infeasible(model: StandardModel, opts: SolveOptions) -> bool:
     return False
 
 
-def _cutting_planes(model: StandardModel, opts: SolveOptions,
-                    rounds: int) -> bool | None:
+def _cutting_planes(model: StandardModel, rounds: int) -> bool | None:
     """Kelley's cutting planes over the quadratic rows, one HiGHS LP a round.
 
     Each LP has a zero objective, the model's linear rows and boxes, and
@@ -166,7 +152,7 @@ def _cutting_planes(model: StandardModel, opts: SolveOptions,
     its worst quadratic-row violation (not a sum) against the threshold.
     None: HiGHS ended otherwise, or the rounds ran out.
     """
-    tol = probe_threshold(model, opts)
+    tol = probe_threshold(model)
     quad = model.quad_ineq
     a_ub, b_ub = model.g_in, model.h_in
     for k in range(rounds + 1):
@@ -190,7 +176,7 @@ def _cutting_planes(model: StandardModel, opts: SolveOptions,
         b_ub = np.concatenate([b_ub, (quad.jac_mul(jv, res.x) - q0)[cut]])
 
 
-def linear_infeasible(model: StandardModel, opts: SolveOptions) -> bool:
+def linear_infeasible(model: StandardModel) -> bool:
     """True when the linear rows and boxes alone admit no point: round 0 of
     ``_cutting_planes``, one LP and no cut, so ``feasibility_probe`` rejects
     whatever it rejects. False means undecided, not feasible. The oracle
@@ -198,21 +184,21 @@ def linear_infeasible(model: StandardModel, opts: SolveOptions) -> bool:
     leaves undecided: a call costs several milliseconds, over ten times a
     rejection by propagation.
     """
-    return _cutting_planes(model, opts, 0) is True
+    return _cutting_planes(model, 0) is True
 
 
-def feasibility_probe(model: StandardModel,
-                      opts: SolveOptions) -> bool | None:
+def feasibility_probe(model: StandardModel) -> bool | None:
     """Verdict on a model whose interior point did not converge: True
     proves it infeasible, False and None leave its feasibility unproven
     (``_cutting_planes`` with ``_MAX_CUT_ROUNDS`` rounds)."""
-    return _cutting_planes(model, opts, _MAX_CUT_ROUNDS)
+    return _cutting_planes(model, _MAX_CUT_ROUNDS)
 
 
-def solve_convex(model: StandardModel, opts: SolveOptions | None = None,
+def solve_convex(model: StandardModel,
                  areas: tuple[np.ndarray, np.ndarray] | None = None
                  ) -> Solution:
-    """Solve a relaxed standard-form model to the requested tolerances.
+    """Solve a relaxed standard-form model by the interior point's stopping
+    rule.
 
     Returns a Solution with status Optimal, MaxIter (best iterate, residuals
     reported) or Infeasible (an empty box or an inconsistent vanished row
@@ -223,25 +209,22 @@ def solve_convex(model: StandardModel, opts: SolveOptions | None = None,
     area; the probe reads the whole model. Deterministic for identical
     inputs. Raises ConfigError on a model with integral columns.
     """
-    opts = opts or SolveOptions()
-    res = solve_ipm(model, feas_tol=opts.feas_tol, opt_tol=opts.opt_tol,
-                    max_iter=opts.max_iter, areas=areas)
+    res = solve_ipm(model, areas)
     if res.status == "infeasible":
         return Solution(np.zeros(model.num_vars), np.nan, INFEASIBLE,
-                        Residuals(np.inf, np.inf, np.inf), 0)
+                        Residuals(np.inf, np.inf), 0)
     if res.status == "optimal":
         return _solution_from_engine(model, res, OPTIMAL)
 
     # engine did not converge: only a proof of infeasibility changes that
-    if feasibility_probe(model, opts):
+    if feasibility_probe(model):
         return Solution(res.x, np.nan, INFEASIBLE,
-                        Residuals(np.inf, np.inf, np.inf), res.iterations)
+                        Residuals(np.inf, np.inf), res.iterations)
     return _solution_from_engine(model, res, MAX_ITER)
 
 
 def solve_consensus(model: StandardModel,
-                    areas: tuple[np.ndarray, np.ndarray],
-                    opts: SolveOptions | None = None) -> Solution:
+                    areas: tuple[np.ndarray, np.ndarray]) -> Solution:
     """Area-decomposed solve of a relaxed model: ``solve_convex`` with each
     area's KKT block factored on its own.
 
@@ -257,4 +240,4 @@ def solve_consensus(model: StandardModel,
     centralized solve. Raises ModelError when a row other than a coupling
     row spans two areas.
     """
-    return solve_convex(model, opts, areas)
+    return solve_convex(model, areas)

@@ -44,6 +44,12 @@ regularization below, unstable. Static regularization and one refinement
 pass against the whole K follow.
 Cold start from the box midpoints. Determinism: fixed ordering and
 iteration order, no randomness.
+
+There is one stopping rule, the module constants ``_FEAS_TOL``,
+``_OPT_TOL`` and ``_MAX_ITER``: status ``optimal`` once the primal
+residual is within 1e-10 of ``1 + max(|b|, |h|)``, the dual residual within
+1e-9 of ``1 + max|c|`` (scaled system) and the relative gap within 1e-10;
+status ``max_iter``, with the best iterate, after 200 iterations.
 """
 
 from __future__ import annotations
@@ -62,6 +68,11 @@ _REG_PRIMAL = 1e-10
 _REG_DUAL = 1e-10
 _W_CAP = 1e14
 _DIAG_PIVOT_THRESH = 0.01
+
+# the stopping rule (see the module docstring); ``_iterate`` alone reads it
+_FEAS_TOL = 1e-10
+_OPT_TOL = 1e-10
+_MAX_ITER = 200
 
 
 @dataclass
@@ -314,8 +325,7 @@ def _col_scale(lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
     return d
 
 
-def solve_ipm(model: StandardModel, feas_tol: float, opt_tol: float,
-              max_iter: int,
+def solve_ipm(model: StandardModel,
               areas: tuple[np.ndarray, np.ndarray] | None = None
               ) -> EngineResult:
     """Solve ``model`` with its own objective, cold from the box midpoints.
@@ -351,7 +361,7 @@ def solve_ipm(model: StandardModel, feas_tol: float, opt_tol: float,
     label = np.zeros(red.keep.size + red.eq_rows.size, dtype=np.intp) \
         if areas is None else np.concatenate([areas[0][red.keep],
                                               areas[1][red.eq_rows]])
-    res = _iterate(red.model, label, feas_tol, opt_tol, max_iter)
+    res = _iterate(red.model, label)
     x = np.zeros(n)
     x[red.keep] = res.x
     x[pinned] = model.lb[pinned]
@@ -391,8 +401,7 @@ def _equilibrate(mat: sp.csr_matrix, d: np.ndarray
     return csr_from_rows(row[nz], col[nz], data[nz], mat.shape), rs
 
 
-def _iterate(model: StandardModel, label: np.ndarray, feas_tol: float,
-             opt_tol: float, max_iter: int) -> EngineResult:
+def _iterate(model: StandardModel, label: np.ndarray) -> EngineResult:
     """Mehrotra predictor-corrector on a presolved model, cold from the box
     midpoints.
 
@@ -474,7 +483,7 @@ def _iterate(model: StandardModel, label: np.ndarray, feas_tol: float,
             float(np.abs(rp).max(initial=0.0)),
             float(np.abs(rd).max(initial=0.0)), 0.0)
 
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         iters_done = it + 1
         qv = quad.value(x)
         jv = quad.jac(x)
@@ -494,8 +503,8 @@ def _iterate(model: StandardModel, label: np.ndarray, feas_tol: float,
             best = (x.copy(), nu.copy(), lam.copy(), mu.copy(),
                     pres, dres, relgap)
 
-        if (pres <= feas_tol * scale_p and dres <= opt_tol * scale_d * 10.0
-                and relgap <= opt_tol):
+        if (pres <= _FEAS_TOL * scale_p and dres <= _OPT_TOL * scale_d * 10.0
+                and relgap <= _OPT_TOL):
             status = "optimal"
             break
 
@@ -505,11 +514,11 @@ def _iterate(model: StandardModel, label: np.ndarray, feas_tol: float,
         dual_norm = max(np.abs(lam).max(initial=0.0),
                         np.abs(mu).max(initial=0.0),
                         np.abs(nu).max(initial=0.0))
-        if dual_norm > 1e9 and pres > 10.0 * feas_tol * scale_p:
+        if dual_norm > 1e9 and pres > 10.0 * _FEAS_TOL * scale_p:
             status = "stalled"
             break
         pres_hist.append(pres)
-        if (len(pres_hist) >= 24 and pres > 1e3 * feas_tol * scale_p
+        if (len(pres_hist) >= 24 and pres > 1e3 * _FEAS_TOL * scale_p
                 and min(pres_hist[-12:]) > 0.8 * min(pres_hist[-24:-12])):
             status = "stalled"
             break

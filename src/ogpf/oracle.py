@@ -25,9 +25,8 @@ from itertools import product
 
 import numpy as np
 
-from .convexsolve import (INFEASIBLE, OPTIMAL, SolveOptions,
-                          linear_infeasible, propagation_infeasible,
-                          solve_convex)
+from .convexsolve import (INFEASIBLE, OPTIMAL, linear_infeasible,
+                          propagation_infeasible, solve_convex)
 from .errors import AllInfeasible, CapExceeded, ModelError
 from .mipbuild import StandardModel, VarIndex, relax, substitute_columns
 from .pwa import PwaCurve, config_columns
@@ -44,50 +43,49 @@ class OracleResult:
 
 
 def _reduce(relaxed: StandardModel, fixed: dict[int, float],
-            aliases: dict[int, tuple[int, float]],
-            opts: SolveOptions) -> StandardModel | None:
+            aliases: dict[int, tuple[int, float]]) -> StandardModel | None:
     """The reduced model of one configuration, or None when it is proved
     infeasible: by bound propagation with the fixed values as boxes, by the
     presolve, or by the HiGHS LP, in that order."""
     cols = list(fixed)
     lb, ub = relaxed.lb.copy(), relaxed.ub.copy()
     lb[cols] = ub[cols] = list(fixed.values())
-    if propagation_infeasible(replace(relaxed, lb=lb, ub=ub), opts):
+    if propagation_infeasible(replace(relaxed, lb=lb, ub=ub)):
         return None
     red = substitute_columns(relaxed, fixed, aliases)
-    if not red.feasible or linear_infeasible(red.model, opts):
+    if not red.feasible or linear_infeasible(red.model):
         return None
     return red.model
 
 
 def enumerate_solve(model: StandardModel, index: VarIndex,
                     curves: dict[tuple[str, str], PwaCurve],
-                    opts: SolveOptions | None = None,
                     cap: int = 100_000) -> OracleResult:
     """Enumerate region configurations and solve each continuous subproblem.
 
-    ``curves`` provides both orientations per pipe; the first-listed
-    orientation of each pair is enumerated and the mirror is forced
-    consistently (sign-inconsistent combinations are never generated);
-    without internal pipes the one empty configuration is solved.
-    Configurations whose solve ends MaxIter are logged (status MaxIter,
-    objective None) but never chosen as best, even when feasible. Raises
-    CapExceeded when ``r ** num_pipes`` exceeds ``cap``, AllInfeasible when
-    no configuration admits a feasible point and ModelError when a curve
-    lacks its mirror orientation.
+    ``curves`` provides both orientations per pipe, with the orientations
+    and region count of the model's own curves (``index.curves``); the
+    first-listed orientation of each pair is enumerated and the mirror is
+    forced consistently (sign-inconsistent combinations are never
+    generated); without internal pipes the one empty configuration is
+    solved. Configurations whose solve ends MaxIter are logged (status
+    MaxIter, objective None) but never chosen as best, even when feasible.
+    Raises CapExceeded when ``r ** num_pipes`` exceeds ``cap``,
+    AllInfeasible when no configuration admits a feasible point and
+    ModelError when ``curves`` does not match ``index.curves``.
     """
-    opts = opts or SolveOptions(feas_tol=1e-10, opt_tol=1e-10)
+    if curves.keys() != index.curves.keys() or any(
+            curve.r != index.curves[key].r for key, curve in curves.items()):
+        raise ModelError("curves do not match the model's pipe orientations "
+                         "and region count")
     stored: list[tuple[str, str]] = []
     seen = set()
     r = 1
     for key in curves:
         if key in seen:
             continue
-        mirror = (key[1], key[0])
-        if mirror not in curves:
-            raise ModelError(f"missing mirror orientation for {key}")
         stored.append(key)
-        seen.update((key, mirror))
+        seen.update((key, (key[1], key[0])))
         r = curves[key].r
 
     required = r ** len(stored)
@@ -100,12 +98,11 @@ def enumerate_solve(model: StandardModel, index: VarIndex,
     log = []
     for combo in product(range(1, r + 1), repeat=len(stored)):
         cfg = dict(zip(stored, combo))
-        reduced = _reduce(relaxed, *config_columns(cfg, curves, index.col),
-                          opts)
+        reduced = _reduce(relaxed, *config_columns(cfg, curves, index.col))
         if reduced is None:
             log.append({"config": cfg, "status": INFEASIBLE, "objective": None})
             continue
-        sol = solve_convex(reduced, opts)
+        sol = solve_convex(reduced)
         entry = {"config": cfg, "status": sol.status,
                  "objective": sol.objective if sol.status == OPTIMAL else None}
         log.append(entry)

@@ -20,9 +20,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .convexsolve import (INFEASIBLE, SolveOptions, Solution,
-                          solve_consensus, solve_convex)
-from .errors import OgpfError
+from .convexsolve import INFEASIBLE, Solution, solve_consensus, solve_convex
+from .errors import ConfigError, OgpfError
 from .mipbuild import PHI, StandardModel, VarIndex, area_views, build_model, relax
 from .netmodel import NetworkInstance
 from .pwa import PwaConfig
@@ -37,9 +36,6 @@ CONSENSUS = "consensus"
 # to nonnegative oriented flow, the only orientation consistent with the
 # linearized flow equality.
 SIGN_CONVENTION = "delta_psi = 1 <=> oriented flow >= 0"
-
-# stage-1 solve tolerances
-STAGE1_OPTS = SolveOptions(feas_tol=1e-10, opt_tol=1e-10)
 
 
 @dataclass
@@ -71,9 +67,12 @@ def solve_two_stage(inst: NetworkInstance, r: int, *, epsilon: float = 1e-6,
                     mode: str = CENTRALIZED) -> TwoStageResult:
     """Run both stages on an instance and return the assembled outcome.
 
-    Raises OgpfError subclasses on configuration or infeasibility problems;
-    an Approximate certificate is a normal return, not an error.
+    Raises OgpfError subclasses on configuration or infeasibility problems
+    (ConfigError, before the build, on a mode other than CENTRALIZED or
+    CONSENSUS); an Approximate certificate is a normal return, not an error.
     """
+    if mode not in (CENTRALIZED, CONSENSUS):
+        raise ConfigError(f"unknown solve mode {mode!r}")
     cfg = PwaConfig(r=r, epsilon=epsilon)
     t_build = time.perf_counter()
     model, index = build_model(inst, cfg)
@@ -82,12 +81,9 @@ def solve_two_stage(inst: NetworkInstance, r: int, *, epsilon: float = 1e-6,
 
     t0 = time.perf_counter()
     if mode == CONSENSUS:
-        sol = solve_consensus(relaxed, area_views(model, inst, index),
-                              STAGE1_OPTS)
-    elif mode == CENTRALIZED:
-        sol = solve_convex(relaxed, STAGE1_OPTS)
+        sol = solve_consensus(relaxed, area_views(model, inst, index))
     else:
-        raise OgpfError(f"unknown solve mode {mode!r}")
+        sol = solve_convex(relaxed)
     t1 = time.perf_counter()
     if sol.status == INFEASIBLE:
         raise OgpfError("stage 1: relaxed problem is infeasible")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ogpf
-from ogpf.convexsolve import SolveOptions, solve_convex
+from ogpf.convexsolve import solve_convex
 from ogpf.mipbuild import build_model, check_point, fit_all_curves, relax
 from ogpf.netmodel import scale_demands
 from ogpf.oracle import enumerate_solve
@@ -116,7 +116,7 @@ def test_criterion_3_relaxation_bound(instances, oracle_runs):
         cfg = PwaConfig(r=2)
         model, index = build_model(inst, cfg)
         orc = enumerate_solve(model, index, fit_all_curves(inst, cfg))
-        sol = solve_convex(relax(model), SolveOptions(1e-10, 1e-10))
+        sol = solve_convex(relax(model))
         pairs.append((f"{name}/r=2", sol.objective, orc.best_objective))
     # perturbed seeds on the small instances
     rng = np.random.default_rng(7)
@@ -126,7 +126,7 @@ def test_criterion_3_relaxation_bound(instances, oracle_runs):
             cfg = PwaConfig(r=2)
             model, index = build_model(inst, cfg)
             orc = enumerate_solve(model, index, fit_all_curves(inst, cfg))
-            sol = solve_convex(relax(model), SolveOptions(1e-10, 1e-10))
+            sol = solve_convex(relax(model))
             pairs.append((f"{name}/seeded", sol.objective, orc.best_objective))
     violations = [(tag, lo, hi) for tag, lo, hi in pairs if lo > hi + 1e-8]
     ok = not violations

@@ -8,9 +8,9 @@ import scipy.sparse as sp
 import ogpf
 import ogpf.convexsolve
 import ogpf.ipm
-from ogpf.convexsolve import (SolveOptions, linear_infeasible,
-                              propagation_infeasible, solve_consensus,
-                              solve_convex)
+import ogpf.twostage
+from ogpf.convexsolve import (linear_infeasible, propagation_infeasible,
+                              solve_consensus, solve_convex)
 from ogpf.mipbuild import (QuadBlock, StandardModel, area_views, build_model,
                            relax, substitute_columns)
 from ogpf.pwa import PwaConfig, config_columns
@@ -52,7 +52,7 @@ def test_infeasible_balance_detected_by_probe():
     model, _ = build_model(inst, PwaConfig(r=2))
     sol = solve_convex(relax(model))
     assert sol.status == "Infeasible"
-    assert linear_infeasible(relax(model), SolveOptions())
+    assert linear_infeasible(relax(model))
 
 
 def test_linear_screen_rejects_contradictory_balance():
@@ -61,7 +61,7 @@ def test_linear_screen_rejects_contradictory_balance():
         2, np.zeros(2), np.zeros(2), 0.0, sp.csr_matrix([[1.0, 1.0]]),
         np.array([3.0]), sp.csr_matrix((0, 2)), np.zeros(0), no_quad(2),
         np.zeros(2), np.ones(2), np.zeros(2, dtype=bool))
-    assert linear_infeasible(model, SolveOptions())
+    assert linear_infeasible(model)
     assert solve_convex(model).status == "Infeasible"
 
 
@@ -72,7 +72,7 @@ def test_quadratic_only_infeasibility_passes_screen_and_hits_probe():
         np.zeros(0), sp.csr_matrix((0, 2)), np.zeros(0),
         QuadBlock(2, [0], [0], [1.0], [0], [1], [-1.0], [0.0]),
         np.array([1.0, 0.0]), np.array([2.0, 0.5]), np.zeros(2, dtype=bool))
-    assert not linear_infeasible(model, SolveOptions())
+    assert not linear_infeasible(model)
     assert solve_convex(model).status == "Infeasible"
 
 
@@ -102,14 +102,13 @@ def test_one_tangent_cut_proves_the_parabola_infeasible(monkeypatch):
     tangent cut at that point leaves the boxes empty, so the second LP is
     infeasible."""
     calls = _count_lps(monkeypatch)
-    assert ogpf.convexsolve.feasibility_probe(_parabola_model(),
-                                              SolveOptions()) is True
+    assert ogpf.convexsolve.feasibility_probe(_parabola_model()) is True
     assert len(calls) == 2
 
 
 def test_linear_screen_is_one_lp(monkeypatch):
     calls = _count_lps(monkeypatch)
-    assert not linear_infeasible(_parabola_model(), SolveOptions())
+    assert not linear_infeasible(_parabola_model())
     assert len(calls) == 1
 
 
@@ -119,7 +118,7 @@ def test_undecided_verdict_is_not_a_proof(monkeypatch):
     disproved."""
     monkeypatch.setattr(ogpf.convexsolve, "_MAX_CUT_ROUNDS", 0)
     model = _parabola_model()
-    assert ogpf.convexsolve.feasibility_probe(model, SolveOptions()) is None
+    assert ogpf.convexsolve.feasibility_probe(model) is None
     assert solve_convex(model).status == "MaxIter"
 
 
@@ -128,7 +127,7 @@ def test_feasible_lp_point_is_a_witness():
     # so the loop ends on a point that violates it by at most the threshold
     model = replace(_parabola_model(), lb=np.zeros(2),
                     ub=np.array([2.0, 4.0]))
-    assert ogpf.convexsolve.feasibility_probe(model, SolveOptions()) is False
+    assert ogpf.convexsolve.feasibility_probe(model) is False
 
 
 def _linear_model(a_eq, b_eq, g_in, h_in, lb, ub):
@@ -152,22 +151,21 @@ def test_propagation_rejects_contradictory_balance():
     # x + y = 3 with both columns boxed to [0, 1]
     model = _linear_model([[1.0, 1.0]], [3.0], np.zeros((0, 2)), [],
                           [0.0, 0.0], [1.0, 1.0])
-    assert propagation_infeasible(model, SolveOptions())
+    assert propagation_infeasible(model)
 
 
 def test_propagation_needs_a_second_sweep_along_a_chain(monkeypatch):
     # the first sweep caps y at 1 and lifts z to 2; only the second finds
     # z - y >= 1 against z = y
     model = _chain(2.0)
-    assert propagation_infeasible(model, SolveOptions())
+    assert propagation_infeasible(model)
     monkeypatch.setattr(ogpf.convexsolve, "_MAX_SWEEPS", 1)
-    assert not propagation_infeasible(model, SolveOptions())
+    assert not propagation_infeasible(model)
 
 
 def test_propagation_leaves_feasible_models_undecided(small2area_model):
-    assert not propagation_infeasible(_chain(0.5), SolveOptions())
-    assert not propagation_infeasible(relax(small2area_model[0]),
-                                      SolveOptions(1e-10, 1e-10))
+    assert not propagation_infeasible(_chain(0.5))
+    assert not propagation_infeasible(relax(small2area_model[0]))
 
 
 def test_propagation_ignores_quadratic_rows():
@@ -178,7 +176,7 @@ def test_propagation_ignores_quadratic_rows():
         np.zeros(0), sp.csr_matrix((0, 2)), np.zeros(0),
         QuadBlock(2, [0], [0], [1.0], [0], [1], [-1.0], [0.0]),
         np.array([1.0, 0.0]), np.array([2.0, 0.5]), np.zeros(2, dtype=bool))
-    assert not propagation_infeasible(model, SolveOptions())
+    assert not propagation_infeasible(model)
     assert solve_convex(model).status == "Infeasible"
 
 
@@ -186,7 +184,6 @@ def test_propagation_rejects_only_what_the_lp_screen_rejects(instances):
     """Over every configuration of the bundled oracles at r=2 and r=4 (508),
     a configuration that propagation rejects is also rejected by the
     presolve or by the HiGHS LP on the reduced model."""
-    opts = SolveOptions(feas_tol=1e-10, opt_tol=1e-10)
     configs = rejected = 0
     for inst in instances.values():
         for r in (2, 4):
@@ -200,20 +197,18 @@ def test_propagation_rejects_only_what_the_lp_screen_rejects(instances):
                 lb, ub = relaxed.lb.copy(), relaxed.ub.copy()
                 lb[list(fixed)] = ub[list(fixed)] = list(fixed.values())
                 configs += 1
-                if propagation_infeasible(replace(relaxed, lb=lb, ub=ub),
-                                          opts):
+                if propagation_infeasible(replace(relaxed, lb=lb, ub=ub)):
                     rejected += 1
                     red = substitute_columns(relaxed, fixed, aliases)
                     assert (not red.feasible
-                            or linear_infeasible(red.model, opts)), combo
+                            or linear_infeasible(red.model)), combo
     assert (configs, rejected) == (508, 437)
 
 
 def test_relaxed_small2area_solves_tight(instances, small2area_model):
     model, index = small2area_model
-    opts = SolveOptions(feas_tol=1e-10, opt_tol=1e-10)
-    assert not linear_infeasible(relax(model), opts)
-    sol = solve_convex(relax(model), opts)
+    assert not linear_infeasible(relax(model))
+    sol = solve_convex(relax(model))
     assert sol.status == "Optimal"
     assert sol.residuals.max_eq <= 1e-8
     assert sol.residuals.max_ineq <= 1e-8
@@ -236,7 +231,7 @@ def test_kkt_stationarity_via_finite_differences(small2area_model):
     plus the weighted constraint normals cancels out."""
     model, _ = small2area_model
     relaxed = relax(model)
-    sol = solve_convex(relaxed, SolveOptions(feas_tol=1e-10, opt_tol=1e-10))
+    sol = solve_convex(relaxed)
     x = sol.x
     n = model.num_vars
     h = 1e-6
@@ -288,7 +283,8 @@ def test_capped_solve_runs_the_interior_point_once(monkeypatch,
         return ipm(m, *args, **kw)
 
     monkeypatch.setattr(ogpf.convexsolve, "solve_ipm", recording_ipm)
-    sol = solve_convex(relax(model), SolveOptions(max_iter=3))
+    monkeypatch.setattr(ogpf.ipm, "_MAX_ITER", 3)
+    sol = solve_convex(relax(model))
     assert sol.status == "MaxIter"
     assert calls == [model.num_vars]
 
@@ -299,10 +295,10 @@ def test_rejects_integral_model(small2area_model):
         solve_convex(model)
 
 
-def test_iteration_cap_returns_best_iterate(small2area_model):
+def test_iteration_cap_returns_best_iterate(monkeypatch, small2area_model):
     model, _ = small2area_model
-    sol = solve_convex(relax(model), SolveOptions(feas_tol=1e-12,
-                                                  opt_tol=1e-14, max_iter=4))
+    monkeypatch.setattr(ogpf.ipm, "_MAX_ITER", 4)
+    sol = solve_convex(relax(model))
     assert sol.status == "MaxIter"
     assert np.isfinite(sol.objective)
     assert np.isfinite(sol.residuals.max_eq)
@@ -348,8 +344,7 @@ def _toy_model(rows=1):
 
 
 def test_consensus_two_area_toy_averages_minimizers():
-    sol = solve_consensus(_toy_model(), _toy_views(),
-                          SolveOptions(feas_tol=1e-10, opt_tol=1e-10))
+    sol = solve_consensus(_toy_model(), _toy_views())
     assert sol.status == "Optimal"
     assert abs(sol.x[0] - 2.0) <= 1e-8
     assert abs(sol.x[1] - 2.0) <= 1e-8
@@ -370,7 +365,7 @@ def test_singular_border_ends_stalled(monkeypatch):
     monkeypatch.setattr(ogpf.ipm, "_REG_DUAL", 0.0)
     model = _toy_model(rows=2)
     areas = _toy_views((-1, -1))
-    res = ogpf.ipm.solve_ipm(model, 1e-8, 1e-8, 50, areas=areas)
+    res = ogpf.ipm.solve_ipm(model, areas)
     assert res.status == "stalled" and np.isfinite(res.x).all()
     sol = solve_consensus(model, areas)
     assert (sol.status, sol.iterations) == ("MaxIter", 1)
@@ -456,12 +451,13 @@ def test_area_probe_runs_once_per_area(monkeypatch, instances):
     calls = []
     probe = ogpf.convexsolve.feasibility_probe
 
-    def counting(model, opts):
+    def counting(model):
         calls.append(model.num_vars)
-        return probe(model, opts)
+        return probe(model)
 
     monkeypatch.setattr(ogpf.convexsolve, "feasibility_probe", counting)
-    sol = solve_consensus(relaxed, areas, SolveOptions(max_iter=3))
+    monkeypatch.setattr(ogpf.ipm, "_MAX_ITER", 3)
+    sol = solve_consensus(relaxed, areas)
     assert sol.status == "MaxIter"
     assert calls == [relaxed.num_vars]
 
@@ -489,14 +485,10 @@ def test_consensus_infeasible_like_centralized(instances):
     assert errors[0][1] == "stage 1: relaxed problem is infeasible"
 
 
-@pytest.mark.parametrize("make", [
-    lambda: SolveOptions(feas_tol=0.0),
-    lambda: SolveOptions(max_iter=0),
-    lambda: SolveOptions(opt_tol=0.0),
-    lambda: SolveOptions(feas_tol=-1e-9),
-    lambda: SolveOptions(opt_tol=-1.0),
-    lambda: SolveOptions(max_iter=-3),
-])
-def test_bad_options_raise_config_error(make):
-    with pytest.raises(ogpf.ConfigError):
-        make()
+def test_unknown_mode_is_rejected_before_the_build(monkeypatch, small2area):
+    def build(*args):
+        raise AssertionError("the model was built")
+
+    monkeypatch.setattr(ogpf.twostage, "build_model", build)
+    with pytest.raises(ogpf.ConfigError, match="unknown solve mode 'admm'"):
+        ogpf.solve_two_stage(small2area, 4, mode="admm")

@@ -133,7 +133,7 @@ def test_equality_qp_uses_single_solve():
         2, np.ones(2), np.zeros(2), 0.0, sp.csr_matrix([[1.0, 1.0]]),
         np.array([2.0]), sp.csr_matrix((0, 2)), np.zeros(0), no_quad(2),
         np.full(2, -np.inf), np.full(2, np.inf), np.zeros(2, dtype=bool))
-    res = solve_ipm(model, 1e-9, 1e-9, 50)
+    res = solve_ipm(model)
     assert res.status == "optimal" and res.iterations == 1
     assert np.allclose(res.x, [1.0, 1.0])
 
@@ -157,7 +157,7 @@ def test_quadratic_row_without_equality_rows():
         np.zeros(0), sp.csr_matrix((0, 2)), np.zeros(0),
         QuadBlock(2, [0], [0], [1.0], [0], [1], [-1.0], [0.0]),
         np.array([-2.0, 0.0]), np.array([2.0, 4.0]), np.zeros(2, dtype=bool))
-    sol = solve_convex(model, ogpf.SolveOptions(1e-10, 1e-10))
+    sol = solve_convex(model)
     assert sol.status == "Optimal"
     assert np.abs(sol.x - [0.5, 0.25]).max() <= 1e-8
     assert sol.duals["quad"] == pytest.approx([1.0], abs=1e-8)
@@ -172,7 +172,7 @@ def test_inequality_row_with_lower_bounds_only():
         2, np.ones(2), np.array([-2.0, -3.0]), 3.25, sp.csr_matrix((0, 2)),
         np.zeros(0), sp.csr_matrix([[1.0, 1.0]]), np.array([1.0]),
         no_quad(2), np.zeros(2), np.full(2, np.inf), np.zeros(2, dtype=bool))
-    sol = solve_convex(model, ogpf.SolveOptions(1e-10, 1e-10))
+    sol = solve_convex(model)
     assert sol.status == "Optimal"
     assert np.abs(sol.x - [0.25, 0.75]).max() <= 1e-8
     assert sol.duals["ineq"] == pytest.approx([1.5], abs=1e-8)
@@ -206,7 +206,7 @@ def test_inconsistent_vanished_row_skips_engine_and_probe(monkeypatch):
 def test_solve_ipm_rejects_integral_model(small2area_model):
     model, _ = small2area_model
     with pytest.raises(ogpf.ConfigError):
-        solve_ipm(model, 1e-8, 1e-8, 10)
+        solve_ipm(model)
 
 
 def _kkt_and_labels(instances, name, r):
@@ -283,9 +283,9 @@ def test_prepared_solve_matches_solve_ipm(instances, name):
     model, index = build_model(inst, PwaConfig(r=4))
     model = relax(model)
     areas = area_views(model, inst, index)
-    whole = solve_ipm(model, 1e-10, 1e-10, 200)
-    blocked = solve_ipm(model, 1e-10, 1e-10, 200, areas=areas)
-    assert _same(blocked, solve_ipm(model, 1e-10, 1e-10, 200, areas=areas))
+    whole = solve_ipm(model)
+    blocked = solve_ipm(model, areas)
+    assert _same(blocked, solve_ipm(model, areas))
     assert whole.status == "optimal"
     if inst.num_areas == 1:
         assert _same(blocked, whole)

@@ -7,8 +7,8 @@ import ogpf
 import ogpf.convexsolve
 import ogpf.ipm
 import ogpf.oracle
-from ogpf.convexsolve import MAX_ITER, SolveOptions, solve_convex
-from ogpf.errors import AllInfeasible, CapExceeded
+from ogpf.convexsolve import MAX_ITER, solve_convex
+from ogpf.errors import AllInfeasible, CapExceeded, ModelError
 from ogpf.mipbuild import build_model, fit_all_curves, relax
 from ogpf.oracle import enumerate_solve
 from ogpf.pwa import PwaConfig
@@ -35,8 +35,7 @@ def test_small2area_eight_configs_and_bound(small2area):
     model, index, curves = _build(small2area, 2)
     res = enumerate_solve(model, index, curves)
     assert res.num_configurations == 8
-    relaxed_obj = solve_convex(relax(model),
-                               SolveOptions(1e-10, 1e-10)).objective
+    relaxed_obj = solve_convex(relax(model)).objective
     assert res.best_objective >= relaxed_obj - 1e-8
 
 
@@ -56,6 +55,30 @@ def test_cap_exceeded(small2area):
     with pytest.raises(CapExceeded) as info:
         enumerate_solve(model, index, curves, cap=3)
     assert info.value.required == 8
+
+
+@pytest.mark.parametrize("model_r, curves_r", [(4, 2), (2, 4)])
+def test_curves_of_another_region_count_are_rejected(small2area, model_r,
+                                                     curves_r):
+    """The enumeration fixes the model's region columns through
+    ``curves``: curves of fewer regions would leave some regions out of
+    every configuration, curves of more would name columns the model does
+    not have."""
+    model, index, _ = _build(small2area, model_r)
+    _, _, curves = _build(small2area, curves_r)
+    with pytest.raises(ModelError, match="region count"):
+        enumerate_solve(model, index, curves)
+
+
+@pytest.mark.parametrize("drop", [1, 2])
+def test_curves_missing_orientations_are_rejected(small2area, drop):
+    """Without both orientations of a pipe its region columns are never
+    fixed; without one the mirror cannot be forced."""
+    model, index, curves = _build(small2area, 2)
+    for key in list(curves)[:drop]:
+        del curves[key]
+    with pytest.raises(ModelError, match="orientations"):
+        enumerate_solve(model, index, curves)
 
 
 def _all_tie_pipes(inst):
@@ -87,7 +110,7 @@ def test_no_internal_pipe_never_returns_an_unconverged_objective(
     """A MaxIter solve is never chosen as best, with or without pipes to
     enumerate."""
     model, index, curves = _build(_all_tie_pipes(small2area), 2)
-    sol = solve_convex(relax(model), SolveOptions(1e-10, 1e-10))
+    sol = solve_convex(relax(model))
     monkeypatch.setattr(ogpf.oracle, "solve_convex",
                         lambda *args: dataclasses.replace(sol, status=MAX_ITER))
     with pytest.raises(AllInfeasible):

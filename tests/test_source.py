@@ -61,6 +61,27 @@ def test_only_the_factor_helper_names_splu():
     assert found == [("ipm.py", "import"), ("ipm.py", "_lu")]
 
 
+def test_only_the_interior_point_names_its_stopping_rule():
+    # every convex solve stops by one rule: ipm defines its constants at top
+    # level and _iterate alone reads them; no options object carries them
+    names = {"_FEAS_TOL", "_OPT_TOL", "_MAX_ITER", "SolveOptions"}
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute)
+                        else node.name if isinstance(node, ast.alias)
+                        else None)
+                if name in names:
+                    found.add((path.name, getattr(top, "name", "top level"),
+                               name))
+    stopping = ("_FEAS_TOL", "_OPT_TOL", "_MAX_ITER")
+    assert found == {("ipm.py", where, name) for name in stopping
+                     for where in ("top level", "_iterate")}
+
+
 def test_only_the_highs_helpers_name_linprog():
     # the convex-solve verdicts share one HiGHS LP in convexsolve's
     # cutting-plane loop; stage 2's pressure LP is the only other one
