@@ -7,7 +7,10 @@ Subcommands:
     oracle       brute-force enumeration, with gap to the two-stage objective
 
 Reports are JSON (written to --out or stdout); sweep-r additionally writes a
-CSV with header ``r,mean_abs_dev,max_abs_dev,j_psi,objective,time_s``.
+CSV with header ``r,mean_abs_dev,max_abs_dev,certificate_bound,objective,
+time_s``. ``--stage1`` picks the stage-1 relaxation, the pipes' convex hulls
+(``hull``, the default) or the paper's big-M relaxation (``bigm``); the
+config echo and every run entry name it, since the certificate refers to it.
 
 Exit codes: 0 when every solved run certifies Optimal and its stage-1 solve
 converged (``solver_status`` Optimal); 2 when some run returns an
@@ -37,7 +40,8 @@ from .netmodel import NetworkInstance, load_instance, scale_demands
 from .oracle import enumerate_solve
 from .pwa import PwaConfig
 from .recovery import CERT_OPTIMAL, max_abs_deviation, mean_abs_deviation
-from .twostage import CENTRALIZED, CONSENSUS, SIGN_CONVENTION, solve_two_stage
+from .twostage import (BIGM, CENTRALIZED, CONSENSUS, HULL, SIGN_CONVENTION,
+                       solve_two_stage)
 
 EXIT_OPTIMAL = 0
 EXIT_ERROR = 1
@@ -53,6 +57,7 @@ class RunConfig:
     epsilon: float
     cert_tol: float
     mode: str = CENTRALIZED
+    stage1: str = HULL
     seed: int | None = None
     num_runs: int | None = None
     sigma: float | None = None
@@ -69,6 +74,7 @@ class RunConfig:
         return cls(instance=args.instance, r=getattr(args, "r", None),
                    epsilon=args.epsilon, cert_tol=args.cert_tol,
                    mode=getattr(args, "mode", CENTRALIZED),
+                   stage1=args.stage1,
                    seed=getattr(args, "seed", None),
                    num_runs=getattr(args, "runs", None),
                    sigma=getattr(args, "sigma", None),
@@ -89,7 +95,7 @@ def _run_entry(run_id: int, result) -> dict:
     entry = {
         "run": run_id,
         "objective": float(result.objective),
-        "j_psi": float(result.j_psi),
+        "stage1": result.stage1,
         "certificate": result.certificate.kind,
         "certificate_bound": float(result.certificate.bound),
         "mean_abs_dev": mean_abs_deviation(dev),
@@ -118,7 +124,8 @@ def aggregate_runs(runs: list[dict]) -> dict:
                              if n_ok else 0.0),
         "mean_abs_dev": (sum(r["mean_abs_dev"] for r in ok) / n_ok
                          if n_ok else 0.0),
-        "mean_j_psi": (sum(r["j_psi"] for r in ok) / n_ok if n_ok else 0.0),
+        "mean_certificate_bound": (sum(r["certificate_bound"] for r in ok)
+                                   / n_ok if n_ok else 0.0),
         "mean_time_s": (sum(r["stage1_time_s"] + r["stage2_time_s"]
                             for r in ok) / n_ok if n_ok else 0.0),
     }
@@ -144,7 +151,8 @@ def _exit_code(runs: list[dict]) -> int:
 
 
 def _solve_kwargs(args) -> dict:
-    return dict(epsilon=args.epsilon, cert_tol=args.cert_tol, mode=args.mode)
+    return dict(epsilon=args.epsilon, cert_tol=args.cert_tol, mode=args.mode,
+                stage1=args.stage1)
 
 
 def cmd_solve(args) -> int:
@@ -166,7 +174,8 @@ def cmd_sweep_r(args) -> int:
     inst = load_instance(cfg.instance)
     r_values = _parse_r_list(cfg.r)
     runs = []
-    csv_lines = ["r,mean_abs_dev,max_abs_dev,j_psi,objective,time_s"]
+    csv_lines = ["r,mean_abs_dev,max_abs_dev,certificate_bound,objective,"
+                 "time_s"]
     prev_time = None
     for r in r_values:
         result = solve_two_stage(inst, r, **_solve_kwargs(args))
@@ -176,7 +185,8 @@ def cmd_sweep_r(args) -> int:
         total_t = result.stage1_time_s + result.stage2_time_s
         csv_lines.append(
             f"{r},{entry['mean_abs_dev']:.12g},{entry['max_abs_dev']:.12g},"
-            f"{entry['j_psi']:.12g},{entry['objective']:.17g},{total_t:.6g}")
+            f"{entry['certificate_bound']:.12g},{entry['objective']:.17g},"
+            f"{total_t:.6g}")
         if prev_time is not None and total_t < prev_time:
             print(f"note: time at r={r} below previous row "
                   f"({total_t:.3g}s < {prev_time:.3g}s)", file=sys.stderr)
@@ -246,7 +256,7 @@ def cmd_oracle(args) -> int:
     oracle = enumerate_solve(model, index, index.curves, cap=args.cap)
     t_oracle = time.perf_counter() - t0
     result = solve_two_stage(inst, args.r, epsilon=args.epsilon,
-                             cert_tol=args.cert_tol)
+                             cert_tol=args.cert_tol, stage1=args.stage1)
     two_stage_obj = float(result.objective)
     gap = (two_stage_obj - oracle.best_objective) / max(
         1.0, abs(oracle.best_objective))
@@ -266,7 +276,7 @@ def cmd_oracle(args) -> int:
         "two_stage": {
             "objective": two_stage_obj,
             "certificate": result.certificate.kind,
-            "j_psi": float(result.j_psi),
+            "certificate_bound": float(result.certificate.bound),
         },
         "gap": gap,
     }
@@ -289,6 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="strict-inequality tolerance of the logic blocks")
         p.add_argument("--cert-tol", dest="cert_tol", type=float, default=1e-8,
                        help="certificate threshold on the pressure objective")
+        p.add_argument("--stage1", choices=[HULL, BIGM], default=HULL,
+                       help="stage-1 relaxation: each pipe's convex hull, or "
+                       "the paper's big-M relaxation")
         p.add_argument("--out", default=None, help="JSON report path")
 
     p = sub.add_parser("solve", help="two-stage solve")

@@ -42,8 +42,8 @@ import scipy.sparse as sp
 
 from .errors import ModelError
 from .netmodel import NetworkInstance, classify_edges
-from .pwa import (PwaConfig, PwaCurve, block_keys, emit_mld, fit_pwa,
-                  key_label)
+from .pwa import (PwaConfig, PwaCurve, block_keys, emit_hull, emit_mld,
+                  fit_pwa, key_label)
 
 # variable kinds
 P = "p"          # generator output
@@ -116,6 +116,19 @@ class VarIndex:
         self._chunks[block].append((_number(self._kinds, kinds[0])[kinds[1]],
                                     _number(self._entities, entities[0])
                                     [entities[1]]))
+
+    def take(self, positions: dict[str, np.ndarray]) -> "VarIndex":
+        """The index of a model made of some of these columns and rows:
+        ``positions[block]`` lists the kept ones of each block, in order.
+        The curves are shared."""
+        out = VarIndex()
+        out.curves = self.curves
+        kinds, entities = list(self._kinds), self.entities
+        for block, pos in positions.items():
+            kind, owner = self._codes(block)
+            out.extend(block, [self._keys[block][k] for k in pos],
+                       (kinds, kind[pos]), (entities, owner[pos]))
+        return out
 
     def add(self, kind: str, owner, m: int | None = None) -> int:
         self.extend(COL, [(kind, owner) if m is None else (kind, owner, m)])
@@ -525,6 +538,68 @@ def relax(model: StandardModel) -> StandardModel:
     out = model.copy()
     out.integrality = np.zeros(model.num_vars, dtype=bool)
     return out
+
+
+# kinds of the columns of an internal-pipe orientation other than its flow
+_BLOCK_KINDS = {key[0] for key in block_keys(None, 1)} - {PHI}
+
+
+def hull_relaxation(model: StandardModel, index: VarIndex
+                    ) -> tuple[StandardModel, VarIndex, np.ndarray]:
+    """The stage-1 model on each pipe's convex hull, with its index and the
+    position in ``model`` of each of its columns.
+
+    It keeps every column but the orientation blocks' sign, region and
+    product columns (all kinds of ``pwa.block_keys`` but the flow), keeps
+    the rows whose support lies inside the kept columns, and adds the rows
+    of ``pwa.emit_hull`` over each stored orientation's flow and end
+    pressures. Those hold for every point of the mixed-integer model, so
+    this is a relaxation of it, of the same size at every ``r``. No kept
+    column is integral. Rows keep their order, the hull rows coming last
+    in their block.
+    """
+    n = model.num_vars
+    drop = np.zeros(n, dtype=bool)
+    for kind in _BLOCK_KINDS:
+        drop[index.columns(kind)] = True
+    keep = np.flatnonzero(~drop)
+    col_map = np.full(n, -1, dtype=np.intp)
+    col_map[keep] = np.arange(keep.size)
+
+    quad = model.quad_ineq
+    outside = np.zeros(len(quad), dtype=bool)
+    outside[quad.q_row[drop[quad.q_col]]] = True
+    outside[quad.l_row[drop[quad.l_col]]] = True
+    rows = {COL: keep, QUAD: np.flatnonzero(~outside)}
+    hulls = dict(zip((IN, EQ), emit_hull(index.curves, index.col)))
+    blocks = {}
+    for block, mat, rhs in ((EQ, model.a_eq, model.b_eq),
+                            (IN, model.g_in, model.h_in)):
+        # the rows with no entry in a dropped column, then the hull rows
+        row, hull = entry_rows(mat), hulls[block]
+        inside = np.bincount(row[drop[mat.indices]],
+                             minlength=mat.shape[0]) == 0
+        rows[block] = np.flatnonzero(inside)
+        m = rows[block].size
+        kept = inside[row]
+        blocks[block] = (_to_csr(
+            np.concatenate([(np.cumsum(inside) - 1)[row[kept]], m + hull.row]),
+            col_map[np.concatenate([mat.indices[kept], hull.col])],
+            np.concatenate([mat.data[kept], hull.coef]), m + hull.rhs.size,
+            keep.size), np.concatenate([rhs[inside], hull.rhs]))
+    out = index.take(rows)
+    nodes = [("node", key[0]) for key in list(index.curves)[::2]]
+    for block in (EQ, IN):
+        hull = hulls[block]
+        out.extend(block, hull.keys, (hull.kinds, hull.kind),
+                   (nodes, hull.owner))
+    relaxed = StandardModel(
+        keep.size, model.obj_quad[keep], model.obj_lin[keep], model.obj_const,
+        *blocks[EQ], *blocks[IN],
+        quad.take(rows[QUAD]).substitute(col_map, np.ones(n), np.zeros(n),
+                                         keep.size),
+        model.lb[keep], model.ub[keep], np.zeros(keep.size, dtype=bool))
+    return relaxed, out, keep
 
 
 @dataclass

@@ -23,6 +23,10 @@ integral binaries the feasible flow set excludes open bands of width
 ``2 * epsilon`` around the interior breakpoints (including 0). Keep nominal
 flows clear of breakpoints by more than ``epsilon``.
 
+``emit_hull`` emits the tighter relaxation that stage 1 solves by default:
+the convex hull of each pipe's signed chord graph, as rows over the flow and
+the two end pressures alone.
+
 This module alone gives the region binaries their meaning. A region
 configuration ``{stored orientation: region}`` names one active region per
 undirected pipe; ``config_columns`` turns it into the binaries and product
@@ -32,6 +36,7 @@ stage 2 recovers one, and both pass it through that one function.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +99,13 @@ class PwaCurve:
         """Region index of ``-phi`` on the reversed orientation."""
         return self.r + 1 - m
 
+    def region(self, phi: float) -> int:
+        """Region containing the flow ``phi``, clamped to ``1..r``; a flow on
+        a breakpoint takes the region on its sign's side (above it for
+        ``phi >= 0``, below it otherwise)."""
+        side = bisect_right if phi >= 0.0 else bisect_left
+        return min(max(side(self.breakpoints, phi), 1), self.r)
+
 
 def fit_pwa(c_f: float, phi_cap: float, cfg: PwaConfig,
             pipe: tuple[str, str] = ("i", "j")) -> PwaCurve:
@@ -154,7 +166,8 @@ class LinearRows:
     """Linear rows as coordinate arrays: coefficient ``coef[e]`` of column
     ``col[e]`` in row ``row[e]``, and per row its right-hand side, key, kind
     (a position in ``kinds``) and owning orientation (a position in the
-    pipes given to ``emit_mld``)."""
+    pipes given to ``emit_mld``, or among the stored orientations for
+    ``emit_hull``)."""
 
     row: np.ndarray
     col: np.ndarray
@@ -178,7 +191,8 @@ def _rows(n: int, specs, *labels) -> LinearRows:
             part = np.empty((3,) + np.broadcast(row, col, coef).shape)
             part[0], part[1], part[2] = row, col, coef   # indices stay exact
             parts.append(part.reshape(3, -1))
-    row, col, coef = np.concatenate(parts, axis=1)
+    row, col, coef = (np.concatenate(parts, axis=1) if parts
+                      else np.zeros((3, 0)))
     return LinearRows(row.astype(np.intp), col.astype(np.intp), coef, rhs,
                       *labels)
 
@@ -304,6 +318,72 @@ def emit_mld(pipes, curves: dict[tuple, PwaCurve], cfg: PwaConfig, col,
         _PAIR, np.tile([0, 1, 2, 3, 0], num // 2),
         at.reshape(-1, 2)[:, [0, 0, 0, 0, 1]].ravel())
     return ineq, eq
+
+
+def emit_hull(curves: dict[tuple, PwaCurve], col
+              ) -> tuple[LinearRows, LinearRows]:
+    """Emit the convex hull of every internal pipe's signed chord graph.
+
+    In the mixed-integer model the stored orientation (i, j) of a pipe keeps
+    ``(phi_ij, psi_i - psi_j)`` on the graph of ``g(phi) = sgn(phi) *
+    chord(phi)``, the polyline through the ``r + 1`` breakpoint points
+    ``(phi_k, sgn(phi_k) phi_k**2 / c_f**2)``. Its convex hull is the
+    polygon of those points (disjunctive programming, Balas 1979). ``g`` is
+    odd, concave on ``phi <= 0`` and convex on ``phi >= 0``, so the lower
+    chain runs from the left end straight to the breakpoint of least slope
+    seen from it, then along the convex branch; the upper chain is its
+    reflection through the origin. A lower edge of slope ``s`` through
+    ``(x, y)`` and its reflection bound ``d = s phi_ij - (psi_i - psi_j)``
+    by ``-h <= d <= h`` with ``h = s x - y``: one ``hull_lo`` row ``d <= h``
+    and one ``hull_up`` row ``-d <= h``, keyed by the breakpoint ending the
+    edge. At ``r = 2`` the three points are collinear and the hull is their
+    line, one ``hull_line`` row ``d = 0``; two opposite inequalities would
+    leave the interior point no interior.
+
+    ``curves`` lists each pipe's two orientations adjacently, the stored one
+    first, all with the same ``r`` (as ``mipbuild.fit_all_curves`` does);
+    ``col`` is the column lookup of ``emit_mld``. Returns the inequality and
+    the equality rows; a row's owner is the position of its stored
+    orientation among the stored orientations.
+    """
+    keys = list(curves)
+    if len(keys) % 2 or any(keys[k + 1] != keys[k][::-1]
+                            for k in range(0, len(keys), 2)):
+        raise ModelError("curves must come as (stored, mirror) pairs")
+    stored = keys[::2]
+    bps = [curves[key].breakpoints for key in stored]
+    x = np.array(bps, dtype=float).reshape(len(bps), len(bps[0]) if bps else 2)
+    c2 = np.array([curves[key].c_f ** 2 for key in stored])[:, None]
+    y = np.sign(x) * x * x / c2
+    phi = np.array([col("phi", key) for key in stored], np.intp)
+    psi_i = np.array([col("psi", i) for i, _ in stored], np.intp)
+    psi_j = np.array([col("psi", j) for _, j in stored], np.intp)
+    none = np.zeros(0, np.intp)
+    if x.shape[1] == 3:
+        s = (y[:, 2] - y[:, 0]) / (x[:, 2] - x[:, 0])
+        num = len(stored)
+        line = _rows(num, [(np.arange(num), 0.0, (phi, s), (psi_i, -1.0),
+                            (psi_j, 1.0))],
+                     [("hull_line", key) for key in stored], ("hull_line",),
+                     np.zeros(num, np.intp), np.arange(num))
+        return _rows(0, [], [], ("hull_lo", "hull_up"), none, none), line
+    # the lower chain: the left end, then every breakpoint from the one of
+    # least slope seen from it; edge e ends at breakpoint ``end[e]``
+    t = 1 + np.argmin((y[:, 1:] - y[:, :1]) / (x[:, 1:] - x[:, :1]), axis=1)
+    pipe, end = np.nonzero(np.arange(x.shape[1]) >= t[:, None])
+    start = np.where(end == t[pipe], 0, end - 1)
+    x0, y0 = x[pipe, start], y[pipe, start]
+    s = (y[pipe, end] - y0) / (x[pipe, end] - x0)
+    h = s * x0 - y0
+    lo = 2 * np.arange(pipe.size)
+    ph, pi, pj = phi[pipe], psi_i[pipe], psi_j[pipe]
+    hull = _rows(2 * pipe.size, [
+        (lo, h, (ph, s), (pi, -1.0), (pj, 1.0)),
+        (lo + 1, h, (ph, -s), (pi, 1.0), (pj, -1.0)),
+    ], [(kind, stored[p], k) for p, k in zip(pipe.tolist(), end.tolist())
+        for kind in ("hull_lo", "hull_up")], ("hull_lo", "hull_up"),
+        np.tile([0, 1], pipe.size), np.repeat(pipe, 2))
+    return hull, _rows(0, [], [], ("hull_line",), none, none)
 
 
 # ---------------------------------------------------------------------------

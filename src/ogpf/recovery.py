@@ -15,7 +15,6 @@ binary's side.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +33,8 @@ CERT_APPROXIMATE = "Approximate"
 FEAS_TOL = 1e-6
 # pressure drop below which a Weymouth deviation is reported as absolute
 PRESS_TOL = 1e-9
+# relative spread within which flow-equality mismatches tie in worst_pipes
+_TIE_REL = 1e-9
 
 
 def recover_binaries(phi_star: dict[tuple[str, str], float],
@@ -58,9 +59,7 @@ def recover_binaries(phi_star: dict[tuple[str, str], float],
         if abs(phi) > cap + FEAS_TOL:
             raise OutOfRange(
                 f"flow {phi} on {key} outside [-{cap}, {cap}]")
-        phi = min(max(phi, -cap), cap)
-        side = bisect_right if phi >= 0.0 else bisect_left
-        config[key] = min(max(side(curve.breakpoints, phi), 1), curve.r)
+        config[key] = curve.region(min(max(phi, -cap), cap))
     return config
 
 
@@ -75,12 +74,15 @@ class PressureLp:
 
     ``a u = b`` are the model's ``pwa_flow`` rows, one per internal pipe,
     and ``u(psi) = base + lift @ psi`` is the assembled point at a fixed
-    configuration, which is affine in the pressures.
+    configuration, which is affine in the pressures. ``lift`` is sparse
+    (CSR, one row per model column): each column moves with at most one
+    pressure, the pressures themselves and the pressure products aliased
+    to them.
     """
 
     nodes: list[str]
     base: np.ndarray
-    lift: np.ndarray
+    lift: sp.csr_matrix
     a: sp.csr_matrix
     b: np.ndarray
     lo: np.ndarray
@@ -105,15 +107,19 @@ def build_pressure_lp(u0: np.ndarray,
     base = np.array(u0, dtype=float)
     base[list(fixed)] = list(fixed.values())
     base[psi] = 0.0
-    lift = np.zeros((model.num_vars, psi.size))
-    lift[psi, np.arange(psi.size)] = 1.0
-    node = dict(zip(psi.tolist(), range(psi.size)))
+    moved, at, coefs = psi.tolist(), list(range(psi.size)), [1.0] * psi.size
+    node = dict(zip(moved, at))
     flows = {index.col(PHI, key): phi for key, phi in phi_star.items()}
     for j, (src, coef) in aliases.items():
         if src in node:
-            lift[j, node[src]], base[j] = coef, 0.0
+            moved.append(j)
+            at.append(node[src])
+            coefs.append(coef)
+            base[j] = 0.0
         else:
             base[j] = coef * flows[src]
+    lift = sp.csr_matrix((coefs, (moved, at)),
+                         shape=(model.num_vars, psi.size))
     rows = index.rows(EQ, "pwa_flow")
     return PressureLp(nodes, base, lift, model.a_eq[rows], model.b_eq[rows],
                       model.lb[psi], model.ub[psi])
@@ -128,7 +134,8 @@ def solve_pressure_lp(lp: PressureLp) -> tuple[np.ndarray, float]:
     solutions, so consistent targets come back with a norm at numerical zero.
     """
     n = len(lp.nodes)
-    e_rows, theta = lp.a @ lp.lift, lp.b - lp.a @ lp.base
+    e_rows = (lp.a @ lp.lift).toarray()
+    theta = lp.b - lp.a @ lp.base
     k = e_rows.shape[0]
     if k == 0:
         return np.clip(0.0, lp.lo, lp.hi), 0.0
@@ -177,7 +184,7 @@ class RecoveryResult:
     u_star: np.ndarray
     deviations: dict = field(default_factory=dict)
     # Approximate only: up to three [pwa_flow row label, mismatch] pairs
-    # above cert_tol, largest first
+    # above cert_tol, largest first, ties (within 1e-9 relative) in row order
     worst_pipes: list = field(default_factory=list)
 
 
@@ -197,17 +204,16 @@ def assemble_and_certify(lp: PressureLp, psi_tilde: np.ndarray,
     by construction).
     """
     # only the lifted columns are written, so the others keep u0 bit for bit
-    moved, at = np.nonzero(lp.lift)
+    lift = lp.lift.tocoo()
     u_star = lp.base.copy()
-    u_star[moved] += lp.lift[moved, at] * psi_tilde[at]
+    u_star[lift.row] += lift.data * psi_tilde[lift.col]
     mismatch = np.abs(lp.a @ u_star - lp.b)
     bound = float(mismatch.max(initial=0.0))
     cert = Certificate(CERT_OPTIMAL if bound <= cert_tol else CERT_APPROXIMATE,
                        bound)
     rows = index.rows(EQ, "pwa_flow")
     worst = [[index.row_name(EQ, rows[k]), float(mismatch[k])]
-             for k in np.argsort(-mismatch, kind="stable")[:3]
-             if mismatch[k] > cert_tol]
+             for k in _worst_rows(mismatch, cert_tol)]
     result = RecoveryResult(dict(configuration),
                             dict(zip(lp.nodes, psi_tilde.tolist())), cert,
                             u_star, worst_pipes=worst)
@@ -220,6 +226,20 @@ def assemble_and_certify(lp: PressureLp, psi_tilde: np.ndarray,
                      for block, k, v in rep.worst[:3]]
             raise CertificationBug(f"certified point violates {where}")
     return result
+
+
+def _worst_rows(mismatch: np.ndarray, cert_tol: float) -> list[int]:
+    """Positions of up to three mismatches above ``cert_tol``, largest
+    first. Mismatches within ``_TIE_REL`` of the largest one left are ties
+    and come in row order: the pressure LP equalizes the mismatches around
+    a cycle, and rounding at 1e-13 must not pick the pipes named."""
+    left = np.flatnonzero(mismatch > cert_tol)
+    out: list[int] = []
+    while left.size and len(out) < 3:
+        tied = mismatch[left] >= mismatch[left].max() * (1.0 - _TIE_REL)
+        out += left[tied].tolist()
+        left = left[~tied]
+    return out[:3]
 
 
 def weymouth_deviation(phi_star: dict[tuple[str, str], float],

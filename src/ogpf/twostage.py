@@ -1,9 +1,13 @@
 """End-to-end two-stage solve: convex relaxation, then recovery.
 
-Stage 1 solves the relaxed model with the interior point, either on the
-whole KKT system (centralized) or with each area factoring its own KKT
-block and the coupling rows joining them (consensus); both take the same
-iterations to the same optimum. Stage 2 reads a region configuration off
+Stage 1 solves a convex relaxation of the mixed-integer model with the
+interior point, either on the whole KKT system (centralized) or with each
+area factoring its own KKT block and the coupling rows joining them
+(consensus); both take the same iterations to the same optimum. The
+relaxation is, by default, the convex hull of each pipe's signed chord
+graph over its flow and end pressures (``HULL``, ``mipbuild.hull_relaxation``),
+whose size does not grow with ``r``; ``BIGM`` relaxes the paper's big-M model
+instead, clearing its integrality. Stage 2 reads a region configuration off
 the stage-1 flows, sets the binaries and product auxiliaries the
 configuration implies, recomputes pressures through the infinity-norm
 problem over the model's flow-equality (``pwa_flow``) rows at that
@@ -18,11 +22,14 @@ recovered binaries.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .convexsolve import INFEASIBLE, Solution, solve_consensus, solve_convex
 from .errors import ConfigError, OgpfError
-from .mipbuild import PHI, StandardModel, VarIndex, area_views, build_model, relax
+from .mipbuild import (PHI, StandardModel, VarIndex, area_views, build_model,
+                       hull_relaxation, relax)
 from .netmodel import NetworkInstance
 from .pwa import PwaConfig
 from .recovery import (FEAS_TOL, RecoveryResult, assemble_and_certify,
@@ -31,6 +38,9 @@ from .recovery import (FEAS_TOL, RecoveryResult, assemble_and_certify,
 
 CENTRALIZED = "centralized"
 CONSENSUS = "consensus"
+# stage-1 relaxations
+HULL = "hull"
+BIGM = "bigm"
 
 # sign-convention note echoed into reports: the flow-direction binary is tied
 # to nonnegative oriented flow, the only orientation consistent with the
@@ -40,22 +50,24 @@ SIGN_CONVENTION = "delta_psi = 1 <=> oriented flow >= 0"
 
 @dataclass
 class TwoStageResult:
+    """Outcome of ``solve_two_stage``. ``model`` and ``index`` are the full
+    mixed-integer model's; ``solution.x`` covers its columns (0 in the
+    columns a ``HULL`` stage 1 leaves out), while ``solution.duals`` and
+    ``solution.residuals`` are those of the stage-1 model."""
+
     solution: Solution
     recovery: RecoveryResult
     model: StandardModel
     index: VarIndex
-    build_time_s: float       # model build plus relax, before stage 1
+    build_time_s: float       # model build plus the stage-1 model, before stage 1
     stage1_time_s: float
     stage2_time_s: float
     mode: str                 # CENTRALIZED or CONSENSUS
+    stage1: str               # HULL or BIGM
 
     @property
     def objective(self) -> float:
         return self.solution.objective
-
-    @property
-    def j_psi(self) -> float:
-        return self.recovery.certificate.bound
 
     @property
     def certificate(self):
@@ -63,30 +75,41 @@ class TwoStageResult:
 
 
 def solve_two_stage(inst: NetworkInstance, r: int, *, epsilon: float = 1e-6,
-                    cert_tol: float = 1e-8,
-                    mode: str = CENTRALIZED) -> TwoStageResult:
+                    cert_tol: float = 1e-8, mode: str = CENTRALIZED,
+                    stage1: str = HULL) -> TwoStageResult:
     """Run both stages on an instance and return the assembled outcome.
 
     Raises OgpfError subclasses on configuration or infeasibility problems
     (ConfigError, before the build, on a mode other than CENTRALIZED or
-    CONSENSUS); an Approximate certificate is a normal return, not an error.
+    CONSENSUS or a stage 1 other than HULL or BIGM); an Approximate
+    certificate is a normal return, not an error.
     """
     if mode not in (CENTRALIZED, CONSENSUS):
         raise ConfigError(f"unknown solve mode {mode!r}")
+    if stage1 not in (HULL, BIGM):
+        raise ConfigError(f"unknown stage 1 {stage1!r}")
     cfg = PwaConfig(r=r, epsilon=epsilon)
     t_build = time.perf_counter()
     model, index = build_model(inst, cfg)
-    relaxed = relax(model)
+    if stage1 == HULL:
+        relaxed, relaxed_index, keep = hull_relaxation(model, index)
+    else:
+        relaxed, relaxed_index = relax(model), index
+        keep = np.arange(model.num_vars)
     curves = index.curves
 
     t0 = time.perf_counter()
     if mode == CONSENSUS:
-        sol = solve_consensus(relaxed, area_views(model, inst, index))
+        sol = solve_consensus(relaxed,
+                              area_views(relaxed, inst, relaxed_index))
     else:
         sol = solve_convex(relaxed)
     t1 = time.perf_counter()
     if sol.status == INFEASIBLE:
         raise OgpfError("stage 1: relaxed problem is infeasible")
+    x = np.zeros(model.num_vars)
+    x[keep] = sol.x
+    sol = replace(sol, x=x, objective=model.objective(x))
 
     # stage-2 quantities use reciprocity-symmetrized flows so that solver
     # noise between the two orientations does not leak into the pressure
@@ -120,4 +143,4 @@ def solve_two_stage(inst: NetworkInstance, r: int, *, epsilon: float = 1e-6,
     return TwoStageResult(solution=sol, recovery=recovery, model=model,
                           index=index, build_time_s=t0 - t_build,
                           stage1_time_s=t1 - t0,
-                          stage2_time_s=t2 - t1, mode=mode)
+                          stage2_time_s=t2 - t1, mode=mode, stage1=stage1)

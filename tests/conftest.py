@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import ogpf
 from ogpf.mipbuild import QuadBlock, VarIndex, build_model
@@ -73,8 +74,9 @@ def direct_lp(rows, theta, lo, hi):
     ``lift`` the identity), so that its rows and targets are ``rows`` and
     ``theta``."""
     n = len(lo)
-    return PressureLp([f"n{t}" for t in range(n)], np.zeros(n), np.eye(n),
-                      rows, theta, lo, hi)
+    return PressureLp([f"n{t}" for t in range(n)], np.zeros(n),
+                      sp.identity(n, format="csr"), sp.csr_matrix(rows),
+                      theta, lo, hi)
 
 
 def make_instance(*, num_areas=1, buses=None, lines=None, generators=None,

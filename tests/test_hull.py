@@ -1,0 +1,249 @@
+"""Stage 1 on each pipe's convex hull (``pwa.emit_hull``,
+``mipbuild.hull_relaxation``), against the paper's big-M relaxation and the
+enumeration oracle."""
+
+import dataclasses
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import ogpf
+from ogpf.cli import main
+from ogpf.convexsolve import solve_convex
+from ogpf.mipbuild import area_views, build_model, hull_relaxation, relax
+from ogpf.oracle import enumerate_solve
+from ogpf.pwa import PwaConfig, emit_hull, fit_pwa
+
+from conftest import BUNDLED, row_values
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _hull(r, c, cap):
+    """The rows ``emit_hull`` emits for one pipe i-j over the columns phi
+    (0), psi_i (1) and psi_j (2), and the pipe's breakpoint points."""
+    curve = fit_pwa(c, cap, PwaConfig(r=r))
+    cols = {("phi", ("i", "j")): 0, ("psi", "i"): 1, ("psi", "j"): 2}
+    ineq, eq = emit_hull({("i", "j"): curve, ("j", "i"): curve},
+                         lambda kind, owner: cols[kind, owner])
+    x = np.array(curve.breakpoints)
+    return ineq, eq, x, np.sign(x) * x * x / (c * c)
+
+
+def _half_planes(rows, cap, scale):
+    """Each row ``a phi + b (psi_i - psi_j) <= h`` as ``(a, b, h)``, scaled
+    to unit magnitude and rounded."""
+    out = set()
+    for k in range(rows.rhs.size):
+        coef = dict(zip(rows.col[rows.row == k].tolist(),
+                        rows.coef[rows.row == k].tolist()))
+        out.add((round(coef[0] * cap / scale, 9), coef[1],
+                 round(rows.rhs[k] / scale, 9)))
+    return out
+
+
+@pytest.mark.parametrize("r", [4, 6, 8, 12, 16])
+def test_hull_rows_are_the_facets_of_the_breakpoint_polygon(r):
+    """The rows are exactly the facets that a brute-force search over pairs
+    of breakpoint points finds (at ``r = 12`` three points of the lower
+    chain are collinear), and no point of the chord graph violates them."""
+    rng = np.random.default_rng(r)
+    for _ in range(5):
+        c, cap = float(rng.uniform(0.5, 4.0)), float(rng.uniform(0.5, 200.0))
+        ineq, eq, x, y = _hull(r, c, cap)
+        assert eq.rhs.size == 0
+        assert {ineq.kinds[k] for k in ineq.kind} == {"hull_lo", "hull_up"}
+        scale = 1.0 + np.abs(y).max()
+        facets = set()
+        for k in range(x.size):
+            for m in range(k + 1, x.size):
+                s = (y[m] - y[k]) / (x[m] - x[k])
+                side = y - (y[k] + s * (x - x[k]))
+                if (side >= -1e-12 * scale).all():   # lower facet
+                    facets.add((round(s * cap / scale, 9), -1.0,
+                                round((s * x[k] - y[k]) / scale, 9)))
+                if (side <= 1e-12 * scale).all():    # upper facet
+                    facets.add((round(-s * cap / scale, 9), 1.0,
+                                round((y[k] - s * x[k]) / scale, 9)))
+        assert _half_planes(ineq, cap, scale) == facets
+        phi = np.concatenate([x, rng.uniform(-cap, cap, size=200)])
+        seg = np.clip(np.searchsorted(x, phi) - 1, 0, r - 1)
+        drop = y[seg] + (y[seg + 1] - y[seg]) / (x[seg + 1] - x[seg]) \
+            * (phi - x[seg])
+        for point in np.column_stack([phi, drop, np.zeros_like(phi)]):
+            assert (row_values(ineq, point) <= ineq.rhs + 1e-9 * scale).all()
+
+
+def test_hull_at_two_regions_is_the_chord_line():
+    ineq, eq, x, y = _hull(2, 8.0, 150.0)
+    assert ineq.rhs.size == 0
+    assert eq.keys == [("hull_line", ("i", "j"))]
+    assert eq.rhs.tolist() == [0.0]
+    # 150/64 phi - psi_i + psi_j = 0
+    assert sorted(zip(eq.col.tolist(), eq.coef.tolist())) == [
+        (0, 150.0 / 64.0), (1, -1.0), (2, 1.0)]
+
+
+@pytest.mark.parametrize("name", ["medium3area", "loop1area"])
+def test_hull_model_has_the_same_columns_at_every_r(instances, name):
+    sizes = set()
+    for r in (4, 8, 16, 32):
+        model, index = build_model(instances[name], PwaConfig(r=r))
+        hull, hull_index, keep = hull_relaxation(model, index)
+        kinds = {index.names("col")[j].split("[")[0] for j in keep}
+        assert kinds <= {"p", "dgu", "theta", "gs", "psi", "phi"}
+        assert hull_index.names("col") == [index.name(j) for j in keep]
+        assert hull_index.rows("eq", "pwa_flow").size == 0
+        assert hull_index.rows("eq", "reciprocity").size == len(
+            index.curves) // 2
+        assert hull.num_in == hull_index.rows("in", "hull_lo").size \
+            + hull_index.rows("in", "hull_up").size
+        assert not hull.integrality.any()
+        sizes.add((hull.num_vars, hull.num_eq, len(hull.quad_ineq)))
+    assert len(sizes) == 1
+
+
+@pytest.mark.parametrize("name", ["small2area", "chain2area", "medium3area"])
+@pytest.mark.parametrize("r", [2, 4])
+def test_hull_area_labels_restrict_the_full_models(instances, name, r):
+    """``area_views`` on the hull model gives the full model's labels on the
+    kept columns and rows; each hull row takes its pipe's area."""
+    inst = instances[name]
+    model, index = build_model(inst, PwaConfig(r=r))
+    hull, hull_index, keep = hull_relaxation(model, index)
+    col_area, eq_area = area_views(model, inst, index)
+    hull_col, hull_eq = area_views(hull, inst, hull_index)
+    assert hull_col.tolist() == col_area[keep].tolist()
+    full = dict(zip(index.names("eq"), eq_area.tolist()))
+    area = {nd.id: nd.area - 1 for nd in inst.gas_nodes}
+    expected = [full[label] if label in full
+                else area[label.split("[")[1].split("->")[0]]
+                for label in hull_index.names("eq")]
+    assert hull_eq.tolist() == expected
+    assert (hull_index.rows("eq", "hull_line").size
+            == (len(index.curves) // 2 if r == 2 else 0))
+
+
+def test_unknown_stage1_is_rejected_before_the_build(monkeypatch, small2area):
+    def build(*args):
+        raise AssertionError("the model was built")
+
+    monkeypatch.setattr(ogpf.twostage, "build_model", build)
+    with pytest.raises(ogpf.ConfigError, match="unknown stage 1 'milp'"):
+        ogpf.solve_two_stage(small2area, 4, stage1="milp")
+
+
+def test_cli_echoes_the_stage1(tmp_path):
+    small = ogpf.instance_path("small2area")
+    for flag, expected in (([], "hull"), (["--stage1", "bigm"], "bigm")):
+        out = tmp_path / f"{expected}.json"
+        assert main(["solve", "--instance", small, "--r", "2",
+                     "--out", str(out)] + flag) == 0
+        report = json.loads(out.read_text())
+        assert report["config"]["stage1"] == expected
+        assert [run["stage1"] for run in report["runs"]] == [expected]
+    with pytest.raises(SystemExit):
+        main(["solve", "--instance", small, "--stage1", "qhull"])
+
+
+def _rel_tol(value):
+    return 1e-9 * (1.0 + abs(value))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_hull_bound_lies_between_bigm_and_the_optimum(instances, name):
+    inst = instances[name]
+    for r in (2, 4):
+        model, index = build_model(inst, PwaConfig(r=r))
+        bigm = solve_convex(relax(model)).objective
+        hull = ogpf.solve_two_stage(inst, r).objective
+        best = enumerate_solve(model, index, index.curves).best_objective
+        assert hull >= bigm - _rel_tol(bigm), (r, hull, bigm)
+        assert hull <= best + _rel_tol(best), (r, hull, best)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_hull_keeps_every_optimal_certificate(instances, name):
+    """Where the paper's stage 1 certifies Optimal, so does the hull, at the
+    same objective; the recovered configuration may differ only where a flow
+    lies on a breakpoint, and so is exact in either region."""
+    inst = instances[name]
+    for r in range(2, 17, 2):
+        bigm = ogpf.solve_two_stage(inst, r, stage1="bigm")
+        hull = ogpf.solve_two_stage(inst, r)
+        assert hull.stage1 == "hull" and bigm.stage1 == "bigm"
+        if bigm.certificate.is_optimal:
+            assert hull.certificate.is_optimal, r
+            assert hull.objective == pytest.approx(bigm.objective, rel=1e-9)
+
+
+def _generator():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", ROOT / "perfbench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# pressure-binding trees whose mixed-integer model is infeasible at r=2
+INFEASIBLE_AT_R2 = {(2, 30.0), (3, 30.0)}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_hull_on_pressure_binding_trees(seed):
+    """Generated 2-area trees with ``psi_max`` lowered until the pressure
+    boxes bind, at r=2: the hull bound lies between the big-M bound and the
+    exact optimum, and where the mixed-integer model is infeasible the hull
+    stage 1 proves it."""
+    base = _generator().generate(seed, num_areas=2, nodes_per_area=4)
+    for psi_max in (120.0, 60.0, 30.0):
+        inst = dataclasses.replace(base, gas_nodes=tuple(
+            dataclasses.replace(nd, psi_max=psi_max)
+            for nd in base.gas_nodes))
+        model, index = build_model(inst, PwaConfig(r=2))
+        bigm = solve_convex(relax(model)).objective
+        if (seed, psi_max) in INFEASIBLE_AT_R2:
+            with pytest.raises(ogpf.AllInfeasible):
+                enumerate_solve(model, index, index.curves)
+            with pytest.raises(ogpf.OgpfError, match="relaxed problem is "
+                               "infeasible"):
+                ogpf.solve_two_stage(inst, 2)
+            continue
+        best = enumerate_solve(model, index, index.curves).best_objective
+        hull = ogpf.solve_two_stage(inst, 2)
+        assert hull.objective >= bigm - _rel_tol(bigm), psi_max
+        assert hull.objective <= best + _rel_tol(best), psi_max
+
+
+# hull stage 1 at r=4 and 16: stage-1 status, interior-point iterations,
+# certificate kind, objective and certificate bound, in either mode
+HULL_OUTCOME = {
+    ("chain2area", 4): ("Optimal", 12, "Optimal", 1.1328750000000705, 0.0),
+    ("chain2area", 16): ("Optimal", 12, "Optimal", 1.1328750000000483, 0.0),
+    ("loop1area", 4): ("Optimal", 11, "Approximate", 0.5090000000001588,
+                       0.8935394559351977),
+    ("loop1area", 16): ("Optimal", 11, "Approximate", 0.5090000000001189,
+                        5.3826872165266835),
+    ("medium3area", 4): ("Optimal", 14, "Optimal", 3.4715500000004402, 0.0),
+    ("medium3area", 16): ("Optimal", 14, "Optimal", 3.4715500000004456, 0.0),
+    ("single1area", 4): ("Optimal", 11, "Optimal", 0.5112000000271021, 0.0),
+    ("single1area", 16): ("Optimal", 12, "Optimal", 0.5112000000000041, 0.0),
+    ("small2area", 4): ("Optimal", 14, "Optimal", 1.9700000000002416, 0.0),
+    ("small2area", 16): ("Optimal", 15, "Optimal", 1.970000000000011, 0.0),
+}
+
+
+@pytest.mark.parametrize("mode", ["centralized", "consensus"])
+@pytest.mark.parametrize("name,r", sorted(HULL_OUTCOME))
+def test_hull_outcome_is_pinned(instances, name, r, mode):
+    status, iterations, kind, objective, bound = HULL_OUTCOME[name, r]
+    res = ogpf.solve_two_stage(instances[name], r, mode=mode)
+    assert (res.solution.status, res.solution.iterations,
+            res.certificate.kind) == (status, iterations, kind)
+    assert res.objective == pytest.approx(objective, rel=1e-12)
+    assert res.certificate.bound == pytest.approx(bound, rel=1e-9, abs=1e-12)
+    # the stage-1 point covers the full model, 0 in the columns left out
+    assert res.solution.x.size == res.model.num_vars

@@ -108,7 +108,7 @@ RECORDED = {
 @pytest.mark.parametrize("name,r", sorted(RECORDED))
 def test_bundled_results_match_recorded(instances, name, r):
     kind, iterations, objective = RECORDED[(name, r)]
-    res = ogpf.solve_two_stage(instances[name], r)
+    res = ogpf.solve_two_stage(instances[name], r, stage1="bigm")
     assert res.certificate.kind == kind
     assert res.solution.iterations == iterations
     assert res.objective == pytest.approx(objective, rel=1e-9)
@@ -119,7 +119,7 @@ def test_kkt_memory_stays_sparse(instances):
     inst = instances["medium3area"]
     tracemalloc.start()
     try:
-        res = ogpf.solve_two_stage(inst, 64)
+        res = ogpf.solve_two_stage(inst, 64, stage1="bigm")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

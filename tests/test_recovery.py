@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,10 @@ from ogpf.errors import OutOfRange
 from ogpf.mipbuild import build_model, check_point
 from ogpf.pwa import (PwaConfig, config_columns, fit_pwa, key_label,
                       max_region_error, orientation_regions)
-from ogpf.recovery import (build_pressure_lp, max_abs_deviation,
-                           mean_abs_deviation, recover_binaries,
-                           solve_pressure_lp, weymouth_deviation)
+from ogpf.recovery import (assemble_and_certify, build_pressure_lp,
+                           max_abs_deviation, mean_abs_deviation,
+                           recover_binaries, solve_pressure_lp,
+                           weymouth_deviation)
 from ogpf.twostage import solve_two_stage
 
 from conftest import (direct_lp, emit_pair, make_instance, pair_index,
@@ -243,18 +246,18 @@ def test_pressure_lp_rows_follow_sign_binary():
     # / 64 on either region of the r=2 fit
     lp, config, index = _pipe_lp(40.0)
     assert lp.nodes == ["n1", "n2"]
-    assert (lp.a @ lp.lift).tolist() == [[-1.0, 1.0]]
+    assert (lp.a @ lp.lift).toarray().tolist() == [[-1.0, 1.0]]
     assert (lp.b - lp.a @ lp.base).tolist() == [-93.75]
     # the pressures move themselves and the pressure product aliased to one
-    moved = np.flatnonzero(lp.lift.any(axis=1))
+    moved = np.flatnonzero(lp.lift.getnnz(axis=1))
     assert [index.name(j) for j in moved] == ["psi[n1]", "psi[n2]",
                                               "ypsi[n1->n2]"]
     # a nonpositive flow flips the sign binary and hence the row
     lp, config, index = _pipe_lp(-40.0)
     assert _binaries(config, index.curves)[("dpsi", ("n1", "n2"), None)] == 0
-    assert (lp.a @ lp.lift).tolist() == [[1.0, -1.0]]
+    assert (lp.a @ lp.lift).toarray().tolist() == [[1.0, -1.0]]
     assert (lp.b - lp.a @ lp.base).tolist() == [-93.75]
-    moved = np.flatnonzero(lp.lift.any(axis=1))
+    moved = np.flatnonzero(lp.lift.getnnz(axis=1))
     assert [index.name(j) for j in moved] == ["psi[n1]", "psi[n2]",
                                               "ypsi[n2->n1]"]
 
@@ -327,9 +330,40 @@ def test_stage1_components_survive_bitwise(instances):
 
 
 def test_cycle_instance_certifies_approximate(instances):
-    res = solve_two_stage(instances["loop1area"], 2)
+    # at r=2 the chord graph is one line, and the hull stage 1 fits the
+    # cycle's pressures exactly; from r=4 on it does not
+    res = solve_two_stage(instances["loop1area"], 4)
     assert res.certificate.kind == "Approximate"
-    assert res.j_psi == res.certificate.bound > 1e-8
+    assert res.certificate.bound > 1e-8
+
+
+def test_worst_pipes_list_ties_in_row_order(instances):
+    """Mismatches within 1e-9 relative of each other tie, and tied pipes
+    come in row order: which pipes a cycle names must not depend on
+    rounding at 1e-14. The point is all zeros, so each mismatch is exactly
+    its target."""
+    inst = instances["loop1area"]
+    model, index = build_model(inst, PwaConfig(r=4))
+    flows = {key: 10.0 if key[0] < key[1] else -10.0 for key in index.curves}
+    config = recover_binaries(flows, index.curves)
+    lp = build_pressure_lp(np.zeros(model.num_vars), config, flows,
+                           model=model, index=index)
+    names = [index.row_name("eq", k) for k in index.rows("eq", "pwa_flow")]
+
+    def worst(b):
+        tied = dataclasses.replace(lp, base=np.zeros(model.num_vars),
+                                   b=np.array(b))
+        rec = assemble_and_certify(tied, np.zeros(len(lp.nodes)), config,
+                                   1e-8, model=model, index=index,
+                                   feas_tol=1e-6)
+        return rec.worst_pipes
+
+    assert worst([1.0, 1.0 + 2e-14, 1.0 + 1e-14]) == [
+        [names[0], 1.0], [names[1], 1.0 + 2e-14], [names[2], 1.0 + 1e-14]]
+    # beyond the tie tolerance the larger mismatch comes first
+    assert worst([1.0, 2.0, 1.0 - 1e-14]) == [
+        [names[1], 2.0], [names[0], 1.0], [names[2], 1.0 - 1e-14]]
+    assert worst([1.0, -3.0, 1e-9]) == [[names[1], 3.0], [names[0], 1.0]]
 
 
 def test_weymouth_deviation_examples():
@@ -455,7 +489,7 @@ PINNED = {
 @pytest.mark.parametrize("name,r", list(PINNED))
 def test_stage2_outcome_is_pinned(instances, name, r):
     kind, bound, config, psi = PINNED[name, r]
-    res = solve_two_stage(instances[name], r)
+    res = solve_two_stage(instances[name], r, stage1="bigm")
     rec = res.recovery
     assert res.certificate.kind == kind
     # bounds of certified runs are rounding noise; 1e-12 floors the relative

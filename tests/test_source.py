@@ -36,12 +36,32 @@ def test_only_pwa_and_mipbuild_name_the_region_binaries():
 
 
 def test_only_pwa_reads_the_chord_segments():
-    # the chord coefficients enter the model only through pwa.emit_mld, so
-    # stage 2 reads them off the model's rows rather than off the curves
+    # the chord coefficients and breakpoints enter the model only through
+    # pwa.emit_mld and pwa.emit_hull, so stage 2 reads them off the model's
+    # rows rather than off the curves, and finds a flow's region through
+    # PwaCurve.region
     found = [f"{path.name}:{node.lineno}"
              for path in sorted(SRC.glob("*.py")) if path.name != "pwa.py"
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(node, ast.Attribute) and node.attr == "segments"]
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("segments", "breakpoints")]
+    assert found == []
+
+
+def test_no_module_imports_scipy_spatial():
+    # the pipes' hulls are two monotone chains in numpy; qhull would add an
+    # import to every process start
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.Import)
+                     else [f"{node.module}.{alias.name}" for alias in node.names]
+                     if isinstance(node, ast.ImportFrom) and node.module
+                     else [])
+            if any(name == "scipy.spatial" or name.startswith("scipy.spatial.")
+                   for name in names):
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
 
