@@ -88,9 +88,6 @@ class EngineResult:
     status: str               # "optimal" | "max_iter" | "stalled"
     #                           | "infeasible" (proven by the presolve)
     iterations: int
-    pres: float
-    dres: float
-    relgap: float
 
 
 def _row_pairs(indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -355,8 +352,7 @@ def solve_ipm(model: StandardModel,
         return EngineResult(_initial_x(model.lb, model.ub),
                             np.zeros(model.num_eq), np.zeros(model.num_in),
                             np.zeros(n), np.zeros(n),
-                            np.zeros(len(model.quad_ineq)), "infeasible",
-                            0, np.inf, np.inf, np.inf)
+                            np.zeros(len(model.quad_ineq)), "infeasible", 0)
 
     label = np.zeros(red.keep.size + red.eq_rows.size, dtype=np.intp) \
         if areas is None else np.concatenate([areas[0][red.keep],
@@ -376,7 +372,7 @@ def solve_ipm(model: StandardModel,
     lam_lb[red.keep] = res.lam_lb
     lam_ub[red.keep] = res.lam_ub
     return EngineResult(x, nu, lam, lam_lb, lam_ub, mu, res.status,
-                        res.iterations, res.pres, res.dres, res.relgap)
+                        res.iterations)
 
 
 def _equilibrate(mat: sp.csr_matrix, d: np.ndarray
@@ -412,7 +408,7 @@ def _iterate(model: StandardModel, label: np.ndarray) -> EngineResult:
     if n == 0:
         return EngineResult(np.zeros(0), np.zeros(0), np.zeros(0),
                             np.zeros(0), np.zeros(0), np.zeros(0), "optimal",
-                            0, 0.0, 0.0, 0.0)
+                            0)
 
     d = _col_scale(model.lb, model.ub)
     q = model.obj_quad * d * d
@@ -467,7 +463,6 @@ def _iterate(model: StandardModel, label: np.ndarray) -> EngineResult:
     status = "max_iter"
     stall = 0
     iters_done = 0
-    pres = dres = relgap = np.inf
     pres_hist: list[float] = []
 
     # pure equality-constrained QP: single KKT solve
@@ -476,12 +471,9 @@ def _iterate(model: StandardModel, label: np.ndarray) -> EngineResult:
                        np.zeros(0))
         sol = lu.solve(np.concatenate([-c, b]))
         x, nu = sol[:n], sol[n:]
-        rd, rp, _, _ = residuals(x, nu, lam, mu, np.zeros(0), np.zeros(0))
         return EngineResult(
             x * d, nu * rs_a, np.zeros(0), np.zeros(n),
-            np.zeros(n), np.zeros(0), "optimal", 1,
-            float(np.abs(rp).max(initial=0.0)),
-            float(np.abs(rd).max(initial=0.0)), 0.0)
+            np.zeros(n), np.zeros(0), "optimal", 1)
 
     for it in range(_MAX_ITER):
         iters_done = it + 1
@@ -500,8 +492,7 @@ def _iterate(model: StandardModel, label: np.ndarray) -> EngineResult:
         merit = pres / scale_p + dres / scale_d + relgap
         if merit < best_merit:
             best_merit = merit
-            best = (x.copy(), nu.copy(), lam.copy(), mu.copy(),
-                    pres, dres, relgap)
+            best = (x.copy(), nu.copy(), lam.copy(), mu.copy())
 
         if (pres <= _FEAS_TOL * scale_p and dres <= _OPT_TOL * scale_d * 10.0
                 and relgap <= _OPT_TOL):
@@ -606,7 +597,7 @@ def _iterate(model: StandardModel, label: np.ndarray) -> EngineResult:
         mu = mu + alpha * dmu
 
     if status != "optimal" and best is not None:
-        x, nu, lam, mu, pres, dres, relgap = best
+        x, nu, lam, mu = best
 
     # split folded duals back out and undo scaling
     num_in = model.num_in
@@ -615,5 +606,4 @@ def _iterate(model: StandardModel, label: np.ndarray) -> EngineResult:
     lam_ub[fu] = lam[num_in:num_in + fu.size]
     lam_lb[fl] = lam[num_in + fu.size:]
     return EngineResult(x * d, nu * rs_a, lam[:num_in] * rs_g, lam_lb / d,
-                        lam_ub / d, mu * rs_q, status, iters_done,
-                        float(pres), float(dres), float(relgap))
+                        lam_ub / d, mu * rs_q, status, iters_done)

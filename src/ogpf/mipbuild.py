@@ -18,7 +18,7 @@ Per orientation of each internal pipe the model carries the flow, one
 pressure product, ``r`` flow products and ``1 + 3r`` binaries; tie pipes
 carry two directed flow variables linked by a reciprocity row and no pressure
 coupling. The orientation-coupled flow equality is emitted once per
-undirected internal pipe (the mirrored copy is implied by reciprocity and the
+internal pipe (the mirrored copy is implied by reciprocity and the
 sign link once binaries are integral, and emitting both would make the
 equality block rank-deficient).
 
@@ -87,7 +87,7 @@ class VarIndex:
     and configuration. Every key's kind and owning entity (a generator, bus,
     gas source or gas node) are also kept as array codes, so looking keys up
     by kind or owner is an array operation. ``curves`` holds the chord
-    curves the build fitted, per directed internal pipe.
+    curves the build fitted, one per internal pipe.
     """
 
     def __init__(self):
@@ -348,12 +348,11 @@ def _to_csr(row: np.ndarray, col: np.ndarray, coef: np.ndarray, m: int,
 
 
 def fit_all_curves(inst: NetworkInstance, cfg: PwaConfig) -> dict[tuple, PwaCurve]:
-    """Chord curves for every directed internal-pipe orientation."""
-    edges = classify_edges(inst)
-    return {
-        dp.key: fit_pwa(dp.weymouth_c, dp.flow_cap, cfg, pipe=dp.key)
-        for dp in edges.internal_pipes_directed
-    }
+    """The chord curve of every internal pipe, keyed by its ``(from_node,
+    to_node)`` in file order."""
+    return {(p.from_node, p.to_node): fit_pwa(p.weymouth_c, p.flow_cap, cfg,
+                                              pipe=(p.from_node, p.to_node))
+            for p in classify_edges(inst).internal_pipes}
 
 
 def build_model(inst: NetworkInstance, cfg: PwaConfig) -> tuple[StandardModel, VarIndex]:
@@ -380,16 +379,16 @@ def build_model(inst: NetworkInstance, cfg: PwaConfig) -> tuple[StandardModel, V
                  + [(PHI, key) for p in edges.tie_pipes
                     for key in ((p.from_node, p.to_node),
                                 (p.to_node, p.from_node))])
-    # one contiguous block of columns per internal-pipe orientation, last
-    pipes = edges.internal_pipes_directed
+    # one contiguous block of columns per internal-pipe orientation, last;
+    # each block belongs to its orientation's from node
     r = cfg.r
     width = 3 + 4 * r
     first = len(index)
-    keys = [key for dp in pipes for key in block_keys(dp.key, r)]
-    nodes = [("node", dp.from_node) for dp in pipes]
+    keys = [key for pipe in curves for key in block_keys(pipe, r)]
+    nodes = [("node", key[1][0]) for key in keys[::width]]
     index.extend(COL, keys, ([key[0] for key in keys[:width]],
-                             np.tile(np.arange(width), len(pipes))),
-                 (nodes, np.repeat(np.arange(len(pipes)), width)))
+                             np.tile(np.arange(width), len(nodes))),
+                 (nodes, np.repeat(np.arange(len(nodes)), width)))
     n = len(index)
     obj_quad = np.zeros(n)
     obj_lin = np.zeros(n)
@@ -425,15 +424,16 @@ def build_model(inst: NetworkInstance, cfg: PwaConfig) -> tuple[StandardModel, V
             jf = index.col(PHI, key)
             lb[jf], ub[jf] = -p.flow_cap, p.flow_cap
     node_map = {nd.id: nd for nd in inst.gas_nodes}
-    cap = np.array([dp.flow_cap for dp in pipes], dtype=float)[:, None]
+    # both orientations of a pipe share its cap
+    cap = np.repeat([c.phi_cap for c in curves.values()], 2)[:, None]
     block_lb = lb[first:].reshape(-1, width)
     block_ub = ub[first:].reshape(-1, width)
     # flow and flow products within the cap, the pressure product within the
     # from node's box widened to 0, binaries within [0, 1]
     block_lb[:, :1] = block_lb[:, 2:2 + r] = -cap
     block_ub[:, :1] = block_ub[:, 2:2 + r] = cap
-    block_lb[:, 1] = [min(0.0, node_map[dp.from_node].psi_min) for dp in pipes]
-    block_ub[:, 1] = [max(0.0, node_map[dp.from_node].psi_max) for dp in pipes]
+    block_lb[:, 1] = [min(0.0, node_map[nd].psi_min) for _, nd in nodes]
+    block_ub[:, 1] = [max(0.0, node_map[nd].psi_max) for _, nd in nodes]
     block_lb[:, 2 + r:] = 0.0
     block_ub[:, 2 + r:] = 1.0
     integrality[first:].reshape(-1, width)[:, 2 + r:] = True
@@ -496,7 +496,7 @@ def build_model(inst: NetworkInstance, cfg: PwaConfig) -> tuple[StandardModel, V
     # internal pipe blocks: the big-M inequalities, and the simplex and
     # pair-level equalities after the rows above
     psi_bounds = {nd.id: (nd.psi_min, nd.psi_max) for nd in inst.gas_nodes}
-    mld_in, mld_eq = emit_mld(pipes, curves, cfg, index.col, psi_bounds)
+    mld_in, mld_eq = emit_mld(curves, cfg, index.col, psi_bounds)
     head = len(eq)
     a_eq = _to_csr(
         np.concatenate([np.repeat(np.arange(head), [len(e[1]) for e in eq]),
@@ -541,7 +541,7 @@ def relax(model: StandardModel) -> StandardModel:
 
 
 # kinds of the columns of an internal-pipe orientation other than its flow
-_BLOCK_KINDS = {key[0] for key in block_keys(None, 1)} - {PHI}
+_BLOCK_KINDS = {key[0] for key in block_keys(("i", "j"), 1)} - {PHI}
 
 
 def hull_relaxation(model: StandardModel, index: VarIndex
@@ -552,10 +552,9 @@ def hull_relaxation(model: StandardModel, index: VarIndex
     It keeps every column but the orientation blocks' sign, region and
     product columns (all kinds of ``pwa.block_keys`` but the flow), keeps
     the rows whose support lies inside the kept columns, and adds the rows
-    of ``pwa.emit_hull`` over each stored orientation's flow and end
-    pressures. Those hold for every point of the mixed-integer model, so
-    this is a relaxation of it, of the same size at every ``r``. No kept
-    column is integral. Rows keep their order, the hull rows coming last
+    of ``pwa.emit_hull`` over each pipe's flow and end pressures. Those hold
+    for every point of the mixed-integer model, so this is a relaxation of
+    it, of the same size at every ``r``. No kept column is integral. Rows keep their order, the hull rows coming last
     in their block.
     """
     n = model.num_vars
@@ -588,7 +587,7 @@ def hull_relaxation(model: StandardModel, index: VarIndex
             np.concatenate([mat.data[kept], hull.coef]), m + hull.rhs.size,
             keep.size), np.concatenate([rhs[inside], hull.rhs]))
     out = index.take(rows)
-    nodes = [("node", key[0]) for key in list(index.curves)[::2]]
+    nodes = [("node", key[0]) for key in index.curves]
     for block in (EQ, IN):
         hull = hulls[block]
         out.extend(block, hull.keys, (hull.kinds, hull.kind),

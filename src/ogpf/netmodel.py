@@ -154,8 +154,7 @@ class Pipeline:
 
     Internal pipes (both endpoints in one area) follow the square-root
     pressure-drop law and must carry a Weymouth constant; tie pipes (endpoints
-    in different areas) are actively controlled and must not. Both directed
-    orientations are generated downstream.
+    in different areas) are actively controlled and must not.
     """
 
     from_node: str
@@ -444,48 +443,27 @@ def save_instance(inst: NetworkInstance, path):
 # edge classification
 # ---------------------------------------------------------------------------
 
-class DirectedPipe(NamedTuple):
-    """One orientation of an internal pipe."""
-
-    from_node: str
-    to_node: str
-    weymouth_c: float
-    flow_cap: float
-
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.from_node, self.to_node)
-
-
 class EdgeClassification(NamedTuple):
     tie_lines: tuple[PowerLine, ...]
     tie_pipes: tuple[Pipeline, ...]
-    internal_pipes_directed: tuple[DirectedPipe, ...]
+    internal_pipes: tuple[Pipeline, ...]
 
 
 def classify_edges(inst: NetworkInstance) -> EdgeClassification:
-    """Split edges into tie and internal sets by endpoint areas.
-
-    Internal pipes are expanded into both directed orientations; orientation
-    pairs are adjacent in the result, with the stored orientation first.
-    """
+    """Split edges into tie and internal sets by endpoint areas, each in
+    file order."""
     bus_area = {b.id: b.area for b in inst.buses}
     node_area = {n.id: n.area for n in inst.gas_nodes}
 
     tie_lines = tuple(
         l for l in inst.lines if bus_area[l.from_bus] != bus_area[l.to_bus]
     )
-    tie_pipes = []
-    directed = []
+    tie_pipes, internal_pipes = [], []
     for p in inst.pipelines:
-        if node_area[p.from_node] != node_area[p.to_node]:
-            tie_pipes.append(p)
-        else:
-            directed.append(DirectedPipe(p.from_node, p.to_node,
-                                         p.weymouth_c, p.flow_cap))
-            directed.append(DirectedPipe(p.to_node, p.from_node,
-                                         p.weymouth_c, p.flow_cap))
-    return EdgeClassification(tie_lines, tuple(tie_pipes), tuple(directed))
+        (tie_pipes if node_area[p.from_node] != node_area[p.to_node]
+         else internal_pipes).append(p)
+    return EdgeClassification(tie_lines, tuple(tie_pipes),
+                              tuple(internal_pipes))
 
 
 def scale_demands(inst: NetworkInstance, bus_factors, node_factors) -> NetworkInstance:

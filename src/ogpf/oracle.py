@@ -1,7 +1,7 @@
 """Brute-force mixed-integer optimum for desk-scale instances.
 
-Fixing the active region of each undirected internal pipe fixes every binary
-in the model, both orientations' included: ``pwa.config_columns`` turns such
+Fixing the active region of each internal pipe fixes every binary in the
+model, both orientations' included: ``pwa.config_columns`` turns such
 a region configuration into column fixes and aliases, the same map stage 2
 applies to its recovered configuration. Enumerating regions per pipe and
 solving the continuous subproblem of each configuration therefore covers all
@@ -63,32 +63,24 @@ def enumerate_solve(model: StandardModel, index: VarIndex,
                     cap: int = 100_000) -> OracleResult:
     """Enumerate region configurations and solve each continuous subproblem.
 
-    ``curves`` provides both orientations per pipe, with the orientations
-    and region count of the model's own curves (``index.curves``); the
-    first-listed orientation of each pair is enumerated and the mirror is
-    forced consistently (sign-inconsistent combinations are never
-    generated); without internal pipes the one empty configuration is
-    solved. Configurations whose solve ends MaxIter are logged (status
-    MaxIter, objective None) but never chosen as best, even when feasible.
+    ``curves`` holds one curve per internal pipe, with the pipes and region
+    count of the model's own curves (``index.curves``); each pipe's region
+    is enumerated and its mirror orientation forced consistently
+    (sign-inconsistent combinations are never generated); without internal
+    pipes the one empty configuration is solved. Configurations whose solve
+    ends MaxIter are logged (status MaxIter, objective None) but never chosen
+    as best, even when feasible.
     Raises CapExceeded when ``r ** num_pipes`` exceeds ``cap``,
     AllInfeasible when no configuration admits a feasible point and
     ModelError when ``curves`` does not match ``index.curves``.
     """
     if curves.keys() != index.curves.keys() or any(
             curve.r != index.curves[key].r for key, curve in curves.items()):
-        raise ModelError("curves do not match the model's pipe orientations "
-                         "and region count")
-    stored: list[tuple[str, str]] = []
-    seen = set()
-    r = 1
-    for key in curves:
-        if key in seen:
-            continue
-        stored.append(key)
-        seen.update((key, (key[1], key[0])))
-        r = curves[key].r
-
-    required = r ** len(stored)
+        raise ModelError("curves do not match the model's pipes and region "
+                         "count")
+    pipes = list(curves)
+    r = max((curve.r for curve in curves.values()), default=1)
+    required = r ** len(pipes)
     if required > cap:
         raise CapExceeded(required, cap)
 
@@ -96,8 +88,8 @@ def enumerate_solve(model: StandardModel, index: VarIndex,
     best_obj = np.inf
     best_cfg = None
     log = []
-    for combo in product(range(1, r + 1), repeat=len(stored)):
-        cfg = dict(zip(stored, combo))
+    for combo in product(range(1, r + 1), repeat=len(pipes)):
+        cfg = dict(zip(pipes, combo))
         reduced = _reduce(relaxed, *config_columns(cfg, curves, index.col))
         if reduced is None:
             log.append({"config": cfg, "status": INFEASIBLE, "objective": None})

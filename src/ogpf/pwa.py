@@ -10,13 +10,16 @@ the region endpoints, so on region ``[lo, hi]``::
     0 <= a*phi + b - phi**2/c_f**2 <= (hi - lo)**2 / (4 c_f**2)
 
 ``r`` must be even so that 0 is a breakpoint and no region straddles the
-flow-sign logic. Region membership, flow sign and pressure ordering are
-encoded as mixed-logical big-M inequality blocks with a strict-inequality
-tolerance ``epsilon``; each directed orientation carries ``1 + 3r`` binaries
-(sign delta, and alpha/beta/delta per region) and ``1 + r`` extra continuous
-variables (one pressure product, one flow product per region), in one
-contiguous column block (``block_keys``). ``emit_mld`` emits the rows of
-every orientation at once as coordinate arrays (``LinearRows``).
+flow-sign logic. The map is even in the flow, so one curve per internal pipe
+(i, j) serves both of its orientations, (i, j) and the mirror (j, i), and
+this module alone expands a pipe into them. Region membership, flow sign and
+pressure ordering are encoded as mixed-logical big-M inequality blocks with
+a strict-inequality tolerance ``epsilon``; each orientation carries
+``1 + 3r`` binaries (sign delta, and alpha/beta/delta per region) and
+``1 + r`` extra continuous variables (one pressure product, one flow product
+per region), in one contiguous column block (``block_keys``). ``emit_mld``
+emits the rows of every orientation at once as coordinate arrays
+(``LinearRows``).
 
 Note the usual strict-inequality artifact of big-M logic encodings: with
 integral binaries the feasible flow set excludes open bands of width
@@ -28,10 +31,10 @@ the convex hull of each pipe's signed chord graph, as rows over the flow and
 the two end pressures alone.
 
 This module alone gives the region binaries their meaning. A region
-configuration ``{stored orientation: region}`` names one active region per
-undirected pipe; ``config_columns`` turns it into the binaries and product
-auxiliaries of both orientations. The oracle enumerates configurations and
-stage 2 recovers one, and both pass it through that one function.
+configuration ``{pipe: region}`` names one active region per internal pipe;
+``config_columns`` turns it into the binaries and product auxiliaries of both
+orientations. The oracle enumerates configurations and stage 2 recovers one,
+and both pass it through that one function.
 """
 
 from __future__ import annotations
@@ -75,11 +78,12 @@ class PwaSegment:
 
 @dataclass(frozen=True)
 class PwaCurve:
-    """All ``r`` segments for one directed pipe orientation.
+    """All ``r`` segments of one internal pipe, read as a function of the
+    flow along ``pipe``.
 
     Segments tile ``[-phi_cap, phi_cap]`` exactly and 0 is always a
-    breakpoint. The curve is an even function of the flow, so both
-    orientations of a pipe share the same numbers.
+    breakpoint. The curve is an even function of the flow, so the reversed
+    orientation reads the same segments, ``-phi`` lying in ``mirror_region``.
     """
 
     pipe: tuple[str, str]
@@ -150,24 +154,28 @@ def key_label(key: tuple) -> str:
     return f"{key[0]}[{owner}]"
 
 
-def block_keys(key: tuple, r: int) -> list[tuple]:
-    """Keys of the ``3 + 4r`` columns of orientation ``key``, in the order
-    ``emit_mld`` expects them to lie: the flow, the pressure product, the
-    ``r`` flow products, the sign binary, then the ``alpha``, ``beta`` and
-    ``dm`` binaries of each region (``1 + 3r`` binaries in all)."""
+def block_keys(pipe: tuple, r: int) -> list[tuple]:
+    """Keys of the ``6 + 8r`` columns of internal pipe ``pipe`` = (i, j), in
+    the order ``emit_mld`` expects them to lie: the block of orientation
+    (i, j), then that of its mirror (j, i). A block holds the flow, the
+    pressure product, the ``r`` flow products, the sign binary, then the
+    ``alpha``, ``beta`` and ``dm`` binaries of each region (``1 + 3r``
+    binaries in all)."""
     ms = range(1, r + 1)
-    return ([("phi", key), ("ypsi", key)] + [("ym", key, m) for m in ms]
-            + [("dpsi", key)]
-            + [(kind, key, m) for kind in ("alpha", "beta", "dm") for m in ms])
+    return [k for key in (pipe, pipe[::-1])
+            for k in ([("phi", key), ("ypsi", key)]
+                      + [("ym", key, m) for m in ms] + [("dpsi", key)]
+                      + [(kind, key, m) for kind in ("alpha", "beta", "dm")
+                         for m in ms])]
 
 
 @dataclass(frozen=True, eq=False)
 class LinearRows:
     """Linear rows as coordinate arrays: coefficient ``coef[e]`` of column
     ``col[e]`` in row ``row[e]``, and per row its right-hand side, key, kind
-    (a position in ``kinds``) and owning orientation (a position in the
-    pipes given to ``emit_mld``, or among the stored orientations for
-    ``emit_hull``)."""
+    (a position in ``kinds``) and owner (for ``emit_mld`` its orientation:
+    ``2p`` for pipe ``p`` of the curves and ``2p + 1`` for its mirror; for
+    ``emit_hull`` the pipe ``p``)."""
 
     row: np.ndarray
     col: np.ndarray
@@ -198,7 +206,7 @@ def _rows(n: int, specs, *labels) -> LinearRows:
 
 
 # big-M kinds of one orientation in row order, the region and flow-product
-# kinds repeating per region; equality kinds of one pipe pair
+# kinds repeating per region; equality kinds of one pipe
 _HEAD = ("psi_order_up", "psi_order_dn", "flow_sign_up", "flow_sign_dn")
 _REGION = ("reg_hi_up", "reg_hi_dn", "reg_lo_up", "reg_lo_dn", "reg_and_a",
            "reg_and_b", "reg_and_c")
@@ -207,32 +215,32 @@ _PROD_P = ("prod_p_lb", "prod_p_ub", "prod_p_cap", "prod_p_floor")
 _PAIR = ("simplex", "pwa_flow", "reciprocity", "dpsi_link")
 
 
-def emit_mld(pipes, curves: dict[tuple, PwaCurve], cfg: PwaConfig, col,
+def emit_mld(curves: dict[tuple, PwaCurve], cfg: PwaConfig, col,
              psi_bounds) -> tuple[LinearRows, LinearRows]:
-    """Emit the mixed-logical rows of every directed internal-pipe
-    orientation at once, as arrays.
+    """Emit the mixed-logical rows of both orientations of every internal
+    pipe at once, as arrays.
 
-    ``pipes`` lists each stored orientation (i, j) followed by its mirror
-    (j, i), as ``classify_edges`` does; ``curves`` maps each to its fitted
-    curve with ``cfg.r`` regions. ``col(kind, owner, m=None)`` looks columns
-    up, and each orientation's columns must lie contiguously in the order of
+    ``curves`` maps each internal pipe (i, j) to its fitted curve with
+    ``cfg.r`` regions; its orientation (i, j) and its mirror (j, i) both
+    read that curve. ``col(kind, owner, m=None)`` looks columns up, and each
+    orientation's columns must lie contiguously in the order of
     ``block_keys``. ``psi_bounds`` maps node id -> (psi_min, psi_max); the
     four pressure bounds of a pipe and its flow cap act as big-M constants
     and must be finite.
 
     Returns the inequality rows, ``8 + 11r`` per orientation (pressure
     order, flow sign, the region logic per region, the flow products per
-    region, the pressure products), and the equality rows, five per pair:
-    the stored orientation's region simplex, the orientation-coupled flow
-    equality, flow reciprocity and the sign link, then the mirror's simplex.
+    region, the pressure products), and the equality rows, five per pipe:
+    the region simplex of (i, j), the orientation-coupled flow equality,
+    flow reciprocity and the sign link, then the mirror's simplex.
     """
     r, eps = cfg.r, cfg.epsilon
-    keys = [dp.key for dp in pipes]
+    keys = [key for i, j in curves for key in ((i, j), (j, i))]
     num = len(keys)
-    if num % 2 or any(keys[k + 1] != keys[k][::-1] for k in range(0, num, 2)):
-        raise ModelError("pipes must come as (stored, mirror) pairs")
-    bounds = np.array([(*psi_bounds[i], *psi_bounds[j], curves[i, j].phi_cap)
-                       for i, j in keys], dtype=float).reshape(num, 5)
+    caps = np.repeat([curve.phi_cap for curve in curves.values()], 2)
+    bounds = np.array([(*psi_bounds[i], *psi_bounds[j], cap)
+                       for (i, j), cap in zip(keys, caps)],
+                      dtype=float).reshape(num, 5)
     bad = np.flatnonzero(~np.isfinite(bounds))
     if bad.size:
         (i, j), w = keys[bad[0] // 5], bad[0] % 5
@@ -242,8 +250,9 @@ def emit_mld(pipes, curves: dict[tuple, PwaCurve], cfg: PwaConfig, col,
                             "emission")
     # per-orientation numbers are (num, 1) columns, per-region ones (num, r)
     lo_i, hi_i, lo_j, hi_j, cap = (bounds[:, [w]] for w in range(5))
-    seg = np.array([[(s.lo, s.hi, s.a, s.b) for s in curves[key].segments]
-                    for key in keys], dtype=float).reshape(num, r, 4)
+    seg = np.repeat(np.array([[(s.lo, s.hi, s.a, s.b) for s in curve.segments]
+                              for curve in curves.values()],
+                             dtype=float).reshape(num // 2, r, 4), 2, axis=0)
     lo, hi, a, b = (seg[:, :, w] for w in range(4))
 
     base = np.array([col("phi", key) for key in keys], np.intp)[:, None]
@@ -313,8 +322,8 @@ def emit_mld(pipes, curves: dict[tuple, PwaCurve], cfg: PwaConfig, col,
          (ypsi[t], -2.0), (psi_i[s], 1.0), (psi_j[s], 1.0)),
         (pair + 2, 0.0, (phi[s], 1.0), (phi[t], 1.0)),
         (pair + 3, 1.0, (dpsi[s], 1.0), (dpsi[t], 1.0)),
-    ], [row_key for key, mirror in zip(keys[::2], keys[1::2])
-        for row_key in [(kind, key) for kind in _PAIR] + [("simplex", mirror)]],
+    ], [row_key for i, j in curves for row_key in
+        [(kind, (i, j)) for kind in _PAIR] + [("simplex", (j, i))]],
         _PAIR, np.tile([0, 1, 2, 3, 0], num // 2),
         at.reshape(-1, 2)[:, [0, 0, 0, 0, 1]].ravel())
     return ineq, eq
@@ -324,7 +333,7 @@ def emit_hull(curves: dict[tuple, PwaCurve], col
               ) -> tuple[LinearRows, LinearRows]:
     """Emit the convex hull of every internal pipe's signed chord graph.
 
-    In the mixed-integer model the stored orientation (i, j) of a pipe keeps
+    In the mixed-integer model the orientation (i, j) of a pipe keeps
     ``(phi_ij, psi_i - psi_j)`` on the graph of ``g(phi) = sgn(phi) *
     chord(phi)``, the polyline through the ``r + 1`` breakpoint points
     ``(phi_k, sgn(phi_k) phi_k**2 / c_f**2)``. Its convex hull is the
@@ -340,31 +349,26 @@ def emit_hull(curves: dict[tuple, PwaCurve], col
     line, one ``hull_line`` row ``d = 0``; two opposite inequalities would
     leave the interior point no interior.
 
-    ``curves`` lists each pipe's two orientations adjacently, the stored one
-    first, all with the same ``r`` (as ``mipbuild.fit_all_curves`` does);
-    ``col`` is the column lookup of ``emit_mld``. Returns the inequality and
-    the equality rows; a row's owner is the position of its stored
-    orientation among the stored orientations.
+    ``curves`` maps each internal pipe (i, j) to its curve, all with the
+    same ``r`` (as ``mipbuild.fit_all_curves`` does); ``col`` is the column
+    lookup of ``emit_mld``. Returns the inequality and the equality rows; a
+    row's owner is the position of its pipe in ``curves``.
     """
-    keys = list(curves)
-    if len(keys) % 2 or any(keys[k + 1] != keys[k][::-1]
-                            for k in range(0, len(keys), 2)):
-        raise ModelError("curves must come as (stored, mirror) pairs")
-    stored = keys[::2]
-    bps = [curves[key].breakpoints for key in stored]
+    pipes = list(curves)
+    bps = [curve.breakpoints for curve in curves.values()]
     x = np.array(bps, dtype=float).reshape(len(bps), len(bps[0]) if bps else 2)
-    c2 = np.array([curves[key].c_f ** 2 for key in stored])[:, None]
+    c2 = np.array([curve.c_f ** 2 for curve in curves.values()])[:, None]
     y = np.sign(x) * x * x / c2
-    phi = np.array([col("phi", key) for key in stored], np.intp)
-    psi_i = np.array([col("psi", i) for i, _ in stored], np.intp)
-    psi_j = np.array([col("psi", j) for _, j in stored], np.intp)
+    phi = np.array([col("phi", key) for key in pipes], np.intp)
+    psi_i = np.array([col("psi", i) for i, _ in pipes], np.intp)
+    psi_j = np.array([col("psi", j) for _, j in pipes], np.intp)
     none = np.zeros(0, np.intp)
     if x.shape[1] == 3:
         s = (y[:, 2] - y[:, 0]) / (x[:, 2] - x[:, 0])
-        num = len(stored)
+        num = len(pipes)
         line = _rows(num, [(np.arange(num), 0.0, (phi, s), (psi_i, -1.0),
                             (psi_j, 1.0))],
-                     [("hull_line", key) for key in stored], ("hull_line",),
+                     [("hull_line", key) for key in pipes], ("hull_line",),
                      np.zeros(num, np.intp), np.arange(num))
         return _rows(0, [], [], ("hull_lo", "hull_up"), none, none), line
     # the lower chain: the left end, then every breakpoint from the one of
@@ -380,7 +384,7 @@ def emit_hull(curves: dict[tuple, PwaCurve], col
     hull = _rows(2 * pipe.size, [
         (lo, h, (ph, s), (pi, -1.0), (pj, 1.0)),
         (lo + 1, h, (ph, -s), (pi, 1.0), (pj, -1.0)),
-    ], [(kind, stored[p], k) for p, k in zip(pipe.tolist(), end.tolist())
+    ], [(kind, pipes[p], k) for p, k in zip(pipe.tolist(), end.tolist())
         for kind in ("hull_lo", "hull_up")], ("hull_lo", "hull_up"),
         np.tile([0, 1], pipe.size), np.repeat(pipe, 2))
     return hull, _rows(0, [], [], ("hull_line",), none, none)
@@ -393,10 +397,9 @@ def emit_hull(curves: dict[tuple, PwaCurve], col
 def orientation_regions(config: dict[tuple, int],
                         curves: dict[tuple, PwaCurve]):
     """Yield ``(orientation, region, sign binary)`` for both orientations of
-    every pipe of a configuration ``{stored orientation: region}``, the
-    stored orientation first. The reversed orientation carries ``-phi`` and
-    so the mirror region; the sign binary is 1 on the regions ``m > r/2``,
-    the nonnegative flows."""
+    every pipe of a configuration ``{pipe: region}``, the pipe's own
+    orientation first. The mirror carries ``-phi`` and so the mirror region;
+    the sign binary is 1 on the regions ``m > r/2``, the nonnegative flows."""
     for key, region in config.items():
         curve = curves[key]
         for k, m in ((key, region), ((key[1], key[0]),
@@ -420,20 +423,24 @@ def config_columns(config: dict[tuple, int], curves: dict[tuple, PwaCurve],
     """
     fixed: dict[int, float] = {}
     aliases: dict[int, tuple[int, float]] = {}
-    for key, region, delta_psi in orientation_regions(config, curves):
-        fixed[col("dpsi", key)] = float(delta_psi)
-        for m in range(1, curves[key].r + 1):
-            fixed[col("dm", key, m)] = 1.0 if m == region else 0.0
-            fixed[col("alpha", key, m)] = 1.0 if m >= region else 0.0
-            fixed[col("beta", key, m)] = 1.0 if m <= region else 0.0
-            jm = col("ym", key, m)
-            if m == region:
-                aliases[jm] = (col("phi", key), 1.0)
+    for pipe, active in config.items():
+        # both orientations read the region count off the pipe's curve
+        r = curves[pipe].r
+        for key, region, delta_psi in orientation_regions({pipe: active},
+                                                         curves):
+            fixed[col("dpsi", key)] = float(delta_psi)
+            for m in range(1, r + 1):
+                fixed[col("dm", key, m)] = 1.0 if m == region else 0.0
+                fixed[col("alpha", key, m)] = 1.0 if m >= region else 0.0
+                fixed[col("beta", key, m)] = 1.0 if m <= region else 0.0
+                jm = col("ym", key, m)
+                if m == region:
+                    aliases[jm] = (col("phi", key), 1.0)
+                else:
+                    fixed[jm] = 0.0
+            jpsi = col("ypsi", key)
+            if delta_psi:
+                aliases[jpsi] = (col("psi", key[0]), 1.0)
             else:
-                fixed[jm] = 0.0
-        jpsi = col("ypsi", key)
-        if delta_psi:
-            aliases[jpsi] = (col("psi", key[0]), 1.0)
-        else:
-            fixed[jpsi] = 0.0
+                fixed[jpsi] = 0.0
     return fixed, aliases

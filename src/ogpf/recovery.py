@@ -4,13 +4,12 @@ own flow equalities (its ``pwa_flow`` rows) at that configuration,
 certification and flow-deviation metrics.
 
 Stage 2 recovers the binaries in the form the oracle enumerates: one active
-region per undirected pipe, a configuration ``{stored orientation:
-region}``. ``pwa.config_columns`` turns it into the binaries and product
-auxiliaries of both orientations. The sign binary is 1 exactly when the
-oriented flow is nonnegative, matching the logic blocks of the constraint
-model (the flow equality is only consistent under this orientation); at a
-flow exactly on a shared breakpoint the active region follows the sign
-binary's side.
+region per internal pipe, a configuration ``{pipe: region}``.
+``pwa.config_columns`` turns it into the binaries and product auxiliaries of
+both orientations. The sign binary is 1 exactly when the oriented flow is
+nonnegative, matching the logic blocks of the constraint model (the flow
+equality is only consistent under this orientation); at a flow exactly on a
+shared breakpoint the active region follows the sign binary's side.
 """
 
 from __future__ import annotations
@@ -42,18 +41,16 @@ def recover_binaries(phi_star: dict[tuple[str, str], float],
                      ) -> dict[tuple[str, str], int]:
     """Read the region configuration off the first-stage flows.
 
-    One region per undirected pipe, read off the flow of its first-listed
-    (stored) orientation: the region containing the flow, with a flow on a
+    One region per internal pipe (i, j) of ``curves``, read off the flow
+    ``phi_star[i, j]``: the region containing the flow, with a flow on a
     breakpoint taking the region on the sign binary's side (above it for
-    ``phi >= 0``, below it otherwise). Reading each pair off one orientation
+    ``phi >= 0``, below it otherwise). Reading each pipe off one orientation
     keeps the sign link exact even for flows of magnitude below solver noise.
     Raises OutOfRange when a flow exceeds the approximated range beyond
     ``FEAS_TOL``.
     """
     config: dict[tuple[str, str], int] = {}
     for key, curve in curves.items():
-        if (key[1], key[0]) in config:
-            continue
         phi = float(phi_star[key])
         cap = curve.phi_cap
         if abs(phi) > cap + FEAS_TOL:
@@ -170,8 +167,8 @@ class Certificate:
 class RecoveryResult:
     """Outcome of the second stage.
 
-    ``configuration`` is the recovered region per undirected pipe, keyed by
-    its stored orientation. ``u_star`` keeps every first-stage component
+    ``configuration`` is the recovered region per internal pipe, keyed by
+    its ``(from_node, to_node)``. ``u_star`` keeps every first-stage component
     bit-for-bit and replaces only the pressures, product auxiliaries and
     binaries. The certificate is Optimal exactly when the pressure problem
     closed to within ``cert_tol``; in that case the point has passed an

@@ -113,15 +113,14 @@ def solve_two_stage(inst: NetworkInstance, r: int, *, epsilon: float = 1e-6,
 
     # stage-2 quantities use reciprocity-symmetrized flows so that solver
     # noise between the two orientations does not leak into the pressure
-    # targets; exact solves are unaffected. The
-    # curves list each pipe's orientations adjacently, stored one first.
-    phi_star = {}
-    keys = list(curves)
-    for key, mirror in zip(keys[::2], keys[1::2]):
+    # targets; exact solves are unaffected
+    phi_star, c_f = {}, {}
+    for key, curve in curves.items():
+        mirror = (key[1], key[0])
         phi = 0.5 * (float(sol.x[index.col(PHI, key)])
                      - float(sol.x[index.col(PHI, mirror)]))
-        phi_star[key] = phi
-        phi_star[mirror] = -phi
+        phi_star[key], phi_star[mirror] = phi, -phi
+        c_f[key] = c_f[mirror] = curve.c_f
 
     # certification re-checks the point against every row; that can only be
     # as tight as stage 1 actually solved (a MaxIter stage 1 returns its best
@@ -136,8 +135,8 @@ def solve_two_stage(inst: NetworkInstance, r: int, *, epsilon: float = 1e-6,
     recovery = assemble_and_certify(lp, psi_tilde, configuration, cert_tol,
                                     model=model, index=index,
                                     feas_tol=check_tol)
-    recovery.deviations = weymouth_deviation(
-        phi_star, recovery.psi_tilde, {k: c.c_f for k, c in curves.items()})
+    recovery.deviations = weymouth_deviation(phi_star, recovery.psi_tilde,
+                                             c_f)
     t2 = time.perf_counter()
 
     return TwoStageResult(solution=sol, recovery=recovery, model=model,

@@ -4,8 +4,7 @@ import scipy.sparse as sp
 
 import ogpf
 from ogpf.mipbuild import QuadBlock, VarIndex, build_model
-from ogpf.netmodel import DirectedPipe
-from ogpf.pwa import PwaConfig, emit_mld
+from ogpf.pwa import PwaConfig
 from ogpf.recovery import PressureLp
 
 BUNDLED = ["small2area", "single1area", "chain2area", "medium3area",
@@ -52,14 +51,6 @@ def pair_index(r):
     index.add("psi", "i")
     index.add("psi", "j")
     return index
-
-
-def emit_pair(index, curves, cfg, bounds, c=1.0, cap=1.0):
-    """The inequality and equality rows ``emit_mld`` emits for both
-    orientations of pipe i-j over ``index`` (see ``pair_index``); owner 0 is
-    i->j, owner 1 is j->i."""
-    pipes = [DirectedPipe("i", "j", c, cap), DirectedPipe("j", "i", c, cap)]
-    return emit_mld(pipes, curves, cfg, index.col, bounds)
 
 
 def row_values(rows, x):

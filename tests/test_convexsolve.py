@@ -189,10 +189,8 @@ def test_propagation_rejects_only_what_the_lp_screen_rejects(instances):
         for r in (2, 4):
             model, index = build_model(inst, PwaConfig(r=r))
             relaxed = relax(model)
-            # curves list the two orientations of a pipe one after the other
-            stored = list(index.curves)[::2]
-            for combo in product(range(1, r + 1), repeat=len(stored)):
-                fixed, aliases = config_columns(dict(zip(stored, combo)),
+            for combo in product(range(1, r + 1), repeat=len(index.curves)):
+                fixed, aliases = config_columns(dict(zip(index.curves, combo)),
                                                 index.curves, index.col)
                 lb, ub = relaxed.lb.copy(), relaxed.ub.copy()
                 lb[list(fixed)] = ub[list(fixed)] = list(fixed.values())
@@ -425,7 +423,8 @@ def _kkt_work(monkeypatch, solve):
 
 @pytest.mark.parametrize("name,r", [(name, r) for name in (
     "small2area", "chain2area", "medium3area") for r in (2, 4)])
-def test_acceleration_never_costs_evaluations(monkeypatch, instances, name, r):
+def test_blocked_step_costs_no_extra_kkt_work(monkeypatch, instances, name,
+                                              r):
     """The area-blocked Newton step costs no KKT evaluation the centralized
     solve does not make: as many factorizations and as many solves, each
     factorization over area blocks smaller than K joined by a border of at

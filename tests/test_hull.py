@@ -27,7 +27,7 @@ def _hull(r, c, cap):
     (0), psi_i (1) and psi_j (2), and the pipe's breakpoint points."""
     curve = fit_pwa(c, cap, PwaConfig(r=r))
     cols = {("phi", ("i", "j")): 0, ("psi", "i"): 1, ("psi", "j"): 2}
-    ineq, eq = emit_hull({("i", "j"): curve, ("j", "i"): curve},
+    ineq, eq = emit_hull({("i", "j"): curve},
                          lambda kind, owner: cols[kind, owner])
     x = np.array(curve.breakpoints)
     return ineq, eq, x, np.sign(x) * x * x / (c * c)
@@ -98,7 +98,7 @@ def test_hull_model_has_the_same_columns_at_every_r(instances, name):
         assert hull_index.names("col") == [index.name(j) for j in keep]
         assert hull_index.rows("eq", "pwa_flow").size == 0
         assert hull_index.rows("eq", "reciprocity").size == len(
-            index.curves) // 2
+            index.curves)
         assert hull.num_in == hull_index.rows("in", "hull_lo").size \
             + hull_index.rows("in", "hull_up").size
         assert not hull.integrality.any()
@@ -124,7 +124,7 @@ def test_hull_area_labels_restrict_the_full_models(instances, name, r):
                 for label in hull_index.names("eq")]
     assert hull_eq.tolist() == expected
     assert (hull_index.rows("eq", "hull_line").size
-            == (len(index.curves) // 2 if r == 2 else 0))
+            == (len(index.curves) if r == 2 else 0))
 
 
 def test_unknown_stage1_is_rejected_before_the_build(monkeypatch, small2area):

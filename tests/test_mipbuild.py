@@ -365,9 +365,12 @@ def test_solve_two_stage_fits_each_curve_once(monkeypatch, small2area):
 
     monkeypatch.setattr(ogpf.mipbuild, "fit_pwa", counting_fit)
     result = ogpf.solve_two_stage(small2area, 4)
-    directed = ogpf.classify_edges(small2area).internal_pipes_directed
-    assert sorted(calls) == sorted(dp.key for dp in directed)
-    assert list(result.index.curves) == [dp.key for dp in directed]
+    # one curve per internal pipe, keyed by the pipe in file order
+    pipes = [(p.from_node, p.to_node) for p in small2area.pipelines
+             if p.weymouth_c is not None]
+    assert len(pipes) == 3
+    assert calls == pipes
+    assert list(result.index.curves) == pipes
 
 
 def _labels_digest(labels):

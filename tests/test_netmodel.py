@@ -153,14 +153,14 @@ def test_classify_single_area_has_no_ties(instances):
     edges = ogpf.classify_edges(instances["single1area"])
     assert edges.tie_lines == ()
     assert edges.tie_pipes == ()
-    assert len(edges.internal_pipes_directed) == 4
+    assert len(edges.internal_pipes) == 2
 
 
 def test_classify_small2area(small2area):
     edges = ogpf.classify_edges(small2area)
     assert len(edges.tie_pipes) == 1
     assert len(edges.tie_lines) == 1
-    assert len(edges.internal_pipes_directed) == 6
+    assert len(edges.internal_pipes) == 3
 
 
 def test_cross_area_pipe_is_tie():
@@ -183,19 +183,13 @@ def test_cross_area_pipe_is_tie():
 def test_classification_is_a_partition(instances):
     for inst in instances.values():
         edges = ogpf.classify_edges(inst)
-        internal_undirected = {frozenset(dp.key)
-                               for dp in edges.internal_pipes_directed}
+        internal_undirected = {frozenset((p.from_node, p.to_node))
+                               for p in edges.internal_pipes}
         tie = {frozenset((p.from_node, p.to_node)) for p in edges.tie_pipes}
         every = {frozenset((p.from_node, p.to_node)) for p in inst.pipelines}
         assert internal_undirected | tie == every
         assert not internal_undirected & tie
 
-
-def test_orientation_closure(instances):
-    for inst in instances.values():
-        edges = ogpf.classify_edges(inst)
-        keys = {dp.key for dp in edges.internal_pipes_directed}
-        assert {(b, a) for a, b in keys} == keys
 
 
 def test_save_load_round_trip(tmp_path, instances):

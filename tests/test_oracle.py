@@ -70,14 +70,18 @@ def test_curves_of_another_region_count_are_rejected(small2area, model_r,
         enumerate_solve(model, index, curves)
 
 
-@pytest.mark.parametrize("drop", [1, 2])
-def test_curves_missing_orientations_are_rejected(small2area, drop):
-    """Without both orientations of a pipe its region columns are never
-    fixed; without one the mirror cannot be forced."""
+@pytest.mark.parametrize("form", ["two_orientations", "missing_pipe"])
+def test_curves_not_one_per_pipe_are_rejected(small2area, form):
+    """The enumeration takes one curve per internal pipe, keyed as the
+    model's: a curve per orientation would enumerate each pipe twice, and
+    without a pipe its region columns are never fixed."""
     model, index, curves = _build(small2area, 2)
-    for key in list(curves)[:drop]:
-        del curves[key]
-    with pytest.raises(ModelError, match="orientations"):
+    if form == "two_orientations":
+        curves = {k: curve for (i, j), curve in curves.items()
+                  for k in ((i, j), (j, i))}
+    else:
+        del curves[next(iter(curves))]
+    with pytest.raises(ModelError, match="pipes"):
         enumerate_solve(model, index, curves)
 
 

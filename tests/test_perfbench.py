@@ -1,7 +1,8 @@
 """The benchmark harness in ``perfbench/`` runs against this checkout.
 
-Its self-test must pass, and a short traced run of the ``scale`` workload must
-check every output. The harness traces and calls the program by name
+Its self-test must pass, and a short traced run of the ``scale`` workload and
+a short run of the ``oracle`` workload must check every output; the ``oracle``
+operation passes the curves of ``ogpf.fit_all_curves`` to ``enumerate_solve``. The harness traces and calls the program by name
 (``mipbuild.build_model``, ``substitute_columns``, ``ipm.solve_ipm``,
 ``VarIndex.col`` and ``columns``, among others), so a change that breaks it
 fails here and not only in the benchmark.
@@ -32,6 +33,16 @@ def test_selftest_passes():
 def test_traced_scale_run_checks_every_output():
     proc = _python("perfbench/run.py", "--workload", "scale", "--seed", "1",
                    "--seconds", "1", "--trace", "1")
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["attempted"] > 0
+
+
+def test_oracle_run_checks_every_output():
+    proc = _python("perfbench/run.py", "--workload", "oracle", "--seed", "1",
+                   "--seconds", "1", "--trace", "0")
     assert proc.returncode == 0, proc.stderr[-4000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True

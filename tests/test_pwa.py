@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from ogpf.errors import ConfigError, MissingBounds
-from ogpf.pwa import (PwaConfig, block_keys, fit_pwa, key_label,
+from ogpf.pwa import (PwaConfig, block_keys, emit_mld, fit_pwa, key_label,
                       max_region_error)
 
-from conftest import emit_pair, pair_index, row_values
+from conftest import pair_index, row_values
 
 
 def test_chord_fit_r2_unit():
@@ -127,13 +127,14 @@ def _emit_pair(r=2, c=1.0, cap=1.0, psi_box=(0.0, 1.0)):
     index = pair_index(r)
     bounds = {"i": psi_box, "j": psi_box}
     curve = fit_pwa(c, cap, cfg, pipe=("i", "j"))
-    curves = {("i", "j"): curve, ("j", "i"): curve}
-    return (index, *emit_pair(index, curves, cfg, bounds, c, cap))
+    return (index, *emit_mld({("i", "j"): curve}, cfg, index.col, bounds))
 
 
 def test_block_counts():
     _, ineq, eq = _emit_pair(r=2)
-    kinds = [key[0] for key in block_keys(("i", "j"), 2)]
+    keys = block_keys(("i", "j"), 2)
+    assert [key[1] for key in keys] == [("i", "j")] * 11 + [("j", "i")] * 11
+    kinds = [key[0] for key in keys[:11]]
     assert sum(k in ("dpsi", "alpha", "beta", "dm") for k in kinds) == 7
     assert sum(k in ("ypsi", "ym") for k in kinds) == 3
     # 2 + 2 + 7r + 4r + 4 inequality rows per orientation
@@ -199,4 +200,4 @@ def test_missing_bounds_rejected():
     curve = fit_pwa(1.0, 1.0, cfg)
     bounds = {"i": (0.0, np.inf), "j": (0.0, 1.0)}
     with pytest.raises(MissingBounds, match=re.escape("psi_max[i]")):
-        emit_pair(index, {("i", "j"): curve, ("j", "i"): curve}, cfg, bounds)
+        emit_mld({("i", "j"): curve}, cfg, index.col, bounds)

@@ -6,24 +6,20 @@ import pytest
 import ogpf
 from ogpf.errors import OutOfRange
 from ogpf.mipbuild import build_model, check_point
-from ogpf.pwa import (PwaConfig, config_columns, fit_pwa, key_label,
-                      max_region_error, orientation_regions)
+from ogpf.pwa import (PwaConfig, config_columns, emit_mld, fit_pwa,
+                      key_label, max_region_error, orientation_regions)
 from ogpf.recovery import (assemble_and_certify, build_pressure_lp,
                            max_abs_deviation, mean_abs_deviation,
                            recover_binaries, solve_pressure_lp,
                            weymouth_deviation)
 from ogpf.twostage import solve_two_stage
 
-from conftest import (direct_lp, emit_pair, make_instance, pair_index,
-                      row_values)
+from conftest import direct_lp, make_instance, pair_index, row_values
 
 
 def _pair_curves(r=2, c=1.0, cap=1.0, eps=1e-6):
-    cfg = PwaConfig(r=r, epsilon=eps)
-    return {
-        ("i", "j"): fit_pwa(c, cap, cfg, pipe=("i", "j")),
-        ("j", "i"): fit_pwa(c, cap, cfg, pipe=("j", "i")),
-    }
+    return {("i", "j"): fit_pwa(c, cap, PwaConfig(r=r, epsilon=eps),
+                                pipe=("i", "j"))}
 
 
 def _binaries(config, curves):
@@ -69,12 +65,6 @@ def test_recover_rejects_out_of_range_flow():
     curves = _pair_curves()
     with pytest.raises(OutOfRange):
         recover_binaries({("i", "j"): 1.5, ("j", "i"): -1.5}, curves)
-
-
-def _pair_rows(curves, cfg, index, bounds, c=1.0, cap=1.0):
-    """The rows ``emit_mld`` emits for both orientations of pipe i-j: the
-    inequality rows, then the equality rows."""
-    return emit_pair(index, curves, cfg, bounds, c, cap)
 
 
 def _point(config, curves, index, phi, psi):
@@ -123,7 +113,7 @@ def test_validate_raises_model_error(broken, message):
     curves = _pair_curves()
     index = pair_index(2)
     bounds = {"i": (0.0, 2.0), "j": (0.0, 2.0)}
-    rows = _pair_rows(curves, PwaConfig(r=2, epsilon=1e-6), index, bounds)
+    rows = emit_mld(curves, PwaConfig(r=2, epsilon=1e-6), index.col, bounds)
     config = recover_binaries({("i", "j"): 0.4, ("j", "i"): -0.4}, curves)
     x = _point(config, curves, index, 0.4, {"i": 0.7, "j": 0.2})
     assert _violated(rows, x, _BINARY_ONLY) == set()
@@ -199,8 +189,8 @@ def test_recovered_configuration_satisfies_emitted_rows():
         lo_i, lo_j = rng.uniform(0.0, 2.0, size=2)
         bounds = {"i": (lo_i, lo_i + rng.uniform(1.0, 5.0)),
                   "j": (lo_j, lo_j + rng.uniform(1.0, 5.0))}
-        rows = _pair_rows(curves, PwaConfig(r=r, epsilon=eps), index,
-                          bounds, c=c, cap=cap)
+        rows = emit_mld(curves, PwaConfig(r=r, epsilon=eps), index.col,
+                        bounds)
         assert {key[0] for block in rows
                 for key in block.keys} >= _BINARY_ONLY | away_only
 
@@ -344,7 +334,8 @@ def test_worst_pipes_list_ties_in_row_order(instances):
     its target."""
     inst = instances["loop1area"]
     model, index = build_model(inst, PwaConfig(r=4))
-    flows = {key: 10.0 if key[0] < key[1] else -10.0 for key in index.curves}
+    flows = {key: 10.0 if key[0] < key[1] else -10.0
+             for i, j in index.curves for key in ((i, j), (j, i))}
     config = recover_binaries(flows, index.curves)
     lp = build_pressure_lp(np.zeros(model.num_vars), config, flows,
                            model=model, index=index)
@@ -397,17 +388,16 @@ def test_deviation_consistency_with_certificate(instances):
     assert res.certificate.is_optimal
     index = res.index
     psi = res.recovery.psi_tilde
-    edges = ogpf.classify_edges(instances["small2area"])
     from ogpf.mipbuild import fit_all_curves
     curves = fit_all_curves(instances["small2area"], PwaConfig(r=4))
-    regions = {key: m for key, m, _ in
-               orientation_regions(res.recovery.configuration, curves)}
-    for dp in edges.internal_pipes_directed:
-        phi = res.solution.x[index.col("phi", dp.key)]
-        drop = abs(psi[dp.from_node] - psi[dp.to_node])
-        seg = curves[dp.key].segments[regions[dp.key] - 1]
-        gap = abs(phi * phi / dp.weymouth_c ** 2 - drop)
-        assert gap <= max_region_error(seg, dp.weymouth_c) + 1e-7
+    config = res.recovery.configuration
+    for pipe, curve in curves.items():
+        for key, m, _ in orientation_regions({pipe: config[pipe]}, curves):
+            phi = res.solution.x[index.col("phi", key)]
+            drop = abs(psi[key[0]] - psi[key[1]])
+            gap = abs(phi * phi / curve.c_f ** 2 - drop)
+            seg = curve.segments[m - 1]
+            assert gap <= max_region_error(seg, curve.c_f) + 1e-7
 
 
 # ---------------------------------------------------------------------------

@@ -120,3 +120,23 @@ def test_only_the_highs_helpers_name_linprog():
                      ("convexsolve.py", "_cutting_planes"),
                      ("recovery.py", "import"),
                      ("recovery.py", "solve_pressure_lp")]
+
+
+def test_only_pwa_pairs_orientations():
+    # one curve per internal pipe; pwa alone expands a pipe into its two
+    # orientations, so no other module strides through an orientation list
+    def step_two(node):
+        if isinstance(node, ast.Slice):
+            step = node.step
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "slice" and len(node.args) == 3):
+            step = node.args[2]
+        else:
+            return False
+        return isinstance(step, ast.Constant) and step.value == 2
+
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "pwa.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if step_two(node)]
+    assert found == []
