@@ -5,14 +5,14 @@ from .errors import (AllInfeasible, CapExceeded, CertificationBug,
                      ConfigError, MissingBounds, ModelError, OgpfError,
                      OutOfRange, ParseError, SolverFailure, ValidationError)
 from .mipbuild import (QuadBlock, StandardModel, VarIndex, area_views,
-                       build_model, check_point, dump_model, fit_all_curves,
-                       hull_relaxation, relax, substitute_columns)
+                       build_model, check_point, config_model, dump_model,
+                       fit_all_curves, hull_model, relax, substitute_columns)
 from .netmodel import (Bus, GasNode, GasSource, Generator, NetworkInstance,
                        Pipeline, PowerLine, classify_edges, load_instance,
                        save_instance, scale_demands)
 from .oracle import OracleResult, enumerate_solve
-from .pwa import (LinearRows, PwaConfig, PwaCurve, PwaSegment, emit_hull,
-                  emit_mld, fit_pwa, max_region_error)
+from .pwa import (LinearRows, PwaConfig, PwaCurve, PwaSegment, emit_config,
+                  emit_hull, emit_mld, fit_pwa, max_region_error)
 from .recovery import (Certificate, PressureLp, RecoveryResult,
                        assemble_and_certify, build_pressure_lp,
                        recover_binaries, solve_pressure_lp,

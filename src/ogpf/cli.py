@@ -160,8 +160,10 @@ def cmd_solve(args) -> int:
     inst = load_instance(cfg.instance)
     result = solve_two_stage(inst, cfg.r, **_solve_kwargs(args))
     if args.dump_model:
+        model, index = build_model(inst, PwaConfig(r=cfg.r,
+                                                   epsilon=args.epsilon))
         with open(args.dump_model, "w") as fh:
-            fh.write(dump_model(result.model, result.index))
+            fh.write(dump_model(model, index))
     runs = [_run_entry(0, result)]
     report = {"config": _config_echo(cfg, "solve"), "runs": runs,
               "aggregate": aggregate_runs(runs)}
@@ -309,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=[CENTRALIZED, CONSENSUS],
                    default=CENTRALIZED)
     p.add_argument("--dump-model", default=None,
-                   help="write a plain-text standard-form model export")
+                   help="write a plain-text export of the big-M model")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep-r", help="solve across region counts")

@@ -1,6 +1,7 @@
-"""Assembly of the mixed-integer dispatch model and its convex relaxation.
+"""Assembly of the mixed-integer dispatch model, its stage-1 relaxation
+and its configuration models.
 
-The model is kept in a plain standard form:
+A model is kept in a plain standard form:
 
     minimize    sum_i q_i x_i^2 + c^T x + c0
     subject to  A_eq x = b_eq
@@ -8,28 +9,28 @@ The model is kept in a plain standard form:
                 quadratic rows:  sum_k p_k x_k^2 + l^T x + d <= 0  (convex)
                 lb <= x <= ub, integrality mask over columns
 
-The model holds numbers only. The ``VarIndex`` that ``build_model`` returns
-with it names every column and row by one key form, e.g. ``("psi", "n1")``,
+The model holds numbers only. The ``VarIndex`` built with it names every
+column and row by one key form, e.g. ``("psi", "n1")``,
 ``("power_balance", "b2")`` or ``("reg_hi_up", ("n1", "n2"), 3)``, knows the
 entity owning each key, and keeps the fitted chord curves. Rows are looked up
 by key kind and areas assigned from the owners; no label string is parsed.
 
-Per orientation of each internal pipe the model carries the flow, one
-pressure product, ``r`` flow products and ``1 + 3r`` binaries; tie pipes
-carry two directed flow variables linked by a reciprocity row and no pressure
-coupling. The orientation-coupled flow equality is emitted once per
-internal pipe (the mirrored copy is implied by reciprocity and the
-sign link once binaries are integral, and emitting both would make the
-equality block rank-deficient).
+One builder writes the part every model shares (dispatch, angles, sources,
+pressures, tie flows, the balances and the gas conversion); the internal
+pipes come in one of three encodings of ``pwa``. ``build_model`` is the
+paper's big-M model (``emit_mld``): per orientation of each pipe the flow,
+one pressure product, ``r`` flow products and ``1 + 3r`` binaries.
+``hull_model``, the stage-1 model, and ``config_model``, the paper's model at
+one region configuration, share their columns, each pipe's two flows tied by
+reciprocity, and differ in their rows (``emit_hull``, ``emit_config``).
 
-Rows are built as arrays: the linear rows as coordinate triplets (the big-M
-blocks from ``pwa.emit_mld``) assembled in one sparse-matrix call per block,
-the quadratic rows as one coordinate block (``QuadBlock``).
-``substitute_columns`` is the one column-elimination routine and presolve,
-working on the CSR arrays: it fixes or aliases columns, drops the rows whose
-support vanished, detects contradictions, and returns the index maps that
-carry a reduced solution and its duals back. The enumeration oracle and the
-interior point both use it.
+Rows are built as arrays: the linear rows as coordinate triplets assembled
+in one sparse-matrix call per block, the quadratic rows as one coordinate
+block (``QuadBlock``). ``substitute_columns`` is the one column-elimination
+routine and presolve, working on the CSR arrays: it fixes or aliases
+columns, drops the rows whose support vanished, detects contradictions, and
+returns the index maps that carry a reduced solution and its duals back. The
+enumeration oracle and the interior point both use it.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ import scipy.sparse as sp
 
 from .errors import ModelError
 from .netmodel import NetworkInstance, classify_edges
-from .pwa import (PwaConfig, PwaCurve, block_keys, emit_hull, emit_mld,
-                  fit_pwa, key_label)
+from .pwa import (PwaConfig, PwaCurve, block_keys, emit_config, emit_hull,
+                  emit_mld, fit_pwa, key_label)
 
 # variable kinds
 P = "p"          # generator output
@@ -117,18 +118,9 @@ class VarIndex:
                                     _number(self._entities, entities[0])
                                     [entities[1]]))
 
-    def take(self, positions: dict[str, np.ndarray]) -> "VarIndex":
-        """The index of a model made of some of these columns and rows:
-        ``positions[block]`` lists the kept ones of each block, in order.
-        The curves are shared."""
-        out = VarIndex()
-        out.curves = self.curves
-        kinds, entities = list(self._kinds), self.entities
-        for block, pos in positions.items():
-            kind, owner = self._codes(block)
-            out.extend(block, [self._keys[block][k] for k in pos],
-                       (kinds, kind[pos]), (entities, owner[pos]))
-        return out
+    def keys(self, block: str) -> list[tuple]:
+        """Keys of every column (``COL``) or every row of ``block``."""
+        return list(self._keys[block])
 
     def add(self, kind: str, owner, m: int | None = None) -> int:
         self.extend(COL, [(kind, owner) if m is None else (kind, owner, m)])
@@ -355,88 +347,60 @@ def fit_all_curves(inst: NetworkInstance, cfg: PwaConfig) -> dict[tuple, PwaCurv
             for p in classify_edges(inst).internal_pipes}
 
 
-def build_model(inst: NetworkInstance, cfg: PwaConfig) -> tuple[StandardModel, VarIndex]:
-    """Assemble the full mixed-integer dispatch model.
+def _build(inst: NetworkInstance, curves: dict[tuple, PwaCurve], encode,
+           block: tuple | None = None) -> tuple[StandardModel, VarIndex]:
+    """Assemble a model of ``inst`` whose internal pipes ``encode`` writes.
 
-    Rows, in order: one power balance per bus, one gas balance per gas node,
-    one reciprocity row per tie pipe, then per internal pipe the reciprocity /
-    coupled flow equality / sign link plus both orientations' simplex rows;
-    all big-M logic blocks as inequalities; one convex quadratic conversion
-    row per gas-fueled generator. Non-gas units have their gas consumption
-    pinned to zero through the variable box. The index names every column
-    and row and keeps the fitted curves.
+    Every model shares its first columns and rows: per generator its output
+    and gas use, per bus its angle, per gas source its production, per gas
+    node its squared pressure, both flows of each tie pipe; the power and gas
+    balances, one reciprocity row per tie pipe, and the quadratic gas
+    conversion rows. ``block`` lists the internal pipes' columns as
+    ``VarIndex.extend`` takes them; without it each internal pipe gets a tie
+    pipe's two flows and reciprocity row. ``encode(index, lb, ub,
+    integrality)`` boxes those columns and returns their inequality and
+    equality rows, which follow the shared ones.
     """
     edges = classify_edges(inst)
-    curves = fit_all_curves(inst, cfg)
     index = VarIndex()
     index.curves = curves
-
+    flows = [((p.from_node, p.to_node), p.flow_cap, "tie_reciprocity")
+             for p in edges.tie_pipes]
+    if block is None:
+        flows += [(pipe, curve.phi_cap, "reciprocity")
+                  for pipe, curve in curves.items()]
     index.extend(COL, [key for g in inst.generators
                        for key in ((P, g.id), (DGU, g.id))]
                  + [(THETA, b.id) for b in inst.buses]
                  + [(GS, s.id) for s in inst.gas_sources]
                  + [(PSI, nd.id) for nd in inst.gas_nodes]
-                 + [(PHI, key) for p in edges.tie_pipes
-                    for key in ((p.from_node, p.to_node),
-                                (p.to_node, p.from_node))])
-    # one contiguous block of columns per internal-pipe orientation, last;
-    # each block belongs to its orientation's from node
-    r = cfg.r
-    width = 3 + 4 * r
-    first = len(index)
-    keys = [key for pipe in curves for key in block_keys(pipe, r)]
-    nodes = [("node", key[1][0]) for key in keys[::width]]
-    index.extend(COL, keys, ([key[0] for key in keys[:width]],
-                             np.tile(np.arange(width), len(nodes))),
-                 (nodes, np.repeat(np.arange(len(nodes)), width)))
+                 + [(PHI, key) for (i, j), _, _ in flows
+                    for key in ((i, j), (j, i))])
+    if block is not None:
+        index.extend(COL, *block)
     n = len(index)
+    # the shared columns' boxes, in column order; non-gas units burn no gas
+    box = ([pair for g in inst.generators for pair in (
+                (g.p_min, g.p_max), (0.0, np.inf if g.is_gas else 0.0))]
+           + [(b.theta_min, b.theta_max) for b in inst.buses]
+           + [(s.g_min, s.g_max) for s in inst.gas_sources]
+           + [(nd.psi_min, nd.psi_max) for nd in inst.gas_nodes]
+           + [(-cap, cap) for _, cap, _ in flows for _ in range(2)])
+    lb = np.full(n, -np.inf)
+    ub = np.full(n, np.inf)
+    lb[:len(box)], ub[:len(box)] = np.array(box, dtype=float).reshape(-1, 2).T
+    integrality = np.zeros(n, dtype=bool)
     obj_quad = np.zeros(n)
     obj_lin = np.zeros(n)
     obj_const = 0.0
-    lb = np.full(n, -np.inf)
-    ub = np.full(n, np.inf)
-    integrality = np.zeros(n, dtype=bool)
-
     for g in inst.generators:
-        jp = index.col(P, g.id)
-        jd = index.col(DGU, g.id)
-        lb[jp], ub[jp] = g.p_min, g.p_max
-        if g.is_gas:
-            lb[jd], ub[jd] = 0.0, np.inf
-        else:
-            lb[jd] = ub[jd] = 0.0
-            obj_quad[jp] = g.cost_c2
-            obj_lin[jp] = g.cost_c1
+        if not g.is_gas:
+            jp = index.col(P, g.id)
+            obj_quad[jp], obj_lin[jp] = g.cost_c2, g.cost_c1
             obj_const += g.cost_c0
-    for b in inst.buses:
-        jt = index.col(THETA, b.id)
-        lb[jt], ub[jt] = b.theta_min, b.theta_max
     for s in inst.gas_sources:
-        jg = index.col(GS, s.id)
-        lb[jg], ub[jg] = s.g_min, s.g_max
-        obj_lin[jg] = s.cost_c1
+        obj_lin[index.col(GS, s.id)] = s.cost_c1
         obj_const += s.cost_c0
-    for nd in inst.gas_nodes:
-        jn = index.col(PSI, nd.id)
-        lb[jn], ub[jn] = nd.psi_min, nd.psi_max
-    for p in edges.tie_pipes:
-        for key in ((p.from_node, p.to_node), (p.to_node, p.from_node)):
-            jf = index.col(PHI, key)
-            lb[jf], ub[jf] = -p.flow_cap, p.flow_cap
-    node_map = {nd.id: nd for nd in inst.gas_nodes}
-    # both orientations of a pipe share its cap
-    cap = np.repeat([c.phi_cap for c in curves.values()], 2)[:, None]
-    block_lb = lb[first:].reshape(-1, width)
-    block_ub = ub[first:].reshape(-1, width)
-    # flow and flow products within the cap, the pressure product within the
-    # from node's box widened to 0, binaries within [0, 1]
-    block_lb[:, :1] = block_lb[:, 2:2 + r] = -cap
-    block_ub[:, :1] = block_ub[:, 2:2 + r] = cap
-    block_lb[:, 1] = [min(0.0, node_map[nd].psi_min) for _, nd in nodes]
-    block_ub[:, 1] = [max(0.0, node_map[nd].psi_max) for _, nd in nodes]
-    block_lb[:, 2 + r:] = 0.0
-    block_ub[:, 2 + r:] = 1.0
-    integrality[first:].reshape(-1, width)[:, 2 + r:] = True
 
     eq: list[tuple] = []     # (key, columns, coefficients, rhs) per row
 
@@ -487,30 +451,28 @@ def build_model(inst: NetworkInstance, cfg: PwaConfig) -> tuple[StandardModel, V
             coefs.append(-1.0)
         eq.append((("gas_balance", nd.id), cols, coefs, nd.demand_g))
 
-    # tie reciprocity
-    for p in edges.tie_pipes:
-        eq.append((("tie_reciprocity", (p.from_node, p.to_node)),
-                   [index.col(PHI, (p.from_node, p.to_node)),
-                    index.col(PHI, (p.to_node, p.from_node))], [1.0, 1.0], 0.0))
+    # flow reciprocity
+    for (i, j), _, kind in flows:
+        eq.append(((kind, (i, j)), [index.col(PHI, (i, j)),
+                                    index.col(PHI, (j, i))], [1.0, 1.0], 0.0))
 
-    # internal pipe blocks: the big-M inequalities, and the simplex and
-    # pair-level equalities after the rows above
-    psi_bounds = {nd.id: (nd.psi_min, nd.psi_max) for nd in inst.gas_nodes}
-    mld_in, mld_eq = emit_mld(curves, cfg, index.col, psi_bounds)
+    # the internal pipes' rows; each belongs to its orientation's from node
+    pipe_in, pipe_eq = encode(index, lb, ub, integrality)
     head = len(eq)
     a_eq = _to_csr(
         np.concatenate([np.repeat(np.arange(head), [len(e[1]) for e in eq]),
-                        head + mld_eq.row]),
+                        head + pipe_eq.row]),
         np.concatenate([np.array([j for e in eq for j in e[1]], np.intp),
-                        mld_eq.col]),
-        np.concatenate([[c for e in eq for c in e[2]], mld_eq.coef]),
-        head + mld_eq.rhs.size, n)
-    b_eq = np.concatenate([[e[3] for e in eq], mld_eq.rhs])
-    g_in = _to_csr(mld_in.row, mld_in.col, mld_in.coef, mld_in.rhs.size, n)
-    h_in = mld_in.rhs
+                        pipe_eq.col]),
+        np.concatenate([[c for e in eq for c in e[2]], pipe_eq.coef]),
+        head + pipe_eq.rhs.size, n)
+    b_eq = np.concatenate([[e[3] for e in eq], pipe_eq.rhs])
+    g_in = _to_csr(pipe_in.row, pipe_in.col, pipe_in.coef, pipe_in.rhs.size,
+                   n)
     index.extend(EQ, [e[0] for e in eq])
-    for block, rows in ((EQ, mld_eq), (IN, mld_in)):
-        index.extend(block, rows.keys, (rows.kinds, rows.kind),
+    nodes = [("node", key[0]) for i, j in curves for key in ((i, j), (j, i))]
+    for blk, rows in ((EQ, pipe_eq), (IN, pipe_in)):
+        index.extend(blk, rows.keys, (rows.kinds, rows.kind),
                      (nodes, rows.owner))
 
     # gas conversion: eta2 p^2 + eta1 p + eta0 - dgu <= 0
@@ -525,8 +487,75 @@ def build_model(inst: NetworkInstance, cfg: PwaConfig) -> tuple[StandardModel, V
         [g.eta0 for g in gas])
     index.extend(QUAD, [("gas_conversion", g.id) for g in gas])
     model = StandardModel(n, obj_quad, obj_lin, obj_const, a_eq, b_eq,
-                          g_in, h_in, quad, lb, ub, integrality)
+                          g_in, pipe_in.rhs, quad, lb, ub, integrality)
     return model, index
+
+
+def build_model(inst: NetworkInstance, cfg: PwaConfig) -> tuple[StandardModel, VarIndex]:
+    """Assemble the paper's mixed-integer model: each orientation of an
+    internal pipe is a contiguous column block (``pwa.block_keys``) under the
+    big-M rows of ``pwa.emit_mld``."""
+    curves = fit_all_curves(inst, cfg)
+    r = cfg.r
+    width = 3 + 4 * r
+    # each orientation's block belongs to its from node
+    keys = [key for pipe in curves for key in block_keys(pipe, r)]
+    nodes = [("node", key[1][0]) for key in keys[::width]]
+    psi_bounds = {nd.id: (nd.psi_min, nd.psi_max) for nd in inst.gas_nodes}
+
+    def encode(index, lb, ub, integrality):
+        # both orientations of a pipe share its cap
+        cap = np.repeat([c.phi_cap for c in curves.values()], 2)[:, None]
+        first = len(index) - len(keys)
+        block_lb = lb[first:].reshape(-1, width)
+        block_ub = ub[first:].reshape(-1, width)
+        # flow and flow products within the cap, the pressure product within
+        # the from node's box widened to 0, binaries within [0, 1]
+        block_lb[:, :1] = block_lb[:, 2:2 + r] = -cap
+        block_ub[:, :1] = block_ub[:, 2:2 + r] = cap
+        block_lb[:, 1] = [min(0.0, psi_bounds[nd][0]) for _, nd in nodes]
+        block_ub[:, 1] = [max(0.0, psi_bounds[nd][1]) for _, nd in nodes]
+        block_lb[:, 2 + r:] = 0.0
+        block_ub[:, 2 + r:] = 1.0
+        integrality[first:].reshape(-1, width)[:, 2 + r:] = True
+        return emit_mld(curves, cfg, index.col, psi_bounds)
+
+    return _build(inst, curves, encode,
+                  (keys, ([key[0] for key in keys[:width]],
+                          np.tile(np.arange(width), len(nodes))),
+                   (nodes, np.repeat(np.arange(len(nodes)), width))))
+
+
+def hull_model(inst: NetworkInstance, cfg: PwaConfig
+               ) -> tuple[StandardModel, VarIndex]:
+    """The stage-1 model: each internal pipe on the convex hull of its
+    signed chord graph (``pwa.emit_hull``), over its flows and end
+    pressures.
+
+    The hull rows hold at every point of the mixed-integer model, so this
+    is a relaxation of it, of the same size at every ``r``, with no integral
+    column. Its columns are those of ``config_model``.
+    """
+    curves = fit_all_curves(inst, cfg)
+    return _build(inst, curves,
+                  lambda index, *_: emit_hull(curves, index.col))
+
+
+def config_model(inst: NetworkInstance, curves: dict[tuple, PwaCurve],
+                 config: dict[tuple, int], epsilon: float
+                 ) -> tuple[StandardModel, VarIndex]:
+    """The paper's model at one region configuration ``{pipe: region}``:
+    its binaries fixed and its products collapsed, written over the columns
+    of ``hull_model`` (``pwa.emit_config``). ``curves`` are the curves the
+    configuration refers to and ``epsilon`` the model's strict-inequality
+    tolerance."""
+    def encode(index, lb, ub, integrality):
+        ineq, eq, (cols, lo, hi) = emit_config(config, curves, epsilon,
+                                               index.col)
+        lb[cols], ub[cols] = lo, hi
+        return ineq, eq
+
+    return _build(inst, curves, encode)
 
 
 def relax(model: StandardModel) -> StandardModel:
@@ -538,67 +567,6 @@ def relax(model: StandardModel) -> StandardModel:
     out = model.copy()
     out.integrality = np.zeros(model.num_vars, dtype=bool)
     return out
-
-
-# kinds of the columns of an internal-pipe orientation other than its flow
-_BLOCK_KINDS = {key[0] for key in block_keys(("i", "j"), 1)} - {PHI}
-
-
-def hull_relaxation(model: StandardModel, index: VarIndex
-                    ) -> tuple[StandardModel, VarIndex, np.ndarray]:
-    """The stage-1 model on each pipe's convex hull, with its index and the
-    position in ``model`` of each of its columns.
-
-    It keeps every column but the orientation blocks' sign, region and
-    product columns (all kinds of ``pwa.block_keys`` but the flow), keeps
-    the rows whose support lies inside the kept columns, and adds the rows
-    of ``pwa.emit_hull`` over each pipe's flow and end pressures. Those hold
-    for every point of the mixed-integer model, so this is a relaxation of
-    it, of the same size at every ``r``. No kept column is integral. Rows keep their order, the hull rows coming last
-    in their block.
-    """
-    n = model.num_vars
-    drop = np.zeros(n, dtype=bool)
-    for kind in _BLOCK_KINDS:
-        drop[index.columns(kind)] = True
-    keep = np.flatnonzero(~drop)
-    col_map = np.full(n, -1, dtype=np.intp)
-    col_map[keep] = np.arange(keep.size)
-
-    quad = model.quad_ineq
-    outside = np.zeros(len(quad), dtype=bool)
-    outside[quad.q_row[drop[quad.q_col]]] = True
-    outside[quad.l_row[drop[quad.l_col]]] = True
-    rows = {COL: keep, QUAD: np.flatnonzero(~outside)}
-    hulls = dict(zip((IN, EQ), emit_hull(index.curves, index.col)))
-    blocks = {}
-    for block, mat, rhs in ((EQ, model.a_eq, model.b_eq),
-                            (IN, model.g_in, model.h_in)):
-        # the rows with no entry in a dropped column, then the hull rows
-        row, hull = entry_rows(mat), hulls[block]
-        inside = np.bincount(row[drop[mat.indices]],
-                             minlength=mat.shape[0]) == 0
-        rows[block] = np.flatnonzero(inside)
-        m = rows[block].size
-        kept = inside[row]
-        blocks[block] = (_to_csr(
-            np.concatenate([(np.cumsum(inside) - 1)[row[kept]], m + hull.row]),
-            col_map[np.concatenate([mat.indices[kept], hull.col])],
-            np.concatenate([mat.data[kept], hull.coef]), m + hull.rhs.size,
-            keep.size), np.concatenate([rhs[inside], hull.rhs]))
-    out = index.take(rows)
-    nodes = [("node", key[0]) for key in index.curves]
-    for block in (EQ, IN):
-        hull = hulls[block]
-        out.extend(block, hull.keys, (hull.kinds, hull.kind),
-                   (nodes, hull.owner))
-    relaxed = StandardModel(
-        keep.size, model.obj_quad[keep], model.obj_lin[keep], model.obj_const,
-        *blocks[EQ], *blocks[IN],
-        quad.take(rows[QUAD]).substitute(col_map, np.ones(n), np.zeros(n),
-                                         keep.size),
-        model.lb[keep], model.ub[keep], np.zeros(keep.size, dtype=bool))
-    return relaxed, out, keep
 
 
 @dataclass

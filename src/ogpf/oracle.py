@@ -2,8 +2,8 @@
 
 Fixing the active region of each internal pipe fixes every binary in the
 model, both orientations' included: ``pwa.config_columns`` turns such
-a region configuration into column fixes and aliases, the same map stage 2
-applies to its recovered configuration. Enumerating regions per pipe and
+a region configuration into column fixes and aliases of the big-M model
+(``mipbuild.build_model``). Enumerating regions per pipe and
 solving the continuous subproblem of each configuration therefore covers all
 feasible binary assignments with ``r ** num_pipes`` convex solves. Most
 configurations are infeasible, and two tests over the linear rows and boxes

@@ -33,8 +33,8 @@ the two end pressures alone.
 This module alone gives the region binaries their meaning. A region
 configuration ``{pipe: region}`` names one active region per internal pipe;
 ``config_columns`` turns it into the binaries and product auxiliaries of both
-orientations. The oracle enumerates configurations and stage 2 recovers one,
-and both pass it through that one function.
+orientations, which the oracle fixes in the big-M model, and ``emit_config``
+into the rows those leave over the flows and pressures, which stage 2 reads.
 """
 
 from __future__ import annotations
@@ -173,9 +173,8 @@ def block_keys(pipe: tuple, r: int) -> list[tuple]:
 class LinearRows:
     """Linear rows as coordinate arrays: coefficient ``coef[e]`` of column
     ``col[e]`` in row ``row[e]``, and per row its right-hand side, key, kind
-    (a position in ``kinds``) and owner (for ``emit_mld`` its orientation:
-    ``2p`` for pipe ``p`` of the curves and ``2p + 1`` for its mirror; for
-    ``emit_hull`` the pipe ``p``)."""
+    (a position in ``kinds``) and owner, the orientation it belongs to:
+    ``2p`` for pipe ``p`` of the curves and ``2p + 1`` for its mirror."""
 
     row: np.ndarray
     col: np.ndarray
@@ -329,6 +328,14 @@ def emit_mld(curves: dict[tuple, PwaCurve], cfg: PwaConfig, col,
     return ineq, eq
 
 
+def _pipe_columns(pipes: list[tuple], col) -> tuple[np.ndarray, ...]:
+    """Columns of each pipe (i, j)'s flow ``phi_ij`` and end pressures
+    ``psi_i`` and ``psi_j``."""
+    return (np.array([col("phi", key) for key in pipes], np.intp),
+            np.array([col("psi", i) for i, _ in pipes], np.intp),
+            np.array([col("psi", j) for _, j in pipes], np.intp))
+
+
 def emit_hull(curves: dict[tuple, PwaCurve], col
               ) -> tuple[LinearRows, LinearRows]:
     """Emit the convex hull of every internal pipe's signed chord graph.
@@ -351,17 +358,15 @@ def emit_hull(curves: dict[tuple, PwaCurve], col
 
     ``curves`` maps each internal pipe (i, j) to its curve, all with the
     same ``r`` (as ``mipbuild.fit_all_curves`` does); ``col`` is the column
-    lookup of ``emit_mld``. Returns the inequality and the equality rows; a
-    row's owner is the position of its pipe in ``curves``.
+    lookup of ``emit_mld``. Returns the inequality and the equality rows,
+    each owned by its pipe's own orientation.
     """
     pipes = list(curves)
     bps = [curve.breakpoints for curve in curves.values()]
     x = np.array(bps, dtype=float).reshape(len(bps), len(bps[0]) if bps else 2)
     c2 = np.array([curve.c_f ** 2 for curve in curves.values()])[:, None]
     y = np.sign(x) * x * x / c2
-    phi = np.array([col("phi", key) for key in pipes], np.intp)
-    psi_i = np.array([col("psi", i) for i, _ in pipes], np.intp)
-    psi_j = np.array([col("psi", j) for _, j in pipes], np.intp)
+    phi, psi_i, psi_j = _pipe_columns(pipes, col)
     none = np.zeros(0, np.intp)
     if x.shape[1] == 3:
         s = (y[:, 2] - y[:, 0]) / (x[:, 2] - x[:, 0])
@@ -369,7 +374,7 @@ def emit_hull(curves: dict[tuple, PwaCurve], col
         line = _rows(num, [(np.arange(num), 0.0, (phi, s), (psi_i, -1.0),
                             (psi_j, 1.0))],
                      [("hull_line", key) for key in pipes], ("hull_line",),
-                     np.zeros(num, np.intp), np.arange(num))
+                     np.zeros(num, np.intp), 2 * np.arange(num))
         return _rows(0, [], [], ("hull_lo", "hull_up"), none, none), line
     # the lower chain: the left end, then every breakpoint from the one of
     # least slope seen from it; edge e ends at breakpoint ``end[e]``
@@ -386,7 +391,7 @@ def emit_hull(curves: dict[tuple, PwaCurve], col
         (lo + 1, h, (ph, -s), (pi, 1.0), (pj, -1.0)),
     ], [(kind, pipes[p], k) for p, k in zip(pipe.tolist(), end.tolist())
         for kind in ("hull_lo", "hull_up")], ("hull_lo", "hull_up"),
-        np.tile([0, 1], pipe.size), np.repeat(pipe, 2))
+        np.tile([0, 1], pipe.size), np.repeat(2 * pipe, 2))
     return hull, _rows(0, [], [], ("hull_line",), none, none)
 
 
@@ -444,3 +449,44 @@ def config_columns(config: dict[tuple, int], curves: dict[tuple, PwaCurve],
             else:
                 fixed[jpsi] = 0.0
     return fixed, aliases
+
+
+def emit_config(config: dict[tuple, int], curves: dict[tuple, PwaCurve],
+                epsilon: float, col) -> tuple[LinearRows, LinearRows, tuple]:
+    """Emit ``emit_mld``'s rows at one region configuration, over each
+    pipe's flows and end pressures.
+
+    With the binaries fixed as ``config_columns`` fixes them and the
+    products collapsed onto flows and pressures, the big-M rows of a pipe
+    (i, j) in region ``m`` (chord ``a phi + b`` on ``[lo, hi]``; sign ``s``
+    1 on the regions ``m > r/2``, else -1) come down to the flow box
+    ``lo + epsilon <= phi_ij <= hi - epsilon`` (no ``epsilon`` at the grid
+    ends) and the mirror region's box on ``phi_ji``, one ``pwa_flow`` row
+    ``a phi_ij - s (psi_i - psi_j) = -b`` and one ``psi_order`` row
+    ``s (psi_j - psi_i) <= -epsilon``; every other row then holds or follows
+    from these and the boxes. Returns the inequality and the equality rows,
+    each owned by its pipe's own orientation, and the boxes as ``(columns,
+    lo, hi)``; ``col`` is the column lookup of ``emit_mld``.
+    """
+    pipes = list(curves)
+    cols, box, chords = [], [], []
+    for pipe, curve in curves.items():
+        for key, m, sign in orientation_regions({pipe: config[pipe]}, curves):
+            seg = curve.segments[m - 1]
+            cols.append(col("phi", key))
+            box.append((seg.lo + epsilon if m > 1 else seg.lo,
+                        seg.hi - epsilon if m < curve.r else seg.hi))
+            chords.append((seg.a, -seg.b, 2.0 * sign - 1.0))
+    # the rows read the pipes' own orientations
+    a, b, s = np.array(chords, dtype=float).reshape(-1, 3)[0::2].T
+    lo, hi = np.array(box, dtype=float).reshape(-1, 2).T
+    num = len(pipes)
+    at = np.arange(num)
+    phi, psi_i, psi_j = _pipe_columns(pipes, col)
+    labels = (np.zeros(num, np.intp), 2 * at)
+    ineq = _rows(num, [(at, -epsilon, (psi_i, -s), (psi_j, s))],
+                 [("psi_order", key) for key in pipes], ("psi_order",),
+                 *labels)
+    eq = _rows(num, [(at, b, (phi, a), (psi_i, -s), (psi_j, s))],
+               [("pwa_flow", key) for key in pipes], ("pwa_flow",), *labels)
+    return ineq, eq, (np.array(cols, np.intp), lo, hi)

@@ -1,15 +1,17 @@
 """Solution recovery: a region configuration from first-stage flows,
-pressure recomputation via an infinity-norm linear program over the model's
-own flow equalities (its ``pwa_flow`` rows) at that configuration,
+pressure recomputation via an infinity-norm linear program over the flow
+equalities (``pwa_flow`` rows) of the paper's model at that configuration,
 certification and flow-deviation metrics.
 
 Stage 2 recovers the binaries in the form the oracle enumerates: one active
 region per internal pipe, a configuration ``{pipe: region}``.
-``pwa.config_columns`` turns it into the binaries and product auxiliaries of
-both orientations. The sign binary is 1 exactly when the oriented flow is
-nonnegative, matching the logic blocks of the constraint model (the flow
-equality is only consistent under this orientation); at a flow exactly on a
-shared breakpoint the active region follows the sign binary's side.
+``mipbuild.config_model`` writes the paper's model at that configuration
+over the stage-1 model's columns; the pressure problem is its ``pwa_flow``
+rows with the flows fixed, and the assembled point is checked against it.
+The region follows the flow's sign (the sign binary is 1 exactly when the
+oriented flow is nonnegative, the only orientation under which the flow
+equality is consistent); at a flow exactly on a shared breakpoint the active
+region follows the sign binary's side.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from scipy.optimize import linprog
 from .errors import CertificationBug, OutOfRange, SolverFailure
 from .mipbuild import (COL, EQ, IN, PHI, PSI, QUAD, StandardModel, VarIndex,
                        check_point)
-from .pwa import PwaCurve, config_columns
+from .pwa import PwaCurve
 
 CERT_OPTIMAL = "Optimal"
 CERT_APPROXIMATE = "Approximate"
@@ -66,60 +68,39 @@ def recover_binaries(phi_star: dict[tuple[str, str], float],
 
 @dataclass
 class PressureLp:
-    """The infinity-norm pressure problem ``min |a u(psi) - b|_inf`` over
-    the boxes ``lo <= psi <= hi`` of the pressures of ``nodes``.
+    """The infinity-norm pressure problem ``min |a psi - b|_inf`` over the
+    boxes ``lo <= psi <= hi`` of the pressures of ``nodes``.
 
-    ``a u = b`` are the model's ``pwa_flow`` rows, one per internal pipe,
-    and ``u(psi) = base + lift @ psi`` is the assembled point at a fixed
-    configuration, which is affine in the pressures. ``lift`` is sparse
-    (CSR, one row per model column): each column moves with at most one
-    pressure, the pressures themselves and the pressure products aliased
-    to them.
+    ``a psi = b`` are a configuration model's ``pwa_flow`` rows, one per
+    internal pipe, with every column but the pressures fixed at ``point``;
+    ``columns`` are the pressures' columns, in the order of ``nodes``.
     """
 
     nodes: list[str]
-    base: np.ndarray
-    lift: sp.csr_matrix
+    columns: np.ndarray
+    point: np.ndarray
     a: sp.csr_matrix
     b: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
 
 
-def build_pressure_lp(u0: np.ndarray,
-                      configuration: dict[tuple[str, str], int],
-                      phi_star: dict[tuple[str, str], float], *,
-                      model: StandardModel, index: VarIndex) -> PressureLp:
-    """The pressure problem at a configuration, read off the model.
-
-    ``base`` is the stage-1 point ``u0`` with the columns ``pwa.config_columns``
-    fixes and the flow products it aliases, taken at the symmetrized flows
-    ``phi_star``; ``lift`` moves the pressures and the pressure products
-    aliased to them, which are 0 in ``base``.
-    """
+def build_pressure_lp(u0: np.ndarray, phi_star: dict[tuple[str, str], float],
+                      *, model: StandardModel, index: VarIndex) -> PressureLp:
+    """The pressure problem of a configuration model at the stage-1 point
+    ``u0``, its internal flows taken at the symmetrized ``phi_star``."""
+    point = np.array(u0, dtype=float)
+    point[[index.col(PHI, key) for key in phi_star]] = list(phi_star.values())
     psi = index.columns(PSI)
     entities = index.entities
     nodes = [entities[e][1] for e in index.owners(COL)[psi]]
-    fixed, aliases = config_columns(configuration, index.curves, index.col)
-    base = np.array(u0, dtype=float)
-    base[list(fixed)] = list(fixed.values())
-    base[psi] = 0.0
-    moved, at, coefs = psi.tolist(), list(range(psi.size)), [1.0] * psi.size
-    node = dict(zip(moved, at))
-    flows = {index.col(PHI, key): phi for key, phi in phi_star.items()}
-    for j, (src, coef) in aliases.items():
-        if src in node:
-            moved.append(j)
-            at.append(node[src])
-            coefs.append(coef)
-            base[j] = 0.0
-        else:
-            base[j] = coef * flows[src]
-    lift = sp.csr_matrix((coefs, (moved, at)),
-                         shape=(model.num_vars, psi.size))
     rows = index.rows(EQ, "pwa_flow")
-    return PressureLp(nodes, base, lift, model.a_eq[rows], model.b_eq[rows],
-                      model.lb[psi], model.ub[psi])
+    a = model.a_eq[rows]
+    fixed = point.copy()
+    fixed[psi] = 0.0
+    return PressureLp(nodes, psi, point, a[:, psi],
+                      model.b_eq[rows] - a @ fixed, model.lb[psi],
+                      model.ub[psi])
 
 
 def solve_pressure_lp(lp: PressureLp) -> tuple[np.ndarray, float]:
@@ -131,8 +112,8 @@ def solve_pressure_lp(lp: PressureLp) -> tuple[np.ndarray, float]:
     solutions, so consistent targets come back with a norm at numerical zero.
     """
     n = len(lp.nodes)
-    e_rows = (lp.a @ lp.lift).toarray()
-    theta = lp.b - lp.a @ lp.base
+    e_rows = lp.a.toarray()
+    theta = lp.b
     k = e_rows.shape[0]
     if k == 0:
         return np.clip(0.0, lp.lo, lp.hi), 0.0
@@ -168,11 +149,13 @@ class RecoveryResult:
     """Outcome of the second stage.
 
     ``configuration`` is the recovered region per internal pipe, keyed by
-    its ``(from_node, to_node)``. ``u_star`` keeps every first-stage component
-    bit-for-bit and replaces only the pressures, product auxiliaries and
-    binaries. The certificate is Optimal exactly when the pressure problem
-    closed to within ``cert_tol``; in that case the point has passed an
-    independent full-constraint check.
+    its ``(from_node, to_node)``. ``u_star`` lies on the configuration
+    model's columns, those of the stage-1 model: the stage-1 point with the
+    internal flows symmetrized and the pressures recomputed, every other
+    component bit for bit. The certificate is Optimal exactly when the
+    pressure problem closed to within ``cert_tol``; in that case the point
+    has passed an independent check of every row and box of the
+    configuration model.
     """
 
     configuration: dict[tuple[str, str], int]
@@ -189,34 +172,33 @@ def assemble_and_certify(lp: PressureLp, psi_tilde: np.ndarray,
                          configuration: dict[tuple[str, str], int],
                          cert_tol: float, *, model: StandardModel,
                          index: VarIndex, feas_tol: float) -> RecoveryResult:
-    """Assemble the final point ``base + lift @ psi_tilde`` and certify it.
+    """Assemble the final point, ``lp.point`` with the pressures
+    ``psi_tilde``, and certify it on the configuration model ``model``.
 
     The certificate bound is the pressure objective at the assembled point,
     the worst residual of the ``pwa_flow`` rows; it is Optimal iff the bound
     is at most ``cert_tol``. A certified point is re-checked against every
-    model row at ``feas_tol``, which the caller sets to ``FEAS_TOL`` widened
-    to the stage-1 residual (CertificationBug on failure, which would
-    indicate an implementation error, since cost-relevant components are
-    untouched and the recovered gas-side components satisfy the logic blocks
-    by construction).
+    row and box of the model at ``feas_tol``, which the caller sets to
+    ``FEAS_TOL`` widened to the stage-1 residual (CertificationBug on
+    failure, which would indicate an implementation error: cost-relevant
+    components are untouched, the recovered regions hold the flows, and a
+    closed pressure problem meets the flow equalities).
     """
-    # only the lifted columns are written, so the others keep u0 bit for bit
-    lift = lp.lift.tocoo()
-    u_star = lp.base.copy()
-    u_star[lift.row] += lift.data * psi_tilde[lift.col]
-    mismatch = np.abs(lp.a @ u_star - lp.b)
+    # only the pressures are written, so the others keep the point bit for bit
+    u_star = lp.point.copy()
+    u_star[lp.columns] = psi_tilde
+    rows = index.rows(EQ, "pwa_flow")
+    mismatch = np.abs(model.a_eq[rows] @ u_star - model.b_eq[rows])
     bound = float(mismatch.max(initial=0.0))
     cert = Certificate(CERT_OPTIMAL if bound <= cert_tol else CERT_APPROXIMATE,
                        bound)
-    rows = index.rows(EQ, "pwa_flow")
     worst = [[index.row_name(EQ, rows[k]), float(mismatch[k])]
              for k in _worst_rows(mismatch, cert_tol)]
     result = RecoveryResult(dict(configuration),
                             dict(zip(lp.nodes, psi_tilde.tolist())), cert,
                             u_star, worst_pipes=worst)
     if cert.is_optimal:
-        rep = check_point(model, u_star, feas_tol * (1.0 + 1e-9),
-                          check_integrality=True)
+        rep = check_point(model, u_star, feas_tol * (1.0 + 1e-9))
         if not rep.ok:
             where = [(index.row_name(block, k) if block in (EQ, IN, QUAD)
                       else f"{block}[{index.name(k)}]", v)

@@ -5,14 +5,16 @@ interior point, either on the whole KKT system (centralized) or with each
 area factoring its own KKT block and the coupling rows joining them
 (consensus); both take the same iterations to the same optimum. The
 relaxation is, by default, the convex hull of each pipe's signed chord
-graph over its flow and end pressures (``HULL``, ``mipbuild.hull_relaxation``),
+graph over its flow and end pressures (``HULL``, ``mipbuild.hull_model``),
 whose size does not grow with ``r``; ``BIGM`` relaxes the paper's big-M model
-instead, clearing its integrality. Stage 2 reads a region configuration off
-the stage-1 flows, sets the binaries and product auxiliaries the
-configuration implies, recomputes pressures through the infinity-norm
-problem over the model's flow-equality (``pwa_flow``) rows at that
-configuration, assembles the final point (stage-1 components untouched) and
-certifies it.
+instead, clearing its integrality, and its point is gathered onto the hull
+model's columns. Stage 2 is the same under both: it reads a region
+configuration off the stage-1 flows and builds the paper's model at that
+configuration over those columns (``mipbuild.config_model``). It recomputes
+pressures through the infinity-norm problem over that model's flow-equality
+(``pwa_flow``) rows with the flows fixed, assembles the final point (the
+stage-1 point, its flows symmetrized and its pressures replaced) and
+certifies it against that model.
 
 A positive pressure residual is reported as an Approximate certificate with
 the flows kept as decided; no repair pass re-solves stage 1 under the
@@ -24,12 +26,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .convexsolve import INFEASIBLE, Solution, solve_consensus, solve_convex
 from .errors import ConfigError, OgpfError
-from .mipbuild import (PHI, StandardModel, VarIndex, area_views, build_model,
-                       hull_relaxation, relax)
+from .mipbuild import (COL, PHI, StandardModel, VarIndex, area_views,
+                       build_model, config_model, hull_model, relax)
 from .netmodel import NetworkInstance
 from .pwa import PwaConfig
 from .recovery import (FEAS_TOL, RecoveryResult, assemble_and_certify,
@@ -50,16 +50,17 @@ SIGN_CONVENTION = "delta_psi = 1 <=> oriented flow >= 0"
 
 @dataclass
 class TwoStageResult:
-    """Outcome of ``solve_two_stage``. ``model`` and ``index`` are the full
-    mixed-integer model's; ``solution.x`` covers its columns (0 in the
-    columns a ``HULL`` stage 1 leaves out), while ``solution.duals`` and
-    ``solution.residuals`` are those of the stage-1 model."""
+    """Outcome of ``solve_two_stage``. ``model`` and ``index`` are the
+    configuration model's, the paper's model at the recovered configuration
+    over the hull model's columns; ``solution.x`` is the stage-1 point on
+    those columns, while ``solution.duals`` and ``solution.residuals`` are
+    those of the stage-1 model."""
 
     solution: Solution
     recovery: RecoveryResult
     model: StandardModel
     index: VarIndex
-    build_time_s: float       # model build plus the stage-1 model, before stage 1
+    build_time_s: float       # the stage-1 model's build, before stage 1
     stage1_time_s: float
     stage2_time_s: float
     mode: str                 # CENTRALIZED or CONSENSUS
@@ -90,26 +91,21 @@ def solve_two_stage(inst: NetworkInstance, r: int, *, epsilon: float = 1e-6,
         raise ConfigError(f"unknown stage 1 {stage1!r}")
     cfg = PwaConfig(r=r, epsilon=epsilon)
     t_build = time.perf_counter()
-    model, index = build_model(inst, cfg)
     if stage1 == HULL:
-        relaxed, relaxed_index, keep = hull_relaxation(model, index)
+        relaxed, index = hull_model(inst, cfg)
     else:
-        relaxed, relaxed_index = relax(model), index
-        keep = np.arange(model.num_vars)
+        model, index = build_model(inst, cfg)
+        relaxed = relax(model)
     curves = index.curves
 
     t0 = time.perf_counter()
     if mode == CONSENSUS:
-        sol = solve_consensus(relaxed,
-                              area_views(relaxed, inst, relaxed_index))
+        sol = solve_consensus(relaxed, area_views(relaxed, inst, index))
     else:
         sol = solve_convex(relaxed)
     t1 = time.perf_counter()
     if sol.status == INFEASIBLE:
         raise OgpfError("stage 1: relaxed problem is infeasible")
-    x = np.zeros(model.num_vars)
-    x[keep] = sol.x
-    sol = replace(sol, x=x, objective=model.objective(x))
 
     # stage-2 quantities use reciprocity-symmetrized flows so that solver
     # noise between the two orientations does not leak into the pressure
@@ -129,17 +125,19 @@ def solve_two_stage(inst: NetworkInstance, r: int, *, epsilon: float = 1e-6,
     check_tol = max(FEAS_TOL, 2.0 * stage1_res)
 
     configuration = recover_binaries(phi_star, curves)
-    lp = build_pressure_lp(sol.x, configuration, phi_star, model=model,
-                           index=index)
+    model, config_index = config_model(inst, curves, configuration, epsilon)
+    x = sol.x[[index.col(*key) for key in config_index.keys(COL)]]
+    sol = replace(sol, x=x, objective=model.objective(x))
+    lp = build_pressure_lp(x, phi_star, model=model, index=config_index)
     psi_tilde, _ = solve_pressure_lp(lp)
     recovery = assemble_and_certify(lp, psi_tilde, configuration, cert_tol,
-                                    model=model, index=index,
+                                    model=model, index=config_index,
                                     feas_tol=check_tol)
     recovery.deviations = weymouth_deviation(phi_star, recovery.psi_tilde,
                                              c_f)
     t2 = time.perf_counter()
 
     return TwoStageResult(solution=sol, recovery=recovery, model=model,
-                          index=index, build_time_s=t0 - t_build,
+                          index=config_index, build_time_s=t0 - t_build,
                           stage1_time_s=t1 - t0,
                           stage2_time_s=t2 - t1, mode=mode, stage1=stage1)

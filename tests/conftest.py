@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 import ogpf
 from ogpf.mipbuild import QuadBlock, VarIndex, build_model
-from ogpf.pwa import PwaConfig
+from ogpf.pwa import PwaConfig, config_columns
 from ogpf.recovery import PressureLp
 
 BUNDLED = ["small2area", "single1area", "chain2area", "medium3area",
@@ -61,13 +61,24 @@ def row_values(rows, x):
 
 
 def direct_lp(rows, theta, lo, hi):
-    """The pressure LP whose point is the pressures themselves (``base`` 0,
-    ``lift`` the identity), so that its rows and targets are ``rows`` and
-    ``theta``."""
+    """The pressure LP whose point is the pressures themselves, so that its
+    rows and targets are ``rows`` and ``theta``."""
     n = len(lo)
-    return PressureLp([f"n{t}" for t in range(n)], np.zeros(n),
-                      sp.identity(n, format="csr"), sp.csr_matrix(rows),
-                      theta, lo, hi)
+    return PressureLp([f"n{t}" for t in range(n)], np.arange(n), np.zeros(n),
+                      sp.csr_matrix(rows), theta, lo, hi)
+
+
+def expand_point(x, index, config, big):
+    """A configuration-model point ``x``, its columns named by ``index``, on
+    the columns of the big-M model that ``big`` indexes: by key, plus the
+    binaries and products ``pwa.config_columns`` sets for ``config``."""
+    out = np.zeros(len(big))
+    out[[big.col(*key) for key in index.keys("col")]] = x
+    fixed, aliases = config_columns(config, big.curves, big.col)
+    out[list(fixed)] = list(fixed.values())
+    for j, (src, coef) in aliases.items():
+        out[j] = coef * out[src]
+    return out
 
 
 def make_instance(*, num_areas=1, buses=None, lines=None, generators=None,

@@ -19,7 +19,7 @@ from ogpf.pwa import PwaConfig, emit_mld, fit_pwa, max_region_error
 from ogpf.recovery import solve_pressure_lp
 from ogpf.twostage import solve_two_stage
 
-from conftest import direct_lp
+from conftest import direct_lp, expand_point
 
 SMALL = ["small2area", "single1area", "chain2area"]
 MULTI_AREA = ["small2area", "chain2area", "medium3area"]
@@ -82,18 +82,22 @@ def monte_carlo_batch(instances):
     for name, r, count in plan:
         inst = instances[name]
         for _ in range(count):
-            res = solve_two_stage(_perturbed(inst, rng), r)
-            out.append(res)
+            perturbed = _perturbed(inst, rng)
+            out.append((perturbed, r, solve_two_stage(perturbed, r)))
     return out
 
 
 def test_criterion_2_exactness_property(monte_carlo_batch):
     runs = monte_carlo_batch
-    certified = [res for res in runs if res.certificate.bound <= 1e-8]
+    certified = [(inst, r, res) for inst, r, res in runs
+                 if res.certificate.bound <= 1e-8]
     counterexamples = 0
-    for res in certified:
-        rep = check_point(res.model, res.recovery.u_star, 1e-6,
-                          check_integrality=True)
+    for inst, r, res in certified:
+        # checked on the paper's model, the point expanded onto its columns
+        model, index = build_model(inst, PwaConfig(r=r))
+        x = expand_point(res.recovery.u_star, res.index,
+                         res.recovery.configuration, index)
+        rep = check_point(model, x, 1e-6, check_integrality=True)
         exact_obj = (res.model.objective(res.recovery.u_star)
                      == res.solution.objective)
         if not (rep.ok and exact_obj):

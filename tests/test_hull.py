@@ -1,8 +1,9 @@
 """Stage 1 on each pipe's convex hull (``pwa.emit_hull``,
-``mipbuild.hull_relaxation``), against the paper's big-M relaxation and the
+``mipbuild.hull_model``), against the paper's big-M relaxation and the
 enumeration oracle."""
 
 import dataclasses
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -13,7 +14,8 @@ import pytest
 import ogpf
 from ogpf.cli import main
 from ogpf.convexsolve import solve_convex
-from ogpf.mipbuild import area_views, build_model, hull_relaxation, relax
+from ogpf.mipbuild import (area_views, build_model, dump_model, hull_model,
+                           relax)
 from ogpf.oracle import enumerate_solve
 from ogpf.pwa import PwaConfig, emit_hull, fit_pwa
 
@@ -87,15 +89,59 @@ def test_hull_at_two_regions_is_the_chord_line():
         (0, 150.0 / 64.0), (1, -1.0), (2, 1.0)]
 
 
+# sha256 of dump_model of the stage-1 model, recorded while it was still cut
+# out of the big-M model (``hull_relaxation(*build_model(...))``)
+HULL_SHA256 = {
+    ("chain2area", 2):
+        "9b2c7815f56f75d3c6e024a5a9cc7c180176b8be7a5398c3b150df4918b18b39",
+    ("chain2area", 4):
+        "465021fd6e1dd5a82287a5eaa351f5be905630d55b82dc8e72a31d7d3c89ac7a",
+    ("chain2area", 16):
+        "d5479e586c4f95ab5da36a2ccb10c6e71b27a35d04152cca25882a3955a4f1cd",
+    ("loop1area", 2):
+        "e577a9fc76be9441047e7057f2208100abe9ca032b279795cffe4e1d4daed490",
+    ("loop1area", 4):
+        "8a48bf0ecd7d6542b6182127c2866ea54469278cc452761e726c7f573dc58dc6",
+    ("loop1area", 16):
+        "571633adee75713f518b1417f4f1e2f300fcb9ae62993a2364f882742fb3ab87",
+    ("medium3area", 2):
+        "ab378f7af291de3bc62abd4295e2d11bf5f7a6b785ec21be0765e3148393899c",
+    ("medium3area", 4):
+        "ab2beef186cc66930cf0370f6a91f165afff4b22a1606736df1cdb205cc1111c",
+    ("medium3area", 16):
+        "2e9810294f760256ae620626dec5ed9fbc7ef86f5d5e2170aebb81dddb39883c",
+    ("single1area", 2):
+        "47ac9d12df63a049a9132c1da0db67c8d90e60da1e16d64039bc3cf5aecce5cd",
+    ("single1area", 4):
+        "0a189a74ead4639c80c9c1cbf73b30ffa88535fa1fe8fbc48bb2f9bb5ae23855",
+    ("single1area", 16):
+        "ed8a201d6269483538726878ea6628091cd21e185f198fd8f6540d17e9e20392",
+    ("small2area", 2):
+        "ff489629831a91a52962e88d7c5c56d4900fdbd5b2f670c42ee5ad1b736aa297",
+    ("small2area", 4):
+        "20bc6abc24dbbb9f5a1e232d5d2ab51d7a62580b356d5e32c0aaef0dcc236c69",
+    ("small2area", 16):
+        "71ec367dceab3e648704663e7b568bdd4de3476ab1f241e8e10832ecf43976e2",
+}
+
+
+@pytest.mark.parametrize("name,r", sorted(HULL_SHA256))
+def test_hull_model_dump_is_unchanged(instances, name, r):
+    model, index = hull_model(instances[name], PwaConfig(r=r))
+    text = dump_model(model, index)
+    assert hashlib.sha256(text.encode()).hexdigest() == HULL_SHA256[name, r]
+
+
 @pytest.mark.parametrize("name", ["medium3area", "loop1area"])
 def test_hull_model_has_the_same_columns_at_every_r(instances, name):
     sizes = set()
+    kinds = {"p", "dgu", "theta", "gs", "psi", "phi"}
     for r in (4, 8, 16, 32):
         model, index = build_model(instances[name], PwaConfig(r=r))
-        hull, hull_index, keep = hull_relaxation(model, index)
-        kinds = {index.names("col")[j].split("[")[0] for j in keep}
-        assert kinds <= {"p", "dgu", "theta", "gs", "psi", "phi"}
-        assert hull_index.names("col") == [index.name(j) for j in keep]
+        hull, hull_index = hull_model(instances[name], PwaConfig(r=r))
+        # the big-M model's columns but the pipes' binaries and products
+        assert hull_index.keys("col") == [key for key in index.keys("col")
+                                          if key[0] in kinds]
         assert hull_index.rows("eq", "pwa_flow").size == 0
         assert hull_index.rows("eq", "reciprocity").size == len(
             index.curves)
@@ -113,7 +159,8 @@ def test_hull_area_labels_restrict_the_full_models(instances, name, r):
     kept columns and rows; each hull row takes its pipe's area."""
     inst = instances[name]
     model, index = build_model(inst, PwaConfig(r=r))
-    hull, hull_index, keep = hull_relaxation(model, index)
+    hull, hull_index = hull_model(inst, PwaConfig(r=r))
+    keep = [index.col(*key) for key in hull_index.keys("col")]
     col_area, eq_area = area_views(model, inst, index)
     hull_col, hull_eq = area_views(hull, inst, hull_index)
     assert hull_col.tolist() == col_area[keep].tolist()
@@ -134,6 +181,24 @@ def test_unknown_stage1_is_rejected_before_the_build(monkeypatch, small2area):
     monkeypatch.setattr(ogpf.twostage, "build_model", build)
     with pytest.raises(ogpf.ConfigError, match="unknown stage 1 'milp'"):
         ogpf.solve_two_stage(small2area, 4, stage1="milp")
+
+
+@pytest.mark.parametrize("mode", ["centralized", "consensus"])
+def test_only_a_big_m_stage1_builds_the_big_m_model(monkeypatch, small2area,
+                                                    mode):
+    calls = []
+    build = ogpf.mipbuild.build_model
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    for module in (ogpf.mipbuild, ogpf.twostage):
+        monkeypatch.setattr(module, "build_model", counting)
+    ogpf.solve_two_stage(small2area, 4, mode=mode)
+    assert calls == []
+    ogpf.solve_two_stage(small2area, 4, mode=mode, stage1="bigm")
+    assert len(calls) == 1
 
 
 def test_cli_echoes_the_stage1(tmp_path):
@@ -245,5 +310,5 @@ def test_hull_outcome_is_pinned(instances, name, r, mode):
             res.certificate.kind) == (status, iterations, kind)
     assert res.objective == pytest.approx(objective, rel=1e-12)
     assert res.certificate.bound == pytest.approx(bound, rel=1e-9, abs=1e-12)
-    # the stage-1 point covers the full model, 0 in the columns left out
+    # the stage-1 point and the configuration model share their columns
     assert res.solution.x.size == res.model.num_vars

@@ -280,10 +280,18 @@ STAGE1_SHA256 = {
 
 @pytest.mark.parametrize("name, mode", sorted(STAGE1_SHA256))
 def test_stage1_points_are_unchanged(instances, name, mode):
-    sol = ogpf.solve_two_stage(instances[name], 4, mode=mode,
-                               stage1="bigm").solution
+    # the big-M stage 1 as solve_two_stage runs it; the solution it reports
+    # is this point gathered onto the stage-1 columns
+    inst = instances[name]
+    model, index = build_model(inst, PwaConfig(r=4))
+    relaxed = relax(model)
+    sol = (ogpf.solve_consensus(relaxed, area_views(relaxed, inst, index))
+           if mode == "consensus" else ogpf.solve_convex(relaxed))
     assert (hashlib.sha256(sol.x.tobytes()).hexdigest(),
             sol.iterations) == STAGE1_SHA256[name, mode]
+    res = ogpf.solve_two_stage(inst, 4, mode=mode, stage1="bigm")
+    gathered = [index.col(*key) for key in res.index.keys("col")]
+    assert res.solution.x.tolist() == sol.x[gathered].tolist()
 
 
 # stage-1 status, interior-point iterations, certificate kind and objective

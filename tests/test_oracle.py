@@ -7,14 +7,14 @@ import ogpf
 import ogpf.convexsolve
 import ogpf.ipm
 import ogpf.oracle
-from ogpf.convexsolve import MAX_ITER, solve_convex
+from ogpf.convexsolve import INFEASIBLE, MAX_ITER, OPTIMAL, solve_convex
 from ogpf.errors import AllInfeasible, CapExceeded, ModelError
-from ogpf.mipbuild import build_model, fit_all_curves, relax
-from ogpf.oracle import enumerate_solve
+from ogpf.mipbuild import build_model, config_model, fit_all_curves, relax
+from ogpf.oracle import _reduce, enumerate_solve
 from ogpf.pwa import PwaConfig
 from ogpf.twostage import solve_two_stage
 
-from conftest import make_instance
+from conftest import BUNDLED, make_instance
 
 
 def _build(inst, r):
@@ -223,3 +223,25 @@ def test_linear_screen_keeps_infeasible_configurations_off_the_ipm(
     res = enumerate_solve(*_build(small2area, 4))
     assert sum(e["status"] == "Optimal" for e in res.log) == 9
     assert calls == {"ipm": 9, "probe": 0, "lp": 9}
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+@pytest.mark.parametrize("r", [2, 4])
+def test_configuration_models_match_the_paper_model(instances, name, r):
+    """At every configuration, the configuration model screened and solved
+    as the oracle screens and solves its reduced big-M model ends with the
+    same status as that one, MaxIter included, and where Optimal at the same
+    objective."""
+    inst = instances[name]
+    model, index = build_model(inst, PwaConfig(r=r))
+    log = enumerate_solve(model, index, index.curves).log
+    for entry in log:
+        config = entry["config"]
+        reduced = _reduce(config_model(inst, index.curves, config, 1e-6)[0],
+                          {}, {})
+        sol = None if reduced is None else solve_convex(reduced)
+        assert (INFEASIBLE if sol is None else sol.status) == \
+            entry["status"], config
+        if entry["status"] == OPTIMAL:
+            assert sol.objective == pytest.approx(entry["objective"],
+                                                  rel=1e-9), config

@@ -5,7 +5,8 @@ import pytest
 
 import ogpf
 from ogpf.errors import OutOfRange
-from ogpf.mipbuild import build_model, check_point
+from ogpf.mipbuild import (build_model, check_point, config_model,
+                           fit_all_curves)
 from ogpf.pwa import (PwaConfig, config_columns, emit_mld, fit_pwa,
                       key_label, max_region_error, orientation_regions)
 from ogpf.recovery import (assemble_and_certify, build_pressure_lp,
@@ -14,7 +15,8 @@ from ogpf.recovery import (assemble_and_certify, build_pressure_lp,
                            weymouth_deviation)
 from ogpf.twostage import solve_two_stage
 
-from conftest import direct_lp, make_instance, pair_index, row_values
+from conftest import (BUNDLED, direct_lp, expand_point, make_instance,
+                      pair_index, row_values)
 
 
 def _pair_curves(r=2, c=1.0, cap=1.0, eps=1e-6):
@@ -222,34 +224,33 @@ def test_recovered_configuration_satisfies_emitted_rows():
 def _pipe_lp(phi):
     """The pressure LP of a one-pipe instance (n1 -> n2, c_f 8, cap 150) at
     r=2, with flow ``phi`` on n1 -> n2."""
-    model, index = build_model(make_instance(), PwaConfig(r=2))
+    inst = make_instance()
+    curves = fit_all_curves(inst, PwaConfig(r=2))
     flows = {("n1", "n2"): phi, ("n2", "n1"): -phi}
-    config = recover_binaries(flows, index.curves)
-    return build_pressure_lp(np.zeros(model.num_vars), config, flows,
-                             model=model, index=index), config, index
+    config = recover_binaries(flows, curves)
+    model, index = config_model(inst, curves, config, 1e-6)
+    return build_pressure_lp(np.zeros(model.num_vars), flows, model=model,
+                             index=index), config, index
 
 
 def test_pressure_lp_rows_follow_sign_binary():
-    # one row per pipe, the model's flow equality: psi_i + psi_j - 2 ypsi
-    # with ypsi aliasing the from node's pressure of the orientation whose
-    # sign binary is 1; the target is minus the active chord value, 40 * 150
-    # / 64 on either region of the r=2 fit
+    # one row per pipe, the configuration model's flow equality
+    # a phi - s (psi_i - psi_j) = -b, with s the sign of the flow; the
+    # target is minus the active chord value, 40 * 150 / 64 on either
+    # region of the r=2 fit
     lp, config, index = _pipe_lp(40.0)
     assert lp.nodes == ["n1", "n2"]
-    assert (lp.a @ lp.lift).toarray().tolist() == [[-1.0, 1.0]]
-    assert (lp.b - lp.a @ lp.base).tolist() == [-93.75]
-    # the pressures move themselves and the pressure product aliased to one
-    moved = np.flatnonzero(lp.lift.getnnz(axis=1))
-    assert [index.name(j) for j in moved] == ["psi[n1]", "psi[n2]",
-                                              "ypsi[n1->n2]"]
+    assert [index.name(j) for j in lp.columns] == ["psi[n1]", "psi[n2]"]
+    assert lp.a.toarray().tolist() == [[-1.0, 1.0]]
+    assert lp.b.tolist() == [-93.75]
+    # the flows are fixed at the ones given, the pressures left free
+    assert lp.point[index.col("phi", ("n1", "n2"))] == 40.0
+    assert lp.point[index.col("phi", ("n2", "n1"))] == -40.0
     # a nonpositive flow flips the sign binary and hence the row
     lp, config, index = _pipe_lp(-40.0)
     assert _binaries(config, index.curves)[("dpsi", ("n1", "n2"), None)] == 0
-    assert (lp.a @ lp.lift).toarray().tolist() == [[1.0, -1.0]]
-    assert (lp.b - lp.a @ lp.base).tolist() == [-93.75]
-    moved = np.flatnonzero(lp.lift.getnnz(axis=1))
-    assert [index.name(j) for j in moved] == ["psi[n1]", "psi[n2]",
-                                              "ypsi[n2->n1]"]
+    assert lp.a.toarray().tolist() == [[1.0, -1.0]]
+    assert lp.b.tolist() == [-93.75]
 
 
 def test_pressure_lp_feasible_target_reaches_zero():
@@ -299,13 +300,76 @@ def test_pressure_lp_matches_direct_norm_evaluation():
 # ---------------------------------------------------------------------------
 
 def test_certified_point_passes_independent_check(instances):
-    res = solve_two_stage(instances["small2area"], 2)
+    inst = instances["small2area"]
+    res = solve_two_stage(inst, 2)
     assert res.certificate.is_optimal
-    rep = check_point(res.model, res.recovery.u_star, 1e-6,
-                      check_integrality=True)
+    # on the paper's model: the point expanded onto the big-M columns
+    model, index = build_model(inst, PwaConfig(r=2))
+    x = expand_point(res.recovery.u_star, res.index,
+                     res.recovery.configuration, index)
+    rep = check_point(model, x, 1e-6, check_integrality=True)
     assert rep.ok, rep.worst
     # objective is untouched by stage 2
     assert res.model.objective(res.recovery.u_star) == res.solution.objective
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_configuration_check_matches_the_big_m_check(instances, name):
+    """The configuration model's check of a point and the big-M check of
+    its expansion give the same verdict: on the certified outputs, which
+    pass, the same points with one pressure shifted by 1, which fail, and
+    with one flow moved into the epsilon band of its region's breakpoint."""
+    inst = instances[name]
+    eps = 1e-6
+    checked = 0
+    for r in (2, 4, 8, 16):
+        res = solve_two_stage(inst, r)
+        if not res.certificate.is_optimal:
+            continue
+        model, index = build_model(inst, PwaConfig(r=r))
+        config = res.recovery.configuration
+        pipe = next(iter(config))
+        curve, m = index.curves[pipe], config[pipe]
+        seg = curve.segments[m - 1]
+        phi = seg.lo + eps / 2 if m > 1 else seg.hi - eps / 2
+        shifted, banded = (res.recovery.u_star.copy() for _ in range(2))
+        shifted[res.index.columns("psi")[0]] += 1.0
+        banded[res.index.col("phi", pipe)] = phi
+        banded[res.index.col("phi", pipe[::-1])] = -phi
+        ok = {}
+        for label, x in (("certified", res.recovery.u_star),
+                         ("shifted", shifted), ("banded", banded)):
+            big = expand_point(x, res.index, config, index)
+            for tol in (1e-6, 1e-7):
+                ok[label, tol] = check_point(res.model, x, tol).ok
+                assert ok[label, tol] == check_point(
+                    model, big, tol, check_integrality=True).ok, (r, label)
+        # the certificate's tolerance passes the certified point; the band
+        # reaches 5e-7 past the region's box
+        assert ok["certified", 1e-6] and not ok["banded", 1e-7], r
+        assert not ok["shifted", 1e-6] and not ok["shifted", 1e-7], r
+        checked += 1
+    assert checked > 0
+
+
+def test_a_flow_in_the_epsilon_band_fails_both_checks():
+    """A one-pipe instance whose flow, 75 + 5e-7, lies half an epsilon past
+    the breakpoint 75 of the r=4 grid: stage 2 closes the flow equality,
+    and only the region's box (``lo + epsilon`` in the configuration model,
+    the region rows in the big-M model) separates the verdicts at 1e-6
+    and 1e-7."""
+    inst = make_instance(gas_nodes=[ogpf.GasNode("n1", 1, 10.0, 1.0, 900.0),
+                                    ogpf.GasNode("n2", 1, 75.0 + 5e-7, 1.0,
+                                                 900.0)])
+    res = solve_two_stage(inst, 4)
+    assert res.recovery.configuration == {("n1", "n2"): 4}
+    assert res.certificate.is_optimal
+    model, index = build_model(inst, PwaConfig(r=4))
+    x = res.recovery.u_star
+    big = expand_point(x, res.index, res.recovery.configuration, index)
+    for tol, ok in ((1e-6, True), (1e-7, False)):
+        assert check_point(res.model, x, tol).ok == ok
+        assert check_point(model, big, tol, check_integrality=True).ok == ok
 
 
 def test_stage1_components_survive_bitwise(instances):
@@ -333,20 +397,23 @@ def test_worst_pipes_list_ties_in_row_order(instances):
     rounding at 1e-14. The point is all zeros, so each mismatch is exactly
     its target."""
     inst = instances["loop1area"]
-    model, index = build_model(inst, PwaConfig(r=4))
+    curves = fit_all_curves(inst, PwaConfig(r=4))
     flows = {key: 10.0 if key[0] < key[1] else -10.0
-             for i, j in index.curves for key in ((i, j), (j, i))}
-    config = recover_binaries(flows, index.curves)
-    lp = build_pressure_lp(np.zeros(model.num_vars), config, flows,
-                           model=model, index=index)
-    names = [index.row_name("eq", k) for k in index.rows("eq", "pwa_flow")]
+             for i, j in curves for key in ((i, j), (j, i))}
+    config = recover_binaries(flows, curves)
+    model, index = config_model(inst, curves, config, 1e-6)
+    lp = build_pressure_lp(np.zeros(model.num_vars), flows, model=model,
+                           index=index)
+    lp = dataclasses.replace(lp, point=np.zeros(model.num_vars))
+    rows = index.rows("eq", "pwa_flow")
+    names = [index.row_name("eq", k) for k in rows]
 
     def worst(b):
-        tied = dataclasses.replace(lp, base=np.zeros(model.num_vars),
-                                   b=np.array(b))
-        rec = assemble_and_certify(tied, np.zeros(len(lp.nodes)), config,
-                                   1e-8, model=model, index=index,
-                                   feas_tol=1e-6)
+        b_eq = model.b_eq.copy()
+        b_eq[rows] = b
+        rec = assemble_and_certify(lp, np.zeros(len(lp.nodes)), config, 1e-8,
+                                   model=dataclasses.replace(model, b_eq=b_eq),
+                                   index=index, feas_tol=1e-6)
         return rec.worst_pipes
 
     assert worst([1.0, 1.0 + 2e-14, 1.0 + 1e-14]) == [
@@ -388,7 +455,6 @@ def test_deviation_consistency_with_certificate(instances):
     assert res.certificate.is_optimal
     index = res.index
     psi = res.recovery.psi_tilde
-    from ogpf.mipbuild import fit_all_curves
     curves = fit_all_curves(instances["small2area"], PwaConfig(r=4))
     config = res.recovery.configuration
     for pipe, curve in curves.items():

@@ -35,6 +35,20 @@ def test_only_pwa_and_mipbuild_name_the_region_binaries():
     assert found == []
 
 
+def test_only_pwa_and_the_oracle_name_config_columns():
+    # stage 2 reads the configuration model, whose columns hold no binary;
+    # the binaries' values at a configuration are pwa's to give, and only
+    # the oracle, which enumerates the big-M model, asks for them
+    found = {path.name for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Name) and node.id == "config_columns"
+             or isinstance(node, ast.Attribute)
+             and node.attr == "config_columns"
+             or isinstance(node, (ast.alias, ast.FunctionDef))
+             and node.name == "config_columns"}
+    assert found == {"oracle.py", "pwa.py"}
+
+
 def test_only_pwa_reads_the_chord_segments():
     # the chord coefficients and breakpoints enter the model only through
     # pwa.emit_mld and pwa.emit_hull, so stage 2 reads them off the model's
