@@ -1,7 +1,13 @@
 """Solution recovery: a region configuration from first-stage flows,
-pressure recomputation via an infinity-norm linear program over the flow
+pressure recomputation by minimizing the infinity norm of the flow
 equalities (``pwa_flow`` rows) of the paper's model at that configuration,
 certification and flow-deviation metrics.
+
+With the flows fixed, each ``pwa_flow`` row fixes the difference of its two
+end pressures. On a pipe forest the pressures are therefore propagated from
+one node per component, each component at the lowest offset its boxes
+allow, and the norm closes to rounding; a cycle, or boxes that leave a
+component no offset, go to an epigraph linear program (HiGHS).
 
 Stage 2 recovers the binaries in the form the oracle enumerates: one active
 region per internal pipe, a configuration ``{pipe: region}``.
@@ -73,7 +79,10 @@ class PressureLp:
 
     ``a psi = b`` are a configuration model's ``pwa_flow`` rows, one per
     internal pipe, with every column but the pressures fixed at ``point``;
-    ``columns`` are the pressures' columns, in the order of ``nodes``.
+    ``columns`` are the pressures' columns, in the order of ``nodes``. Each
+    row has two entries, of opposite sign, on its pipe's end pressures, so
+    ``solve_pressure_lp`` propagates the pressures where the rows form a
+    forest and solves an LP only otherwise.
     """
 
     nodes: list[str]
@@ -103,31 +112,90 @@ def build_pressure_lp(u0: np.ndarray, phi_star: dict[tuple[str, str], float],
                       model.ub[psi])
 
 
+def propagate_pressures(lp: PressureLp) -> np.ndarray | None:
+    """The pressures of a forest of difference rows, or None.
+
+    Applies when every row of ``lp.a`` reads ``c (psi_i - psi_j) = b`` on
+    two distinct nodes and a traversal from one node per component uses
+    every row, that is, when the rows form a spanning forest of the nodes.
+    The rows then fix each component's pressures up to one offset, and each
+    component takes the lowest offset its boxes allow, so a node without
+    rows sits at its lower bound. Returns None, for the LP to decide, on
+    rows of any other shape, a cycle (parallel rows included), or a
+    component whose boxes leave no offset.
+    """
+    a = lp.a
+    n = len(lp.nodes)
+    if not (np.diff(a.indptr) == 2).all():
+        return None
+    ends, coef = a.indices.reshape(-1, 2), a.data.reshape(-1, 2)
+    if (ends[:, 0] == ends[:, 1]).any() or (coef[:, 0] != -coef[:, 1]).any():
+        return None
+    # psi_i - psi_j = drop: the row's target in its first node's sign
+    drop = (lp.b / coef[:, 0]).tolist()
+    adjacent: list[list[tuple[int, int, float]]] = [[] for _ in range(n)]
+    for row, (i, j) in enumerate(ends.tolist()):
+        adjacent[i].append((j, row, -1.0))
+        adjacent[j].append((i, row, 1.0))
+    rel = [0.0] * n        # pressure relative to the component's root
+    root = [-1] * n
+    used = [False] * len(drop)
+    for start in range(n):
+        if root[start] >= 0:
+            continue
+        root[start] = start
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v, row, sign in adjacent[u]:
+                if used[row]:
+                    continue
+                if root[v] >= 0:
+                    return None
+                used[row] = True
+                root[v] = start
+                rel[v] = rel[u] + sign * drop[row]
+                stack.append(v)
+    rel_arr, comp = np.array(rel), np.array(root)
+    low = np.full(n, -np.inf)
+    high = np.full(n, np.inf)
+    np.maximum.at(low, comp, lp.lo - rel_arr)
+    np.minimum.at(high, comp, lp.hi - rel_arr)
+    offset = low[comp]
+    if not (np.isfinite(offset).all() and (offset <= high[comp]).all()):
+        return None
+    return np.clip(rel_arr + offset, lp.lo, lp.hi)
+
+
 def solve_pressure_lp(lp: PressureLp) -> tuple[np.ndarray, float]:
     """Minimize the worst row mismatch over the pressure boxes.
 
     Returns the recomputed squared pressures, in the order of ``lp.nodes``,
-    and the achieved infinity norm, evaluated directly at the solution.
-    Solved in epigraph form as a plain LP (HiGHS), which returns vertex
-    solutions, so consistent targets come back with a norm at numerical zero.
+    and the achieved infinity norm, evaluated directly at the solution. On
+    a forest whose boxes admit an offset per component the pressures are
+    propagated exactly (``propagate_pressures``) and the norm closes to
+    rounding. Otherwise, on a cycle or where the boxes bind, the problem is
+    solved in epigraph form as a plain LP (HiGHS), which returns vertex
+    solutions, so consistent targets come back with a norm at numerical
+    zero.
     """
-    n = len(lp.nodes)
-    e_rows = lp.a.toarray()
-    theta = lp.b
-    k = e_rows.shape[0]
-    if k == 0:
-        return np.clip(0.0, lp.lo, lp.hi), 0.0
-    # columns: psi (n), t (1)
-    minus_t = -np.ones((k, 1))
-    a_ub = np.block([[e_rows, minus_t], [-e_rows, minus_t]])
-    b_ub = np.concatenate([theta, -theta])
-    c = np.append(np.zeros(n), 1.0)
-    bnds = [(lp.lo[i], lp.hi[i]) for i in range(n)] + [(0.0, None)]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bnds, method="highs")
-    if res.status != 0:
-        raise SolverFailure(f"pressure LP unexpectedly failed: {res.message}")
-    psi = res.x[:n]
-    return psi, float(np.abs(e_rows @ psi - theta).max())
+    psi = propagate_pressures(lp)
+    if psi is None:
+        n = len(lp.nodes)
+        e_rows = lp.a.toarray()
+        k = e_rows.shape[0]
+        # columns: psi (n), t (1)
+        minus_t = -np.ones((k, 1))
+        a_ub = np.block([[e_rows, minus_t], [-e_rows, minus_t]])
+        b_ub = np.concatenate([lp.b, -lp.b])
+        c = np.append(np.zeros(n), 1.0)
+        bnds = [(lp.lo[i], lp.hi[i]) for i in range(n)] + [(0.0, None)]
+        res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bnds, method="highs")
+        if res.status != 0:
+            raise SolverFailure(
+                f"pressure LP unexpectedly failed: {res.message}")
+        psi = res.x[:n]
+    return psi, float(np.abs(lp.a @ psi - lp.b).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +205,7 @@ def solve_pressure_lp(lp: PressureLp) -> tuple[np.ndarray, float]:
 @dataclass(frozen=True)
 class Certificate:
     kind: str      # CERT_OPTIMAL | CERT_APPROXIMATE
-    bound: float   # worst flow-equality violation (the LP optimum)
+    bound: float   # worst flow-equality violation (the pressure optimum)
 
     @property
     def is_optimal(self) -> bool:

@@ -12,7 +12,9 @@ model's columns. Stage 2 is the same under both: it reads a region
 configuration off the stage-1 flows and builds the paper's model at that
 configuration over those columns (``mipbuild.config_model``). It recomputes
 pressures through the infinity-norm problem over that model's flow-equality
-(``pwa_flow``) rows with the flows fixed, assembles the final point (the
+(``pwa_flow``) rows with the flows fixed: propagated exactly on a pipe forest
+whose pressure boxes admit it, an LP on a cycle or where the boxes bind
+(``recovery.solve_pressure_lp``). It then assembles the final point (the
 stage-1 point, its flows symmetrized and its pressures replaced) and
 certifies it against that model.
 

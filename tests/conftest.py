@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,6 +14,8 @@ BUNDLED = ["small2area", "single1area", "chain2area", "medium3area",
            "loop1area"]
 SMALL = ["small2area", "single1area", "chain2area"]
 MULTI_AREA = ["small2area", "chain2area", "medium3area"]
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +33,15 @@ def small2area(instances):
 def small2area_model(small2area):
     model, index = build_model(small2area, PwaConfig(r=2))
     return model, index
+
+
+def generator():
+    """``perfbench/gen.py``, loaded read-only as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", ROOT / "perfbench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def no_quad(n):

@@ -4,9 +4,7 @@ enumeration oracle."""
 
 import dataclasses
 import hashlib
-import importlib.util
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +17,7 @@ from ogpf.mipbuild import (area_views, build_model, dump_model, hull_model,
 from ogpf.oracle import enumerate_solve
 from ogpf.pwa import PwaConfig, emit_hull, fit_pwa
 
-from conftest import BUNDLED, row_values
-
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import BUNDLED, generator, row_values
 
 
 def _hull(r, c, cap):
@@ -245,14 +241,6 @@ def test_hull_keeps_every_optimal_certificate(instances, name):
             assert hull.objective == pytest.approx(bigm.objective, rel=1e-9)
 
 
-def _generator():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_gen", ROOT / "perfbench" / "gen.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 # pressure-binding trees whose mixed-integer model is infeasible at r=2
 INFEASIBLE_AT_R2 = {(2, 30.0), (3, 30.0)}
 
@@ -263,7 +251,7 @@ def test_hull_on_pressure_binding_trees(seed):
     boxes bind, at r=2: the hull bound lies between the big-M bound and the
     exact optimum, and where the mixed-integer model is infeasible the hull
     stage 1 proves it."""
-    base = _generator().generate(seed, num_areas=2, nodes_per_area=4)
+    base = generator().generate(seed, num_areas=2, nodes_per_area=4)
     for psi_max in (120.0, 60.0, 30.0):
         inst = dataclasses.replace(base, gas_nodes=tuple(
             dataclasses.replace(nd, psi_max=psi_max)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ogpf
+from ogpf import recovery
 from ogpf.errors import OutOfRange
 from ogpf.mipbuild import (build_model, check_point, config_model,
                            fit_all_curves)
@@ -15,8 +16,10 @@ from ogpf.recovery import (assemble_and_certify, build_pressure_lp,
                            weymouth_deviation)
 from ogpf.twostage import solve_two_stage
 
-from conftest import (BUNDLED, direct_lp, expand_point, make_instance,
-                      pair_index, row_values)
+from conftest import (BUNDLED, direct_lp, expand_point, generator,
+                      make_instance, pair_index, row_values)
+
+TREES = [name for name in BUNDLED if name != "loop1area"]
 
 
 def _pair_curves(r=2, c=1.0, cap=1.0, eps=1e-6):
@@ -293,6 +296,135 @@ def test_pressure_lp_matches_direct_norm_evaluation():
             rows, theta, lo, lo + rng.uniform(0.5, 2, size=n)))
         assert j == pytest.approx(float(np.abs(rows @ psi - theta).max()),
                                   abs=1e-9)
+
+
+def _refuse_highs(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pressure problem reached HiGHS")
+    monkeypatch.setattr(recovery, "linprog", refuse)
+
+
+def _count_highs(monkeypatch):
+    """Count the pressure problem's HiGHS calls; the list grows by one per
+    call."""
+    calls = []
+    real = recovery.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(recovery, "linprog", counted)
+    return calls
+
+
+def test_forest_components_take_their_lowest_offset(monkeypatch):
+    """Two components and an isolated node: each component sits at the
+    lowest offset its boxes allow, which puts one of its nodes on its lower
+    bound, and the isolated node sits at its lower bound. A problem without
+    rows is all isolated nodes, a negative lower bound included."""
+    _refuse_highs(monkeypatch)
+    # psi0 - psi1 = 2 and psi2 - psi1 = 1 (signs flipped), psi3 - psi4 = -0.5
+    rows = np.array([[1.0, -1.0, 0.0, 0.0, 0.0, 0.0],
+                     [0.0, 1.0, -1.0, 0.0, 0.0, 0.0],
+                     [0.0, 0.0, 0.0, 1.0, -1.0, 0.0]])
+    lo = np.array([0.0, 0.5, 0.0, 1.0, 0.0, 0.25])
+    psi, j = solve_pressure_lp(direct_lp(rows, np.array([2.0, -1.0, -0.5]),
+                                         lo, np.full(6, 10.0)))
+    assert psi.tolist() == [2.5, 0.5, 1.5, 1.0, 1.5, 0.25]
+    assert j == 0.0
+    lo = np.array([-2.0, 0.0, 3.0])
+    psi, j = solve_pressure_lp(direct_lp(np.zeros((0, 3)), np.zeros(0), lo,
+                                         np.full(3, 10.0)))
+    assert psi.tolist() == lo.tolist() and j == 0.0
+
+
+@pytest.mark.parametrize("rows, theta, lo, hi, norm", [
+    # two parallel rows over one pair: a cycle of length two
+    ([[1.0, -1.0], [1.0, -1.0]], [1.0, 2.0], [0.0, 0.0], [10.0, 10.0], 0.5),
+    # one tree row whose boxes leave no offset
+    ([[1.0, -1.0]], [3.0], [0.0, 0.0], [1.0, 1.0], 2.0),
+], ids=["parallel rows", "no offset"])
+def test_pressure_problems_off_the_forest_rule_solve_the_lp(
+        monkeypatch, rows, theta, lo, hi, norm):
+    calls = _count_highs(monkeypatch)
+    psi, j = solve_pressure_lp(direct_lp(np.array(rows), np.array(theta),
+                                         np.array(lo), np.array(hi)))
+    assert len(calls) == 1
+    assert j == pytest.approx(norm, abs=1e-9)
+
+
+# generated trees, seed 1: (areas, nodes per area)
+GENERATED_TREES = {"tree-A2-npa4": (2, 4), "tree-A4-npa8": (4, 8),
+                   "tree-A8-npa16": (8, 16)}
+
+
+@pytest.mark.parametrize("name, r, stage1", [
+    (name, r, stage1) for name in TREES for r in (2, 4, 8, 16)
+    for stage1 in ("hull", "bigm")] + [
+    (name, 16, "hull") for name in GENERATED_TREES])
+def test_propagated_pressures_match_the_lp(instances, monkeypatch, name, r,
+                                           stage1):
+    """On trees with slack pressure boxes the propagated pressures are the
+    vertex HiGHS returns, and the certificate is the same."""
+    if name in GENERATED_TREES:
+        areas, npa = GENERATED_TREES[name]
+        inst = generator().generate(1, num_areas=areas, nodes_per_area=npa)
+    else:
+        inst = instances[name]
+    with monkeypatch.context() as m:
+        m.setattr(recovery, "propagate_pressures", lambda lp: None)
+        ref = solve_two_stage(inst, r, stage1=stage1)
+    _refuse_highs(monkeypatch)
+    res = solve_two_stage(inst, r, stage1=stage1)
+    assert res.certificate.kind == ref.certificate.kind
+    assert res.certificate.bound == pytest.approx(ref.certificate.bound,
+                                                  rel=0, abs=1e-12)
+    assert list(res.recovery.psi_tilde) == list(ref.recovery.psi_tilde)
+    assert list(res.recovery.psi_tilde.values()) == pytest.approx(
+        list(ref.recovery.psi_tilde.values()), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["centralized", "consensus"])
+@pytest.mark.parametrize("name", TREES)
+def test_bundled_trees_certify_without_highs(instances, monkeypatch, name,
+                                             mode):
+    _refuse_highs(monkeypatch)
+    assert solve_two_stage(instances[name], 4, mode=mode).certificate.kind \
+        == "Optimal"
+
+
+# the outcome at r=4, certificate bound and pressures, where the pressure
+# problem is not a forest whose boxes admit an offset
+FALLBACK = {
+    "loop1area": (0.8935394559351977,
+                  [48.1743177288069, 3.824608298652666, 1.0]),
+    "binding-tree": (5.915990249518973,
+                     [30.0, 1.3694083234181522, 1.0, 6.007782007622652,
+                      27.860931785133662, 15.168446451409686,
+                      15.260226329771424, 1.0]),
+}
+
+
+@pytest.mark.parametrize("name", list(FALLBACK))
+def test_cycles_and_binding_boxes_solve_one_lp(instances, monkeypatch, name):
+    """The cycle ``loop1area``, and the generated 2-area tree of seed 1 with
+    every ``psi_max`` lowered to 30, whose propagated pressures do not fit
+    the boxes: the pressure problem goes to HiGHS once, and the solve
+    certifies Approximate."""
+    if name == "binding-tree":
+        base = generator().generate(1, num_areas=2, nodes_per_area=4)
+        inst = dataclasses.replace(base, gas_nodes=tuple(
+            dataclasses.replace(nd, psi_max=30.0) for nd in base.gas_nodes))
+    else:
+        inst = instances[name]
+    bound, psi = FALLBACK[name]
+    calls = _count_highs(monkeypatch)
+    res = solve_two_stage(inst, 4)
+    assert len(calls) == 1
+    assert res.certificate.kind == "Approximate"
+    assert res.certificate.bound == pytest.approx(bound, rel=1e-9)
+    assert list(res.recovery.psi_tilde.values()) == pytest.approx(
+        psi, rel=0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
