@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import ogpf
 from ogpf import recovery
 from ogpf.errors import OutOfRange
 from ogpf.mipbuild import (build_model, check_point, config_model,
-                           fit_all_curves)
+                           dump_model, fit_all_curves)
 from ogpf.pwa import (PwaConfig, config_columns, emit_mld, fit_pwa,
                       key_label, max_region_error, orientation_regions)
 from ogpf.recovery import (assemble_and_certify, build_pressure_lp,
@@ -687,3 +688,60 @@ def test_stage2_outcome_is_pinned(instances, name, r):
                     in rec.configuration.items()) == config
     assert list(rec.psi_tilde) == [nd.id for nd in instances[name].gas_nodes]
     assert list(rec.psi_tilde.values()) == pytest.approx(psi, rel=0, abs=1e-12)
+
+
+# sha256 of dump_model of the configuration model a solve returns, with the
+# repr of its certificate bound and objective, recorded while stage 2 still
+# rebuilt that model from the instance
+CONFIG_MODEL_PINNED = {
+    ("small2area", 4, "hull"): ("84bccd61ef9add9cdce4ca020b9972270ec50b3a9bd6a6d03e266080240e6eee",
+        0.0, 1.9700000000002416),
+    ("small2area", 16, "hull"): ("67e5d9e6708ab75668734dc7cdb43e243b20b22a91fdcbd2f14beb699facbb73",
+        0.0, 1.970000000000011),
+    ("single1area", 4, "hull"): ("c2635b69925c7854bcf502feb6cf595cb48c36473f00a7377f73375b3c3920aa",
+        1.4210854715202004e-14, 0.5112000000271021),
+    ("single1area", 16, "hull"): ("ebdc0107045b87c9d461581a2be6321c4cb315957a393e7600a3384c25c4af63",
+        0.0, 0.5112000000000041),
+    ("chain2area", 4, "hull"): ("55dfd6ee5164d1b6c433f88da92de8372c5be300ba1ab6a95518cecd878ed62d",
+        0.0, 1.1328750000000705),
+    ("chain2area", 16, "hull"): ("58995a08b68127491947fdc7aeb9155bbc3514671174f615315b176397375cd2",
+        0.0, 1.1328750000000483),
+    ("medium3area", 4, "hull"): ("dcd94693df2d3934f57ffff85db0aa605653609531f366adc2f0c1612e9341f9",
+        0.0, 3.4715500000004402),
+    ("medium3area", 16, "hull"): ("44f77d2408a9d3c410902d9432cf289961d88cf1b10d81da0b0f6964a725629c",
+        0.0, 3.4715500000004456),
+    ("loop1area", 4, "hull"): ("23b8d463bf864872a820fcccf3580f8e913da0768b2886b7b671a49e5d4d7c67",
+        0.8935394559351977, 0.5090000000001588),
+    ("loop1area", 16, "hull"): ("743a71e9c45f5655338130c922027146bfb533721270ce6bde35514b79e1b029",
+        5.3826872165266835, 0.5090000000001189),
+    ("small2area", 4, "bigm"): ("84bccd61ef9add9cdce4ca020b9972270ec50b3a9bd6a6d03e266080240e6eee",
+        0.0, 1.9700000000000901),
+    ("small2area", 16, "bigm"): ("67e5d9e6708ab75668734dc7cdb43e243b20b22a91fdcbd2f14beb699facbb73",
+        0.0, 1.9700000000001427),
+    ("single1area", 4, "bigm"): ("c2635b69925c7854bcf502feb6cf595cb48c36473f00a7377f73375b3c3920aa",
+        1.4210854715202004e-14, 0.5112000000001451),
+    ("single1area", 16, "bigm"): ("ebdc0107045b87c9d461581a2be6321c4cb315957a393e7600a3384c25c4af63",
+        0.0, 0.511200000000001),
+    ("chain2area", 4, "bigm"): ("55dfd6ee5164d1b6c433f88da92de8372c5be300ba1ab6a95518cecd878ed62d",
+        0.0, 1.1328750000000414),
+    ("chain2area", 16, "bigm"): ("58995a08b68127491947fdc7aeb9155bbc3514671174f615315b176397375cd2",
+        0.0, 1.1328750000087966),
+    ("medium3area", 4, "bigm"): ("dcd94693df2d3934f57ffff85db0aa605653609531f366adc2f0c1612e9341f9",
+        0.0, 3.471550000000089),
+    ("medium3area", 16, "bigm"): ("941b20bc5b9dda6932b20371c78b2322beaae617a9c3b37d672a64868370bf99",
+        0.0, 3.4715500000001476),
+    ("loop1area", 4, "bigm"): ("23b8d463bf864872a820fcccf3580f8e913da0768b2886b7b671a49e5d4d7c67",
+        9.262177467987946, 0.5090000000007093),
+    ("loop1area", 16, "bigm"): ("743a71e9c45f5655338130c922027146bfb533721270ce6bde35514b79e1b029",
+        1.1760589271146742, 0.5090000000001854),
+}
+
+
+@pytest.mark.parametrize("name,r,stage1", list(CONFIG_MODEL_PINNED))
+def test_configuration_model_is_pinned(instances, name, r, stage1):
+    digest, bound, objective = CONFIG_MODEL_PINNED[name, r, stage1]
+    res = solve_two_stage(instances[name], r, stage1=stage1)
+    text = dump_model(res.model, res.index)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert (repr(res.certificate.bound), repr(res.objective)) == \
+        (repr(bound), repr(objective))
