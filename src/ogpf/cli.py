@@ -35,7 +35,7 @@ import numpy as np
 
 from .convexsolve import MAX_ITER, OPTIMAL
 from .errors import ConfigError, OgpfError
-from .mipbuild import build_model, dump_model
+from .mipbuild import build_model, dump_model, hull_model
 from .netmodel import NetworkInstance, load_instance, scale_demands
 from .oracle import enumerate_solve
 from .pwa import PwaConfig
@@ -251,8 +251,7 @@ def cmd_montecarlo(args) -> int:
 def cmd_oracle(args) -> int:
     run_cfg = RunConfig.from_args(args)
     inst = load_instance(run_cfg.instance)
-    cfg = PwaConfig(r=args.r, epsilon=args.epsilon)
-    model, index = build_model(inst, cfg)
+    model, index = hull_model(inst, PwaConfig(r=args.r, epsilon=args.epsilon))
 
     t0 = time.perf_counter()
     oracle = enumerate_solve(model, index, index.curves, cap=args.cap)

@@ -12,17 +12,21 @@ A model is kept in a plain standard form:
 The model holds numbers only. The ``VarIndex`` built with it names every
 column and row by one key form, e.g. ``("psi", "n1")``,
 ``("power_balance", "b2")`` or ``("reg_hi_up", ("n1", "n2"), 3)``, knows the
-entity owning each key, and keeps the fitted chord curves. Rows are looked up
-by key kind and areas assigned from the owners; no label string is parsed.
+entity owning each key, and keeps the fitted chord curves and the
+strict-inequality tolerance. Rows are looked up by key kind and areas
+assigned from the owners; no label string is parsed.
 
 One builder writes the part every model shares (dispatch, angles, sources,
 pressures, tie flows, the balances and the gas conversion); the internal
-pipes come in one of three encodings of ``pwa``. ``build_model`` is the
+pipes come in one of two encodings of ``pwa``. ``build_model`` is the
 paper's big-M model (``emit_mld``): per orientation of each pipe the flow,
-one pressure product, ``r`` flow products and ``1 + 3r`` binaries.
-``hull_model``, the stage-1 model, and ``config_model``, the paper's model at
-one region configuration, share their columns, each pipe's two flows tied by
-reciprocity, and differ in their rows (``emit_hull``, ``emit_config``).
+one pressure product, ``r`` flow products and ``1 + 3r`` binaries, under
+rows that include flow reciprocity. ``hull_model``, the stage-1 model, gives
+each pipe a tie pipe's two flows and reciprocity row, and rows over those
+flows and the end pressures (``emit_hull``). ``config_model``, the paper's
+model at one region configuration, is read off either: the columns and rows
+both have, flows and reciprocity included, restricted once per model, plus
+``emit_config``'s rows and flow boxes.
 
 Rows are built as arrays: the linear rows as coordinate triplets assembled
 in one sparse-matrix call per block, the quadratic rows as one coordinate
@@ -30,7 +34,7 @@ block (``QuadBlock``). ``substitute_columns`` is the one column-elimination
 routine and presolve, working on the CSR arrays: it fixes or aliases
 columns, drops the rows whose support vanished, detects contradictions, and
 returns the index maps that carry a reduced solution and its duals back. The
-enumeration oracle and the interior point both use it.
+interior point presolves with it.
 """
 
 from __future__ import annotations
@@ -43,8 +47,8 @@ import scipy.sparse as sp
 
 from .errors import ModelError
 from .netmodel import NetworkInstance, classify_edges
-from .pwa import (PwaConfig, PwaCurve, block_keys, emit_config, emit_hull,
-                  emit_mld, fit_pwa, key_label)
+from .pwa import (LinearRows, PwaConfig, PwaCurve, block_keys, emit_config,
+                  emit_hull, emit_mld, fit_pwa, key_label)
 
 # variable kinds
 P = "p"          # generator output
@@ -88,7 +92,8 @@ class VarIndex:
     and configuration. Every key's kind and owning entity (a generator, bus,
     gas source or gas node) are also kept as array codes, so looking keys up
     by kind or owner is an array operation. ``curves`` holds the chord
-    curves the build fitted, one per internal pipe.
+    curves the build fitted, one per internal pipe, and ``epsilon`` the
+    strict-inequality tolerance it was built at.
     """
 
     def __init__(self):
@@ -100,6 +105,10 @@ class VarIndex:
         self._kinds: dict[str, int] = {}
         self._entities: dict[tuple, int] = {}
         self.curves: dict[tuple, PwaCurve] = {}
+        self.epsilon: float | None = None
+        # (model, its shared part, that part's positions), kept by
+        # ``_shared``
+        self._shared: tuple | None = None
 
     def extend(self, block: str, keys: list[tuple], kinds=None,
                entities=None) -> None:
@@ -146,14 +155,31 @@ class VarIndex:
             chunks[:] = [tuple(map(np.concatenate, zip(*chunks)))]
         return chunks[0]
 
-    def rows(self, block: str, kind: str) -> np.ndarray:
+    def rows(self, block: str, *kinds: str) -> np.ndarray:
         """Positions of the columns (``COL``) or rows of ``block`` whose key
-        has ``kind``."""
-        return np.flatnonzero(self._codes(block)[0]
-                              == self._kinds.get(kind, -1))
+        has one of ``kinds``."""
+        wanted = np.zeros(len(self._kinds), dtype=bool)
+        wanted[[self._kinds[kind] for kind in kinds if kind in self._kinds]] \
+            = True
+        return np.flatnonzero(wanted[self._codes(block)[0]])
 
-    def columns(self, kind: str) -> np.ndarray:
-        return self.rows(COL, kind)
+    def columns(self, *kinds: str) -> np.ndarray:
+        return self.rows(COL, *kinds)
+
+    def take(self, positions: dict[str, np.ndarray]) -> "VarIndex":
+        """The index of the columns (``COL``) and rows at ``positions[block]``
+        (ascending) of each block, in their order, with the same curves,
+        ``epsilon`` and entity numbers; a block left out is empty."""
+        out = VarIndex()
+        out.curves, out.epsilon = self.curves, self.epsilon
+        out._kinds, out._entities = dict(self._kinds), dict(self._entities)
+        for block, pos in positions.items():
+            keys = self._keys[block]
+            out._keys[block] = [keys[k] for k in pos]
+            out._chunks[block] = [tuple(codes[pos]
+                                        for codes in self._codes(block))]
+        out._fwd = {key: j for j, key in enumerate(out._keys[COL])}
+        return out
 
     def owners(self, block: str) -> np.ndarray:
         """Number of the entity owning every column (``COL``) or row of
@@ -347,9 +373,22 @@ def fit_all_curves(inst: NetworkInstance, cfg: PwaConfig) -> dict[tuple, PwaCurv
             for p in classify_edges(inst).internal_pipes}
 
 
-def _build(inst: NetworkInstance, curves: dict[tuple, PwaCurve], encode,
+def _name_pipe_rows(index: VarIndex, ineq: LinearRows,
+                    eq: LinearRows) -> None:
+    """Append the internal pipes' rows to ``index``; each belongs to its
+    orientation's from node."""
+    nodes = [("node", key[0]) for i, j in index.curves
+             for key in ((i, j), (j, i))]
+    for blk, rows in ((EQ, eq), (IN, ineq)):
+        index.extend(blk, rows.keys, (rows.kinds, rows.kind),
+                     (nodes, rows.owner))
+
+
+def _build(inst: NetworkInstance, cfg: PwaConfig,
+           curves: dict[tuple, PwaCurve], encode,
            block: tuple | None = None) -> tuple[StandardModel, VarIndex]:
-    """Assemble a model of ``inst`` whose internal pipes ``encode`` writes.
+    """Assemble a model of ``inst`` at ``cfg`` whose internal pipes
+    ``encode`` writes.
 
     Every model shares its first columns and rows: per generator its output
     and gas use, per bus its angle, per gas source its production, per gas
@@ -363,7 +402,7 @@ def _build(inst: NetworkInstance, curves: dict[tuple, PwaCurve], encode,
     """
     edges = classify_edges(inst)
     index = VarIndex()
-    index.curves = curves
+    index.curves, index.epsilon = curves, cfg.epsilon
     flows = [((p.from_node, p.to_node), p.flow_cap, "tie_reciprocity")
              for p in edges.tie_pipes]
     if block is None:
@@ -470,10 +509,7 @@ def _build(inst: NetworkInstance, curves: dict[tuple, PwaCurve], encode,
     g_in = _to_csr(pipe_in.row, pipe_in.col, pipe_in.coef, pipe_in.rhs.size,
                    n)
     index.extend(EQ, [e[0] for e in eq])
-    nodes = [("node", key[0]) for i, j in curves for key in ((i, j), (j, i))]
-    for blk, rows in ((EQ, pipe_eq), (IN, pipe_in)):
-        index.extend(blk, rows.keys, (rows.kinds, rows.kind),
-                     (nodes, rows.owner))
+    _name_pipe_rows(index, pipe_in, pipe_eq)
 
     # gas conversion: eta2 p^2 + eta1 p + eta0 - dgu <= 0
     gas = [g for g in inst.generators if g.is_gas]
@@ -520,7 +556,7 @@ def build_model(inst: NetworkInstance, cfg: PwaConfig) -> tuple[StandardModel, V
         integrality[first:].reshape(-1, width)[:, 2 + r:] = True
         return emit_mld(curves, cfg, index.col, psi_bounds)
 
-    return _build(inst, curves, encode,
+    return _build(inst, cfg, curves, encode,
                   (keys, ([key[0] for key in keys[:width]],
                           np.tile(np.arange(width), len(nodes))),
                    (nodes, np.repeat(np.arange(len(nodes)), width))))
@@ -537,25 +573,87 @@ def hull_model(inst: NetworkInstance, cfg: PwaConfig
     column. Its columns are those of ``config_model``.
     """
     curves = fit_all_curves(inst, cfg)
-    return _build(inst, curves,
+    return _build(inst, cfg, curves,
                   lambda index, *_: emit_hull(curves, index.col))
 
 
-def config_model(inst: NetworkInstance, curves: dict[tuple, PwaCurve],
-                 config: dict[tuple, int], epsilon: float
-                 ) -> tuple[StandardModel, VarIndex]:
-    """The paper's model at one region configuration ``{pipe: region}``:
-    its binaries fixed and its products collapsed, written over the columns
-    of ``hull_model`` (``pwa.emit_config``). ``curves`` are the curves the
-    configuration refers to and ``epsilon`` the model's strict-inequality
-    tolerance."""
-    def encode(index, lb, ub, integrality):
-        ineq, eq, (cols, lo, hi) = emit_config(config, curves, epsilon,
-                                               index.col)
-        lb[cols], ub[cols] = lo, hi
-        return ineq, eq
+# the columns and rows every model of an instance shares, by block and kind
+_SHARED_KINDS = ((COL, (P, DGU, THETA, GS, PSI, PHI)),
+                 (EQ, ("power_balance", "gas_balance", "tie_reciprocity",
+                       "reciprocity")),
+                 (QUAD, ("gas_conversion",)))
 
-    return _build(inst, curves, encode)
+
+def _shared(model: StandardModel, index: VarIndex
+            ) -> tuple[StandardModel, dict[str, np.ndarray]]:
+    """The columns and rows of ``model`` that every model of its instance
+    shares, looked up by kind and kept in their order, and their positions
+    in ``model``. They are read off once per model and kept on ``index``."""
+    if index._shared is not None and index._shared[0] is model:
+        return index._shared[1:]
+    pos = {block: index.rows(block, *kinds) for block, kinds in _SHARED_KINDS}
+    cols, eq_rows = pos[COL], pos[EQ]
+    n = cols.size
+    col_map = np.full(model.num_vars, -1, dtype=np.intp)
+    col_map[cols] = np.arange(n)
+    row_map = np.full(model.num_eq, -1, dtype=np.intp)
+    row_map[eq_rows] = np.arange(eq_rows.size)
+    row = row_map[entry_rows(model.a_eq)]
+    kept = row >= 0
+    quad = model.quad_ineq.take(pos[QUAD])
+    col, q_col, l_col = (col_map[j] for j in (model.a_eq.indices[kept],
+                                              quad.q_col, quad.l_col))
+    if np.any(np.concatenate([col, q_col, l_col]) < 0):
+        raise ModelError("a shared row references an internal pipe's own "
+                         "column")
+    # the kept columns keep their order, so each row stays sorted
+    shared = StandardModel(
+        n, model.obj_quad[cols], model.obj_lin[cols], model.obj_const,
+        csr_from_rows(row[kept], col, model.a_eq.data[kept],
+                      (eq_rows.size, n)), model.b_eq[eq_rows],
+        sp.csr_matrix((0, n)), np.zeros(0),
+        QuadBlock(n, quad.q_row, q_col, quad.q_coef, quad.l_row, l_col,
+                  quad.l_coef, quad.d),
+        model.lb[cols], model.ub[cols], model.integrality[cols])
+    index._shared = (model, shared, pos)
+    return shared, pos
+
+
+def config_model(model: StandardModel, index: VarIndex,
+                 config: dict[tuple, int]) -> tuple[StandardModel, VarIndex]:
+    """The paper's model at one region configuration ``{pipe: region}``:
+    its binaries fixed and its products collapsed (``pwa.emit_config``),
+    read off a model of the instance, big-M or hull, and its ``index``.
+
+    It keeps the columns and rows every model of the instance shares and
+    adds ``emit_config``'s rows and flow boxes at the index's curves and
+    ``epsilon``. Its columns are those of ``hull_model``. The shared part is
+    read off ``model`` at the first call and kept on ``index``, so
+    enumerating configurations restricts the model once.
+    """
+    shared, pos = _shared(model, index)
+    out = index.take(pos)
+    ineq, eq, (cols, lo, hi) = emit_config(config, index.curves,
+                                           index.epsilon, out.col)
+    _name_pipe_rows(out, ineq, eq)
+    n, head = shared.num_vars, shared.num_eq
+    lb, ub = shared.lb.copy(), shared.ub.copy()
+    lb[cols], ub[cols] = lo, hi
+    # emit_config's rows hold each column once; sorted by row, then column,
+    # they follow the shared rows' sorted entries
+    order = np.lexsort((eq.col, eq.row))
+    a_eq = csr_from_rows(
+        np.concatenate([entry_rows(shared.a_eq), head + eq.row[order]]),
+        np.concatenate([shared.a_eq.indices, eq.col[order]]),
+        np.concatenate([shared.a_eq.data, eq.coef[order]]),
+        (head + eq.rhs.size, n))
+    order = np.lexsort((ineq.col, ineq.row))
+    g_in = csr_from_rows(ineq.row[order], ineq.col[order], ineq.coef[order],
+                         (ineq.rhs.size, n))
+    return StandardModel(
+        n, shared.obj_quad, shared.obj_lin, shared.obj_const, a_eq,
+        np.concatenate([shared.b_eq, eq.rhs]), g_in, ineq.rhs,
+        shared.quad_ineq, lb, ub, shared.integrality), out
 
 
 def relax(model: StandardModel) -> StandardModel:
@@ -626,8 +724,10 @@ def substitute_columns(model: StandardModel, fixed: dict[int, float],
     equality right-hand side, a negative inequality right-hand side or a
     positive quadratic-row constant), a fixed value outside its box or an
     emptied box reports ``feasible=False``. Kept columns and rows keep their
-    order. The enumeration oracle fixes binaries and aliases products with
-    it; the interior point presolves with it, fixing the pinned columns.
+    order. The interior point presolves with it, fixing the pinned columns.
+    Aliases reduce the big-M model at a region configuration
+    (``pwa.config_columns``), the reference the configuration model is
+    tested against.
     """
     n = model.num_vars
     fix_j = np.fromiter(fixed, dtype=np.intp, count=len(fixed))

@@ -32,9 +32,11 @@ the two end pressures alone.
 
 This module alone gives the region binaries their meaning. A region
 configuration ``{pipe: region}`` names one active region per internal pipe;
-``config_columns`` turns it into the binaries and product auxiliaries of both
-orientations, which the oracle fixes in the big-M model, and ``emit_config``
-into the rows those leave over the flows and pressures, which stage 2 reads.
+``emit_config`` turns it into the rows the binaries leave over the flows and
+pressures, which stage 2 and the oracle read. ``config_columns`` turns it
+into the values of the binaries and product auxiliaries of both
+orientations, which reduce the big-M model to the same configuration: the
+reference the configuration model is tested against.
 """
 
 from __future__ import annotations
@@ -415,7 +417,9 @@ def orientation_regions(config: dict[tuple, int],
 def config_columns(config: dict[tuple, int], curves: dict[tuple, PwaCurve],
                    col) -> tuple[dict[int, float], dict[int, tuple[int, float]]]:
     """Column fixes and aliases that a region configuration implies for the
-    blocks ``emit_mld`` emits.
+    blocks ``emit_mld`` emits; with them ``mipbuild.substitute_columns``
+    reduces the big-M model to the configuration, the reference
+    ``emit_config``'s rows are tested against.
 
     Every binary is fixed: the sign binary, ``dm`` on the active region only,
     ``alpha`` on the regions at or above it and ``beta`` on those at or

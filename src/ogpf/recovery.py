@@ -11,9 +11,9 @@ component no offset, go to an epigraph linear program (HiGHS).
 
 Stage 2 recovers the binaries in the form the oracle enumerates: one active
 region per internal pipe, a configuration ``{pipe: region}``.
-``mipbuild.config_model`` writes the paper's model at that configuration
-over the stage-1 model's columns; the pressure problem is its ``pwa_flow``
-rows with the flows fixed, and the assembled point is checked against it.
+``mipbuild.config_model`` reads the paper's model at that configuration
+off the stage-1 model; the pressure problem is its ``pwa_flow`` rows with
+the flows fixed, and the assembled point is checked against it.
 The region follows the flow's sign (the sign binary is 1 exactly when the
 oriented flow is nonnegative, the only orientation under which the flow
 equality is consistent); at a flow exactly on a shared breakpoint the active

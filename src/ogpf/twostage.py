@@ -9,8 +9,9 @@ graph over its flow and end pressures (``HULL``, ``mipbuild.hull_model``),
 whose size does not grow with ``r``; ``BIGM`` relaxes the paper's big-M model
 instead, clearing its integrality, and its point is gathered onto the hull
 model's columns. Stage 2 is the same under both: it reads a region
-configuration off the stage-1 flows and builds the paper's model at that
-configuration over those columns (``mipbuild.config_model``). It recomputes
+configuration off the stage-1 flows and the paper's model at that
+configuration, over those columns, off the stage-1 model
+(``mipbuild.config_model``), so a solve assembles one model. It recomputes
 pressures through the infinity-norm problem over that model's flow-equality
 (``pwa_flow``) rows with the flows fixed: propagated exactly on a pipe forest
 whose pressure boxes admit it, an LP on a cycle or where the boxes bind
@@ -127,7 +128,7 @@ def solve_two_stage(inst: NetworkInstance, r: int, *, epsilon: float = 1e-6,
     check_tol = max(FEAS_TOL, 2.0 * stage1_res)
 
     configuration = recover_binaries(phi_star, curves)
-    model, config_index = config_model(inst, curves, configuration, epsilon)
+    model, config_index = config_model(relaxed, index, configuration)
     x = sol.x[[index.col(*key) for key in config_index.keys(COL)]]
     sol = replace(sol, x=x, objective=model.objective(x))
     lp = build_pressure_lp(x, phi_star, model=model, index=config_index)

@@ -4,6 +4,9 @@ import json
 import pytest
 
 import ogpf
+import ogpf.cli
+import ogpf.mipbuild
+import ogpf.twostage
 from ogpf.cli import _exit_code, _run_entry, aggregate_runs, main
 
 SMALL = ogpf.instance_path("small2area")
@@ -261,6 +264,36 @@ def test_exit_code_flags_unconverged_stage_one():
                        row("Optimal", "MaxIter")]) == 2
     assert _exit_code([row("Approximate", "Optimal")]) == 2
     assert _exit_code([{"run": 0, "error": "infeasible"}]) == 1
+
+
+def test_oracle_enumerates_off_the_hull_model(monkeypatch, tmp_path,
+                                             small2area):
+    """``ogpf oracle`` reads its configuration models off the hull model
+    and never builds the big-M model; enumerating off the big-M model gives
+    the same report."""
+    build = ogpf.mipbuild.build_model
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    for module in (ogpf.mipbuild, ogpf.twostage, ogpf.cli):
+        monkeypatch.setattr(module, "build_model", counting)
+    out = tmp_path / "oracle.json"
+    assert _run(["oracle", "--instance", SMALL, "--r", "4",
+                 "--out", str(out)]) == 0
+    assert calls == []
+    report = _report(out)["oracle"]
+    model, index = build(small2area, ogpf.PwaConfig(r=4))
+    ref = ogpf.enumerate_solve(model, index, index.curves)
+    assert report["best_objective"] == ref.best_objective
+    assert report["best_configuration"] == {
+        f"{a}->{b}": m for (a, b), m in ref.best_configuration.items()}
+    assert report["num_feasible"] == sum(e["objective"] is not None
+                                         for e in ref.log)
+    assert report["num_unresolved"] == sum(e["status"] == "MaxIter"
+                                           for e in ref.log)
 
 
 def test_oracle_cap_exceeded_is_error(tmp_path):

@@ -12,7 +12,7 @@ import ogpf.twostage
 from ogpf.convexsolve import (linear_infeasible, propagation_infeasible,
                               solve_consensus, solve_convex)
 from ogpf.mipbuild import (QuadBlock, StandardModel, area_views, build_model,
-                           relax, substitute_columns)
+                           config_model, hull_model, relax, substitute_columns)
 from ogpf.pwa import PwaConfig, config_columns
 
 from conftest import make_instance, no_quad, small_witness_point
@@ -201,6 +201,25 @@ def test_propagation_rejects_only_what_the_lp_screen_rejects(instances):
                     assert (not red.feasible
                             or linear_infeasible(red.model)), combo
     assert (configs, rejected) == (508, 437)
+
+
+def test_propagation_on_configuration_models_rejects_only_what_the_lp_does(
+        instances):
+    """On the configuration models of the same 508 configurations,
+    propagation rejects more (447), and the HiGHS LP rejects each of them
+    too."""
+    configs = rejected = 0
+    for inst in instances.values():
+        for r in (2, 4):
+            hull, index = hull_model(inst, PwaConfig(r=r))
+            for combo in product(range(1, r + 1), repeat=len(index.curves)):
+                model, _ = config_model(hull, index,
+                                        dict(zip(index.curves, combo)))
+                configs += 1
+                if propagation_infeasible(model):
+                    rejected += 1
+                    assert linear_infeasible(model), combo
+    assert (configs, rejected) == (508, 447)
 
 
 def test_relaxed_small2area_solves_tight(instances, small2area_model):

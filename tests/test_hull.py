@@ -197,6 +197,22 @@ def test_only_a_big_m_stage1_builds_the_big_m_model(monkeypatch, small2area,
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("mode", ["centralized", "consensus"])
+def test_a_default_solve_assembles_one_model(monkeypatch, small2area, mode):
+    """Stage 2 reads its configuration model off the stage-1 model, so the
+    shared columns and rows are assembled once per solve."""
+    calls = []
+    build = ogpf.mipbuild._build
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(ogpf.mipbuild, "_build", counting)
+    ogpf.solve_two_stage(small2area, 4, mode=mode)
+    assert len(calls) == 1
+
+
 def test_cli_echoes_the_stage1(tmp_path):
     small = ogpf.instance_path("small2area")
     for flag, expected in (([], "hull"), (["--stage1", "bigm"], "bigm")):

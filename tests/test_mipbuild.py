@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import re
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ import scipy.sparse as sp
 import ogpf
 import ogpf.mipbuild
 from ogpf.mipbuild import (QuadBlock, StandardModel, VarIndex, area_views,
-                           build_model, check_point, dump_model, relax,
-                           substitute_columns)
+                           build_model, check_point, config_model, dump_model,
+                           hull_model, relax, substitute_columns)
 from ogpf.pwa import PwaConfig
 
 from conftest import make_instance, small_witness_point
@@ -406,3 +407,26 @@ def test_area_views_are_unchanged(instances, name):
     model, index = build_model(instances[name], PwaConfig(r=4))
     labels = area_views(model, instances[name], index)
     assert _labels_digest(labels) == LABELS_SHA256[name]
+
+
+def test_configuration_models_take_epsilon_from_the_index(small2area):
+    """A configuration model is read off the big-M or the hull model at the
+    tolerance that model was built at: both give the same model, whose
+    interior flow boxes stay 1e-3 inside their region and whose
+    ``psi_order`` rows ask for a pressure difference of 1e-3."""
+    cfg = PwaConfig(r=4, epsilon=1e-3)
+    big, big_index = build_model(small2area, cfg)
+    hull, hull_index = hull_model(small2area, cfg)
+    curves = hull_index.curves
+    for combo in product(range(1, 5), repeat=len(curves)):
+        config = dict(zip(curves, combo))
+        model, index = config_model(hull, hull_index, config)
+        assert dump_model(*config_model(big, big_index, config)) == \
+            dump_model(model, index), combo
+        for pipe, m in config.items():
+            lo, hi = curves[pipe].breakpoints[m - 1:m + 1]
+            j = index.col("phi", pipe)
+            assert (model.lb[j], model.ub[j]) == (
+                lo + 1e-3 if m > 1 else lo, hi - 1e-3 if m < 4 else hi)
+        assert model.h_in.tolist() == [-1e-3] * len(curves)
+        assert index.rows("in", "psi_order").size == len(curves)

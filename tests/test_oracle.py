@@ -1,17 +1,20 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 import ogpf
 import ogpf.convexsolve
 import ogpf.ipm
 import ogpf.oracle
-from ogpf.convexsolve import INFEASIBLE, MAX_ITER, OPTIMAL, solve_convex
+from ogpf.convexsolve import (INFEASIBLE, MAX_ITER, OPTIMAL, linear_infeasible,
+                              propagation_infeasible, solve_convex)
 from ogpf.errors import AllInfeasible, CapExceeded, ModelError
-from ogpf.mipbuild import build_model, config_model, fit_all_curves, relax
-from ogpf.oracle import _reduce, enumerate_solve
-from ogpf.pwa import PwaConfig
+from ogpf.mipbuild import (build_model, fit_all_curves, relax,
+                           substitute_columns)
+from ogpf.oracle import enumerate_solve
+from ogpf.pwa import PwaConfig, config_columns
 from ogpf.twostage import solve_two_stage
 
 from conftest import BUNDLED, make_instance
@@ -225,23 +228,41 @@ def test_linear_screen_keeps_infeasible_configurations_off_the_ipm(
     assert calls == {"ipm": 9, "probe": 0, "lp": 9}
 
 
+def _big_m_outcome(relaxed, index, config):
+    """Status and objective of ``config`` on the relaxed big-M model, fixed
+    and reduced: bound propagation with the fixed values as boxes, then
+    ``substitute_columns`` with the product aliases (the presolve), the
+    HiGHS LP screen and the interior point."""
+    fixed, aliases = config_columns(config, index.curves, index.col)
+    lb, ub = relaxed.lb.copy(), relaxed.ub.copy()
+    lb[list(fixed)] = ub[list(fixed)] = list(fixed.values())
+    if propagation_infeasible(dataclasses.replace(relaxed, lb=lb, ub=ub)):
+        return INFEASIBLE, None
+    red = substitute_columns(relaxed, fixed, aliases)
+    if not red.feasible or linear_infeasible(red.model):
+        return INFEASIBLE, None
+    sol = solve_convex(red.model)
+    return sol.status, sol.objective
+
+
 @pytest.mark.parametrize("name", BUNDLED)
 @pytest.mark.parametrize("r", [2, 4])
 def test_configuration_models_match_the_paper_model(instances, name, r):
-    """At every configuration, the configuration model screened and solved
-    as the oracle screens and solves its reduced big-M model ends with the
-    same status as that one, MaxIter included, and where Optimal at the same
-    objective."""
-    inst = instances[name]
-    model, index = build_model(inst, PwaConfig(r=r))
-    log = enumerate_solve(model, index, index.curves).log
-    for entry in log:
+    """At every configuration, the enumeration's configuration model ends
+    with the same status as the reduced big-M model, MaxIter included, and
+    where Optimal at the same objective; both pick the same best
+    configuration."""
+    model, index = build_model(instances[name], PwaConfig(r=r))
+    res = enumerate_solve(model, index, index.curves)
+    relaxed = relax(model)
+    best = (np.inf, None)
+    for entry in res.log:
         config = entry["config"]
-        reduced = _reduce(config_model(inst, index.curves, config, 1e-6)[0],
-                          {}, {})
-        sol = None if reduced is None else solve_convex(reduced)
-        assert (INFEASIBLE if sol is None else sol.status) == \
-            entry["status"], config
-        if entry["status"] == OPTIMAL:
-            assert sol.objective == pytest.approx(entry["objective"],
-                                                  rel=1e-9), config
+        status, objective = _big_m_outcome(relaxed, index, config)
+        assert entry["status"] == status, config
+        if status == OPTIMAL:
+            assert entry["objective"] == pytest.approx(objective,
+                                                       rel=1e-9), config
+            if objective < best[0]:
+                best = (objective, config)
+    assert res.best_configuration == best[1]

@@ -8,7 +8,7 @@ import ogpf
 from ogpf import recovery
 from ogpf.errors import OutOfRange
 from ogpf.mipbuild import (build_model, check_point, config_model,
-                           dump_model, fit_all_curves)
+                           dump_model, fit_all_curves, hull_model)
 from ogpf.pwa import (PwaConfig, config_columns, emit_mld, fit_pwa,
                       key_label, max_region_error, orientation_regions)
 from ogpf.recovery import (assemble_and_certify, build_pressure_lp,
@@ -228,11 +228,10 @@ def test_recovered_configuration_satisfies_emitted_rows():
 def _pipe_lp(phi):
     """The pressure LP of a one-pipe instance (n1 -> n2, c_f 8, cap 150) at
     r=2, with flow ``phi`` on n1 -> n2."""
-    inst = make_instance()
-    curves = fit_all_curves(inst, PwaConfig(r=2))
+    hull, hull_index = hull_model(make_instance(), PwaConfig(r=2))
     flows = {("n1", "n2"): phi, ("n2", "n1"): -phi}
-    config = recover_binaries(flows, curves)
-    model, index = config_model(inst, curves, config, 1e-6)
+    config = recover_binaries(flows, hull_index.curves)
+    model, index = config_model(hull, hull_index, config)
     return build_pressure_lp(np.zeros(model.num_vars), flows, model=model,
                              index=index), config, index
 
@@ -529,12 +528,12 @@ def test_worst_pipes_list_ties_in_row_order(instances):
     come in row order: which pipes a cycle names must not depend on
     rounding at 1e-14. The point is all zeros, so each mismatch is exactly
     its target."""
-    inst = instances["loop1area"]
-    curves = fit_all_curves(inst, PwaConfig(r=4))
+    hull, hull_index = hull_model(instances["loop1area"], PwaConfig(r=4))
+    curves = hull_index.curves
     flows = {key: 10.0 if key[0] < key[1] else -10.0
              for i, j in curves for key in ((i, j), (j, i))}
     config = recover_binaries(flows, curves)
-    model, index = config_model(inst, curves, config, 1e-6)
+    model, index = config_model(hull, hull_index, config)
     lp = build_pressure_lp(np.zeros(model.num_vars), flows, model=model,
                            index=index)
     lp = dataclasses.replace(lp, point=np.zeros(model.num_vars))

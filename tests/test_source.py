@@ -35,10 +35,10 @@ def test_only_pwa_and_mipbuild_name_the_region_binaries():
     assert found == []
 
 
-def test_only_pwa_and_the_oracle_name_config_columns():
-    # stage 2 reads the configuration model, whose columns hold no binary;
-    # the binaries' values at a configuration are pwa's to give, and only
-    # the oracle, which enumerates the big-M model, asks for them
+def test_only_pwa_names_config_columns():
+    # stage 2 and the oracle read configuration models, whose columns hold
+    # no binary; the binaries' values at a configuration are pwa's to give,
+    # and only the tests' big-M reference reduction asks for them
     found = {path.name for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Name) and node.id == "config_columns"
@@ -46,7 +46,20 @@ def test_only_pwa_and_the_oracle_name_config_columns():
              and node.attr == "config_columns"
              or isinstance(node, (ast.alias, ast.FunctionDef))
              and node.name == "config_columns"}
-    assert found == {"oracle.py", "pwa.py"}
+    assert found == {"pwa.py"}
+
+
+def test_the_oracle_reduces_no_big_m_model():
+    # the oracle screens and solves configuration models; relaxing,
+    # fixing and aliasing big-M columns is the tests' reference
+    path = SRC / "oracle.py"
+    names = {"relax", "substitute_columns", "config_columns"}
+    found = [f"{path.name}:{node.lineno}"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Name) and node.id in names
+             or isinstance(node, ast.Attribute) and node.attr in names
+             or isinstance(node, ast.alias) and node.name in names]
+    assert found == []
 
 
 def test_only_pwa_reads_the_chord_segments():
