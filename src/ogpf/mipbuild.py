@@ -158,13 +158,13 @@ class VarIndex:
     def rows(self, block: str, *kinds: str) -> np.ndarray:
         """Positions of the columns (``COL``) or rows of ``block`` whose key
         has one of ``kinds``."""
+        codes = [self._kinds[kind] for kind in kinds if kind in self._kinds]
         wanted = np.zeros(len(self._kinds), dtype=bool)
-        wanted[[self._kinds[kind] for kind in kinds if kind in self._kinds]] \
-            = True
+        wanted[codes] = True
         return np.flatnonzero(wanted[self._codes(block)[0]])
 
-    def columns(self, *kinds: str) -> np.ndarray:
-        return self.rows(COL, *kinds)
+    def columns(self, kind: str) -> np.ndarray:
+        return self.rows(COL, kind)
 
     def take(self, positions: dict[str, np.ndarray]) -> "VarIndex":
         """The index of the columns (``COL``) and rows at ``positions[block]``
@@ -651,9 +651,9 @@ def config_model(model: StandardModel, index: VarIndex,
     g_in = csr_from_rows(ineq.row[order], ineq.col[order], ineq.coef[order],
                          (ineq.rhs.size, n))
     return StandardModel(
-        n, shared.obj_quad, shared.obj_lin, shared.obj_const, a_eq,
-        np.concatenate([shared.b_eq, eq.rhs]), g_in, ineq.rhs,
-        shared.quad_ineq, lb, ub, shared.integrality), out
+        n, shared.obj_quad.copy(), shared.obj_lin.copy(), shared.obj_const,
+        a_eq, np.concatenate([shared.b_eq, eq.rhs]), g_in, ineq.rhs,
+        shared.quad_ineq, lb, ub, shared.integrality.copy()), out
 
 
 def relax(model: StandardModel) -> StandardModel:

@@ -73,11 +73,11 @@ def enumerate_solve(model: StandardModel, index: VarIndex,
     log = []
     for combo in product(range(1, r + 1), repeat=len(pipes)):
         cfg = dict(zip(pipes, combo))
-        config, _ = config_model(model, index, cfg)
-        if propagation_infeasible(config) or linear_infeasible(config):
+        sub, _ = config_model(model, index, cfg)
+        if propagation_infeasible(sub) or linear_infeasible(sub):
             log.append({"config": cfg, "status": INFEASIBLE, "objective": None})
             continue
-        sol = solve_convex(config)
+        sol = solve_convex(sub)
         entry = {"config": cfg, "status": sol.status,
                  "objective": sol.objective if sol.status == OPTIMAL else None}
         log.append(entry)
