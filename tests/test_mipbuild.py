@@ -262,6 +262,22 @@ def test_dump_model_is_unchanged(instances, name, r):
     assert hashlib.sha256(text.encode()).hexdigest() == DUMP_SHA256[name, r]
 
 
+
+# sha256 of dump_model of both models of single1area at r=128, recorded
+# while each region of a chord curve was still an object of its own
+LARGE_R_SHA256 = {
+    "build_model": "38557307e4db8913fb82b249fc2f97491047f3e8cb5a5afe5a977a0d247be557",
+    "hull_model": "d1f84ef39c08b7edaf2d6988e2d2ecaec40b7cde852ffbe474b5f4b5e274b5e3",
+}
+
+
+@pytest.mark.parametrize("build", [build_model, hull_model],
+                         ids=lambda build: build.__name__)
+def test_large_r_dumps_are_unchanged(instances, build):
+    text = dump_model(*build(instances["single1area"], PwaConfig(r=128)))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        LARGE_R_SHA256[build.__name__]
+
 # sha256 of the stage-1 point's bytes and the interior-point iteration count
 # at r=4, re-recorded when the KKT factor moved to SuperLU's symmetric mode
 # (the points moved by rounding; the iteration counts did not)

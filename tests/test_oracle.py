@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ import ogpf.oracle
 from ogpf.convexsolve import (INFEASIBLE, MAX_ITER, OPTIMAL, linear_infeasible,
                               propagation_infeasible, solve_convex)
 from ogpf.errors import AllInfeasible, CapExceeded, ModelError
-from ogpf.mipbuild import (build_model, fit_all_curves, relax,
+from ogpf.mipbuild import (build_model, config_model, dump_model,
+                           fit_all_curves, hull_model, relax,
                            substitute_columns)
 from ogpf.oracle import enumerate_solve
 from ogpf.pwa import PwaConfig, config_columns
@@ -266,3 +269,33 @@ def test_configuration_models_match_the_paper_model(instances, name, r):
             if objective < best[0]:
                 best = (objective, config)
     assert res.best_configuration == best[1]
+
+
+# sha256 over dump_model of the configuration model at every configuration,
+# in enumeration order, read off hull_model; recorded while each region of a
+# chord curve was still an object of its own
+EVERY_CONFIG_SHA256 = {
+    ("chain2area", 2): "2579376ca2d6fdd2f8aefb18844ae5c52cca575cebd3e2d8cdf357633fde76fd",
+    ("chain2area", 4): "c1884670ce48948c461ecb4794052cfc695387bfce8e4279f303c2b275cefb96",
+    ("loop1area", 2): "9de9db9ab0fb85a6d641d0a4662204bd4629c12ceea1c7036ee49697e846bcf8",
+    ("loop1area", 4): "e261c0e532322c6648db9c65f04ddd381148ba7a967cbd54b038b37f0562c7ce",
+    ("medium3area", 2): "0b939fd96bd0ca764605f62189faf02d9ef688907df41f572911b5653d06fcbd",
+    ("medium3area", 4): "edee0ceeb865f504574c0899283b225f86e2b74656bdb2447511649db10fbe42",
+    ("single1area", 2): "a0642cfe788ab865f6fc3fd20258942b9a276d8c9c42e06196e34274a94b0feb",
+    ("single1area", 4): "09b9345f50ac338ed144c144406e06f9dfddb53ba1a4963042f3186e72cf6875",
+    ("small2area", 2): "709f98ce15d10c21bc0e3c4ac3078f31adc9785cfb028bd87af5aaf1acc177ed",
+    ("small2area", 4): "684fc15d186200480239c829b39c7ec761f439ab983c1b297c848722f2848878",
+}
+
+
+@pytest.mark.parametrize("name, r", sorted(EVERY_CONFIG_SHA256))
+def test_every_configuration_model_is_pinned(instances, name, r):
+    """Every configuration's boxes and rows, the grid-end regions and the
+    mirror orientations' boxes included, not only the recovered one's."""
+    model, index = hull_model(instances[name], PwaConfig(r=r))
+    pipes = list(index.curves)
+    digest = hashlib.sha256()
+    for combo in product(range(1, r + 1), repeat=len(pipes)):
+        sub, sub_index = config_model(model, index, dict(zip(pipes, combo)))
+        digest.update(dump_model(sub, sub_index).encode())
+    assert digest.hexdigest() == EVERY_CONFIG_SHA256[name, r]
