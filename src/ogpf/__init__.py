@@ -11,8 +11,8 @@ from .netmodel import (Bus, GasNode, GasSource, Generator, NetworkInstance,
                        Pipeline, PowerLine, classify_edges, load_instance,
                        save_instance, scale_demands)
 from .oracle import OracleResult, enumerate_solve
-from .pwa import (LinearRows, PwaConfig, PwaCurve, PwaSegment, emit_config,
-                  emit_hull, emit_mld, fit_pwa, max_region_error)
+from .pwa import (LinearRows, PwaConfig, PwaCurve, emit_config, emit_hull,
+                  emit_mld, fit_pwa, max_region_error)
 from .recovery import (Certificate, PressureLp, RecoveryResult,
                        assemble_and_certify, build_pressure_lp,
                        recover_binaries, solve_pressure_lp,

@@ -12,15 +12,16 @@ time_s``. ``--stage1`` picks the stage-1 relaxation, the pipes' convex hulls
 (``hull``, the default) or the paper's big-M relaxation (``bigm``); the
 config echo and every run entry name it, since the certificate refers to it.
 
-Exit codes: 0 when every solved run certifies Optimal and its stage-1 solve
-converged (``solver_status`` Optimal); 2 when some run returns an
-Approximate certificate or its stage 1 ended unconverged (``solver_status``
-MaxIter, centralized or consensus: the iteration cap or a stall, with no
-proof of infeasibility), whatever its certificate; 1 on any error (bad
-configuration, unreadable instance, infeasibility, exceeded enumeration
-cap) or when no run succeeded.
-The oracle report counts configurations that ended MaxIter as
-``num_unresolved``: they are neither feasible nor proven infeasible.
+Exit codes of solve, sweep-r and montecarlo: 0 when every solved run
+certifies Optimal and its stage-1 solve converged (``solver_status``
+Optimal); 2 when some run returns an Approximate certificate or its stage 1
+ended unconverged (``solver_status`` MaxIter, centralized or consensus: the
+iteration cap or a stall, with no proof of infeasibility), whatever its
+certificate; 1 on any error (bad configuration, unreadable instance,
+infeasibility, exceeded enumeration cap) or when no run succeeded. oracle
+exits 0 whenever its enumeration finishes, even when its two-stage run is
+Approximate or configurations ended MaxIter (counted as ``num_unresolved``:
+neither feasible nor proven infeasible), and 1 on any error.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 For an internal pipe with Weymouth constant ``c_f`` the convex map
 ``phi -> phi**2 / c_f**2`` is approximated by ``r`` chords over a uniform
-symmetric grid on ``[-phi_cap, phi_cap]``. Chords interpolate the function at
-the region endpoints, so on region ``[lo, hi]``::
+symmetric grid on ``[-phi_cap, phi_cap]``. A curve (``PwaCurve``) is that
+grid of ``r + 1`` breakpoints. Chords interpolate the function at the region
+endpoints, so on region ``[lo, hi]``::
 
     a = (lo + hi) / c_f**2          # slope
     b = -lo * hi / c_f**2           # intercept
@@ -19,7 +20,7 @@ a strict-inequality tolerance ``epsilon``; each orientation carries
 ``1 + r`` extra continuous variables (one pressure product, one flow product
 per region), in one contiguous column block (``block_keys``). ``emit_mld``
 emits the rows of every orientation at once as coordinate arrays
-(``LinearRows``).
+(``LinearRows``); every emitter reads the chords off the grids (``_chords``).
 
 Note the usual strict-inequality artifact of big-M logic encodings: with
 integral binaries the feasible flow set excludes open bands of width
@@ -65,41 +66,27 @@ class PwaConfig:
 
 
 @dataclass(frozen=True)
-class PwaSegment:
-    """One affine piece ``a*phi + b`` valid on ``[lo, hi]``."""
-
-    m: int
-    lo: float
-    hi: float
-    a: float
-    b: float
-
-    def value(self, phi: float) -> float:
-        return self.a * phi + self.b
-
-
-@dataclass(frozen=True)
 class PwaCurve:
-    """All ``r`` segments of one internal pipe, read as a function of the
-    flow along ``pipe``.
+    """The chords of one internal pipe, read as a function of the flow along
+    ``pipe``: its ``r + 1`` breakpoints, which tile ``[-phi_cap, phi_cap]``
+    into ``r`` regions, region ``m`` being ``[breakpoints[m - 1],
+    breakpoints[m]]``.
 
-    Segments tile ``[-phi_cap, phi_cap]`` exactly and 0 is always a
-    breakpoint. The curve is an even function of the flow, so the reversed
-    orientation reads the same segments, ``-phi`` lying in ``mirror_region``.
+    The grid is all a curve holds: each region's chord follows from its
+    ends and ``c_f`` (``_chords``), so curves compare and hash by value. 0 is
+    always a breakpoint and the grid is exactly antisymmetric, so the
+    reversed orientation reads the same grid, ``-phi`` lying in
+    ``mirror_region``.
     """
 
     pipe: tuple[str, str]
     c_f: float
     phi_cap: float
-    segments: tuple[PwaSegment, ...]
+    breakpoints: tuple[float, ...]
 
     @property
     def r(self) -> int:
-        return len(self.segments)
-
-    @property
-    def breakpoints(self) -> list[float]:
-        return [self.segments[0].lo] + [s.hi for s in self.segments]
+        return len(self.breakpoints) - 1
 
     def mirror_region(self, m: int) -> int:
         """Region index of ``-phi`` on the reversed orientation."""
@@ -115,12 +102,12 @@ class PwaCurve:
 
 def fit_pwa(c_f: float, phi_cap: float, cfg: PwaConfig,
             pipe: tuple[str, str] = ("i", "j")) -> PwaCurve:
-    """Fit the chord approximation of ``phi**2 / c_f**2`` on a uniform grid."""
+    """Fit the chord approximation of ``phi**2 / c_f**2`` on a uniform grid
+    of ``cfg.r`` regions; a refit is a new grid."""
     if not c_f > 0:
         raise ConfigError(f"weymouth constant must be > 0, got {c_f}")
     if not phi_cap > 0:
         raise ConfigError(f"flow cap must be > 0, got {phi_cap}")
-    c2 = c_f * c_f
     width = 2.0 * phi_cap / cfg.r
     if cfg.epsilon >= 0.1 * width:
         raise ConfigError(
@@ -129,16 +116,27 @@ def fit_pwa(c_f: float, phi_cap: float, cfg: PwaConfig,
     # the upper half of the grid is the negated lower half, so the
     # breakpoints are exactly antisymmetric and 0 is exactly one of them
     lower = [-phi_cap + k * width for k in range(cfg.r // 2)] + [0.0]
-    grid = lower + [-g for g in reversed(lower[:-1])]
-    segments = tuple(PwaSegment(m, lo, hi, (lo + hi) / c2, -lo * hi / c2)
-                     for m, (lo, hi) in enumerate(zip(grid, grid[1:]), 1))
-    return PwaCurve(pipe, c_f, phi_cap, segments)
+    return PwaCurve(pipe, c_f, phi_cap,
+                    tuple(lower + [-g for g in reversed(lower[:-1])]))
 
 
-def max_region_error(seg: PwaSegment, c_f: float) -> float:
-    """Largest chord-over-function gap on the segment: ``(hi-lo)**2/(4 c_f**2)``,
-    attained at the midpoint."""
-    return (seg.hi - seg.lo) ** 2 / (4.0 * c_f * c_f)
+def max_region_error(curve: PwaCurve) -> np.ndarray:
+    """Largest chord-over-function gap on each region:
+    ``(hi-lo)**2/(4 c_f**2)``, attained at the midpoint."""
+    return np.diff(curve.breakpoints) ** 2 / (4.0 * curve.c_f * curve.c_f)
+
+
+def _chords(curves: dict[tuple, PwaCurve]) -> tuple[np.ndarray, ...]:
+    """Every region of every curve as arrays of pipes (in the order of
+    ``curves``) by regions: its ends ``lo`` and ``hi``, and its chord's
+    slope ``a = (lo + hi) / c_f**2`` and intercept ``b = -lo * hi /
+    c_f**2``. Without curves each array has one column and no row."""
+    grid = (np.array([curve.breakpoints for curve in curves.values()])
+            if curves else np.zeros((0, 2)))
+    c2 = np.array([curve.c_f * curve.c_f for curve in curves.values()])
+    c2 = c2[:, None]
+    lo, hi = grid[:, :-1], grid[:, 1:]
+    return lo, hi, (lo + hi) / c2, -lo * hi / c2
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +249,7 @@ def emit_mld(curves: dict[tuple, PwaCurve], cfg: PwaConfig, col,
                             "emission")
     # per-orientation numbers are (num, 1) columns, per-region ones (num, r)
     lo_i, hi_i, lo_j, hi_j, cap = (bounds[:, [w]] for w in range(5))
-    seg = np.repeat(np.array([[(s.lo, s.hi, s.a, s.b) for s in curve.segments]
-                              for curve in curves.values()],
-                             dtype=float).reshape(num // 2, r, 4), 2, axis=0)
-    lo, hi, a, b = (seg[:, :, w] for w in range(4))
+    lo, hi, a, b = (np.repeat(v, 2, axis=0) for v in _chords(curves))
 
     base = np.array([col("phi", key) for key in keys], np.intp)[:, None]
     if any(col("dm", key, r) != j + 2 + 4 * r
@@ -330,12 +325,13 @@ def emit_mld(curves: dict[tuple, PwaCurve], cfg: PwaConfig, col,
     return ineq, eq
 
 
-def _pipe_columns(pipes: list[tuple], col) -> tuple[np.ndarray, ...]:
-    """Columns of each pipe (i, j)'s flow ``phi_ij`` and end pressures
-    ``psi_i`` and ``psi_j``."""
-    return (np.array([col("phi", key) for key in pipes], np.intp),
-            np.array([col("psi", i) for i, _ in pipes], np.intp),
-            np.array([col("psi", j) for _, j in pipes], np.intp))
+def _pipe_columns(pipes: list[tuple], col, mirror: bool = False
+                  ) -> tuple[np.ndarray, ...]:
+    """Columns of each pipe (i, j)'s flow ``phi_ij``, end pressures ``psi_i``
+    and ``psi_j`` and, with ``mirror``, its mirror's flow ``phi_ji``."""
+    cols = [(col("phi", (i, j)), col("psi", i), col("psi", j))
+            + ((col("phi", (j, i)),) if mirror else ()) for i, j in pipes]
+    return tuple(np.array(cols, np.intp).reshape(len(pipes), 3 + mirror).T)
 
 
 def emit_hull(curves: dict[tuple, PwaCurve], col
@@ -364,8 +360,9 @@ def emit_hull(curves: dict[tuple, PwaCurve], col
     each owned by its pipe's own orientation.
     """
     pipes = list(curves)
-    bps = [curve.breakpoints for curve in curves.values()]
-    x = np.array(bps, dtype=float).reshape(len(bps), len(bps[0]) if bps else 2)
+    lo, hi, _, _ = _chords(curves)
+    x = np.hstack((lo, hi[:, -1:]))
+    # ``c_f ** 2`` can differ from the chords' ``c_f * c_f`` in the last bit
     c2 = np.array([curve.c_f ** 2 for curve in curves.values()])[:, None]
     y = np.sign(x) * x * x / c2
     phi, psi_i, psi_j = _pipe_columns(pipes, col)
@@ -470,27 +467,27 @@ def emit_config(config: dict[tuple, int], curves: dict[tuple, PwaCurve],
     ``s (psi_j - psi_i) <= -epsilon``; every other row then holds or follows
     from these and the boxes. Returns the inequality and the equality rows,
     each owned by its pipe's own orientation, and the boxes as ``(columns,
-    lo, hi)``; ``col`` is the column lookup of ``emit_mld``.
+    lo, hi)``, all read at once off ``_chords``; ``col`` is the column
+    lookup of ``emit_mld``.
     """
     pipes = list(curves)
-    cols, box, chords = [], [], []
-    for pipe, curve in curves.items():
-        for key, m, sign in orientation_regions({pipe: config[pipe]}, curves):
-            seg = curve.segments[m - 1]
-            cols.append(col("phi", key))
-            box.append((seg.lo + epsilon if m > 1 else seg.lo,
-                        seg.hi - epsilon if m < curve.r else seg.hi))
-            chords.append((seg.a, -seg.b, 2.0 * sign - 1.0))
-    # the rows read the pipes' own orientations
-    a, b, s = np.array(chords, dtype=float).reshape(-1, 3)[0::2].T
-    lo, hi = np.array(box, dtype=float).reshape(-1, 2).T
     num = len(pipes)
+    lo, hi, a, b = _chords(curves)
+    r = lo.shape[1]
     at = np.arange(num)
-    phi, psi_i, psi_j = _pipe_columns(pipes, col)
+    # each pipe's region counted from 0; the grid is exactly antisymmetric,
+    # so the mirror's box is the negated box
+    m = np.array([config[pipe] for pipe in pipes], np.intp) - 1
+    lo = lo[at, m] + epsilon * (m > 0)
+    hi = hi[at, m] - epsilon * (m < r - 1)
+    s = np.where(m >= r // 2, 1.0, -1.0)
+    phi, psi_i, psi_j, back = _pipe_columns(pipes, col, mirror=True)
     labels = (np.zeros(num, np.intp), 2 * at)
     ineq = _rows(num, [(at, -epsilon, (psi_i, -s), (psi_j, s))],
                  [("psi_order", key) for key in pipes], ("psi_order",),
                  *labels)
-    eq = _rows(num, [(at, b, (phi, a), (psi_i, -s), (psi_j, s))],
+    eq = _rows(num, [(at, -b[at, m], (phi, a[at, m]), (psi_i, -s),
+                      (psi_j, s))],
                [("pwa_flow", key) for key in pipes], ("pwa_flow",), *labels)
-    return ineq, eq, (np.array(cols, np.intp), lo, hi)
+    return ineq, eq, (np.concatenate((phi, back)), np.concatenate((lo, -hi)),
+                      np.concatenate((hi, -lo)))

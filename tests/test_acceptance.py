@@ -15,7 +15,8 @@ from ogpf.convexsolve import solve_convex
 from ogpf.mipbuild import build_model, check_point, fit_all_curves, relax
 from ogpf.netmodel import scale_demands
 from ogpf.oracle import enumerate_solve
-from ogpf.pwa import PwaConfig, emit_mld, fit_pwa, max_region_error
+from ogpf.pwa import (PwaConfig, _chords, emit_mld, fit_pwa,
+                      max_region_error)
 from ogpf.recovery import solve_pressure_lp
 from ogpf.twostage import solve_two_stage
 
@@ -152,13 +153,14 @@ def test_criterion_4_pwa_analytics():
         cap = float(rng.uniform(0.5, 8.0))
         curve = fit_pwa(c, cap, PwaConfig(r=r))
         c2 = c * c
-        for seg in curve.segments:
-            for bp in (seg.lo, seg.hi):
-                worst_bp = max(worst_bp, abs(seg.value(bp) - bp * bp / c2))
-            analytic = (seg.hi - seg.lo) ** 2 / (4.0 * c2)
-            worst_err = max(worst_err, abs(max_region_error(seg, c) - analytic))
-            phis = rng.uniform(seg.lo, seg.hi, size=100)
-            gap = seg.a * phis + seg.b - phis * phis / c2
+        regions = (v[0] for v in _chords({curve.pipe: curve}))
+        for lo, hi, a, b, err in zip(*regions, max_region_error(curve)):
+            for bp in (lo, hi):
+                worst_bp = max(worst_bp, abs(a * bp + b - bp * bp / c2))
+            analytic = (hi - lo) ** 2 / (4.0 * c2)
+            worst_err = max(worst_err, abs(err - analytic))
+            phis = rng.uniform(lo, hi, size=100)
+            gap = a * phis + b - phis * phis / c2
             if (gap < -1e-12).any() or (gap > analytic + 1e-9).any():
                 over_ok = False
     ok = worst_bp <= 1e-12 and worst_err <= 1e-9 and over_ok
@@ -227,7 +229,7 @@ def test_criterion_5_mld_logic_soundness():
 
             # block 3: region logic for a random region
             m = int(rng.integers(1, r + 1))
-            seg = curve.segments[m - 1]
+            lo, hi = curve.breakpoints[m - 1:m + 1]
             a, b, d = (int(rng.integers(0, 2)) for _ in range(3))
             x[index.col("alpha", key, m)] = a
             x[index.col("beta", key, m)] = b
@@ -237,8 +239,8 @@ def test_criterion_5_mld_logic_soundness():
             rows_m = [k for fam in fams for k in by_family[fam]
                       if ineq.keys[k][2] == m]
             got = rows_ok(rows_m, x)
-            want = ((phi <= seg.hi if a else phi >= seg.hi + eps)
-                    and (phi >= seg.lo if b else phi <= seg.lo - eps)
+            want = ((phi <= hi if a else phi >= hi + eps)
+                    and (phi >= lo if b else phi <= lo - eps)
                     and d <= a and d <= b and a + b - d <= 1)
             counts["region"][got] += 1
             if got != want:

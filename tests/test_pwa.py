@@ -4,33 +4,49 @@ import numpy as np
 import pytest
 
 from ogpf.errors import ConfigError, MissingBounds
-from ogpf.pwa import (PwaConfig, block_keys, emit_mld, fit_pwa, key_label,
-                      max_region_error)
+from ogpf.pwa import (PwaConfig, PwaCurve, _chords, block_keys, emit_mld,
+                      fit_pwa, key_label, max_region_error)
 
 from conftest import pair_index, row_values
 
 
+def _regions(curve):
+    """Per region of ``curve``, as arrays: its ends ``lo`` and ``hi`` and
+    its chord's slope ``a`` and intercept ``b``, as the model reads them."""
+    return tuple(v[0] for v in _chords({curve.pipe: curve}))
+
+
 def test_chord_fit_r2_unit():
     curve = fit_pwa(1.0, 1.0, PwaConfig(r=2))
-    s1, s2 = curve.segments
-    assert (s1.lo, s1.hi, s1.a, s1.b) == (-1.0, 0.0, -1.0, 0.0)
-    assert (s2.lo, s2.hi, s2.a, s2.b) == (0.0, 1.0, 1.0, 0.0)
+    assert curve.breakpoints == (-1.0, 0.0, 1.0)
+    lo, hi, a, b = _regions(curve)
+    assert (lo[0], hi[0], a[0], b[0]) == (-1.0, 0.0, -1.0, 0.0)
+    assert (lo[1], hi[1], a[1], b[1]) == (0.0, 1.0, 1.0, 0.0)
 
 
 def test_chord_fit_positive_segment():
-    curve = fit_pwa(1.0, 2.0, PwaConfig(r=4))
-    seg = curve.segments[3]
-    assert (seg.lo, seg.hi) == (1.0, 2.0)
-    assert seg.a == 3.0
-    assert seg.b == -2.0
+    lo, hi, a, b = _regions(fit_pwa(1.0, 2.0, PwaConfig(r=4)))
+    assert (lo[3], hi[3]) == (1.0, 2.0)
+    assert a[3] == 3.0
+    assert b[3] == -2.0
 
 
 def test_chord_fit_scaled_constant():
-    curve = fit_pwa(2.0, 2.0, PwaConfig(r=2))
-    seg = curve.segments[1]
-    assert (seg.lo, seg.hi) == (0.0, 2.0)
-    assert seg.a == 0.5
-    assert seg.b == 0.0
+    lo, hi, a, b = _regions(fit_pwa(2.0, 2.0, PwaConfig(r=2)))
+    assert (lo[1], hi[1]) == (0.0, 2.0)
+    assert a[1] == 0.5
+    assert b[1] == 0.0
+
+
+def test_curve_is_its_grid():
+    """A curve holds its ``r + 1`` breakpoints as a tuple of floats, so two
+    fits of the same pipe compare and hash alike."""
+    curve = fit_pwa(1.5, 3.0, PwaConfig(r=6), pipe=("a", "b"))
+    assert type(curve.breakpoints) is tuple and curve.r == 6
+    assert all(type(x) is float for x in curve.breakpoints)
+    again = fit_pwa(1.5, 3.0, PwaConfig(r=6), pipe=("a", "b"))
+    assert curve == again and hash(curve) == hash(again)
+    assert curve != fit_pwa(1.5, 3.0, PwaConfig(r=8), pipe=("a", "b"))
 
 
 def test_odd_region_count_rejected():
@@ -50,15 +66,19 @@ def test_breakpoints_tile_range_and_contain_zero():
         bps = curve.breakpoints
         assert bps[0] == -cap and bps[-1] == cap
         assert 0.0 in bps
-        for a, b in zip(curve.segments[:-1], curve.segments[1:]):
-            assert a.hi == b.lo
+        lo, hi, _, _ = _regions(curve)
+        assert lo.size == r and lo[0] == -cap and hi[-1] == cap
+        assert (hi[:-1] == lo[1:]).all()
+        assert (lo < hi).all()
 
 
 def test_max_region_error_examples():
-    from ogpf.pwa import PwaSegment
-    assert max_region_error(PwaSegment(1, 0.0, 1.0, 1.0, 0.0), 1.0) == 0.25
-    assert max_region_error(PwaSegment(1, 0.5, 0.5, 1.0, 0.0), 1.0) == 0.0
-    assert max_region_error(PwaSegment(1, 0.0, 2.0, 0.5, 0.0), 2.0) == 0.25
+    assert max_region_error(fit_pwa(1.0, 1.0, PwaConfig(r=2))).tolist() == \
+        [0.25, 0.25]
+    assert max_region_error(PwaCurve(("i", "j"), 1.0, 1.0,
+                                     (0.5, 0.5))).tolist() == [0.0]
+    assert max_region_error(fit_pwa(2.0, 2.0, PwaConfig(r=2))).tolist() == \
+        [0.25, 0.25]
 
 
 def test_overestimation_and_error_bound():
@@ -68,24 +88,26 @@ def test_overestimation_and_error_bound():
         c = rng.uniform(0.5, 4.0)
         cap = rng.uniform(0.5, 8.0)
         curve = fit_pwa(c, cap, PwaConfig(r=int(r)))
-        for seg in curve.segments:
-            phis = rng.uniform(seg.lo, seg.hi, size=40)
-            gap = seg.a * phis + seg.b - phis * phis / (c * c)
-            bound = max_region_error(seg, c)
+        errors = max_region_error(curve)
+        assert errors.shape == (r,)
+        for lo, hi, a, b, bound in zip(*_regions(curve), errors):
+            phis = rng.uniform(lo, hi, size=40)
+            gap = a * phis + b - phis * phis / (c * c)
             assert (gap >= -1e-12).all()
             assert (gap <= bound + 1e-12).all()
             # bound attained at the midpoint
-            mid = 0.5 * (seg.lo + seg.hi)
-            attained = seg.a * mid + seg.b - mid * mid / (c * c)
+            mid = 0.5 * (lo + hi)
+            attained = a * mid + b - mid * mid / (c * c)
             assert attained == pytest.approx(bound, abs=1e-12)
 
 
 def test_refinement_quarters_error():
     c, cap = 2.5, 6.0
     for r in (2, 4, 8, 16):
-        e_r = max_region_error(fit_pwa(c, cap, PwaConfig(r=r)).segments[0], c)
-        e_2r = max_region_error(fit_pwa(c, cap, PwaConfig(r=2 * r)).segments[0], c)
-        assert e_2r == pytest.approx(e_r / 4.0, rel=1e-12)
+        e_r = max_region_error(fit_pwa(c, cap, PwaConfig(r=r)))
+        e_2r = max_region_error(fit_pwa(c, cap, PwaConfig(r=2 * r)))
+        assert e_2r[0] == pytest.approx(e_r[0] / 4.0, rel=1e-12)
+        assert e_2r == pytest.approx(np.repeat(e_r, 2) / 4.0, rel=1e-12)
 
 
 def test_exact_at_breakpoints():
@@ -94,10 +116,9 @@ def test_exact_at_breakpoints():
         r = 2 * rng.integers(1, 12)
         c = rng.uniform(0.5, 4.0)
         cap = rng.uniform(0.5, 8.0)
-        curve = fit_pwa(c, cap, PwaConfig(r=int(r)))
-        for seg in curve.segments:
-            for bp in (seg.lo, seg.hi):
-                assert abs(seg.value(bp) - bp * bp / (c * c)) <= 1e-12
+        lo, hi, a, b = _regions(fit_pwa(c, cap, PwaConfig(r=int(r))))
+        for bp in (lo, hi):
+            assert (np.abs(a * bp + b - bp * bp / (c * c)) <= 1e-12).all()
 
 
 def test_mirror_region():

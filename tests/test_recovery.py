@@ -462,8 +462,8 @@ def test_configuration_check_matches_the_big_m_check(instances, name):
         config = res.recovery.configuration
         pipe = next(iter(config))
         curve, m = index.curves[pipe], config[pipe]
-        seg = curve.segments[m - 1]
-        phi = seg.lo + eps / 2 if m > 1 else seg.hi - eps / 2
+        lo, hi = curve.breakpoints[m - 1:m + 1]
+        phi = lo + eps / 2 if m > 1 else hi - eps / 2
         shifted, banded = (res.recovery.u_star.copy() for _ in range(2))
         shifted[res.index.columns("psi")[0]] += 1.0
         banded[res.index.col("phi", pipe)] = phi
@@ -594,8 +594,7 @@ def test_deviation_consistency_with_certificate(instances):
             phi = res.solution.x[index.col("phi", key)]
             drop = abs(psi[key[0]] - psi[key[1]])
             gap = abs(phi * phi / curve.c_f ** 2 - drop)
-            seg = curve.segments[m - 1]
-            assert gap <= max_region_error(seg, curve.c_f) + 1e-7
+            assert gap <= max_region_error(curve)[m - 1] + 1e-7
 
 
 # ---------------------------------------------------------------------------
