@@ -72,8 +72,8 @@ class PwaCurve:
     into ``r`` regions, region ``m`` being ``[breakpoints[m - 1],
     breakpoints[m]]``.
 
-    The grid is all a curve holds: each region's chord follows from its
-    ends and ``c_f`` (``_chords``), so curves compare and hash by value. 0 is
+    Each region's chord follows from its ends and ``c_f`` (``_chords``), so
+    a curve stores no per-region object and compares and hashes by value. 0 is
     always a breakpoint and the grid is exactly antisymmetric, so the
     reversed orientation reads the same grid, ``-phi`` lying in
     ``mirror_region``.
@@ -325,13 +325,12 @@ def emit_mld(curves: dict[tuple, PwaCurve], cfg: PwaConfig, col,
     return ineq, eq
 
 
-def _pipe_columns(pipes: list[tuple], col, mirror: bool = False
-                  ) -> tuple[np.ndarray, ...]:
-    """Columns of each pipe (i, j)'s flow ``phi_ij``, end pressures ``psi_i``
-    and ``psi_j`` and, with ``mirror``, its mirror's flow ``phi_ji``."""
-    cols = [(col("phi", (i, j)), col("psi", i), col("psi", j))
-            + ((col("phi", (j, i)),) if mirror else ()) for i, j in pipes]
-    return tuple(np.array(cols, np.intp).reshape(len(pipes), 3 + mirror).T)
+def _pipe_columns(pipes: list[tuple], col) -> tuple[np.ndarray, ...]:
+    """Columns of each pipe (i, j)'s flow ``phi_ij`` and end pressures
+    ``psi_i`` and ``psi_j``."""
+    return (np.array([col("phi", key) for key in pipes], np.intp),
+            np.array([col("psi", i) for i, _ in pipes], np.intp),
+            np.array([col("psi", j) for _, j in pipes], np.intp))
 
 
 def emit_hull(curves: dict[tuple, PwaCurve], col
@@ -481,7 +480,8 @@ def emit_config(config: dict[tuple, int], curves: dict[tuple, PwaCurve],
     lo = lo[at, m] + epsilon * (m > 0)
     hi = hi[at, m] - epsilon * (m < r - 1)
     s = np.where(m >= r // 2, 1.0, -1.0)
-    phi, psi_i, psi_j, back = _pipe_columns(pipes, col, mirror=True)
+    phi, psi_i, psi_j = _pipe_columns(pipes, col)
+    back = np.array([col("phi", (j, i)) for i, j in pipes], np.intp)
     labels = (np.zeros(num, np.intp), 2 * at)
     ineq = _rows(num, [(at, -epsilon, (psi_i, -s), (psi_j, s))],
                  [("psi_order", key) for key in pipes], ("psi_order",),
